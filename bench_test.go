@@ -669,3 +669,57 @@ func BenchmarkDriverConverge(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(sweeps), "sweeps-to-converge")
 }
+
+// BenchmarkRhatCheck measures one convergence check of the adaptive
+// driver — Worst, WorstSplit and MinESS — on the accumulator a drive of
+// the 64×64 antiferromagnetic Ising torus (β = 0.8, λ = 1, chromatic, 16
+// chains) holds after 24 observed sweeps, where such a drive stops. It is
+// the driver-diagnostics layer of the time-to-converged-chains benchmark.
+// The warm-up check sizes the accumulator's gather scratch, so the timed
+// checks allocate nothing, which the allocs/op gate holds.
+func BenchmarkRhatCheck(b *testing.B) {
+	spec, err := model.Ising(graph.Torus(64, 64), 0.8, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	in, err := gibbs.NewInstance(spec, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := sampler.Create("chromatic", in, sampler.Options{Chains: 16, Seed: 11})
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := s.(sampler.MultiChain)
+	rounds, err := sampler.SweepRounds("chromatic", in)
+	if err != nil {
+		b.Fatal(err)
+	}
+	acc, err := sampler.NewRhat(m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 24; i++ {
+		if err := m.Run(rounds); err != nil {
+			b.Fatal(err)
+		}
+		acc.Observe()
+	}
+	check := func() {
+		if _, _, err := acc.Worst(); err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := acc.WorstSplit(); err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := acc.MinESS(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	check()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		check()
+	}
+}

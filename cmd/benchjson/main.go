@@ -25,12 +25,13 @@
 // With -fail P (requires -baseline), the same comparison becomes a gate
 // for the benchmarks named by -faillist: a comma-separated list of name
 // substrings selecting the low-variance benchmarks (by default the
-// GlauberStep, CondWeights, BatchSweep, BatchLuby and BatchMetropolis
-// kernels, whose straight-line inner loops are stable once the smoke run
-// amortizes a few hundred iterations). An allowlisted benchmark
-// regressing by more than P percent is marked FAIL and the tool exits
-// nonzero after the full report and delta table are written. Benchmarks
-// outside the allowlist keep the warn-only treatment.
+// GlauberStep, CondWeights, CondLookup, BatchSweep, BatchLuby and
+// BatchMetropolis kernels, whose straight-line inner loops are stable once
+// the smoke run amortizes a few hundred iterations, plus the
+// DriverConverge drive and the RhatCheck driver check). An allowlisted
+// benchmark regressing by more than P percent is marked FAIL and the tool
+// exits nonzero after the full report and delta table are written.
+// Benchmarks outside the allowlist keep the warn-only treatment.
 //
 // With -failallocs P (requires -baseline), the allowlisted benchmarks are
 // additionally gated on allocs/op: a regression above P percent — or any
@@ -105,7 +106,7 @@ func main() {
 	warn := flag.Float64("warn", 0, "flag ns/op regressions above this percentage vs the baseline (0 = off; never fails the run)")
 	failPct := flag.Float64("fail", 0, "exit nonzero when an allowlisted benchmark (see -faillist) regresses ns/op above this percentage vs the baseline (0 = off)")
 	failAllocPct := flag.Float64("failallocs", 0, "exit nonzero when an allowlisted benchmark regresses allocs/op above this percentage vs the baseline (any growth from a zero-alloc baseline gates; 0 = off)")
-	faillist := flag.String("faillist", "GlauberStep,CondWeights,CondLookup,BatchSweep,BatchLuby,BatchMetropolis,DriverConverge",
+	faillist := flag.String("faillist", "GlauberStep,CondWeights,CondLookup,BatchSweep,BatchLuby,BatchMetropolis,DriverConverge,RhatCheck",
 		"comma-separated benchmark-name substrings gated by -fail and -failallocs; others stay warn-only")
 	regen := flag.Bool("regen", false, "regenerate the baseline: run the suite "+strconv.Itoa(regenRuns)+"× at -benchtime="+regenBenchtime+" and write the per-metric median report (ignores stdin)")
 	outPath := flag.String("o", "", "with -regen: write the merged report to this file instead of stdout")

@@ -28,7 +28,7 @@ func fabric(t *testing.T, B int) (*Batch, *Rhat) {
 		t.Fatal(err)
 	}
 	b := rhatBatch(t, spec, nil, B, 1)
-	acc, err := b.NewRhat()
+	acc, err := NewRhat(b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,53 +17,80 @@ package sampler
 //   - running Welford moments per (vertex, chain), numerically stable over
 //     any number of observations, behind the classic whole-chain statistic
 //     (At, Worst);
-//   - a bounded, evenly thinned observation buffer per (vertex, chain),
-//     behind the split statistic (SplitAt, WorstSplit — each retained
-//     chain series is split into halves, so a chain that wandered between
-//     two modes shows up even when the whole-chain means agree) and the
-//     per-vertex effective sample size (ESSAt, MinESS — Geyer
-//     initial-monotone autocorrelation sums on the retained series). The
-//     buffer holds at most a fixed number of observations per series; when
-//     it fills, every other retained observation is dropped and the
-//     retention stride doubles, so the retained series stays evenly spaced
-//     across the whole history and memory stays bounded no matter how long
-//     the run.
+//   - a bounded, evenly thinned buffer of lattice snapshots, behind the
+//     split statistic (SplitAt, WorstSplit — each retained chain series is
+//     split into halves, so a chain that wandered between two modes shows
+//     up even when the whole-chain means agree) and the per-vertex
+//     effective sample size (ESSAt, MinESS — Geyer initial-monotone
+//     autocorrelation sums on the retained series).
+//
+// The buffer is time-major: retained snapshot i is one copy of the
+// lattice's raw cell block, laid out like the lattice (cell v*B+c), one
+// byte per cell on compact lattices and an int32 per cell on wide ones.
+// Observe therefore costs one pass over the lattice. The buffer grows by
+// doubling as observations arrive, up to a fixed number of snapshots; when
+// it fills, every other snapshot is dropped (snapshot 2i+1 moves to i) and
+// the retention stride doubles, so the retained series stays evenly
+// spaced across the whole history and memory stays bounded no matter how
+// long the run. The split statistic and the ESS gather one vertex's series
+// at a time into a reused chain-major float64 scratch.
+//
+// Every statistic is bit-identical (same vertex, same math.Float64bits) to
+// the earlier series-major layout, which stored each (vertex, chain)
+// series in its own fixed-length row: the same values meet the same
+// floating-point operations in the same order. rhatref_test.go keeps that
+// layout as the test oracle.
 
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/dist"
 )
 
-// DefaultRetain is the per-(vertex, chain) observation-buffer capacity:
-// enough resolution for the split and autocorrelation statistics while
-// keeping the buffer a few bytes per cell even on large instances.
+// DefaultRetain is the observation-buffer capacity in snapshots: enough
+// resolution for the split and autocorrelation statistics. A snapshot
+// costs one byte per cell on compact lattices, so the buffer holds at most
+// DefaultRetain·n·B bytes and reaches that only after DefaultRetain
+// observations: a drive that stops after T ≤ DefaultRetain sweeps retains
+// T·n·B bytes, in a buffer of less than twice that.
 const DefaultRetain = 256
 
 // Rhat accumulates per-(vertex, chain) observation statistics of a
 // multi-chain engine's state and reports the Gelman–Rubin statistic
 // (classic and split forms) and the effective sample size per vertex. It
 // works with any MultiChain — the chromatic Batch and the batched
-// LubyGlauber and LocalMetropolis engines alike.
+// LubyGlauber and LocalMetropolis engines alike. Memory is the 16·n·B
+// bytes of running moments plus the snapshot buffer, which holds one byte
+// per cell per retained observation (four on wide lattices).
 type Rhat struct {
-	m     MultiChain
-	n     int
-	count int
+	m MultiChain
+	// n and b are the vertex and chain counts, read once; cells = n·b is
+	// one snapshot's length.
+	n, b, cells int
+	count       int
 	// mean and m2 are chain-major like the lattice: entry v*B+c carries
 	// chain c's running mean / centered second moment at vertex v.
 	mean []float64
 	m2   []float64
 
-	// obs is the thinned observation buffer: series (v, c) occupies
-	// obs[(v*B+c)*retain : (v*B+c)*retain+rlen], evenly spaced every
-	// `stride` observations across the history, most recent last.
-	obs    []int32
-	retain int
-	rlen   int
-	stride int
-	skip   int
+	// The thinned snapshot buffer: snapshot i occupies
+	// snaps[i*cells:(i+1)*cells] of snaps8 (compact lattices) or snapsW
+	// (wide lattices; the other stays nil). Snapshots are evenly spaced
+	// every `stride` observations across the history, most recent last.
+	compact bool
+	snaps8  []uint8
+	snapsW  []int32
+	retain  int
+	rlen    int
+	stride  int
+	skip    int
 
-	// seqMean/seqVar are the 2B-sequence scratch of the split statistic,
-	// reused across vertices so Worst-style sweeps do not allocate.
+	// series is one vertex's gathered history, chain-major: chain c's
+	// retained series at series[c*rlen:(c+1)*rlen]. seqMean/seqVar are the
+	// 2B-sequence scratch of the split statistic. All are reused across
+	// vertices so Worst-style sweeps do not allocate.
+	series  []float64
 	seqMean []float64
 	seqVar  []float64
 }
@@ -71,26 +98,29 @@ type Rhat struct {
 // NewRhat returns an empty accumulator for the multi-chain engine with the
 // default observation-buffer capacity. The diagnostics need at least two
 // chains.
-func NewRhat(m MultiChain) (*Rhat, error) { return NewRhatRetain(m, DefaultRetain) }
+func NewRhat(m MultiChain) (*Rhat, error) { return newRhat(m, DefaultRetain) }
 
-// NewRhatRetain returns an empty accumulator retaining at most `retain`
-// thinned observations per (vertex, chain) series. retain must be an even
-// number ≥ 8 (thinning halves the buffer in place).
-func NewRhatRetain(m MultiChain, retain int) (*Rhat, error) {
-	if m.Chains() < 2 {
-		return nil, fmt.Errorf("sampler: Gelman–Rubin needs ≥ 2 chains, engine has %d", m.Chains())
+// newRhat returns an empty accumulator retaining at most `retain` thinned
+// snapshots. retain must be an even number ≥ 8 (thinning halves the
+// buffer in place).
+func newRhat(m MultiChain, retain int) (*Rhat, error) {
+	B := m.Chains()
+	if B < 2 {
+		return nil, fmt.Errorf("sampler: Gelman–Rubin needs ≥ 2 chains, engine has %d", B)
 	}
 	if retain < 8 || retain%2 != 0 {
 		return nil, fmt.Errorf("sampler: observation buffer capacity must be an even number ≥ 8, got %d", retain)
 	}
-	n := m.Lattice().N()
-	B := m.Chains()
+	lat := m.Lattice()
+	n := lat.N()
 	return &Rhat{
 		m:       m,
 		n:       n,
+		b:       B,
+		cells:   n * B,
 		mean:    make([]float64, n*B),
 		m2:      make([]float64, n*B),
-		obs:     make([]int32, n*B*retain),
+		compact: lat.Compact(),
 		retain:  retain,
 		stride:  1,
 		seqMean: make([]float64, 2*B),
@@ -98,30 +128,50 @@ func NewRhatRetain(m MultiChain, retain int) (*Rhat, error) {
 	}, nil
 }
 
-// NewRhat returns an empty accumulator for the batch (the MultiChain
-// accumulator specialized to the chromatic engine, kept for callers that
-// hold a concrete *Batch).
-func (b *Batch) NewRhat() (*Rhat, error) { return NewRhat(b) }
+// cell8 decodes a compact cell: symbols are themselves and the 0xFF
+// sentinel is dist.Unset, exactly as state.Lattice.Get reads them.
+var cell8 = func() (t [256]float64) {
+	for x := range t {
+		t[x] = float64(x)
+	}
+	t[0xFF] = dist.Unset
+	return t
+}()
 
 // Observe folds the engine's current state into the running moments and,
-// on retention strides, into the observation buffer. Call it between Run
-// chunks (e.g. once per sweep-equivalent).
+// on retention strides, appends it to the snapshot buffer. Call it between
+// Run chunks (e.g. once per sweep-equivalent).
 func (r *Rhat) Observe() {
 	r.count++
-	B := r.m.Chains()
+	cnt := float64(r.count)
 	lat := r.m.Lattice()
 	keep := r.skip == 0
-	for v := 0; v < r.n; v++ {
-		row := r.mean[v*B : (v+1)*B]
-		m2 := r.m2[v*B : (v+1)*B]
-		for c := 0; c < B; c++ {
-			x := lat.Get(v, c)
+	mean, m2 := r.mean[:r.cells], r.m2[:r.cells]
+	if r.compact {
+		raw := lat.Raw8()[:r.cells]
+		for i, x := range raw {
+			xf := cell8[x]
+			d := xf - mean[i]
+			mean[i] += d / cnt
+			m2[i] += d * (xf - mean[i])
+		}
+		if keep {
+			r.snaps8 = grow(r.snaps8, r.cells, r.retain)
+			copy(r.snaps8[r.rlen*r.cells:], raw)
+		}
+	} else {
+		raw := lat.RawWide()[:r.cells]
+		for i, x := range raw {
 			xf := float64(x)
-			d := xf - row[c]
-			row[c] += d / float64(r.count)
-			m2[c] += d * (xf - row[c])
-			if keep {
-				r.obs[(v*B+c)*r.retain+r.rlen] = int32(x)
+			d := xf - mean[i]
+			mean[i] += d / cnt
+			m2[i] += d * (xf - mean[i])
+		}
+		if keep {
+			r.snapsW = grow(r.snapsW, r.cells, r.retain)
+			snap := r.snapsW[r.rlen*r.cells:]
+			for i, x := range raw {
+				snap[i] = int32(x)
 			}
 		}
 	}
@@ -131,20 +181,71 @@ func (r *Rhat) Observe() {
 	}
 	r.rlen++
 	if r.rlen == r.retain {
-		// Thin: keep every other retained observation (the most recent one
+		// Thin: keep every other retained snapshot (the most recent one
 		// stays retained), double the stride. The retained set remains the
 		// multiples of the stride, so the series stays evenly spaced.
 		half := r.retain / 2
-		for s := 0; s < r.n*B; s++ {
-			row := r.obs[s*r.retain : (s+1)*r.retain]
-			for i := 0; i < half; i++ {
-				row[i] = row[2*i+1]
-			}
+		if r.compact {
+			r.snaps8 = thin(r.snaps8, r.cells, half)
+		} else {
+			r.snapsW = thin(r.snapsW, r.cells, half)
 		}
 		r.rlen = half
 		r.stride *= 2
 	}
 	r.skip = r.stride - 1
+}
+
+// grow extends buf, which holds whole snapshots of `cells` cells, by one
+// snapshot. A full buffer moves to one of twice the snapshots (at most
+// retain): with a power-of-two retain such as DefaultRetain, a run's
+// buffer allocations total less than twice the full buffer, and none
+// happen once it holds retain snapshots.
+func grow[T uint8 | int32](buf []T, cells, retain int) []T {
+	n := len(buf) + cells
+	if n <= cap(buf) {
+		return buf[:n]
+	}
+	snaps := min(max(1, 2*(cap(buf)/cells)), retain)
+	grown := make([]T, n, snaps*cells)
+	copy(grown, buf)
+	return grown
+}
+
+// thin moves snapshot 2i+1 to slot i for every i < half and drops the rest.
+func thin[T uint8 | int32](buf []T, cells, half int) []T {
+	for i := 0; i < half; i++ {
+		copy(buf[i*cells:(i+1)*cells], buf[(2*i+1)*cells:(2*i+2)*cells])
+	}
+	return buf[:half*cells]
+}
+
+// gather copies vertex v's retained series into the chain-major scratch —
+// chain c's series at y[c*L:(c+1)*L], oldest first — and returns it.
+func (r *Rhat) gather(v int) []float64 {
+	B, L := r.b, r.rlen
+	if cap(r.series) < B*L {
+		// Sized ahead like the snapshot buffer, so growth is as rare.
+		r.series = make([]float64, B*min(2*L, r.retain))
+	}
+	y := r.series[:B*L]
+	off := v * B
+	if r.compact {
+		for t := 0; t < L; t++ {
+			at := t*r.cells + off
+			for c, x := range r.snaps8[at : at+B] {
+				y[c*L+t] = cell8[x]
+			}
+		}
+		return y
+	}
+	for t := 0; t < L; t++ {
+		at := t*r.cells + off
+		for c, x := range r.snapsW[at : at+B] {
+			y[c*L+t] = float64(x)
+		}
+	}
+	return y
 }
 
 // Count returns the number of observations folded in so far.
@@ -158,13 +259,6 @@ func (r *Rhat) Retained() (length, stride int) { return r.rlen, r.stride }
 // split statistic and the effective sample size (≥ 4 retained).
 func (r *Rhat) SplitReady() bool { return r.rlen >= 4 }
 
-// series returns the retained observation series of (v, c).
-func (r *Rhat) series(v, c int) []int32 {
-	B := r.m.Chains()
-	off := (v*B + c) * r.retain
-	return r.obs[off : off+r.rlen]
-}
-
 // At returns the classic whole-chain Gelman–Rubin statistic of vertex v
 // over the observations so far. A vertex with zero variance everywhere
 // (pinned, or a frozen degree of freedom) reports exactly 1; zero
@@ -174,7 +268,7 @@ func (r *Rhat) At(v int) (float64, error) {
 	if r.count < 2 {
 		return 0, fmt.Errorf("sampler: Gelman–Rubin needs ≥ 2 observations, have %d", r.count)
 	}
-	B := r.m.Chains()
+	B := r.b
 	T := float64(r.count)
 	means := r.mean[v*B : (v+1)*B]
 	m2 := r.m2[v*B : (v+1)*B]
@@ -212,23 +306,24 @@ func (r *Rhat) SplitAt(v int) (float64, error) {
 	if !r.SplitReady() {
 		return 0, fmt.Errorf("sampler: split R̂ needs ≥ 4 retained observations, have %d", r.rlen)
 	}
-	B := r.m.Chains()
-	m := r.rlen / 2
+	B, L := r.b, r.rlen
+	y := r.gather(v)
+	m := L / 2
 	mf := float64(m)
 	nseq := 2 * B
 	grand := 0.0
 	for c := 0; c < B; c++ {
-		s := r.series(v, c)
-		halves := [2][]int32{s[:m], s[len(s)-m:]}
+		s := y[c*L : (c+1)*L]
+		halves := [2][]float64{s[:m], s[L-m:]}
 		for h, seq := range halves {
 			sum := 0.0
 			for _, x := range seq {
-				sum += float64(x)
+				sum += x
 			}
 			mean := sum / mf
 			vsum := 0.0
 			for _, x := range seq {
-				d := float64(x) - mean
+				d := x - mean
 				vsum += d * d
 			}
 			r.seqMean[2*c+h] = mean
@@ -270,24 +365,27 @@ func (r *Rhat) ESSAt(v int) (float64, error) {
 	if !r.SplitReady() {
 		return 0, fmt.Errorf("sampler: ESS needs ≥ 4 retained observations, have %d", r.rlen)
 	}
-	B := r.m.Chains()
-	L := r.rlen
+	B, L := r.b, r.rlen
 	Lf := float64(L)
 	total := float64(B) * float64(r.count)
+	y := r.gather(v)
 	means := r.seqMean[:B]
 	grand, W := 0.0, 0.0
 	for c := 0; c < B; c++ {
-		s := r.series(v, c)
+		s := y[c*L : (c+1)*L]
 		sum := 0.0
 		for _, x := range s {
-			sum += float64(x)
+			sum += x
 		}
 		mean := sum / Lf
 		means[c] = mean
 		grand += mean
+		// Center the series in place: the autocovariances below read the
+		// centered values.
 		vsum := 0.0
-		for _, x := range s {
-			d := float64(x) - mean
+		for t, x := range s {
+			d := x - mean
+			s[t] = d
 			vsum += d * d
 		}
 		W += vsum / (Lf - 1)
@@ -309,25 +407,32 @@ func (r *Rhat) ESSAt(v int) (float64, error) {
 		// Chains frozen apart: no amount of further observation helps.
 		return 0, nil
 	}
-	// gamma(l): within-chain autocovariance at lag l, averaged over chains
-	// (biased 1/L scaling, per the standard estimator).
-	gamma := func(l int) float64 {
-		s := 0.0
+	// gammaPair(l) returns the within-chain autocovariances at lags l and
+	// l+1, averaged over chains (biased 1/L scaling, per the standard
+	// estimator). Each is one dot product of the centered series against
+	// itself shifted, summed chain by chain in time order; the two run in
+	// one pass as independent sums, and l+1 < L.
+	gammaPair := func(l int) (float64, float64) {
+		s0, s1 := 0.0, 0.0
+		n := L - l - 1 // terms at lag l+1; lag l has one more
 		for c := 0; c < B; c++ {
-			series := r.series(v, c)
-			mc := means[c]
-			for t := 0; t+l < L; t++ {
-				s += (float64(series[t]) - mc) * (float64(series[t+l]) - mc)
+			yc := y[c*L : (c+1)*L]
+			a, b0, b1 := yc[:n], yc[l:l+n], yc[l+1:l+1+n]
+			for t, x := range a {
+				s0 += x * b0[t]
+				s1 += x * b1[t]
 			}
+			s0 += yc[n] * yc[L-1]
 		}
-		return s / (float64(B) * Lf)
+		d := float64(B) * Lf
+		return s0 / d, s1 / d
 	}
-	rho := func(l int) float64 { return 1 - (W-gamma(l))/varPlus }
 	// Geyer: sum lag-pair autocorrelations while the pair sums stay
 	// non-negative, enforcing monotone non-increase.
 	sum, prev := 0.0, math.Inf(1)
 	for k := 1; k+1 < L; k += 2 {
-		p := rho(k) + rho(k+1)
+		g0, g1 := gammaPair(k)
+		p := (1 - (W-g0)/varPlus) + (1 - (W-g1)/varPlus)
 		if p < 0 {
 			break
 		}
@@ -376,7 +481,7 @@ func (r *Rhat) worstOf(at func(int) (float64, error)) (v int, rhat float64, err 
 // reports the full pooled count.
 func (r *Rhat) MinESS() (v int, ess float64, err error) {
 	if r.n == 0 {
-		return 0, float64(r.m.Chains()) * float64(r.count), nil
+		return 0, float64(r.b) * float64(r.count), nil
 	}
 	v, ess = -1, math.Inf(1)
 	for u := 0; u < r.n; u++ {

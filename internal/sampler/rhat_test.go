@@ -6,6 +6,7 @@ package sampler
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/dist"
@@ -40,7 +41,7 @@ func TestRhatHandComputed(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := rhatBatch(t, spec, nil, 2, 1)
-	acc, err := b.NewRhat()
+	acc, err := NewRhat(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestRhatConvergedNearOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := rhatBatch(t, spec, nil, 8, 3)
-	acc, err := b.NewRhat()
+	acc, err := NewRhat(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestRhatFrozenChainsDiverge(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := rhatBatch(t, spec, nil, 2, 1)
-	acc, err := b.NewRhat()
+	acc, err := NewRhat(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestRhatNeedsTwoChains(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := rhatBatch(t, spec, nil, 1, 1)
-	if _, err := b.NewRhat(); err == nil {
+	if _, err := NewRhat(b); err == nil {
 		t.Error("single-chain R̂ accepted")
 	}
 }
@@ -162,7 +163,7 @@ func TestRhatPinnedVertexIsOne(t *testing.T) {
 	pin := dist.NewConfig(6)
 	pin[3] = model.Out
 	b := rhatBatch(t, spec, pin, 4, 7)
-	acc, err := b.NewRhat()
+	acc, err := NewRhat(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,5 +178,74 @@ func TestRhatPinnedVertexIsOne(t *testing.T) {
 	}
 	if acc.Count() != 20 {
 		t.Errorf("Count() = %d, want 20", acc.Count())
+	}
+}
+
+// totalAlloc returns the bytes f allocates (the runtime's cumulative
+// TotalAlloc across the call).
+func totalAlloc(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestRhatAllocations pins what the accumulator allocates on the 64×64
+// antiferromagnetic Ising torus with 16 chains: NewRhat only the running
+// moments (the snapshot buffer grows with the observations, one byte per
+// cell each, doubling, so its allocations stay under twice the full
+// buffer), a check nothing once its scratch is sized, and Observe nothing
+// once the buffer has filled and thinned.
+func TestRhatAllocations(t *testing.T) {
+	spec, err := model.Ising(graph.Torus(64, 64), 0.8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const B = 16
+	b := rhatBatch(t, spec, nil, B, 1)
+	cells := uint64(b.Lattice().N() * B)
+	var acc *Rhat
+	if got := totalAlloc(func() { acc, err = NewRhat(b) }); got >= 2_000_000 {
+		t.Errorf("NewRhat allocated %d bytes, want < 2 MB", got)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	var observed uint64
+	for i := 0; i < 24; i++ {
+		if err := b.Run(1); err != nil {
+			t.Fatal(err)
+		}
+		observed += totalAlloc(acc.Observe)
+	}
+	// One warm-up check sizes the gather scratch; the next allocate nothing.
+	checks := map[string]func(){
+		"Worst":      func() { _, _, err = acc.Worst() },
+		"WorstSplit": func() { _, _, err = acc.WorstSplit() },
+		"MinESS":     func() { _, _, err = acc.MinESS() },
+	}
+	for name, check := range checks {
+		check()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	for name, check := range checks {
+		if n := testing.AllocsPerRun(3, check); n != 0 {
+			t.Errorf("%s allocates %v times per call after a warm-up check, want 0", name, n)
+		}
+	}
+	for acc.Count() < DefaultRetain {
+		observed += totalAlloc(acc.Observe)
+	}
+	if rlen, stride := acc.Retained(); stride != 2 || rlen != DefaultRetain/2 {
+		t.Fatalf("Retained() = %d, %d after %d observations; want the first thinning", rlen, stride, acc.Count())
+	}
+	if limit := 2 * DefaultRetain * cells; observed >= limit {
+		t.Errorf("Observe allocated %d bytes over %d observations, want < %d (twice the full buffer)", observed, acc.Count(), limit)
+	}
+	if n := testing.AllocsPerRun(10, acc.Observe); n != 0 {
+		t.Errorf("Observe allocates %v times per call past the first thinning, want 0", n)
 	}
 }
