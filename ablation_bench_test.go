@@ -1,7 +1,8 @@
-// Ablation benchmarks for the design choices called out in DESIGN.md:
-// bridge-completion strategy and ratio restriction inside the JVV sampler,
-// network-decomposition parameter tradeoffs, SAW truncation depth, and the
-// exact JVV sampler against the classical Glauber-dynamics baseline.
+// Ablation benchmarks for the design choices of the reproduction (README.md
+// maps the packages): bridge-completion strategy and ratio restriction
+// inside the JVV sampler, network-decomposition parameter tradeoffs, SAW
+// truncation depth, and the exact JVV sampler against the classical
+// Glauber-dynamics baseline.
 package repro_test
 
 import (

@@ -2,9 +2,10 @@
 // samplers of the paper: the exact local-JVV sampler (Theorem 4.2), the
 // approximate sequential sampler (Theorem 3.2), or any dynamics from the
 // internal/sampler registry (glauber, luby, metropolis, chromatic) run on
-// the sharded in-process engines. -chains runs the dynamic's batched
-// multi-chain engine: B independent chains advanced in lockstep over one
-// shared compiled engine. -cpuprofile and -memprofile write pprof profiles
+// its in-process engine. -chains sets B, the number of independent chains
+// the batched dynamics (luby, metropolis, chromatic) advance in lockstep
+// over one shared compiled engine; the default -chains 1 is their
+// single-chain sampler. -cpuprofile and -memprofile write pprof profiles
 // of the whole run.
 //
 // Instances are declarative: -spec loads a schema document (see
@@ -178,7 +179,7 @@ func run(args []string, out *os.File) error {
 	fs.StringVar(&o.algo, "algo", "", "dynamics instead of -sampler: "+strings.Join(sampler.Names(), " | "))
 	fs.IntVar(&o.rounds, "rounds", 0, "rounds for -algo (0 = -sweeps sweep-equivalents)")
 	fs.IntVar(&o.sweeps, "sweeps", 64, "sweep-equivalents for -algo when -rounds is 0")
-	fs.IntVar(&o.chains, "chains", 1, "independent chains for the batched multi-chain engines (-algo "+strings.Join(sampler.MultiNames(), " | ")+")")
+	fs.IntVar(&o.chains, "chains", 1, "independent chains advanced in lockstep by the batched dynamics (-algo "+strings.Join(sampler.MultiNames(), " | ")+")")
 	fs.BoolVar(&o.rhat, "rhat", false, "report the worst-vertex cross-chain Gelman–Rubin R̂ (needs a batched -algo and -chains ≥ 2)")
 	fs.StringVar(&o.converge, "converge", "", "adaptive stopping criterion, e.g. 'rhat<1.05': stop as soon as the worst-vertex R̂ meets the threshold (needs a batched -algo)")
 	fs.Float64Var(&o.minESS, "min-ess", 0, "adaptive stopping floor on the per-vertex effective sample size (combines with -converge)")
@@ -197,7 +198,7 @@ func run(args []string, out *os.File) error {
 		}
 	})
 	if o.chains == 0 {
-		return fmt.Errorf("-chains 0 names no engine: 1 is the single-chain engine, B ≥ 2 the batched one")
+		return fmt.Errorf("-chains 0 names no engine: -chains counts the independent chains and must be ≥ 1")
 	}
 	if o.specPath != "" {
 		var conflict []string
@@ -369,11 +370,10 @@ func parseConverge(s string) (float64, error) {
 }
 
 // runAlgo runs the -algo path: any dynamics from the internal/sampler
-// registry, the batched multi-chain engine when -chains > 1, or the
-// adaptive driver when a stopping criterion (-converge/-min-ess/-rhat) is
-// given. All degree-based heuristics use the instance's interaction graph,
-// which differs from the input graph for the matching model (a vertex
-// model on the line graph).
+// registry with -chains chains, or the adaptive driver when a stopping
+// criterion (-converge/-min-ess/-rhat) is given. All degree-based
+// heuristics use the instance's interaction graph, which differs from the
+// input graph for the matching model (a vertex model on the line graph).
 func runAlgo(out *os.File, b *spec.Built, render func(dist.Config) string, o options) error {
 	in := b.Instance
 	stages := strings.Split(strings.ToLower(o.algo), ",")
@@ -413,39 +413,19 @@ func runAlgo(out *os.File, b *spec.Built, render func(dist.Config) string, o opt
 	if rounds <= 0 {
 		rounds = max(o.sweeps, 1) * sweep
 	}
-	if o.chains != 1 {
-		return runBatch(out, in, render, algo, rounds, o)
-	}
-	s, err := sampler.Create(algo, in, sampler.Options{Seed: o.seed})
+	// One path for every chain count: the dynamic's engine with -chains
+	// chains, rendering chain 0 (every chain is an equally valid sample;
+	// the point of a batch is throughput per chain, reported by the
+	// BenchmarkBatch* suite).
+	s, err := sampler.Create(algo, in, sampler.Options{Chains: o.chains, Seed: o.seed})
 	if err != nil {
 		return err
 	}
 	if err := s.Run(rounds); err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "rounds=%d%s\n", s.Rounds(), samplerStats(s))
+	fmt.Fprintf(out, "rounds=%d%s%s\n", s.Rounds(), batchStats(s), samplerStats(s))
 	fmt.Fprintln(out, render(s.State()))
-	return nil
-}
-
-// runBatch runs B independent chains of the chosen dynamics in lockstep
-// on its batched multi-chain engine and renders the first chain (every
-// chain is an equally valid sample; the point of the batch is throughput
-// per chain, reported by the BenchmarkBatch* suite).
-func runBatch(out *os.File, in *gibbs.Instance, render func(dist.Config) string, algo string, rounds int, o options) error {
-	s, err := sampler.Create(algo, in, sampler.Options{Chains: o.chains, Seed: o.seed})
-	if err != nil {
-		return err
-	}
-	m, ok := s.(sampler.MultiChain)
-	if !ok {
-		return fmt.Errorf("dynamic %q built no multi-chain engine for -chains %d", algo, o.chains)
-	}
-	if err := m.Run(rounds); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "rounds=%d chains=%d%s%s\n", m.Rounds(), m.Chains(), batchStats(m), samplerStats(m))
-	fmt.Fprintln(out, render(m.Chain(0)))
 	return nil
 }
 
@@ -494,18 +474,23 @@ func runDriver(out *os.File, in *gibbs.Instance, render func(dist.Config) string
 		fmt.Fprintf(out, "rhat=%.4f worst-vertex=%d split-rhat=%.4f ess=%.1f ess-vertex=%d sweeps=%d stop=%s (R̂ ≈ 1 ⇔ chains converged)\n",
 			rep.Rhat, rep.WorstVertex, rep.SplitRhat, rep.ESS, rep.ESSVertex, rep.Sweeps, rep.Reason)
 	}
-	fmt.Fprintf(out, "rounds=%d chains=%d%s%s\n", m.Rounds(), m.Chains(), batchStats(m), samplerStats(m))
+	fmt.Fprintf(out, "rounds=%d%s%s\n", m.Rounds(), batchStats(m), samplerStats(m))
 	fmt.Fprintln(out, render(m.Chain(0)))
 	return nil
 }
 
-// batchStats surfaces the chromatic engine's schedule width when the
-// batched dynamic has one (the other batched engines are scheduleless).
-func batchStats(m sampler.MultiChain) string {
-	if b, ok := m.(interface{ Classes() [][]int }); ok {
-		return fmt.Sprintf(" stages/sweep=%d", len(b.Classes()))
+// batchStats surfaces a batched engine's chain count, and the chromatic
+// engine's schedule width (the other batched engines are scheduleless).
+func batchStats(s sampler.Sampler) string {
+	m, ok := s.(sampler.MultiChain)
+	if !ok {
+		return ""
 	}
-	return ""
+	out := fmt.Sprintf(" chains=%d", m.Chains())
+	if b, ok := m.(interface{ Classes() [][]int }); ok {
+		out += fmt.Sprintf(" stages/sweep=%d", len(b.Classes()))
+	}
+	return out
 }
 
 // samplerStats surfaces the optional per-dynamic counters through the

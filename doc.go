@@ -22,5 +22,5 @@
 // claim of the paper is internal/experiment, benchmarked from
 // bench_test.go in this directory.
 //
-// See README.md, DESIGN.md and EXPERIMENTS.md for the complete map.
+// See README.md for the complete map.
 package repro

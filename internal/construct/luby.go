@@ -47,7 +47,8 @@ var ErrNotConverged = errors.New("construct: Luby MIS did not converge")
 // larger draw wins, with exact ties broken toward the larger ID. A vertex
 // joins the phase's independent set iff its draw beats every competing
 // rival's — the per-phase selection rule reused verbatim by the
-// LubyGlauber sampler (internal/psample) in both of its harnesses.
+// LubyGlauber LOCAL harness (internal/psample); the in-process engine
+// applies the same order to shifted integer keys.
 func Beats(draw float64, id int, rivalDraw float64, rivalID int) bool {
 	return draw > rivalDraw || (draw == rivalDraw && id > rivalID)
 }

@@ -185,7 +185,7 @@ func maxLocality(in *gibbs.Instance, t int) int {
 // paper reconstructs µ̃_v exactly by enumerating the sampler's random bits
 // within radius t; enumerating random bits is replaced here by Monte Carlo
 // averaging over `runs` independent executions, which converges to the same
-// µ̃_v (the substitution is recorded in DESIGN.md). The returned marginal
+// µ̃_v (the substitution is recorded in README.md). The returned marginal
 // carries error at most delta + ε₀ + statistical noise, where ε₀ bounds the
 // sampler's failure mass.
 func InferenceFromSampling(in *gibbs.Instance, sample func(*rand.Rand) (*SampleResult, error), v, runs int, rng *rand.Rand) (dist.Dist, error) {

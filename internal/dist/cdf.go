@@ -1,10 +1,10 @@
 package dist
 
 // cdf.go: precomputed cumulative rows for repeated categorical draws —
-// the batched-draw primitive of the batched LocalMetropolis engine. A
-// proposal distribution is fixed per vertex for the lifetime of the
-// rules, but the single-chain path re-walks the density on every draw
-// (Dist.Sample is a linear scan with a branch per symbol). Precomputing
+// the batched-draw primitive of the LocalMetropolis engine. A proposal
+// distribution is fixed per vertex for the lifetime of the rules, but
+// Dist.Sample re-walks the density on every draw (a linear scan with a
+// branch per symbol). Precomputing
 // the running sums turns each draw into a scan over a monotone row with
 // one compare per symbol and no accumulation in the loop, and lets one
 // CDF serve a whole chain block back to back while the row is cache-hot.
@@ -13,8 +13,9 @@ package dist
 // cumulative row freezes exactly the accumulator sequence of sampleWalk
 // (nonpositive entries add nothing and can never be hit first, because
 // their cumulative value equals their predecessor's), and rounding slack
-// falls to the recorded last positive symbol. The B=1 agreement tests
-// between the single-chain and batched engines rest on this identity.
+// falls to the recorded last positive symbol. The LocalMetropolis
+// engine's golden B = 1 trajectories, first recorded from Dist.Sample
+// draws, rest on this identity.
 
 // CDF is the frozen cumulative form of a Dist. The zero value draws -1
 // from an empty alphabet; build with NewCDF. Immutable after

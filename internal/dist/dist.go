@@ -112,8 +112,7 @@ func (d Dist) Sample(rng *rand.Rand) int {
 
 // SampleX is Sample drawing its uniform variate from a value-type Xoshiro
 // stream — the same walk, so for equal uniforms the two draws agree
-// exactly (the agreement contract between the single-chain and batched
-// sampler engines rests on this).
+// exactly.
 func (d Dist) SampleX(rng *Xoshiro) int {
 	return sampleWalk(d, rng.Float64())
 }

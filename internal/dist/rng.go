@@ -2,7 +2,7 @@ package dist
 
 // rng.go derives independent math/rand streams from a single seed. Every
 // concurrent component of the repo (per-node randomness on the LOCAL
-// simulator, per-worker streams of the sharded and batched engines) needs
+// simulator, per-worker streams of the in-process engines) needs
 // many generators from one user-visible seed; feeding `seed + i*K` or
 // `seed ^ i*K` straight into rand.NewSource produces correlated streams,
 // because math/rand's seeding only scrambles the low bits weakly and

@@ -1,10 +1,10 @@
-// Package experiment implements the reproduction experiments E1–E10 defined
-// in DESIGN.md, one per theorem/corollary/application claim of Feng & Yin,
-// PODC 2018. Each experiment returns a structured table whose rows mirror
+// Package experiment implements the reproduction experiments E1–E12, one
+// per theorem/corollary/application claim of Feng & Yin, PODC 2018 (see
+// README.md). Each experiment returns a structured table whose rows mirror
 // what the paper's claims predict (round-complexity shapes, error bounds,
 // acceptance rates, decay rates, and the uniqueness phase transition), so
-// the same code backs the lbench CLI, the root-level testing.B benchmarks,
-// and EXPERIMENTS.md.
+// the same code backs the lbench CLI and the root-level testing.B
+// benchmarks.
 package experiment
 
 import (

@@ -12,8 +12,8 @@ type SuiteParams struct {
 }
 
 // RunSuite executes every experiment E1–E12 with canonical parameters and
-// returns the tables in order. Each table corresponds to one row of the
-// per-experiment index in DESIGN.md.
+// returns the tables in order. Each table backs one claim of the paper;
+// README.md shows how to run the suite (cmd/lbench).
 func RunSuite(p SuiteParams) ([]*Table, error) {
 	sizes := []int{16, 32, 64, 128}
 	jvvSizes := []int{6, 8, 10}

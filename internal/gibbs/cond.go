@@ -347,19 +347,7 @@ func condGatherSubset[T state.Cells](q int, nbrs []int32, cells []T, B int, chai
 func condSampleDense[T state.Cells](q int, cv *condVertex, cells []T, B, v, c0, c1 int, sc *BatchScratch, rng *dist.Xoshiro) error {
 	nb := c1 - c0
 	if nb == 1 {
-		// Single-chain block (B = 1 engines, ragged tails): the code is a
-		// scalar accumulation — no scratch row, no per-neighbor slicing.
-		code := 0
-		for _, u := range cv.nbrs {
-			code = code*q + int(cells[int(u)*B+c0])
-		}
-		m := cv.meta[code]
-		row := cv.rows[code*q : (code+1)*q]
-		if m == condBad {
-			return rowError(row, v, c0)
-		}
-		cells[v*B+c0] = T(CondDrawCum(row, int(m), rng.Float64()))
-		return nil
+		return condSampleOne(q, cv, cells, B, v, c0, rng)
 	}
 	codes := sc.base[:nb]
 	condGatherDense(q, cv.nbrs, cells, B, c0, c1, codes)
@@ -426,9 +414,40 @@ func condSampleDense[T state.Cells](q int, cv *condVertex, cells []T, B, v, c0, 
 	return nil
 }
 
+// condSampleOne draws vertex v in the one chain ch — the one-chain block
+// or list of condSampleDense and condSampleSubset (B = 1 engines, ragged
+// tails, lone phase winners). The code is a scalar accumulation, with no
+// scratch row and no per-neighbor slicing, and the draw is the row-wise
+// threshold walk the wide paths unroll, so it is bit-identical to them.
+func condSampleOne[T state.Cells](q int, cv *condVertex, cells []T, B, v, ch int, rng *dist.Xoshiro) error {
+	code := 0
+	for _, u := range cv.nbrs {
+		code = code*q + int(cells[int(u)*B+ch])
+	}
+	m := cv.meta[code]
+	row := cv.rows[code*q : (code+1)*q]
+	if m == condBad {
+		return rowError(row, v, ch)
+	}
+	cells[v*B+ch] = T(CondDrawCum(row, int(m), rng.Float64()))
+	return nil
+}
+
 // condSampleSubset is condSampleDense over an explicit chain-index list —
-// the cached twin of sampleSubsetCells.
+// the cached twin of sampleSubsetCells. A one-chain list takes
+// condSampleOne and never enters condSampleWide's large frame: engine
+// stages run on pool goroutines that start on a small stack, and entering
+// that frame from a stage grew the stack on every Run.
 func condSampleSubset[T state.Cells](q int, cv *condVertex, cells []T, B, v int, chains []int32, sc *BatchScratch, rng *dist.Xoshiro) error {
+	if len(chains) == 1 {
+		return condSampleOne(q, cv, cells, B, v, int(chains[0]), rng)
+	}
+	return condSampleWide(q, cv, cells, B, v, chains, sc, rng)
+}
+
+// condSampleWide is condSampleSubset's body for lists of two or more
+// chains: codes for every listed chain, then one threshold draw each.
+func condSampleWide[T state.Cells](q int, cv *condVertex, cells []T, B, v int, chains []int32, sc *BatchScratch, rng *dist.Xoshiro) error {
 	nb := len(chains)
 	codes := sc.base[:nb]
 	condGatherSubset(q, cv.nbrs, cells, B, chains, codes)

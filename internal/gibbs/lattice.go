@@ -280,25 +280,6 @@ func (c *Compiled) FilterWeightLattice(i int, old, prop *state.Lattice, chain in
 	return 0, fmt.Errorf("gibbs: filter lattices have mixed cell representations")
 }
 
-// FilterWeightCells is FilterWeight on pre-dispatched raw cells (layouts
-// old[u*oB+chain], prop[u*pB+chain]) — for engines that evaluate many
-// acceptance factors per round and branch on the representation once per
-// stage. The cells must cover the engine's variables; verts must be
-// distinct vertices of factor i's scope.
-func FilterWeightCells[T state.Cells](c *Compiled, i int, old []T, oB int, prop []T, pB int, chain int, verts []int) (float64, error) {
-	if i < 0 || i >= len(c.factors) {
-		return 0, fmt.Errorf("gibbs: filter factor %d out of range", i)
-	}
-	k := len(verts)
-	if k == 0 {
-		return 1, nil
-	}
-	if k > filterMaxToggle {
-		return 0, fmt.Errorf("gibbs: filter over %d toggled vertices (max %d)", k, filterMaxToggle)
-	}
-	return filterCells(c, &c.factors[i], old, oB, prop, pB, chain, verts)
-}
-
 // filterCells is the width-specialized filter body: on the table path the
 // base index encodes the all-old assignment and each toggled vertex
 // contributes a fixed index delta; closure factors materialize each mixed

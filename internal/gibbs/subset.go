@@ -435,7 +435,7 @@ func subsetPairOnlyQ3[T state.Cells](vp *vertexPlan, cells []T, B, v int, chains
 // FilterWeightBatch fills out[0:c1−c0] with the LocalMetropolis filter
 // weights of acceptance factor i between chains c of old (current) and
 // prop (proposal), c0 ≤ c < c1 — the batched equivalent of calling
-// FilterWeightCells once per chain, bit-identical per chain. The factor
+// FilterWeightLattice once per chain, bit-identical per chain. The factor
 // must be table-backed (ErrNotTabled otherwise; closure-backed acceptance
 // factors are rejected upstream by the rules compiler). Both lattices
 // must have passed CheckAssigned — the batch kernel drops the per-cell

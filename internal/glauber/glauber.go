@@ -102,8 +102,9 @@ func (c *Chain) Reset() error {
 // factors cancel), computed by the compiled CondWeightsLattice kernel into
 // cond (length ≥ q) and drawn by dist.SampleWeights — zero heap
 // allocations in steady state. This single update rule is shared by the
-// sequential chain and by the distributed LubyGlauber sampler
-// (internal/psample) in both its harnesses.
+// sequential chain and, as HeatBathX, by the LOCAL harnesses of
+// internal/psample; the in-process engines compute the same conditional
+// through the fused kernels of internal/gibbs.
 func HeatBath(eng *gibbs.Compiled, l *state.Lattice, chain, v int, cond []float64, rng *rand.Rand) error {
 	if cum, last, ok := eng.CondLookupLattice(l, chain, v); ok {
 		// The conditional-CDF cache covers this neighborhood: the cached
@@ -127,8 +128,8 @@ func HeatBath(eng *gibbs.Compiled, l *state.Lattice, chain, v int, cond []float6
 }
 
 // HeatBathX is HeatBath drawing from a value-type dist.Xoshiro stream —
-// the variant the sharded psample engines run so their hot loops make no
-// *rand.Rand interface calls. Identical weights, identical walk: for equal
+// the variant the psample LOCAL harnesses run so their per-node updates
+// make no *rand.Rand interface calls. Identical weights, identical walk: for equal
 // uniforms the two variants update to the same symbol.
 func HeatBathX(eng *gibbs.Compiled, l *state.Lattice, chain, v int, cond []float64, rng *dist.Xoshiro) error {
 	if cum, last, ok := eng.CondLookupLattice(l, chain, v); ok {

@@ -1,14 +1,14 @@
 package psample
 
-// batch_test.go validates the batched multi-chain engines end to end:
-// at B = 1 with a single worker both batched engines must reproduce their
-// single-chain counterparts symbol for symbol (same seed, same RNG
-// consumption order, bit-identical kernels), the pooled output of all B
+// batch_test.go validates the engines end to end: their B = 1 one-worker
+// trajectories are pinned symbol for symbol, the pooled output of all B
 // chains must match the exact Gibbs distribution for every model builder,
 // pinning must hold in every chain, and the forced multi-worker pool must
 // stay feasible under the race detector.
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/dist"
@@ -18,7 +18,7 @@ import (
 	"repro/internal/model"
 )
 
-// multiChain abstracts the two batched engines for the shared harnesses.
+// multiChain abstracts the two engines for the shared harnesses.
 type multiChain interface {
 	Reset(seed int64) error
 	Run(rounds int) error
@@ -27,101 +27,148 @@ type multiChain interface {
 	Chain(c int) dist.Config
 }
 
-// TestBatchLubyGlauberMatchesSingleChain pins the B = 1 trajectory of the
-// batched engine to the single-chain engine, chunk by chunk. The seed
-// policy that makes this exact: both engines derive per-worker streams as
-// dist.NewXoshiro(seed, worker), so at Workers = 1 they share one stream;
-// stage 1 draws one uniform per free vertex in increasing order on both
-// sides, and stage 2 heat-baths the winners in increasing vertex order
-// with one uniform each against bit-identical conditional weights (the
-// subset kernel's identity with the single-cell path is pinned in
-// internal/gibbs). Any divergence in kernel order or draw semantics shows
-// up here as a symbol mismatch.
+// b1Trajectory is one engine's B = 1 trajectory on one b1GoldenCases
+// instance at seed 42 with one worker: chain 0 after each of five Run(9)
+// chunks, one digit per vertex, and the final Updates() (LubyGlauber) or
+// Accepts() (LocalMetropolis).
+type b1Trajectory struct {
+	chunks [5]string
+	count  int64
+}
+
+// The golden B = 1 trajectories were recorded from the former
+// single-chain LubyGlauber and LocalMetropolis engines, which the engines
+// at B = 1 reproduced bit for bit. A one-chain path that changes a
+// symbol, a weight or the RNG consumption order fails them.
+var (
+	lubyB1Golden = map[string]b1Trajectory{
+		"hardcore":            {[5]string{"000101", "000100", "010100", "000100", "100000"}, 88},
+		"ising":               {[5]string{"101110", "000010", "010110", "010100", "101000"}, 88},
+		"coloring":            {[5]string{"323", "123", "121", "121", "121"}, 60},
+		"list-coloring":       {[5]string{"231", "131", "130", "121", "021"}, 60},
+		"matching":            {[5]string{"1010", "1001", "0101", "0101", "0000"}, 74},
+		"hypergraph-matching": {[5]string{"101", "101", "100", "101", "001"}, 60},
+		"hardcore-torus4": {[5]string{"0101000000011000", "0101100000001000", "0000101001011000",
+			"0100101001011010", "0101001001000000"}, 133},
+		"hardcore-star6": {[5]string{"100000", "000110", "000111", "001010", "010100"}, 123},
+	}
+	metropolisB1Golden = map[string]b1Trajectory{
+		"hardcore":            {[5]string{"100000", "101000", "101010", "010010", "010000"}, 119},
+		"ising":               {[5]string{"010101", "111101", "011101", "010101", "010101"}, 63},
+		"coloring":            {[5]string{"213", "103", "103", "103", "202"}, 46},
+		"list-coloring":       {[5]string{"231", "031", "030", "023", "010"}, 61},
+		"matching":            {[5]string{"1010", "0000", "1001", "1001", "0101"}, 83},
+		"hypergraph-matching": {[5]string{"010", "001", "010", "101", "000"}, 76},
+		"hardcore-torus4": {[5]string{"0000001000000000", "0000001000000001", "0100001001000001",
+			"0100101001000001", "0100101001000001"}, 296},
+		"hardcore-star6": {[5]string{"010000", "010101", "001011", "011000", "011001"}, 195},
+	}
+)
+
+// b1GoldenCases is buildTVCases plus two instances whose vertices have
+// more free rivals: four on the 4×4 torus (every slot of the padded Luby
+// compare) and five at the hub of a six-vertex star (the high-degree
+// sweep).
+func b1GoldenCases(t *testing.T) []tvCase {
+	t.Helper()
+	cases := buildTVCases(t)
+	torus, err := model.Hardcore(graph.Torus(4, 4), 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	star, err := model.Hardcore(graph.Star(6), 0.7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		spec *gibbs.Spec
+	}{{"hardcore-torus4", torus}, {"hardcore-star6", star}} {
+		in, err := gibbs.NewInstance(c.spec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, tvCase{name: c.name, in: in})
+	}
+	return cases
+}
+
+// digits renders a configuration of an alphabet of at most ten symbols as
+// one digit per vertex.
+func digits(c dist.Config) string {
+	var b strings.Builder
+	for _, x := range c {
+		b.WriteString(strconv.Itoa(x))
+	}
+	return b.String()
+}
+
+// checkB1Golden runs the five chunks of a golden trajectory on a B = 1
+// one-worker engine and compares chain 0 after each, then the counter.
+func checkB1Golden(t *testing.T, s multiChain, want b1Trajectory, count func() int64) {
+	t.Helper()
+	for chunk, w := range want.chunks {
+		if err := s.Run(9); err != nil {
+			t.Fatal(err)
+		}
+		if got := digits(s.State()); got != w {
+			t.Fatalf("chunk %d: chain 0 = %s, want %s", chunk, got, w)
+		}
+	}
+	if got := count(); got != want.count {
+		t.Errorf("counter = %d, want %d", got, want.count)
+	}
+}
+
+// TestBatchLubyGlauberMatchesSingleChain pins the LubyGlauber engine at
+// B = 1 with one worker to the golden single-chain trajectories, chunk by
+// chunk. The seed policy that makes this exact: per-worker streams are
+// dist.NewXoshiro(seed, worker), stage 1 draws one raw word per free
+// vertex in increasing order, and stage 2 heat-baths the winners in
+// increasing vertex order with one uniform each against bit-identical
+// conditional weights.
 func TestBatchLubyGlauberMatchesSingleChain(t *testing.T) {
-	for _, c := range buildTVCases(t) {
+	for _, c := range b1GoldenCases(t) {
 		t.Run(c.name, func(t *testing.T) {
+			want, ok := lubyB1Golden[c.name]
+			if !ok {
+				t.Fatalf("no golden trajectory for %q", c.name)
+			}
 			r, err := NewRules(c.in)
 			if err != nil {
 				t.Fatal(err)
 			}
-			single, err := NewLubyGlauber(r, 42)
+			s, err := NewBatchLubyGlauber(r, 1, 42)
 			if err != nil {
 				t.Fatal(err)
 			}
-			single.Workers = 1
-			batch, err := NewBatchLubyGlauber(r, 1, 42)
-			if err != nil {
-				t.Fatal(err)
-			}
-			batch.Workers = 1
-			for chunk := 0; chunk < 5; chunk++ {
-				if err := single.Run(9); err != nil {
-					t.Fatal(err)
-				}
-				if err := batch.Run(9); err != nil {
-					t.Fatal(err)
-				}
-				ss, bs := single.State(), batch.State()
-				for v := range ss {
-					if ss[v] != bs[v] {
-						t.Fatalf("chunk %d vertex %d: single %d, batched %d\nsingle  %v\nbatched %v",
-							chunk, v, ss[v], bs[v], ss, bs)
-					}
-				}
-			}
-			if single.Updates() != batch.Updates() {
-				t.Errorf("updates diverged: single %d, batched %d", single.Updates(), batch.Updates())
-			}
-			if single.Updates() == 0 {
-				t.Error("no heat-bath updates recorded")
-			}
+			s.SetWorkers(1)
+			checkB1Golden(t, s, want, s.Updates)
 		})
 	}
 }
 
-// TestBatchLocalMetropolisMatchesSingleChain is the LocalMetropolis B = 1
-// agreement test: one proposal draw per free vertex in increasing order,
-// then one filter coin per acceptance factor in factor order (the batched
-// filter weight is bit-identical to the single-cell filter, pinned in
-// internal/gibbs), and a deterministic adoption stage.
+// TestBatchLocalMetropolisMatchesSingleChain is the LocalMetropolis
+// golden B = 1 test: one proposal draw per free vertex in increasing
+// order, then one filter coin per acceptance factor in factor order, and a
+// deterministic adoption stage.
 func TestBatchLocalMetropolisMatchesSingleChain(t *testing.T) {
-	for _, c := range buildTVCases(t) {
+	for _, c := range b1GoldenCases(t) {
 		t.Run(c.name, func(t *testing.T) {
+			want, ok := metropolisB1Golden[c.name]
+			if !ok {
+				t.Fatalf("no golden trajectory for %q", c.name)
+			}
 			r, err := NewRules(c.in)
 			if err != nil {
 				t.Fatal(err)
 			}
-			single, err := NewLocalMetropolis(r, 42)
+			s, err := NewBatchLocalMetropolis(r, 1, 42)
 			if err != nil {
 				t.Fatal(err)
 			}
-			single.Workers = 1
-			batch, err := NewBatchLocalMetropolis(r, 1, 42)
-			if err != nil {
-				t.Fatal(err)
-			}
-			batch.Workers = 1
-			for chunk := 0; chunk < 5; chunk++ {
-				if err := single.Run(9); err != nil {
-					t.Fatal(err)
-				}
-				if err := batch.Run(9); err != nil {
-					t.Fatal(err)
-				}
-				ss, bs := single.State(), batch.State()
-				for v := range ss {
-					if ss[v] != bs[v] {
-						t.Fatalf("chunk %d vertex %d: single %d, batched %d\nsingle  %v\nbatched %v",
-							chunk, v, ss[v], bs[v], ss, bs)
-					}
-				}
-			}
-			if single.Accepts() != batch.Accepts() {
-				t.Errorf("accepts diverged: single %d, batched %d", single.Accepts(), batch.Accepts())
-			}
-			if single.Accepts() == 0 {
-				t.Error("no accepted proposals recorded")
-			}
+			s.SetWorkers(1)
+			checkB1Golden(t, s, want, s.Accepts)
 		})
 	}
 }
@@ -203,8 +250,8 @@ func TestBatchLocalMetropolisMatchesExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Same longer schedule as the single-chain engine: per-round
-			// acceptance losses.
+			// Same longer schedule as at B = 1: per-round acceptance
+			// losses.
 			checkTVMulti(t, c.in, s, 2*c.rounds, c.trials/chains)
 			if s.Accepts() == 0 {
 				t.Error("no accepted proposals recorded")
@@ -277,12 +324,12 @@ func TestBatchMultiWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lg.Workers = 4
+	lg.SetWorkers(4)
 	lm, err := NewBatchLocalMetropolis(r, 32, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lm.Workers = 4
+	lm.SetWorkers(4)
 	for _, s := range []multiChain{lg, lm} {
 		for i := 0; i < 6; i++ {
 			if err := s.Run(5); err != nil {
@@ -293,6 +340,60 @@ func TestBatchMultiWorker(t *testing.T) {
 				w, err := spec.Weight(cfg)
 				if err != nil || w <= 0 {
 					t.Fatalf("chain %d infeasible after %d rounds (w=%v err=%v)", c, (i+1)*5, w, err)
+				}
+			}
+		}
+	}
+}
+
+// TestBatchForcedWorkersSmall forces a multi-worker pool on an instance so
+// small that DefaultWorkers would collapse it to the inline 1-worker path,
+// at B = 1 (one-chain rows split across workers) and B = 3, so the
+// barrier and block-partition code runs under the race detector even for
+// tiny cases. Correctness is checked by feasibility and pinning
+// invariants in every chain after every batch.
+func TestBatchForcedWorkersSmall(t *testing.T) {
+	spec, err := model.Hardcore(graph.Cycle(7), 1.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pin := dist.NewConfig(7)
+	pin[3] = model.Out
+	in, err := gibbs.NewInstance(spec, pin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRules(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, chains := range []int{1, 3} {
+		for _, workers := range []int{2, 3, 5} {
+			lg, err := NewBatchLubyGlauber(r, chains, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lg.SetWorkers(workers)
+			lm, err := NewBatchLocalMetropolis(r, chains, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lm.SetWorkers(workers)
+			for _, s := range []multiChain{lg, lm} {
+				for batch := 0; batch < 8; batch++ {
+					if err := s.Run(10); err != nil {
+						t.Fatal(err)
+					}
+					for c := 0; c < s.Chains(); c++ {
+						cfg := s.Chain(c)
+						if cfg[3] != model.Out {
+							t.Fatalf("B=%d workers=%d chain %d: pinning violated: %v", chains, workers, c, cfg)
+						}
+						w, err := spec.Weight(cfg)
+						if err != nil || w <= 0 {
+							t.Fatalf("B=%d workers=%d chain %d: infeasible state %v (w=%v err=%v)", chains, workers, c, cfg, w, err)
+						}
+					}
 				}
 			}
 		}

@@ -1,10 +1,9 @@
 package psample
 
-// batchluby.go is the batched multi-chain LubyGlauber engine: B
-// independent chains of the paper's interleaved construct-and-sample
-// dynamics advanced in lockstep over one chain-major state.Lattice. Each
-// round keeps the two stages of the single-chain engine, batched across
-// the chain dimension:
+// batchluby.go is the LubyGlauber engine: B independent chains of the
+// paper's interleaved construct-and-sample dynamics advanced in lockstep
+// over one chain-major state.Lattice. Each round has two stages, batched
+// across the chain dimension:
 //
 //  1. every free vertex draws one phase value per chain — a contiguous
 //     row of the chain-major draw matrix per (vertex, chain group) item;
@@ -14,39 +13,44 @@ package psample
 //     and weight rows amortized across the winning chains, one uniform
 //     per winner, symbols written straight into the lattice.
 //
-// The phase check is the batched engine's own hot loop, so the draw
-// matrix stores each phase value as the shifted 53-bit key
-// (Uint64()>>11)<<1 rather than the float the single-chain engine
-// derives from the same raw word. The map is an order isomorphism onto
-// the float draws (same 53 bits, same ties), and the free low bit
-// absorbs the vertex-order tiebreak: rival u beats v exactly when
-// keyU|bit > keyV, where bit — precomputed per rival in Rules.rivBit —
-// is 1 iff u > v. That turns the full construct.Beats order into one
-// branchless unsigned compare, so the common case (at most four free
-// rivals, Rules.riv padded with an all-zero sentinel row that never
-// wins) runs as a single fused pass per (vertex, chain group): four
-// compares, no mask buffer, winners compacted in place with a
-// branch-free index bump. Vertices with more than four free rivals take
-// a rival-major sweep over Rules.freeAdj with the same key compare. The
-// naive chain-major port of the single-chain check — re-deriving the
-// rival set, re-testing pinning, and taking an unpredictable branch per
-// rival per chain — was measured to dominate the whole round.
+// The phase check is the engine's own hot loop, so the draw matrix
+// stores each phase value as the shifted 53-bit key (Uint64()>>11)<<1
+// rather than a float. The map is an order isomorphism onto the float
+// draws Float64 would derive from the same raw word (same 53 bits, same
+// ties), and the free low bit absorbs the vertex-order tiebreak: rival u
+// beats v exactly when keyU|bit > keyV, where bit — precomputed per rival
+// in Rules.rivBit — is 1 iff u > v. That turns the full construct.Beats
+// order into one branchless unsigned compare, so the common case (at most
+// four free rivals, Rules.riv padded with an all-zero sentinel row that
+// never wins) runs as a single fused pass per (vertex, chain group): four
+// compares, no mask buffer, winners compacted in place with a branch-free
+// index bump. Vertices with more than four free rivals take a rival-major
+// sweep over Rules.freeAdj with the same key compare. A naive chain-major
+// phase check — re-deriving the rival set, re-testing pinning, and taking
+// an unpredictable branch per rival per chain — was measured to dominate
+// the whole round.
 //
-// Correctness is the single-chain argument applied per chain: within any
+// The fused pass pays a set-up per item that wide rows amortize (four
+// rival row slices, the bitmask word loop), so a row holding one chain
+// (every row at B = 1, the last chain group of a ragged B) applies the
+// same four padded compares to its one key directly, and a lone winner
+// is drawn by the subset kernel's scalar one-chain path. The choice
+// depends only on the row length, and every path computes the same
+// winners and draws, so trajectories do not depend on it.
+//
+// Correctness is the LubyGlauber argument applied per chain: within any
 // chain the winners form an independent set, so the simultaneous subset
 // updates share no factor and the round restricted to that chain is a
 // product of ordinary heat-bath kernels; across chains there is no
-// interaction at all. The work grid enumerates chain groups outermost
-// (exactly like the chromatic sampler.Batch), so a worker's contiguous
-// item range covers contiguous chain columns and each column stays with
-// one worker and its RNG stream.
+// interaction at all. The work grid enumerates chain groups
+// outermost (exactly like the chromatic sampler.Batch), so a worker's
+// contiguous item range covers contiguous chain columns and each column
+// stays with one worker and its RNG stream.
 //
-// At B = 1 with Workers = 1 the engine consumes its RNG stream in
-// exactly the order of the single-chain LubyGlauber (one raw word per
-// free vertex in increasing order — the key above and the single-chain
-// float are the same draw — then one heat-bath uniform per winner in
-// increasing vertex order) against bit-identical weights, so the two
-// trajectories agree symbol for symbol — the agreement tests pin this.
+// With one worker the RNG stream is consumed in a fixed order: one raw
+// word per (free vertex, chain) in group-major, increasing-vertex order,
+// then one heat-bath uniform per winner in the same order. The B = 1
+// golden trajectories in batch_test.go pin that order symbol for symbol.
 
 import (
 	"math/bits"
@@ -59,9 +63,9 @@ import (
 // BatchLubyGlauber advances B independent LubyGlauber chains in lockstep
 // over one shared compiled engine.
 type BatchLubyGlauber struct {
-	// Workers overrides the worker count when positive (default: one per
-	// CPU, bounded so per-stage blocks stay coarse).
-	Workers int
+	// nworkers overrides the worker count when positive (SetWorkers;
+	// default: one per CPU, bounded so per-stage blocks stay coarse).
+	nworkers int
 
 	rules *Rules
 	// chains is B, the number of independent chains.
@@ -134,7 +138,7 @@ func (s *BatchLubyGlauber) Chains() int { return s.chains }
 // Chain returns a copy of chain c's current configuration.
 func (s *BatchLubyGlauber) Chain(c int) dist.Config { return s.lat.Chain(c) }
 
-// State returns a copy of chain 0's configuration (the single-chain view).
+// State returns a copy of chain 0's configuration (the Sampler view).
 func (s *BatchLubyGlauber) State() dist.Config { return s.lat.Chain(0) }
 
 // Lattice exposes the underlying state container (read-only for callers:
@@ -153,7 +157,7 @@ func (s *BatchLubyGlauber) Updates() int64 { return s.updates }
 // CPU-scaled default). Per-worker RNG streams mean trajectories depend on
 // the worker count; callers wanting machine-independent reproducibility
 // (the adaptive run driver) pin it.
-func (s *BatchLubyGlauber) SetWorkers(w int) { s.Workers = w }
+func (s *BatchLubyGlauber) SetWorkers(w int) { s.nworkers = w }
 
 // ensureWorkers sizes the per-worker state for w workers and chain
 // groups of cb.
@@ -197,7 +201,7 @@ func (s *BatchLubyGlauber) Run(rounds int) error {
 	groups := (B + cb - 1) / cb
 	nfree := len(free)
 	items := nfree * groups
-	workers := s.Workers
+	workers := s.nworkers
 	if workers <= 0 {
 		workers = DefaultWorkers(items * cb)
 	}
@@ -251,7 +255,23 @@ func (s *BatchLubyGlauber) Run(rounds int) error {
 				}
 				rowv := draws[v*B+c0 : v*B+c1]
 				var win []int32
-				if adj := r.freeAdj[v]; len(adj) <= 4 {
+				adj := r.freeAdj[v]
+				switch {
+				case len(adj) <= 4 && len(rowv) == 1:
+					// One-chain row: the padded-rival compare on one key,
+					// with no row slicing and no winner bitmask.
+					rv := r.riv[4*v : 4*v+4]
+					bb := r.rivBit[4*v : 4*v+4]
+					dv := rowv[0]
+					lost := ((dv - (draws[int(rv[0])*B+c0] | bb[0])) |
+						(dv - (draws[int(rv[1])*B+c0] | bb[1])) |
+						(dv - (draws[int(rv[2])*B+c0] | bb[2])) |
+						(dv - (draws[int(rv[3])*B+c0] | bb[3]))) >> 63
+					if lost != 0 {
+						continue
+					}
+					win = append(wk.win[:0], int32(c0))
+				case len(adj) <= 4:
 					// Fused padded-rival pass: four branchless key
 					// compares per chain, winners compacted in place.
 					rv := r.riv[4*v : 4*v+4]
@@ -292,9 +312,9 @@ func (s *BatchLubyGlauber) Run(rounds int) error {
 						}
 					}
 					win = win[:idx]
-				} else {
-					// High-degree fallback: rival-major row sweep with
-					// the same shifted-key compare.
+				default:
+					// High-degree fallback (any row length): rival-major
+					// row sweep with the same shifted-key compare.
 					won := wk.won[:len(rowv)]
 					for i := range won {
 						won[i] = 1

@@ -1,9 +1,9 @@
 package psample
 
-// batchmetropolis.go is the batched multi-chain LocalMetropolis engine: B
-// independent chains of the paper's fully-parallel proposal dynamics over
-// two chain-major state lattices (current and proposal). Each round keeps
-// the three stages of the single-chain engine, batched across chains:
+// batchmetropolis.go is the LocalMetropolis engine: B independent chains
+// of the paper's fully-parallel proposal dynamics over two chain-major
+// state lattices (current and proposal). Each round has three stages,
+// batched across chains:
 //
 //  1. proposal draws — each free vertex fills its contiguous proposal
 //     row for a chain group from its precomputed cumulative proposal row
@@ -31,17 +31,17 @@ package psample
 // Pinned vertices never change: both lattices start from the canonical
 // greedy completion at Reset, so pinned proposal cells are pre-filled
 // once and no stage revisits them (their mask rows stay all-ones,
-// untouched). Correctness is the single-chain argument per chain (the
+// untouched). Correctness is the LocalMetropolis argument per chain (the
 // filter coins of a chain are independent across factors, and the
 // adoption predicate of a chain reads only that chain's coins); across
 // chains there is no interaction at all.
 //
-// At B = 1 with Workers = 1 the engine consumes its RNG stream in
-// exactly the order of the single-chain LocalMetropolis (one proposal
-// draw per free vertex in increasing order, then one coin per acceptance
-// factor in factor order) against bit-identical filter weights, so the
-// two trajectories agree symbol for symbol — the agreement tests pin
-// this.
+// With one worker the RNG stream is consumed in a fixed order: one
+// proposal draw per (free vertex, chain) in group-major, increasing-vertex
+// order, then one coin per (acceptance factor, chain) in factor order
+// within each chain group. At B = 1 that is one proposal per free vertex
+// and one coin per factor; the B = 1 golden trajectories in batch_test.go
+// pin it symbol for symbol.
 
 import (
 	"errors"
@@ -54,9 +54,9 @@ import (
 // BatchLocalMetropolis advances B independent LocalMetropolis chains in
 // lockstep over one shared compiled engine.
 type BatchLocalMetropolis struct {
-	// Workers overrides the worker count when positive (default: one per
-	// CPU, bounded so per-stage blocks stay coarse).
-	Workers int
+	// nworkers overrides the worker count when positive (SetWorkers;
+	// default: one per CPU, bounded so per-stage blocks stay coarse).
+	nworkers int
 
 	rules *Rules
 	// chains is B, the number of independent chains.
@@ -143,7 +143,7 @@ func (s *BatchLocalMetropolis) Chains() int { return s.chains }
 // Chain returns a copy of chain c's current configuration.
 func (s *BatchLocalMetropolis) Chain(c int) dist.Config { return s.lat.Chain(c) }
 
-// State returns a copy of chain 0's configuration (the single-chain view).
+// State returns a copy of chain 0's configuration (the Sampler view).
 func (s *BatchLocalMetropolis) State() dist.Config { return s.lat.Chain(0) }
 
 // Lattice exposes the underlying state container (read-only for callers:
@@ -162,7 +162,7 @@ func (s *BatchLocalMetropolis) Accepts() int64 { return s.accepts }
 // CPU-scaled default). Per-worker RNG streams mean trajectories depend on
 // the worker count; callers wanting machine-independent reproducibility
 // (the adaptive run driver) pin it.
-func (s *BatchLocalMetropolis) SetWorkers(w int) { s.Workers = w }
+func (s *BatchLocalMetropolis) SetWorkers(w int) { s.nworkers = w }
 
 // ensureWorkers sizes the per-worker state for w workers and chain
 // groups of cb.
@@ -245,7 +245,7 @@ func (s *BatchLocalMetropolis) Run(rounds int) error {
 	nacc := len(r.acc)
 	vItems := nfree * groups
 	fItems := nacc * groups
-	workers := s.Workers
+	workers := s.nworkers
 	if workers <= 0 {
 		workers = DefaultWorkers(max(vItems, fItems) * cb)
 	}
@@ -275,9 +275,8 @@ func (s *BatchLocalMetropolis) Run(rounds int) error {
 			// across every acceptance factor, chunked at chain-group
 			// boundaries so the weight buffer and scratch stay within cb.
 			// Mask-row writes of distinct workers are disjoint byte
-			// ranges. At Workers = 1 the (group, factor, chain) coin
-			// order is identical to the per-factor-item partition this
-			// replaces, preserving the B = 1 agreement.
+			// ranges. At one worker the coin order is (group, factor,
+			// chain).
 			wk := &s.workers[w]
 			mask := s.mask
 			b0, b1 := BlockOf(B, workers, w)

@@ -2,10 +2,11 @@ package psample
 
 // network.go runs the two samplers as genuine message-passing algorithms on
 // the local.Network simulator, charging synchronous rounds the way the
-// LOCAL model does. Both harnesses reuse the exact update rules of the
-// sharded engines — construct.Beats + glauber.HeatBath for LubyGlauber and
-// Rules.Propose + Rules.FilterProb for LocalMetropolis — so the two
-// harnesses cannot drift apart.
+// LOCAL model does. The harnesses run the model-faithful form of each
+// update rule — construct.Beats + glauber.HeatBathX for LubyGlauber and
+// Rules.Propose + Rules.FilterProb for LocalMetropolis — over the same
+// compiled Rules as the in-process engines, and the tests pin both to the
+// same exact referee.
 //
 // The implementations pipeline one dynamics round per LOCAL round: the
 // message a node sends in LOCAL round t carries its state after t dynamics
@@ -33,7 +34,7 @@ import (
 // networkFor validates that the network matches the rules' interaction
 // graph and returns the per-node RNGs (private randomness: one
 // SplitMix64-seeded xoshiro256++ stream per node, the same value-type
-// generator the sharded engines run, so no harness hand-rolls its own
+// generator the in-process engines run, so no harness hand-rolls its own
 // seed arithmetic).
 func networkFor(net *local.Network, r *Rules, seed int64) ([]dist.Xoshiro, error) {
 	if net.G.N() != r.n {

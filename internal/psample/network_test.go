@@ -88,7 +88,7 @@ func TestLOCALRespectsPinning(t *testing.T) {
 
 // TestLOCALMatchesExact pins the message-passing harnesses' output
 // distribution to the brute-force referee (hardcore on a 5-cycle): the
-// LOCAL implementations must sample the same law as the sharded engines.
+// LOCAL implementations must sample the same law as the in-process engines.
 func TestLOCALMatchesExact(t *testing.T) {
 	g := graph.Cycle(5)
 	r := hardcoreRules(t, g, 1.2, nil)

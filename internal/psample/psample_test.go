@@ -1,10 +1,10 @@
 package psample
 
-// psample_test.go validates the samplers end to end: the direct sharded
-// engines must reproduce the exact Gibbs distribution (TV distance against
+// psample_test.go validates the engines end to end at B = 1, where every
+// row takes the one-chain paths: each engine's single-chain output must
+// reproduce the exact Gibbs distribution (TV distance against
 // internal/exact within the dist.ExpectedTVNoise envelope) for every
-// internal/model builder, stay feasible, respect pinning, and behave
-// identically across worker counts.
+// internal/model builder. It also holds the Rules construction checks.
 
 import (
 	"strings"
@@ -76,45 +76,10 @@ func buildTVCases(t *testing.T) []tvCase {
 	return cases
 }
 
-// sampler abstracts the two direct engines for the shared TV harness.
-type sampler interface {
-	Reset(seed int64) error
-	Run(rounds int) error
-	State() dist.Config
-}
-
-func checkTV(t *testing.T, in *gibbs.Instance, s sampler, rounds, trials int) {
-	t.Helper()
-	truth, err := exact.JointDistribution(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	emp := dist.NewEmpirical(in.N())
-	for i := 0; i < trials; i++ {
-		if err := s.Reset(int64(1000 + i)); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Run(rounds); err != nil {
-			t.Fatal(err)
-		}
-		emp.Observe(s.State())
-	}
-	got, err := emp.Joint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tv, err := dist.TVJoint(truth, got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tol := 2.5 * dist.ExpectedTVNoise(truth.Len(), trials)
-	if tv > tol {
-		t.Errorf("TV vs exact = %v > envelope %v (support %d, trials %d)", tv, tol, truth.Len(), trials)
-	}
-}
-
-// TestLubyGlauberMatchesExact pins the LubyGlauber output distribution to
-// the brute-force referee for every model builder.
+// TestLubyGlauberMatchesExact pins the single-chain LubyGlauber sampler —
+// the engine at B = 1, whose every row takes the one-chain phase compare
+// and every winner the one-chain draw — to the brute-force referee for
+// every model builder.
 func TestLubyGlauberMatchesExact(t *testing.T) {
 	for _, c := range buildTVCases(t) {
 		t.Run(c.name, func(t *testing.T) {
@@ -122,11 +87,11 @@ func TestLubyGlauberMatchesExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := NewLubyGlauber(r, 1)
+			s, err := NewBatchLubyGlauber(r, 1, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkTV(t, c.in, s, c.rounds, c.trials)
+			checkTVMulti(t, c.in, s, c.rounds, c.trials)
 			if s.Updates() == 0 {
 				t.Error("no heat-bath updates recorded")
 			}
@@ -134,8 +99,9 @@ func TestLubyGlauberMatchesExact(t *testing.T) {
 	}
 }
 
-// TestLocalMetropolisMatchesExact pins the LocalMetropolis output
-// distribution to the brute-force referee for every model builder.
+// TestLocalMetropolisMatchesExact pins the single-chain LocalMetropolis
+// sampler (the engine at B = 1) to the brute-force referee for every
+// model builder.
 func TestLocalMetropolisMatchesExact(t *testing.T) {
 	for _, c := range buildTVCases(t) {
 		t.Run(c.name, func(t *testing.T) {
@@ -143,149 +109,17 @@ func TestLocalMetropolisMatchesExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := NewLocalMetropolis(r, 1)
+			s, err := NewBatchLocalMetropolis(r, 1, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			// LocalMetropolis pays per-round acceptance losses; give it a
 			// longer schedule than LubyGlauber.
-			checkTV(t, c.in, s, 2*c.rounds, c.trials)
+			checkTVMulti(t, c.in, s, 2*c.rounds, c.trials)
 			if s.Accepts() == 0 {
 				t.Error("no accepted proposals recorded")
 			}
 		})
-	}
-}
-
-// TestShardedRespectsPinning checks that pinned vertices never move under
-// either engine.
-func TestShardedRespectsPinning(t *testing.T) {
-	spec, err := model.Hardcore(graph.Path(6), 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pin := dist.Config{model.In, dist.Unset, dist.Unset, dist.Unset, dist.Unset, model.Out}
-	in, err := gibbs.NewInstance(spec, pin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewRules(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lg, err := NewLubyGlauber(r, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lm, err := NewLocalMetropolis(r, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range []sampler{lg, lm} {
-		if err := s.Run(60); err != nil {
-			t.Fatal(err)
-		}
-		cfg := s.State()
-		if cfg[0] != model.In || cfg[5] != model.Out {
-			t.Errorf("pinning violated: %v", cfg)
-		}
-		w, err := spec.Weight(cfg)
-		if err != nil || w <= 0 {
-			t.Errorf("infeasible state %v (w=%v err=%v)", cfg, w, err)
-		}
-	}
-}
-
-// TestShardedMultiWorker exercises the worker-pool path (barriers, block
-// partition, per-worker RNG streams) on a larger instance and checks the
-// chain stays feasible throughout. The race-detector CI job makes this a
-// synchronization test as much as a correctness one.
-func TestShardedMultiWorker(t *testing.T) {
-	g := graph.Torus(8, 8)
-	spec, err := model.Hardcore(g, 0.7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in, err := gibbs.NewInstance(spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewRules(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lg, err := NewLubyGlauber(r, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lg.Workers = 4
-	lm, err := NewLocalMetropolis(r, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lm.Workers = 4
-	for _, s := range []sampler{lg, lm} {
-		for i := 0; i < 10; i++ {
-			if err := s.Run(5); err != nil {
-				t.Fatal(err)
-			}
-			w, err := spec.Weight(s.State())
-			if err != nil || w <= 0 {
-				t.Fatalf("infeasible state after batch %d (w=%v err=%v)", i, w, err)
-			}
-		}
-	}
-	if lg.Rounds() != 50 || lm.Rounds() != 50 {
-		t.Errorf("rounds = %d, %d, want 50", lg.Rounds(), lm.Rounds())
-	}
-}
-
-// TestShardedForcedWorkersSmall forces a multi-worker pool on instances so
-// small that DefaultWorkers would collapse them to the inline 1-worker
-// path, so the barrier and block-partition code runs under the race
-// detector even for tiny cases. Correctness is checked by feasibility and
-// pinning invariants after every batch.
-func TestShardedForcedWorkersSmall(t *testing.T) {
-	spec, err := model.Hardcore(graph.Cycle(7), 1.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pin := dist.NewConfig(7)
-	pin[3] = model.Out
-	in, err := gibbs.NewInstance(spec, pin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewRules(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 3, 5} {
-		lg, err := NewLubyGlauber(r, 42)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lg.Workers = workers
-		lm, err := NewLocalMetropolis(r, 42)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lm.Workers = workers
-		for _, s := range []sampler{lg, lm} {
-			for batch := 0; batch < 8; batch++ {
-				if err := s.Run(10); err != nil {
-					t.Fatal(err)
-				}
-				cfg := s.State()
-				if cfg[3] != model.Out {
-					t.Fatalf("workers=%d: pinning violated: %v", workers, cfg)
-				}
-				w, err := spec.Weight(cfg)
-				if err != nil || w <= 0 {
-					t.Fatalf("workers=%d: infeasible state %v (w=%v err=%v)", workers, cfg, w, err)
-				}
-			}
-		}
 	}
 }
 

@@ -1,19 +1,17 @@
-// Package psample implements the paper's two distributed samplers on the
-// LOCAL runtime — LubyGlauber and LocalMetropolis (Section 1.2) — each in
-// two harnesses that share one update-rule implementation:
+// Package psample implements the paper's two distributed samplers —
+// LubyGlauber and LocalMetropolis (Section 1.2) — in two harnesses that
+// share one update-rule implementation:
 //
 //   - a message-passing harness on local.Network, where only synchronous
 //     rounds are charged, validating the O(Δ log n)-style round behavior
 //     experimentally, and
-//   - a direct sharded in-process engine (a worker pool over vertex and
-//     factor blocks with no message overhead) for throughput comparisons
-//     against the sequential glauber.Chain baseline, and
-//   - a batched multi-chain engine per dynamics (BatchLubyGlauber,
+//   - one in-process engine per dynamics (BatchLubyGlauber,
 //     BatchLocalMetropolis) advancing B independent chains in lockstep
 //     over one chain-major state.Lattice through the masked fused kernels
-//     (gibbs.Compiled.SampleVertexSubset, FilterWeightBatch), with
-//     per-worker value-type RNG streams; at B = 1 with one worker each
-//     batched engine reproduces its single-chain trajectory bit for bit.
+//     (gibbs.Compiled.SampleVertexSubset, FilterWeightBatch), on a worker
+//     pool over (vertex, chain group) blocks with per-worker value-type
+//     RNG streams. B = 1 is the single-chain sampler: its one-chain rows
+//     take scalar paths instead of the chain-row kernels.
 //
 // LubyGlauber interleaves construction and sampling: each round one phase
 // of Luby's MIS algorithm (construct.Beats) picks an independent set of
@@ -29,9 +27,9 @@
 //
 // Both dynamics have the target Gibbs distribution µ^τ as their stationary
 // distribution (the package tests pin this exactly by enumerating the
-// one-round transition matrix on small instances, and empirically by
-// TV-distance tests against internal/exact for every internal/model
-// builder).
+// one-round transition matrix on small instances and comparing each
+// engine's one-round law against it, and empirically by TV-distance tests
+// against internal/exact for every internal/model builder).
 package psample
 
 import (
@@ -40,7 +38,6 @@ import (
 	"math"
 	"sync"
 
-	"repro/internal/construct"
 	"repro/internal/dist"
 	"repro/internal/gibbs"
 	"repro/internal/graph"
@@ -86,8 +83,8 @@ type Rules struct {
 	proposal []dist.Dist
 	// propCDF[v] is proposal[v] frozen into a cumulative row (zero value
 	// for pinned vertices): one compare per symbol per draw, bit-identical
-	// to proposal[v].Sample for the same uniform, shared by the sharded and
-	// batched Metropolis engines so their stage-1 draws agree exactly.
+	// to proposal[v].Sample for the same uniform, shared by the batched
+	// engine's stage 1 and the LOCAL harness (Propose).
 	propCDF []dist.CDF
 	// acc lists the acceptance-filtered factors: factors with at least two
 	// distinct free scope vertices.
@@ -322,14 +319,6 @@ func (r *Rules) Q() int { return r.q }
 // Free reports whether v is unpinned.
 func (r *Rules) Free(v int) bool { return r.free[v] }
 
-// FreeList returns the free vertices in increasing order. The slice
-// aliases internal state and must not be modified.
-func (r *Rules) FreeList() []int { return r.freeList }
-
-// ProposalCDF returns free vertex v's frozen proposal cumulative row.
-// The returned pointer aliases internal state.
-func (r *Rules) ProposalCDF(v int) *dist.CDF { return &r.propCDF[v] }
-
 // Start returns a feasible initial configuration (the greedy completion of
 // the pinning), mirroring the sequential chain's start so that mixing
 // comparisons share an initial state.
@@ -400,9 +389,6 @@ func (r *Rules) Propose(v int, rng *dist.Xoshiro) int {
 // returned error describes the first obstruction.
 func (r *Rules) MetropolisReady() error { return r.accErr }
 
-// AccFactors returns the number of acceptance-filtered factors.
-func (r *Rules) AccFactors() int { return len(r.acc) }
-
 // AccAt returns the indices (into the acceptance-factor list) of the
 // factors toggling vertex v. The slice aliases internal state.
 func (r *Rules) AccAt(v int) []int32 {
@@ -430,33 +416,6 @@ func (r *Rules) FilterProbLattice(j int, old, prop *state.Lattice, chain int) (f
 		return 0, err
 	}
 	return w * af.scale, nil
-}
-
-// FilterStage flips the round's filter coins of acceptance factors
-// lo ≤ j < hi against chain `chain` of (old, prop), writing accOK[j] —
-// the sharded LocalMetropolis stage-2 hot path, with the lattice
-// representation dispatched once per stage instead of once per factor.
-func (r *Rules) FilterStage(old, prop *state.Lattice, chain, lo, hi int, rng *dist.Xoshiro, accOK []bool) error {
-	if o8, p8 := old.Raw8(), prop.Raw8(); o8 != nil && p8 != nil {
-		return filterStage(r, o8, old.Chains(), p8, prop.Chains(), chain, lo, hi, rng, accOK)
-	}
-	if ow, pw := old.RawWide(), prop.RawWide(); ow != nil && pw != nil {
-		return filterStage(r, ow, old.Chains(), pw, prop.Chains(), chain, lo, hi, rng, accOK)
-	}
-	return errors.New("psample: filter lattices have mixed cell representations")
-}
-
-// filterStage is the width-specialized FilterStage body.
-func filterStage[T state.Cells](r *Rules, old []T, oB int, prop []T, pB int, chain, lo, hi int, rng *dist.Xoshiro, accOK []bool) error {
-	for j := lo; j < hi; j++ {
-		af := &r.acc[j]
-		w, err := gibbs.FilterWeightCells(r.eng, af.fi, old, oB, prop, pB, chain, af.verts)
-		if err != nil {
-			return err
-		}
-		accOK[j] = rng.Float64() < w*af.scale
-	}
-	return nil
 }
 
 // ClassSchedule returns the deterministic chromatic stage schedule: the
@@ -487,16 +446,4 @@ func (r *Rules) ClassSchedule() [][]int {
 		r.sched = classes
 	})
 	return r.sched
-}
-
-// winsPhase reports whether free vertex v wins the round's Luby phase: its
-// draw beats the draw of every free neighbor (construct.Beats is the single
-// source of truth for the phase rule, shared with the MIS construction).
-func (r *Rules) winsPhase(v int, draws []float64, neighbors []int) bool {
-	for _, u := range neighbors {
-		if r.free[u] && construct.Beats(draws[u], u, draws[v], v) {
-			return false
-		}
-	}
-	return true
 }

@@ -5,7 +5,9 @@ package psample
 // one-round transition kernel P of each sampler by brute force (every
 // proposal combination, every coin pattern, every Luby draw ordering, every
 // joint heat-bath outcome) and checks µP = µ for the exact Gibbs
-// distribution µ from internal/exact.
+// distribution µ from internal/exact. It then ties each engine to that
+// enumerated kernel: one engine round started from σ must follow the row
+// P(σ, ·), for every σ in supp µ.
 
 import (
 	"math"
@@ -16,6 +18,7 @@ import (
 	"repro/internal/gibbs"
 	"repro/internal/graph"
 	"repro/internal/model"
+	"repro/internal/state"
 )
 
 // tinyInstances enumerates small instances covering soft and hard
@@ -49,6 +52,15 @@ func tinyInstances(t *testing.T) map[string]*gibbs.Instance {
 		t.Fatal(err)
 	}
 	mk("matching-star3", m.Spec, nil, nil)
+
+	// Every vertex of K5 has four free rivals, the full width of the
+	// padded Luby compare; the hub of a six-vertex star has five, which
+	// takes the high-degree sweep.
+	k5, err := model.Hardcore(graph.Complete(5), 0.9)
+	mk("hardcore-k5", k5, err, nil)
+
+	star, err := model.Hardcore(graph.Star(6), 0.7)
+	mk("hardcore-star6", star, err, nil)
 
 	// A genuine arity-3 factor (exercises the subset filter beyond the
 	// pairwise three-term rule): a soft not-all-equal constraint on a
@@ -219,8 +231,11 @@ func pushLubyRow(t *testing.T, r *Rules, sigma dist.Config, weight float64, out 
 	permute(0, weight/fact)
 }
 
+// rowPusher adds weight·P(σ, ·) for one round of a dynamics to out.
+type rowPusher func(t *testing.T, r *Rules, sigma dist.Config, weight float64, out *dist.Joint)
+
 // checkStationary verifies µP = µ for the given row-pusher.
-func checkStationary(t *testing.T, in *gibbs.Instance, push func(t *testing.T, r *Rules, sigma dist.Config, weight float64, out *dist.Joint)) {
+func checkStationary(t *testing.T, in *gibbs.Instance, push rowPusher) {
 	t.Helper()
 	r, err := NewRules(in)
 	if err != nil {
@@ -296,15 +311,124 @@ func checkBatchTiny(t *testing.T, in *gibbs.Instance, s interface {
 	}
 }
 
-// TestBatchLubyGlauberStationaryExact pins the batched LubyGlauber
-// engine's one-round kernel: chains of the batched engine do not interact
-// (disjoint lattice columns, disjoint draws), and the B = 1 agreement test
-// in batch_test.go ties its per-chain trajectory symbol for symbol to the
-// single-chain engine — so the enumerated single-chain kernel checked here
-// IS the batched engine's per-chain kernel, and µP = µ per chain implies
-// stationarity of the whole lattice product. The batched engine itself is
-// then driven over each tiny instance to exercise the masked subset kernel
-// on the arity-3 and pinned cases.
+// roundEngine is the slice of an engine the one-round law check drives:
+// seed every chain with σ through the lattice, run one round, read the
+// chains back.
+type roundEngine interface {
+	Run(rounds int) error
+	Chains() int
+	Chain(c int) dist.Config
+	Lattice() *state.Lattice
+}
+
+// oneRoundSamples is the number of one-round draws per σ in each mode of
+// checkOneRoundLaw.
+const oneRoundSamples = 4096
+
+// checkOneRoundLaw ties an engine to the enumerated kernel: for every σ in
+// supp µ it compares the empirical law of one engine round started from σ
+// with the row P(σ, ·), within 2.5 times the sampling-noise envelope. It
+// runs twice. The wide run puts σ in every chain of one engine whose last
+// chain group holds one chain, so the chain-row kernels and the one-chain
+// paths run side by side. The one-chain run repeats Broadcast + Run(1) on a
+// B = 1 engine, so every draw comes from the one-chain paths.
+func checkOneRoundLaw(t *testing.T, in *gibbs.Instance, push rowPusher, build func(r *Rules, chains int) (roundEngine, error)) {
+	t.Helper()
+	r, err := NewRules(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	truth, err := exact.JointDistribution(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wideB := (oneRoundSamples/ChainBlock(r.q))*ChainBlock(r.q) + 1
+	wide, err := build(r, wideB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := build(r, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compare := func(mode string, sigma dist.Config, row *dist.Joint, emp *dist.Empirical, samples int) {
+		t.Helper()
+		got, err := emp.Joint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tv, err := dist.TVJoint(row, got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tol := 2.5 * dist.ExpectedTVNoise(row.Len(), samples); tv > tol {
+			t.Errorf("%s: one round from %v: TV vs P(σ, ·) = %v > envelope %v (support %d, samples %d)",
+				mode, sigma, tv, tol, row.Len(), samples)
+		}
+	}
+	for _, sigma := range truth.Support() {
+		row := dist.NewJoint(in.N())
+		push(t, r, sigma, 1, row)
+
+		if err := wide.Lattice().Broadcast(sigma); err != nil {
+			t.Fatal(err)
+		}
+		if err := wide.Run(1); err != nil {
+			t.Fatal(err)
+		}
+		emp := dist.NewEmpirical(in.N())
+		for c := 0; c < wide.Chains(); c++ {
+			emp.Observe(wide.Chain(c))
+		}
+		compare("wide", sigma, row, emp, wide.Chains())
+
+		emp = dist.NewEmpirical(in.N())
+		for i := 0; i < oneRoundSamples; i++ {
+			if err := one.Lattice().Broadcast(sigma); err != nil {
+				t.Fatal(err)
+			}
+			if err := one.Run(1); err != nil {
+				t.Fatal(err)
+			}
+			emp.Observe(one.Chain(0))
+		}
+		compare("one-chain", sigma, row, emp, oneRoundSamples)
+	}
+}
+
+// TestBatchLubyGlauberOneRoundLaw ties the LubyGlauber engine's one-round
+// kernel to the enumerated pushLubyRow, state by state, on the wide chain
+// rows and on the one-chain paths.
+func TestBatchLubyGlauberOneRoundLaw(t *testing.T) {
+	for name, in := range tinyInstances(t) {
+		t.Run(name, func(t *testing.T) {
+			checkOneRoundLaw(t, in, pushLubyRow, func(r *Rules, chains int) (roundEngine, error) {
+				return NewBatchLubyGlauber(r, chains, 7)
+			})
+		})
+	}
+}
+
+// TestBatchLocalMetropolisOneRoundLaw is the LocalMetropolis analogue
+// against the enumerated pushMetropolisRow.
+func TestBatchLocalMetropolisOneRoundLaw(t *testing.T) {
+	for name, in := range tinyInstances(t) {
+		t.Run(name, func(t *testing.T) {
+			checkOneRoundLaw(t, in, pushMetropolisRow, func(r *Rules, chains int) (roundEngine, error) {
+				return NewBatchLocalMetropolis(r, chains, 7)
+			})
+		})
+	}
+}
+
+// TestBatchLubyGlauberStationaryExact pins the LubyGlauber engine's
+// one-round kernel: the enumerated kernel preserves µ, and
+// TestBatchLubyGlauberOneRoundLaw ties every chain of the engine to that
+// kernel state by state. Chains do not interact (disjoint lattice
+// columns, disjoint draws), so µP = µ per chain implies stationarity of
+// the whole lattice product. The engine itself is then driven over each
+// tiny instance to exercise the masked subset kernel on the arity-3 and
+// pinned cases.
 func TestBatchLubyGlauberStationaryExact(t *testing.T) {
 	for name, in := range tinyInstances(t) {
 		t.Run(name, func(t *testing.T) {
@@ -323,10 +447,10 @@ func TestBatchLubyGlauberStationaryExact(t *testing.T) {
 }
 
 // TestBatchLocalMetropolisStationaryExact is the LocalMetropolis analogue:
-// the enumerated proposal/coin kernel is the batched engine's per-chain
-// kernel (B = 1 agreement in batch_test.go, non-interacting chains), and
-// the engine run exercises the batched filter's mask walk on the genuine
-// arity-3 factor and the pinned instance.
+// the enumerated proposal/coin kernel preserves µ and is the engine's
+// per-chain kernel (TestBatchLocalMetropolisOneRoundLaw), and the engine
+// run exercises the batched filter's mask walk on the genuine arity-3
+// factor and the pinned instance.
 func TestBatchLocalMetropolisStationaryExact(t *testing.T) {
 	for name, in := range tinyInstances(t) {
 		t.Run(name, func(t *testing.T) {

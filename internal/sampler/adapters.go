@@ -1,10 +1,9 @@
 package sampler
 
-// adapters.go plugs the existing dynamics into the Sampler interface and
-// registers all four built-ins. The psample engines already satisfy the
-// interface; the sequential chain needs a thin adapter that owns its RNG
-// stream (glauber.Chain takes the generator per call), and the chromatic
-// engine is the single-chain view of the batched engine.
+// adapters.go registers the four built-in dynamics. The three batched
+// engines satisfy MultiChain natively; the sequential chain needs a thin
+// adapter that owns its RNG stream (glauber.Chain takes the generator per
+// call).
 
 import (
 	"math/rand"
@@ -27,17 +26,6 @@ func init() {
 	Register(Info{
 		Name:     "luby",
 		Synopsis: "LubyGlauber: one Luby phase picks an independent set, simultaneous heat-bath updates; one round = one phase",
-		New: func(in *gibbs.Instance, seed int64) (Sampler, error) {
-			r, err := psample.NewRules(in)
-			if err != nil {
-				return nil, err
-			}
-			s, err := psample.NewLubyGlauber(r, seed)
-			if err != nil {
-				return nil, err
-			}
-			return s, nil
-		},
 		SweepRounds: func(in *gibbs.Instance) int {
 			// A vertex wins a phase with probability ≥ 1/(Δ+1).
 			return in.Spec.G.MaxDegree() + 1
@@ -51,19 +39,8 @@ func init() {
 		},
 	})
 	Register(Info{
-		Name:     "metropolis",
-		Synopsis: "LocalMetropolis: every vertex proposes every round, per-factor filter acceptance; one round = one proposal round",
-		New: func(in *gibbs.Instance, seed int64) (Sampler, error) {
-			r, err := psample.NewRules(in)
-			if err != nil {
-				return nil, err
-			}
-			s, err := psample.NewLocalMetropolis(r, seed)
-			if err != nil {
-				return nil, err
-			}
-			return s, nil
-		},
+		Name:        "metropolis",
+		Synopsis:    "LocalMetropolis: every vertex proposes every round, per-factor filter acceptance; one round = one proposal round",
 		SweepRounds: func(in *gibbs.Instance) int { return 1 },
 		NewBatch: func(in *gibbs.Instance, chains int, seed int64) (MultiChain, error) {
 			r, err := psample.NewRules(in)
@@ -74,19 +51,8 @@ func init() {
 		},
 	})
 	Register(Info{
-		Name:     "chromatic",
-		Synopsis: "ChromaticGlauber: deterministic greedy-coloring schedule, one color class heat-bathed per stage; one round = one full χ-stage sweep",
-		New: func(in *gibbs.Instance, seed int64) (Sampler, error) {
-			r, err := psample.NewRules(in)
-			if err != nil {
-				return nil, err
-			}
-			s, err := NewChromaticGlauber(r, seed)
-			if err != nil {
-				return nil, err
-			}
-			return s, nil
-		},
+		Name:        "chromatic",
+		Synopsis:    "ChromaticGlauber: deterministic greedy-coloring schedule, one color class heat-bathed per stage; one round = one full χ-stage sweep",
 		SweepRounds: func(in *gibbs.Instance) int { return 1 },
 		NewBatch: func(in *gibbs.Instance, chains int, seed int64) (MultiChain, error) {
 			r, err := psample.NewRules(in)

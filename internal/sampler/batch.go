@@ -1,15 +1,24 @@
 package sampler
 
-// batch.go is the batched multi-chain engine: B independent chains over
-// one shared compiled engine, advanced in lockstep under the deterministic
-// chromatic schedule. The configurations live in a state.Lattice
-// (chain-major per vertex, cell (v,c) at vals[v*B+c], one byte per cell
-// for every model this repo builds) so that updating one vertex across all
-// chains touches contiguous memory and amortizes the per-vertex factor
-// bookkeeping — the mixed-radix index computation and factor-table cache
-// misses that dominate single-chain sweeps (per the PR 2 measurements) are
-// paid once per vertex instead of once per chain, and the compact cells
-// keep the whole B×n working set in cache at large B.
+// batch.go is the ChromaticGlauber engine: B independent chains over one
+// shared compiled engine, advanced in lockstep under the deterministic
+// chromatic schedule. Where LubyGlauber randomizes its independent sets
+// (one Luby phase per round, each vertex selected only with probability
+// ≥ 1/(deg+1)), ChromaticGlauber fixes them up front: a proper coloring
+// of the interaction graph, computed once, schedules at most Δ+1 stages
+// per sweep in which every free vertex is heat-bathed exactly once. On
+// the LOCAL model the coloring is node input
+// (psample.ChromaticGlauberLOCAL), so a sweep costs χ rounds instead of
+// one. B = 1 is the single-chain sampler.
+//
+// The configurations live in a state.Lattice (chain-major per vertex,
+// cell (v,c) at vals[v*B+c], one byte per cell for every model this repo
+// builds) so that updating one vertex across all chains touches
+// contiguous memory and amortizes the per-vertex factor bookkeeping — the
+// mixed-radix index computation and factor-table cache misses that
+// dominate one-chain sweeps are paid once per vertex instead of once per
+// chain, and the compact cells keep the whole B×n working set in cache at
+// large B.
 //
 // The per-stage work runs through the fused sweep-plan kernel
 // (gibbs.Compiled.SampleVertexBatch): weights and the heat-bath draw in
@@ -46,9 +55,9 @@ import (
 // Batch advances B independent chains of ChromaticGlauber dynamics in
 // lockstep over one shared gibbs.Compiled engine.
 type Batch struct {
-	// Workers overrides the worker count when positive (default: one per
-	// CPU, bounded so per-stage blocks stay coarse).
-	Workers int
+	// nworkers overrides the worker count when positive (SetWorkers;
+	// default: one per CPU, bounded so per-stage blocks stay coarse).
+	nworkers int
 
 	rules *psample.Rules
 	// chains is B, the number of independent chains.
@@ -129,15 +138,14 @@ func (b *Batch) Updates() int64 { return b.updates }
 // CPU-scaled default). Per-worker RNG streams mean trajectories depend on
 // the worker count; callers wanting machine-independent reproducibility
 // (the adaptive driver's determinism contract) pin it.
-func (b *Batch) SetWorkers(w int) { b.Workers = w }
+func (b *Batch) SetWorkers(w int) { b.nworkers = w }
 
 // Chain returns a copy of chain c's current configuration.
 func (b *Batch) Chain(c int) dist.Config {
 	return b.lat.Chain(c)
 }
 
-// State returns a copy of chain 0's configuration (the single-chain view
-// of the Sampler interface).
+// State returns a copy of chain 0's configuration (the Sampler view).
 func (b *Batch) State() dist.Config { return b.lat.Chain(0) }
 
 // Lattice exposes the underlying state container (read-only for callers:
@@ -187,7 +195,7 @@ func (b *Batch) Run(sweeps int) error {
 	for _, class := range b.classes {
 		maxItems = max(maxItems, len(class)*groups)
 	}
-	workers := b.Workers
+	workers := b.nworkers
 	if workers <= 0 {
 		// Scale the worker heuristic by the scalar updates per item (one
 		// chain group ≈ cb single-vertex updates).

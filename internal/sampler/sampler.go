@@ -1,5 +1,5 @@
 // Package sampler unifies every dynamics of the repo behind one interface
-// and one registry, and adds the batched multi-chain engine.
+// and one registry, and adds the chromatic engine.
 //
 // The paper (Feng & Yin, PODC 2018) gives several dynamics with the same
 // stationary Gibbs distribution — sequential Glauber, LubyGlauber,
@@ -10,6 +10,11 @@
 // Lookup/Create, and per-dynamic knowledge (how many rounds make one
 // "sweep-equivalent") lives in the registry entry instead of being
 // re-derived at every call site.
+//
+// Each dynamic has exactly one in-process engine. The three parallel
+// dynamics run B independent chains in lockstep (MultiChain), and B = 1 is
+// their single-chain form; only the sequential baseline is a plain
+// single-chain Sampler.
 //
 // The interface is deliberately small: a dynamic is something that can be
 // restarted from the instance's canonical start (Reset), advanced by whole
@@ -33,8 +38,8 @@ import (
 )
 
 // Sampler is the common control surface of every dynamic. All four
-// built-in dynamics implement it: the two psample engines natively, the
-// sequential chain and the chromatic engine through thin adapters.
+// built-in dynamics implement it: the three batched engines natively, the
+// sequential chain through a thin adapter.
 type Sampler interface {
 	// Reset restarts the dynamic from the instance's canonical start (the
 	// greedy feasible completion of the pinning) with fresh RNG streams
@@ -51,11 +56,10 @@ type Sampler interface {
 
 // MultiChain is a Sampler advancing B independent chains in lockstep over
 // one chain-major state lattice — the control surface of every batched
-// engine (the chromatic Batch and the batched LubyGlauber and
-// LocalMetropolis engines of internal/psample). State() is chain 0's
-// configuration, so a MultiChain at B = 1 drops into any single-chain
-// consumer; diagnostics that want all chains (the R̂ accumulator) read
-// Chains/Chain/Lattice.
+// engine (the chromatic Batch and the LubyGlauber and LocalMetropolis
+// engines of internal/psample). State() is chain 0's configuration, so a
+// MultiChain at B = 1 is the dynamic's single-chain sampler; diagnostics
+// that want all chains (the R̂ accumulator) read Chains/Chain/Lattice.
 type MultiChain interface {
 	Sampler
 	// Chains returns B, the number of independent chains.
@@ -68,20 +72,23 @@ type MultiChain interface {
 }
 
 // Info is one registry entry: a named dynamic plus the per-dynamic
-// knowledge its consumers need.
+// knowledge its consumers need. Exactly one of New and NewBatch is set:
+// the dynamic's one engine.
 type Info struct {
 	// Name is the registry key (also the cmd/lsample -algo value).
 	Name string
 	// Synopsis is a one-line description for CLI help output.
 	Synopsis string
-	// New constructs the dynamic on the instance, started from the greedy
-	// completion of the pinning, with RNG streams derived from seed.
+	// New constructs a single-chain dynamic (the sequential baseline) on
+	// the instance, started from the greedy completion of the pinning,
+	// with RNG streams derived from seed.
 	New func(in *gibbs.Instance, seed int64) (Sampler, error)
 	// SweepRounds returns how many rounds of this dynamic make one
 	// sweep-equivalent (≈ one expected update per free vertex).
 	SweepRounds func(in *gibbs.Instance) int
-	// NewBatch constructs the batched multi-chain form of the dynamic
-	// (nil for dynamics without one, e.g. the sequential baseline).
+	// NewBatch constructs a batched dynamic with the given number of
+	// chains, every chain started from the greedy completion of the
+	// pinning, with RNG streams derived from seed.
 	NewBatch func(in *gibbs.Instance, chains int, seed int64) (MultiChain, error)
 }
 
@@ -91,11 +98,12 @@ var (
 )
 
 // Register adds a dynamic to the registry. It panics on an empty name, a
-// duplicate, or a nil constructor — registration is an init-time
-// programming act, not a runtime input.
+// duplicate, a missing sweep measure, or anything but exactly one
+// constructor — registration is an init-time programming act, not a
+// runtime input.
 func Register(info Info) {
-	if info.Name == "" || info.New == nil || info.SweepRounds == nil {
-		panic("sampler: Register needs a name, a constructor, and a sweep measure")
+	if info.Name == "" || info.SweepRounds == nil || (info.New == nil) == (info.NewBatch == nil) {
+		panic("sampler: Register needs a name, exactly one of New and NewBatch, and a sweep measure")
 	}
 	regMu.Lock()
 	defer regMu.Unlock()
@@ -127,10 +135,11 @@ func Names() []string {
 
 // Options configures Create, the registry's single creation path.
 type Options struct {
-	// Chains selects the engine: 0 is the dynamic's single-chain engine;
-	// B ≥ 1 is its batched multi-chain engine advancing B independent
-	// chains in lockstep (an error for dynamics without one). A batched
-	// result implements MultiChain.
+	// Chains is B, the number of independent chains advanced in lockstep;
+	// 0 means 1. Batched dynamics return a MultiChain for every B ≥ 1 and
+	// pass any other count to their engine, whose typed
+	// *state.DomainError rejects it. Single-chain dynamics accept only 0
+	// and 1.
 	Chains int
 	// Seed derives every RNG stream of the dynamic.
 	Seed int64
@@ -144,17 +153,21 @@ func Create(name string, in *gibbs.Instance, o Options) (Sampler, error) {
 	if !ok {
 		return nil, fmt.Errorf("sampler: unknown dynamic %q (have %v)", name, Names())
 	}
-	if o.Chains == 0 {
-		return info.New(in, o.Seed)
+	chains := o.Chains
+	if chains == 0 {
+		chains = 1
 	}
-	if info.NewBatch == nil {
-		return nil, fmt.Errorf("sampler: dynamic %q has no batched multi-chain form (have %v)", name, MultiNames())
+	if info.NewBatch != nil {
+		return info.NewBatch(in, chains, o.Seed)
 	}
-	return info.NewBatch(in, o.Chains, o.Seed)
+	if chains != 1 {
+		return nil, fmt.Errorf("sampler: dynamic %q runs one chain, not %d (the batched dynamics are %v)", name, o.Chains, MultiNames())
+	}
+	return info.New(in, o.Seed)
 }
 
-// MultiNames returns the registered dynamics with a batched multi-chain
-// form, sorted.
+// MultiNames returns the registered batched dynamics (those whose engine
+// is a MultiChain), sorted.
 func MultiNames() []string {
 	regMu.RLock()
 	defer regMu.RUnlock()

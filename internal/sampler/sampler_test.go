@@ -8,6 +8,8 @@ package sampler
 // race detector), and pinning/feasibility invariants must hold throughout.
 
 import (
+	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/dist"
@@ -16,6 +18,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/model"
 	"repro/internal/psample"
+	"repro/internal/state"
 )
 
 func TestRegistryHasBuiltins(t *testing.T) {
@@ -54,11 +57,11 @@ func TestNewUnknownDynamic(t *testing.T) {
 	}
 }
 
-// TestCreateSelectsEngine pins Create's Options contract: Chains = 0 is
-// the single-chain engine, Chains ≥ 1 the batched multi-chain engine
-// (which must implement MultiChain), a batched request on a dynamic
-// without one is a descriptive error, and the deprecated New/NewMulti
-// wrappers agree with Create.
+// TestCreateSelectsEngine pins Create's Options contract: every batched
+// dynamic returns a MultiChain, with Chains 0 and 1 both meaning one
+// chain; construction is a pure function of (name, chains, seed); the
+// single-chain baseline rejects Chains > 1 with a descriptive error; and
+// Register refuses an entry with no constructor or with both.
 func TestCreateSelectsEngine(t *testing.T) {
 	spec, err := model.Hardcore(graph.Cycle(6), 1.2)
 	if err != nil {
@@ -77,45 +80,96 @@ func TestCreateSelectsEngine(t *testing.T) {
 			t.Fatalf("Create(%q, Chains: 0) = %v", name, err)
 		}
 		if err := single.Run(3); err != nil {
-			t.Fatalf("%q single-chain Run: %v", name, err)
+			t.Fatalf("%q one-chain Run: %v", name, err)
 		}
 	}
 	for _, name := range MultiNames() {
-		s, err := Create(name, in, Options{Chains: 4, Seed: 5})
-		if err != nil {
-			t.Fatalf("Create(%q, Chains: 4) = %v", name, err)
-		}
-		m, ok := s.(MultiChain)
-		if !ok {
-			t.Fatalf("batched Create(%q) does not implement MultiChain", name)
-		}
-		if m.Chains() != 4 {
-			t.Errorf("Create(%q).Chains() = %d, want 4", name, m.Chains())
-		}
-		// Construction is a pure function of (name, chains, seed): a second
-		// engine must follow the same chain-0 trajectory.
-		again, err := Create(name, in, Options{Chains: 4, Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		twin := again.(MultiChain)
-		if err := m.Run(5); err != nil {
-			t.Fatal(err)
-		}
-		if err := twin.Run(5); err != nil {
-			t.Fatal(err)
-		}
-		got, want := m.Chain(0), twin.Chain(0)
-		for v := range got {
-			if got[v] != want[v] {
-				t.Errorf("two Create calls diverge for %q at vertex %d", name, v)
-				break
+		for _, chains := range []int{0, 1, 4} {
+			s, err := Create(name, in, Options{Chains: chains, Seed: 5})
+			if err != nil {
+				t.Fatalf("Create(%q, Chains: %d) = %v", name, chains, err)
+			}
+			m, ok := s.(MultiChain)
+			if !ok {
+				t.Fatalf("Create(%q, Chains: %d) does not implement MultiChain", name, chains)
+			}
+			if want := max(chains, 1); m.Chains() != want {
+				t.Errorf("Create(%q, Chains: %d).Chains() = %d, want %d", name, chains, m.Chains(), want)
+			}
+			// Construction is a pure function of (name, chains, seed): a
+			// second engine must follow the same chain-0 trajectory.
+			again, err := Create(name, in, Options{Chains: chains, Seed: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			twin := again.(MultiChain)
+			if err := m.Run(5); err != nil {
+				t.Fatal(err)
+			}
+			if err := twin.Run(5); err != nil {
+				t.Fatal(err)
+			}
+			got, want := m.Chain(0), twin.Chain(0)
+			for v := range got {
+				if got[v] != want[v] {
+					t.Errorf("two Create(%q, Chains: %d) calls diverge at vertex %d", name, chains, v)
+					break
+				}
 			}
 		}
+		// Chains 0 is Chains 1: the same engine, the same trajectory.
+		zero, err := Create(name, in, Options{Seed: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		one, err := Create(name, in, Options{Chains: 1, Seed: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := zero.Run(7); err != nil {
+			t.Fatal(err)
+		}
+		if err := one.Run(7); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := zero.State(), one.State(); !slices.Equal(got, want) {
+			t.Errorf("Create(%q): Chains 0 gives %v, Chains 1 gives %v", name, got, want)
+		}
+		// A negative count reaches the engine's typed shape error.
+		var de *state.DomainError
+		if _, err := Create(name, in, Options{Chains: -3}); !errors.As(err, &de) {
+			t.Errorf("Create(%q, Chains: -3) = %v, want *state.DomainError", name, err)
+		}
 	}
-	// Dynamics without a batched form: a descriptive error, not a panic.
-	if _, err := Create("glauber", in, Options{Chains: 4}); err == nil {
-		t.Error("Create(glauber, Chains: 4) accepted")
+	// The single-chain baseline runs one chain: a descriptive error, not a
+	// panic, for any other count.
+	if _, err := Create("glauber", in, Options{Chains: 1}); err != nil {
+		t.Errorf("Create(glauber, Chains: 1) = %v", err)
+	}
+	for _, chains := range []int{2, 4, -1} {
+		if _, err := Create("glauber", in, Options{Chains: chains}); err == nil {
+			t.Errorf("Create(glauber, Chains: %d) accepted", chains)
+		}
+	}
+	// Register: exactly one constructor.
+	newSeq := func(*gibbs.Instance, int64) (Sampler, error) { return nil, nil }
+	newMulti := func(*gibbs.Instance, int, int64) (MultiChain, error) { return nil, nil }
+	sweep := func(*gibbs.Instance) int { return 1 }
+	for name, info := range map[string]Info{
+		"neither": {Name: "test-neither", SweepRounds: sweep},
+		"both":    {Name: "test-both", SweepRounds: sweep, New: newSeq, NewBatch: newMulti},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Register accepted an entry with %s constructor(s)", name)
+				}
+			}()
+			Register(info)
+		}()
+		if _, ok := Lookup(info.Name); ok {
+			t.Errorf("rejected entry %q was registered", info.Name)
+		}
 	}
 }
 
@@ -286,7 +340,7 @@ func TestBatchForcedWorkers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			b.Workers = workers
+			b.SetWorkers(workers)
 			for batch := 0; batch < 6; batch++ {
 				if err := b.Run(4); err != nil {
 					t.Fatal(err)

@@ -1,12 +1,13 @@
 package sampler
 
-// stationary_test.go pins ChromaticGlauber exactly, the same way
-// internal/psample pins LubyGlauber and LocalMetropolis: on instances
-// small enough to enumerate, the one-round (one full sweep) transition
-// kernel P is built by brute force — the sweep is the composition of the
-// color-class stage kernels, and each stage kernel is the product of the
-// class's heat-bath conditionals — and µP = µ is checked against the exact
-// Gibbs distribution µ from internal/exact to 1e-9 in TV.
+// stationary_test.go pins ChromaticGlauber (the Batch engine at B = 1)
+// exactly, the same way internal/psample pins LubyGlauber and
+// LocalMetropolis: on instances small enough to enumerate, the one-round
+// (one full sweep) transition kernel P is built by brute force — the
+// sweep is the composition of the color-class stage kernels, and each
+// stage kernel is the product of the class's heat-bath conditionals — and
+// µP = µ is checked against the exact Gibbs distribution µ from
+// internal/exact to 1e-9 in TV.
 
 import (
 	"math"
@@ -135,7 +136,7 @@ func TestChromaticGlauberStationaryExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := NewChromaticGlauber(r, 1)
+			s, err := NewBatch(r, 1, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,7 +146,7 @@ func TestChromaticGlauberStationaryExact(t *testing.T) {
 			}
 			eng := r.Engine()
 			mu := truth
-			for k, class := range s.Batch().Classes() {
+			for k, class := range s.Classes() {
 				mu = applyClassKernel(t, eng, in.Q(), class, mu)
 				tv, err := dist.TVJoint(truth, mu)
 				if err != nil {
@@ -170,13 +171,13 @@ func TestChromaticScheduleCoversFreeVertices(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := NewChromaticGlauber(r, 1)
+			s, err := NewBatch(r, 1, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			g := in.Spec.G
 			seen := make(map[int]int)
-			for _, class := range s.Batch().Classes() {
+			for _, class := range s.Classes() {
 				for i, v := range class {
 					seen[v]++
 					if !r.Free(v) {
