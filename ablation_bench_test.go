@@ -103,11 +103,10 @@ func BenchmarkAblationSamplerVsGlauber(b *testing.B) {
 	})
 	b.Run("glauber-30sweeps", func(b *testing.B) {
 		in, _ := benchHardcoreSetup(b, 24, 1.0)
-		rng := rand.New(rand.NewSource(4))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := glauber.Sample(in, 30, rng); err != nil {
+			if _, err := glauber.Sample(in, 30, int64(i)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -310,15 +310,14 @@ func BenchmarkGlauberStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	chain, err := glauber.New(in)
+	chain, err := glauber.New(in, 7)
 	if err != nil {
 		b.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(7))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := chain.Step(rng); err != nil {
+		if err := chain.Step(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -371,10 +370,11 @@ func BenchmarkCondWeights(b *testing.B) {
 	})
 }
 
-// BenchmarkCondLookup isolates the single-chain heat-bath update: the
+// BenchmarkCondLookup isolates the single-chain heat-bath update the
+// sequential chain runs — the subset kernel bound to a one-chain lattice,
+// called with the list {0} on the vertices in order — with the
 // conditional-CDF cache lookup (lut) against the sweep-plan walk it
-// replaces (plan). Both run the same glauber.HeatBathX update — only the
-// engine's cache mode differs.
+// replaces (plan). Only the engine's cache mode at binding time differs.
 func BenchmarkCondLookup(b *testing.B) {
 	g := graph.Torus(16, 16)
 	spec, err := model.Hardcore(g, 1.0)
@@ -391,12 +391,18 @@ func BenchmarkCondLookup(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cond := make([]float64, spec.Q)
+		kernel, err := eng.BindVertexSubset(lat)
+		if err != nil {
+			b.Fatal(err)
+		}
+		chain0 := []int32{0}
+		buf := make([]float64, spec.Q)
+		sc := gibbs.NewBatchScratch(1)
 		rng := dist.NewXoshiro(7, 0)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := glauber.HeatBathX(eng, lat, 0, i%g.N(), cond, &rng); err != nil {
+			if err := kernel(i%g.N(), chain0, buf, sc, &rng); err != nil {
 				b.Fatal(err)
 			}
 		}

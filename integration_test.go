@@ -231,7 +231,7 @@ func TestGlauberBaselineAgreesWithJVV(t *testing.T) {
 		if res.Accepted() {
 			jvvEmp.Observe(res.Config)
 		}
-		cfg, err := glauber.Sample(in, 25, rng)
+		cfg, err := glauber.Sample(in, 25, int64(i))
 		if err != nil {
 			t.Fatal(err)
 		}

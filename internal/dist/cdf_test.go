@@ -50,17 +50,17 @@ func TestCDFMatchesSampleWalk(t *testing.T) {
 	}
 }
 
-// TestCDFDrawMatchesSampleX runs a shadow generator: Draw and Dist.SampleX
-// consume one uniform each, so identical streams must yield identical
-// symbol sequences.
-func TestCDFDrawMatchesSampleX(t *testing.T) {
+// TestCDFDrawMatchesSampleWalk runs a shadow generator: Draw and
+// sampleWalk consume one uniform each, so identical streams must yield
+// identical symbol sequences.
+func TestCDFDrawMatchesSampleWalk(t *testing.T) {
 	d := Dist{0.1, 0, 0.4, 0.5}
 	c := NewCDF(d)
 	a := NewXoshiro(42, 7)
 	b := a
 	for i := 0; i < 2000; i++ {
-		if got, want := c.Draw(&a), d.SampleX(&b); got != want {
-			t.Fatalf("draw %d: CDF %d, SampleX %d", i, got, want)
+		if got, want := c.Draw(&a), sampleWalk(d, b.Float64()); got != want {
+			t.Fatalf("draw %d: CDF %d, sampleWalk %d", i, got, want)
 		}
 	}
 }
@@ -76,29 +76,36 @@ func TestCDFZeroMass(t *testing.T) {
 	}
 }
 
-// TestSampleWeightsXMatchesSampleWeights checks that the Xoshiro variant
-// validates like SampleWeights and draws the same symbol for the same
-// uniform (via the frozen-walk identity on a normalized row).
-func TestSampleWeightsXMatchesSampleWeights(t *testing.T) {
+// TestSampleWeightsValidatesAndDraws checks that SampleWeights validates
+// like FromWeights and draws, for each uniform of a shadow generator,
+// exactly the symbol sampleWalk picks on the unnormalized row.
+func TestSampleWeightsValidatesAndDraws(t *testing.T) {
 	rng := NewXoshiro(1, 0)
-	if _, err := SampleWeightsX(nil, &rng); err == nil {
+	if _, err := SampleWeights(nil, &rng); err == nil {
 		t.Error("empty weights accepted")
 	}
-	if _, err := SampleWeightsX([]float64{0, 0}, &rng); err == nil {
+	if _, err := SampleWeights([]float64{0, 0}, &rng); err == nil {
 		t.Error("zero-mass weights accepted")
 	}
-	if _, err := SampleWeightsX([]float64{1, -1}, &rng); err == nil {
+	if _, err := SampleWeights([]float64{1, -1}, &rng); err == nil {
 		t.Error("negative weight accepted")
 	}
-	if _, err := SampleWeightsX([]float64{1, math.Inf(1)}, &rng); err == nil {
+	if _, err := SampleWeights([]float64{1, math.Inf(1)}, &rng); err == nil {
 		t.Error("infinite weight accepted")
 	}
 	w := []float64{2, 0, 6}
 	counts := make([]int, len(w))
 	for i := 0; i < 4000; i++ {
-		x, err := SampleWeightsX(w, &rng)
+		shadow := rng
+		x, err := SampleWeights(w, &rng)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if want := sampleWalk(w, shadow.Float64()*8); x != want {
+			t.Fatalf("draw %d: SampleWeights %d, sampleWalk %d", i, x, want)
+		}
+		if rng != shadow {
+			t.Fatalf("draw %d: SampleWeights consumed more than one uniform", i)
 		}
 		counts[x]++
 	}

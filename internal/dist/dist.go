@@ -110,56 +110,27 @@ func (d Dist) Sample(rng *rand.Rand) int {
 	return sampleWalk(d, rng.Float64())
 }
 
-// SampleX is Sample drawing its uniform variate from a value-type Xoshiro
-// stream — the same walk, so for equal uniforms the two draws agree
-// exactly.
-func (d Dist) SampleX(rng *Xoshiro) int {
-	return sampleWalk(d, rng.Float64())
-}
-
-// weightsTotal validates a weight vector exactly like FromWeights and
-// returns its total mass — the shared front half of the SampleWeights
-// variants.
-func weightsTotal(w []float64) (float64, error) {
+// SampleWeights draws an index proportional to the given nonnegative,
+// not-necessarily-normalized weights without allocating, consuming one
+// uniform of the Xoshiro stream. It applies the same validation as
+// FromWeights. The fused sampling kernels of internal/gibbs reproduce it
+// symbol for symbol, and their tests use it as the referee draw.
+func SampleWeights(w []float64, rng *Xoshiro) (int, error) {
 	if len(w) == 0 {
-		return 0, errors.New("dist: empty weight vector")
+		return -1, errors.New("dist: empty weight vector")
 	}
 	total := 0.0
 	for i, x := range w {
 		if x < 0 || math.IsNaN(x) || math.IsInf(x, 0) {
-			return 0, fmt.Errorf("dist: weight %v at index %d", x, i)
+			return -1, fmt.Errorf("dist: weight %v at index %d", x, i)
 		}
 		total += x
 	}
 	if total <= 0 {
-		return 0, ErrZeroMass
+		return -1, ErrZeroMass
 	}
 	if math.IsInf(total, 0) {
-		return 0, errors.New("dist: total weight overflows to +Inf")
-	}
-	return total, nil
-}
-
-// SampleWeights draws an index proportional to the given nonnegative,
-// not-necessarily-normalized weights without allocating — the hot-path
-// companion of FromWeights(w).Sample for callers that reuse a weight
-// buffer (the Glauber heat-bath step). It applies the same validation as
-// FromWeights.
-func SampleWeights(w []float64, rng *rand.Rand) (int, error) {
-	total, err := weightsTotal(w)
-	if err != nil {
-		return -1, err
-	}
-	return sampleWalk(w, rng.Float64()*total), nil
-}
-
-// SampleWeightsX is SampleWeights drawing from a value-type Xoshiro
-// stream: identical validation, identical walk, so for equal uniforms the
-// two draws agree exactly.
-func SampleWeightsX(w []float64, rng *Xoshiro) (int, error) {
-	total, err := weightsTotal(w)
-	if err != nil {
-		return -1, err
+		return -1, errors.New("dist: total weight overflows to +Inf")
 	}
 	return sampleWalk(w, rng.Float64()*total), nil
 }

@@ -1,10 +1,11 @@
 package dist
 
-// xoshiro.go is the value-type fast PRNG of the fused batch kernels.
-// math/rand draws cost an interface-free but still pointer-chasing call
-// per sample; in the batched sweep engine one heat-bath draw happens per
-// (vertex, chain) and the generator call is a measurable slice of the
-// whole sweep. Xoshiro is Blackman & Vigna's xoshiro256++ — four words of
+// xoshiro.go is the value-type fast PRNG of every MCMC sampling path:
+// the fused kernels of the batched engines, the sequential Glauber chain
+// and the LOCAL harnesses all draw from it. math/rand draws cost an
+// interface-free but still pointer-chasing call per sample; in the
+// batched sweep engine one heat-bath draw happens per (vertex, chain) and
+// the generator call is a measurable slice of the whole sweep. Xoshiro is Blackman & Vigna's xoshiro256++ — four words of
 // state, two rotates and a handful of xors per draw, passes BigCrush —
 // embedded by value in per-worker state so the hot loop touches no
 // extra cache line and the compiler can keep the state in registers.
@@ -15,6 +16,8 @@ package dist
 // state words with the SplitMix64 sequence, per the xoshiro authors'
 // recommendation — any two distinct (seed, stream) pairs yield
 // decorrelated generators, even for small consecutive integers.
+
+import "math/bits"
 
 // golden is the SplitMix64 increment (2^64 / φ, forced odd).
 const golden uint64 = 0x9E3779B97F4A7C15
@@ -68,4 +71,29 @@ func (x *Xoshiro) Uint64() uint64 {
 // the resolution of math/rand's Float64 without its rejection loop.
 func (x *Xoshiro) Float64() float64 {
 	return float64(x.Uint64()>>11) * 0x1p-53
+}
+
+// IntN returns a uniform int in [0, n) — the vertex pick of the
+// sequential Glauber chain. It panics when n <= 0.
+func (x *Xoshiro) IntN(n int) int {
+	if n <= 0 {
+		panic("dist: Xoshiro.IntN needs n > 0")
+	}
+	return int(x.uint64n(uint64(n)))
+}
+
+// uint64n is Lemire's multiply-shift with rejection ("Fast random
+// integer generation in an interval", ACM TOMACS 2019): the high word of
+// the 128-bit product Uint64()·n is uniform on [0, n) once the low word
+// clears 2^64 mod n, which costs one multiply per draw and a division
+// only when the low word lands below n.
+func (x *Xoshiro) uint64n(n uint64) uint64 {
+	hi, lo := bits.Mul64(x.Uint64(), n)
+	if lo < n {
+		thresh := -n % n
+		for lo < thresh {
+			hi, lo = bits.Mul64(x.Uint64(), n)
+		}
+	}
+	return hi
 }

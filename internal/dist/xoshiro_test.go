@@ -89,3 +89,79 @@ func TestXoshiroZeroGuard(t *testing.T) {
 		t.Fatal("all-zero state should be the fixed point (documented invalid)")
 	}
 }
+
+// TestXoshiroIntN covers the bounded draw: n = 1 always yields 0 and
+// consumes one word, every draw lies in [0, n), small ranges pass a
+// chi-square uniformity check, and a fixed seed reproduces its sequence.
+func TestXoshiroIntN(t *testing.T) {
+	x := NewXoshiro(5, 0)
+	ref := x
+	for i := 0; i < 100; i++ {
+		if got := x.IntN(1); got != 0 {
+			t.Fatalf("IntN(1) = %d", got)
+		}
+		ref.Uint64()
+		if x != ref {
+			t.Fatal("IntN(1) consumed other than one word")
+		}
+	}
+	for _, n := range []int{2, 3, 7, 10, 1000, 1<<31 + 11, 1<<62 + 3} {
+		for i := 0; i < 2000; i++ {
+			if got := x.IntN(n); got < 0 || got >= n {
+				t.Fatalf("IntN(%d) = %d out of range", n, got)
+			}
+		}
+	}
+	// Chi-square with n−1 degrees of freedom; the bounds are the 0.01% and
+	// 99.99% quantiles for 6 and 9 degrees of freedom, so a correct
+	// generator fails the fixed seed's draw essentially never.
+	for _, c := range []struct {
+		n      int
+		lo, hi float64
+	}{{7, 0.17, 27.9}, {10, 0.66, 33.7}} {
+		const draws = 70000
+		counts := make([]int, c.n)
+		for i := 0; i < draws; i++ {
+			counts[x.IntN(c.n)]++
+		}
+		exp := float64(draws) / float64(c.n)
+		chi := 0.0
+		for _, k := range counts {
+			d := float64(k) - exp
+			chi += d * d / exp
+		}
+		if chi < c.lo || chi > c.hi {
+			t.Errorf("IntN(%d): chi-square %.2f outside [%v, %v] (counts %v)", c.n, chi, c.lo, c.hi, counts)
+		}
+	}
+	a, b := NewXoshiro(9, 3), NewXoshiro(9, 3)
+	for i := 0; i < 1000; i++ {
+		if p, q := a.IntN(37), b.IntN(37); p != q {
+			t.Fatalf("draw %d: %d vs %d from one seed", i, p, q)
+		}
+	}
+}
+
+// TestXoshiroUint64nRejects drives the rejection loop: at n = 2^63 + 1
+// the threshold 2^64 mod n = 2^63 − 1 rejects about half of all words,
+// so draws must consume more words than they return, and every result
+// stays below n.
+func TestXoshiroUint64nRejects(t *testing.T) {
+	const n = 1<<63 + 1
+	x := NewXoshiro(11, 0)
+	words := 0
+	counter := x
+	for i := 0; i < 1000; i++ {
+		got := x.uint64n(n)
+		if got >= n {
+			t.Fatalf("uint64n(2^63+1) = %d out of range", got)
+		}
+		for counter != x {
+			counter.Uint64()
+			words++
+		}
+	}
+	if words <= 1100 {
+		t.Errorf("1000 draws consumed %d words, want the rejection branch to fire (≈ 2000)", words)
+	}
+}

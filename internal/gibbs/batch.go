@@ -1,24 +1,20 @@
 package gibbs
 
-// batch.go is the multi-chain evaluation kernel behind the batched sampler
-// engine (internal/sampler.Batch): B independent chains share one Compiled
-// engine and store their configurations in a state.Lattice — chain-major
-// per vertex, cell (v, c) at vals[v*B+c]. Advancing the same vertex in many
-// chains at once lets the kernel fetch the per-vertex factor list, scope,
-// and strides once per vertex instead of once per chain, and walks each
-// factor's table for all chains while it is cache-hot; the mixed-radix
-// index computation (the dominant cost of CondWeights, per the PR 2
-// measurements) is reduced to one multiply-accumulate per (neighbor, chain)
-// over contiguous memory — one byte per cell on the compact lattice, which
-// is what keeps the B×n working set in cache at large B. The kernels are
-// generic over state.Cells, so the compact and wide paths compile to
-// separately specialized loops.
-
-import (
-	"fmt"
-
-	"repro/internal/state"
-)
+// batch.go holds the per-goroutine scratch of the multi-chain kernels.
+// B independent chains share one Compiled engine and store their
+// configurations in a state.Lattice — chain-major per vertex, cell (v, c)
+// at vals[v*B+c] — and every sampling path runs the fused kernels over it:
+// SampleVertexBatch (plan.go) for a dense chain block, the subset kernel
+// bound by BindVertexSubset (subset.go) for an explicit chain list,
+// FilterWeightBatch (subset.go) for the LocalMetropolis filter, and the
+// conditional-CDF cache (cond.go) under all of them. A one-chain block or
+// list is the single-chain form: the sequential Glauber chain and the
+// LOCAL harnesses of internal/psample run the same kernels at B = 1.
+// Advancing one vertex in many chains at once fetches the per-vertex plan
+// once per vertex instead of once per chain and walks each factor table
+// for all chains while it is cache-hot, over contiguous memory — one byte
+// per cell on the compact lattice, which keeps the B×n working set in
+// cache at large B.
 
 // BatchScratch holds the per-goroutine buffers of the batched kernels.
 type BatchScratch struct {
@@ -40,142 +36,4 @@ func (sc *BatchScratch) deltaBuf(n int) []int32 {
 		sc.delta = make([]int32, n)
 	}
 	return sc.delta[:n]
-}
-
-// CondWeightsBatch fills buf with the unnormalized heat-bath conditional
-// weights of vertex v for the chains c0 ≤ c < c1 of the lattice: on return
-// buf[(c-c0)*q+x] is the product over factors containing v of the factor
-// evaluated with v set to x and every other scope vertex read from chain c.
-// It is the exact batched equivalent of calling CondWeightsLattice once per
-// chain, performs no allocation on the table path (sc must come from
-// NewBatchScratch with capacity ≥ c1−c0), and never writes the lattice. The
-// filled prefix buf[:(c1−c0)*q] is returned.
-//
-// Distinct vertex rows of the lattice may be written concurrently by other
-// goroutines only if they are not in any factor scope with v — the same
-// independence contract as simultaneous heat-bath updates.
-func (c *Compiled) CondWeightsBatch(l *state.Lattice, v, c0, c1 int, buf []float64, sc *BatchScratch) ([]float64, error) {
-	if v < 0 || v >= c.n {
-		return nil, fmt.Errorf("gibbs: batch conditional vertex %d out of range", v)
-	}
-	B := l.Chains()
-	nb := c1 - c0
-	if c0 < 0 || c1 > B || nb <= 0 {
-		return nil, fmt.Errorf("gibbs: batch chain range [%d,%d) invalid for B=%d", c0, c1, B)
-	}
-	if l.N() < c.n {
-		return nil, fmt.Errorf("gibbs: batch lattice has %d vertices, need %d", l.N(), c.n)
-	}
-	if len(buf) < nb*c.q {
-		return nil, fmt.Errorf("gibbs: batch buffer has %d entries, need (c1−c0)·q = %d", len(buf), nb*c.q)
-	}
-	if sc == nil || len(sc.base) < nb {
-		sc = NewBatchScratch(nb)
-	}
-	w := buf[:nb*c.q]
-	for i := range w {
-		w[i] = 1
-	}
-	if u8 := l.Raw8(); u8 != nil {
-		return condWeightsBatchCells(c, u8, B, v, c0, c1, w, sc)
-	}
-	return condWeightsBatchCells(c, l.RawWide(), B, v, c0, c1, w, sc)
-}
-
-// condWeightsBatchCells is the width-specialized batch kernel body; cells
-// is the lattice backing array (layout cells[u*B+c]) and w is the
-// pre-initialized (c1−c0)·q weight buffer.
-func condWeightsBatchCells[T state.Cells](c *Compiled, cells []T, B, v, c0, c1 int, w []float64, sc *BatchScratch) ([]float64, error) {
-	nb := c1 - c0
-	base := sc.base[:nb]
-	q := c.q
-	q32 := int32(q)
-	for _, fi := range c.FactorsAt(v) {
-		f := &c.factors[fi]
-		if f.table == nil {
-			if err := condClosureBatch(c, f, cells, B, v, c0, c1, w, sc); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		for i := range base {
-			base[i] = 0
-		}
-		sv := int32(0)
-		for j, u := range f.scope {
-			if int(u) == v {
-				// Repeated occurrences of v all take the same symbol, so
-				// their strides simply accumulate.
-				sv += f.strides[j]
-				continue
-			}
-			row := cells[int(u)*B+c0 : int(u)*B+c1]
-			st := f.strides[j]
-			for i, x := range row {
-				if !state.Valid(x, q) {
-					return nil, fmt.Errorf("gibbs: batch conditional at %d: scope vertex %d unassigned in chain %d", v, u, c0+i)
-				}
-				base[i] += int32(x) * st
-			}
-		}
-		// The per-chain table walk is the hottest loop of the whole batch
-		// engine; straight-line bodies for the small alphabets every model
-		// builder uses (q = 2 spins, small palettes) drop the loop
-		// overhead that dominates at tiny q. The multiplication order
-		// matches the generic loop exactly (bit-identical weights).
-		table := f.table
-		switch q32 {
-		case 2:
-			for i := 0; i < nb; i++ {
-				bi := base[i]
-				row := w[2*i : 2*i+2 : 2*i+2]
-				row[0] *= table[bi]
-				row[1] *= table[bi+sv]
-			}
-		case 3:
-			for i := 0; i < nb; i++ {
-				bi := base[i]
-				row := w[3*i : 3*i+3 : 3*i+3]
-				row[0] *= table[bi]
-				row[1] *= table[bi+sv]
-				row[2] *= table[bi+2*sv]
-			}
-		default:
-			for i := 0; i < nb; i++ {
-				bi := base[i]
-				row := w[i*q : (i+1)*q]
-				for x := int32(0); x < q32; x++ {
-					row[x] *= table[bi+x*sv]
-				}
-			}
-		}
-	}
-	return w, nil
-}
-
-// condClosureBatch is the fallback for closure-backed factors: one scope
-// assignment per (chain, symbol), evaluated through the closure.
-func condClosureBatch[T state.Cells](c *Compiled, f *cfactor, cells []T, B, v, c0, c1 int, w []float64, sc *BatchScratch) error {
-	if len(sc.assign) < len(f.scope) {
-		sc.assign = make([]int, len(f.scope))
-	}
-	assign := sc.assign[:len(f.scope)]
-	for i := 0; i < c1-c0; i++ {
-		ch := c0 + i
-		for x := 0; x < c.q; x++ {
-			for j, u := range f.scope {
-				if int(u) == v {
-					assign[j] = x
-					continue
-				}
-				xu := cells[int(u)*B+ch]
-				if !state.Valid(xu, c.q) {
-					return fmt.Errorf("gibbs: batch conditional at %d: scope vertex %d unassigned in chain %d", v, u, ch)
-				}
-				assign[j] = int(xu)
-			}
-			w[i*c.q+x] *= f.eval(assign)
-		}
-	}
-	return nil
 }

@@ -1,14 +1,17 @@
 package gibbs
 
-// batch_test.go pins the lattice kernels to the dist.Config ones:
-// CondWeightsBatch over a chain-major lattice must agree exactly
-// (bit-for-bit on the table path) with CondWeights called once per chain,
-// on the dense-table and closure fallback paths and on both cell
-// representations (compact uint8 and wide int); CondWeightsLattice must do
-// the same for a single chain.
+// batch_test.go pins the lattice kernels to the dist.Config referees on
+// single-chain views: the sweep-plan weights and the fused draw at one
+// chain must reproduce CondWeights and dist.SampleWeights bit for bit
+// when only the updated vertex's neighborhood is assigned (the partial
+// views of the LOCAL harnesses), FilterWeightBatch at one chain must
+// reproduce FilterWeight, and the exact enumerator's lattice evaluators
+// must match EvalFull and PartialWeight.
 
 import (
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dist"
@@ -59,50 +62,72 @@ func randomChains(n, q, B int, seed int64) []dist.Config {
 	return chains
 }
 
-func testBatchAgainstSingle(t *testing.T, eng *Compiled, wide bool) {
+// neighborhoodView returns cfg restricted to v and the scope vertices of
+// v's factors, every other vertex Unset — what a LOCAL node holds when it
+// updates v.
+func neighborhoodView(eng *Compiled, cfg dist.Config, v int) dist.Config {
+	view := dist.NewConfig(len(cfg))
+	view[v] = cfg[v]
+	for _, fi := range eng.FactorsAt(v) {
+		for _, u := range eng.factors[fi].scope {
+			view[u] = cfg[u]
+		}
+	}
+	return view
+}
+
+// testSingleChainViews drives the one-chain kernels over partial views:
+// for every vertex of random configurations, CondWeightsBatchPlan at
+// (0, 1) must equal CondWeights, and SampleVertexBatch must draw the
+// symbol dist.SampleWeights draws from those weights for the same uniform,
+// with the cache on and off.
+func testSingleChainViews(t *testing.T, eng *Compiled, wide bool) {
 	t.Helper()
 	n, q := eng.N(), eng.Q()
-	const B = 7
-	chains := randomChains(n, q, B, 9)
 	if wide {
 		defer state.SetCompactLimitForTest(0)()
 	}
-	lat, err := state.Pack(n, q, chains)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lat.Compact() == wide {
-		t.Fatalf("lattice Compact() = %v with wide=%v", lat.Compact(), wide)
-	}
-	sc := NewBatchScratch(B)
-	buf := make([]float64, B*q)
-	single := make([]float64, q)
-	lsingle := make([]float64, q)
-	for v := 0; v < n; v++ {
-		for _, span := range [][2]int{{0, B}, {2, 5}, {B - 1, B}} {
-			c0, c1 := span[0], span[1]
-			got, err := eng.CondWeightsBatch(lat, v, c0, c1, buf, sc)
+	buf := make([]float64, q)
+	ref := make([]float64, q)
+	rng := dist.NewXoshiro(9, 0)
+	for trial, cfg := range randomChains(n, q, 12, 9) {
+		if trial%2 == 0 {
+			eng.SetCondMode(CondAuto)
+		} else {
+			eng.SetCondMode(CondOff)
+		}
+		for v := 0; v < n; v++ {
+			view := neighborhoodView(eng, cfg, v)
+			lat, err := state.Pack(n, q, []dist.Config{view})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for c := c0; c < c1; c++ {
-				want, err := eng.CondWeights(chains[c], v, single)
-				if err != nil {
-					t.Fatal(err)
+			if lat.Compact() == wide {
+				t.Fatalf("lattice Compact() = %v with wide=%v", lat.Compact(), wide)
+			}
+			want, err := eng.CondWeights(view, v, ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := eng.CondWeightsBatchPlan(lat, v, 0, 1, buf, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for x := 0; x < q; x++ {
+				if got[x] != want[x] {
+					t.Fatalf("v=%d x=%d: plan %v != CondWeights %v", v, x, got[x], want[x])
 				}
-				lw, err := eng.CondWeightsLattice(lat, c, v, lsingle)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for x := 0; x < q; x++ {
-					if got[(c-c0)*q+x] != want[x] {
-						t.Fatalf("v=%d chain=%d span=[%d,%d) x=%d: batch %v != single %v",
-							v, c, c0, c1, x, got[(c-c0)*q+x], want[x])
-					}
-					if lw[x] != want[x] {
-						t.Fatalf("v=%d chain=%d x=%d: lattice %v != config %v", v, c, x, lw[x], want[x])
-					}
-				}
+			}
+			shadow := rng
+			wx, err := dist.SampleWeights(want, &shadow)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.SampleVertexBatch(lat, v, 0, 1, buf, nil, &rng); err != nil {
+				t.Fatal(err)
+			}
+			if gx := lat.Get(v, 0); gx != wx || rng != shadow {
+				t.Fatalf("trial %d v=%d: fused drew %d, SampleWeights %d (streams equal: %v)", trial, v, gx, wx, rng == shadow)
 			}
 		}
 	}
@@ -115,18 +140,19 @@ func TestCondWeightsBatchMatchesSingle(t *testing.T) {
 		wide bool
 	}{{"compact", false}, {"wide", true}} {
 		t.Run(rep.name, func(t *testing.T) {
-			t.Run("tabled", func(t *testing.T) { testBatchAgainstSingle(t, Compile(s), rep.wide) })
+			t.Run("tabled", func(t *testing.T) { testSingleChainViews(t, Compile(s), rep.wide) })
 			// A cap of 0 forces every closure factor onto the fallback path
 			// while explicit tables stay tabled — both kernel paths in one
-			// batch.
-			t.Run("closure-fallback", func(t *testing.T) { testBatchAgainstSingle(t, CompileCap(s, 0), rep.wide) })
+			// engine.
+			t.Run("closure-fallback", func(t *testing.T) { testSingleChainViews(t, CompileCap(s, 0), rep.wide) })
 		})
 	}
 }
 
-// TestLatticePartialKernels pins EvalFullLattice and PartialWeightAtLattice
-// to their dist.Config counterparts on partial configurations, for both
-// representations.
+// TestLatticePartialKernels pins the exact enumerator's lattice
+// evaluators — EvalFullLattice, PartialWeightAtCells1 and
+// PartialWeightLattice — to their dist.Config counterparts on partial
+// configurations, for both representations.
 func TestLatticePartialKernels(t *testing.T) {
 	eng := Compile(batchSpec(t))
 	n, q := eng.N(), eng.Q()
@@ -155,8 +181,14 @@ func TestLatticePartialKernels(t *testing.T) {
 				}
 			}
 			for v := 0; v < n; v++ {
-				if got, want := eng.PartialWeightAtLattice(lat, 0, v), eng.PartialWeightAt(cfg, v); got != want {
-					t.Fatalf("wide=%v PartialWeightAt(%d) on %v: lattice %v != config %v", wide, v, cfg, got, want)
+				var got float64
+				if u8 := lat.Raw8(); u8 != nil {
+					got = PartialWeightAtCells1(eng, u8, v)
+				} else {
+					got = PartialWeightAtCells1(eng, lat.RawWide(), v)
+				}
+				if want := eng.PartialWeightAt(cfg, v); got != want {
+					t.Fatalf("wide=%v PartialWeightAt(%d) on %v: cells %v != config %v", wide, v, cfg, got, want)
 				}
 			}
 			if got, want := eng.PartialWeightLattice(lat, 0), eng.PartialWeight(cfg); got != want {
@@ -176,40 +208,40 @@ func TestCondWeightsBatchRejectsBadInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]float64, B*q)
-	if _, err := eng.CondWeightsBatch(full, -1, 0, B, buf, nil); err == nil {
+	if _, err := eng.CondWeightsBatchPlan(full, -1, 0, B, buf, nil); err == nil {
 		t.Error("negative vertex accepted")
 	}
-	if _, err := eng.CondWeightsBatch(full, 0, 2, 1, buf, nil); err == nil {
+	if _, err := eng.CondWeightsBatchPlan(full, n, 0, B, buf, nil); err == nil {
+		t.Error("vertex past n accepted")
+	}
+	if _, err := eng.CondWeightsBatchPlan(full, 0, 2, 1, buf, nil); err == nil {
 		t.Error("empty chain range accepted")
+	}
+	if _, err := eng.CondWeightsBatchPlan(full, 0, 0, B+1, buf, nil); err == nil {
+		t.Error("chain range past B accepted")
 	}
 	short, err := state.New(n-1, B, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.CondWeightsBatch(short, 0, 0, B, buf, nil); err == nil {
+	if _, err := eng.CondWeightsBatchPlan(short, 0, 0, B, buf, nil); err == nil {
 		t.Error("short lattice accepted")
 	}
-	if _, err := eng.CondWeightsBatch(full, 0, 0, B, buf[:1], nil); err == nil {
+	if _, err := eng.CondWeightsBatchPlan(full, 0, 0, B, buf[:1], nil); err == nil {
 		t.Error("short buffer accepted")
-	}
-	full.Set(1, 2, dist.Unset)
-	if _, err := eng.CondWeightsBatch(full, 0, 0, B, buf, nil); err == nil {
-		t.Error("unassigned neighbor accepted")
-	}
-	if _, err := eng.CondWeightsLattice(full, 2, 0, buf); err == nil {
-		t.Error("unassigned neighbor accepted by single-chain kernel")
-	}
-	if _, err := eng.CondWeightsLattice(full, B, 0, buf); err == nil {
-		t.Error("out-of-range chain accepted")
 	}
 }
 
-// TestFilterWeightLatticeMatchesConfig pins the lattice filter kernel to
-// FilterWeight on random (old, proposal) pairs, table and closure paths,
-// both representations.
+// TestFilterWeightLatticeMatchesConfig pins the one-chain lattice filter
+// the LOCAL harness runs — FilterWeightBatch over (0, 1) — to FilterWeight
+// on random (old, proposal) pairs and random toggled subsets (the empty
+// one included), both representations. Closure-backed factors are
+// rejected with ErrNotTabled rather than evaluated.
 func TestFilterWeightLatticeMatchesConfig(t *testing.T) {
 	s := batchSpec(t)
-	rng := rand.New(rand.NewSource(12))
+	rng := dist.NewXoshiro(12, 0)
+	sc := NewBatchScratch(1)
+	out := make([]float64, 1)
 	for _, cap := range []int{DefaultTableCap, 0} {
 		eng := CompileCap(s, cap)
 		n, q := eng.N(), eng.Q()
@@ -232,23 +264,26 @@ func TestFilterWeightLatticeMatchesConfig(t *testing.T) {
 				for i, f := range s.Factors {
 					verts := make([]int, 0, len(f.Scope))
 					for _, u := range f.Scope {
-						seen := false
-						for _, d := range verts {
-							if d == u {
-								seen = true
-							}
-						}
-						if !seen && rng.Intn(2) == 0 {
+						if !slices.Contains(verts, u) && rng.IntN(2) == 0 {
 							verts = append(verts, u)
 						}
 					}
-					want, werr := eng.FilterWeight(i, old, prop, verts)
-					got, gerr := eng.FilterWeightLattice(i, lo, lp, 0, verts)
-					if (werr == nil) != (gerr == nil) {
-						t.Fatalf("cap=%d wide=%v factor %d verts %v: err %v vs %v", cap, wide, i, verts, gerr, werr)
+					err := eng.FilterWeightBatch(i, lo, lp, 0, 1, verts, out, sc)
+					if !eng.Tabled(i) && len(verts) > 0 {
+						if !errors.Is(err, ErrNotTabled) {
+							t.Fatalf("cap=%d factor %d: closure factor err = %v, want ErrNotTabled", cap, i, err)
+						}
+						continue
 					}
-					if got != want {
-						t.Fatalf("cap=%d wide=%v factor %d verts %v: lattice %v != config %v", cap, wide, i, verts, got, want)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := eng.FilterWeight(i, old, prop, verts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if out[0] != want {
+						t.Fatalf("cap=%d wide=%v factor %d verts %v: lattice %v != config %v", cap, wide, i, verts, out[0], want)
 					}
 				}
 			}

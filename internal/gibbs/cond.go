@@ -13,7 +13,11 @@ package gibbs
 // neighbor cells of the chain block into codes (one multiply-accumulate
 // per (neighbor, chain), a shift-or at q = 2), index the CDF row, and do
 // one branchless threshold draw per chain — no factor walk, no per-draw
-// validation, no weight buffer.
+// validation, no weight buffer. A one-chain call takes a scalar path
+// (condSampleOne), and that is how every single-site caller — the B = 1
+// engines, the sequential Glauber chain and the LOCAL harnesses of
+// internal/psample — reads the cache, through the same kernel entry
+// points as the batched engines.
 //
 // Draw equivalence (the load-bearing argument): dist.sampleWalk returns
 // the first positive-weight symbol whose running total exceeds
@@ -415,10 +419,11 @@ func condSampleDense[T state.Cells](q int, cv *condVertex, cells []T, B, v, c0, 
 }
 
 // condSampleOne draws vertex v in the one chain ch — the one-chain block
-// or list of condSampleDense and condSampleSubset (B = 1 engines, ragged
-// tails, lone phase winners). The code is a scalar accumulation, with no
-// scratch row and no per-neighbor slicing, and the draw is the row-wise
-// threshold walk the wide paths unroll, so it is bit-identical to them.
+// or list of condSampleDense and condSampleSubset (B = 1 engines, the
+// sequential Glauber chain, the LOCAL harnesses, ragged tails, lone phase
+// winners). The code is a scalar accumulation, with no scratch row and no
+// per-neighbor slicing, and the draw is the row-wise threshold walk the
+// wide paths unroll, so it is bit-identical to them.
 func condSampleOne[T state.Cells](q int, cv *condVertex, cells []T, B, v, ch int, rng *dist.Xoshiro) error {
 	code := 0
 	for _, u := range cv.nbrs {
@@ -429,7 +434,15 @@ func condSampleOne[T state.Cells](q int, cv *condVertex, cells []T, B, v, ch int
 	if m == condBad {
 		return rowError(row, v, ch)
 	}
-	cells[v*B+ch] = T(CondDrawCum(row, int(m), rng.Float64()))
+	u := rng.Float64() * row[q-1]
+	x := int(m)
+	for j, cum := range row {
+		if u < cum {
+			x = j
+			break
+		}
+	}
+	cells[v*B+ch] = T(x)
 	return nil
 }
 
@@ -509,66 +522,4 @@ func condSampleWide[T state.Cells](q int, cv *condVertex, cells []T, B, v int, c
 		}
 	}
 	return nil
-}
-
-// CondLookupLattice returns the cached cumulative conditional row of
-// vertex v under chain `chain`'s neighborhood, with the row's last
-// positive symbol — the B = 1 entry point of the single-chain heat-bath
-// step. ok is false whenever the lookup cannot serve the call (mode off,
-// uncached vertex, out-of-range arguments, an unassigned neighbor cell,
-// or a bad row); the caller then falls back to CondWeightsLattice +
-// dist.SampleWeights, which reproduces the uncached path's exact
-// diagnostics without a uniform having been consumed.
-func (c *Compiled) CondLookupLattice(l *state.Lattice, chain, v int) (cum []float64, lastPos int, ok bool) {
-	if v < 0 || v >= c.n || l.N() < c.n || chain < 0 || chain >= l.Chains() {
-		return nil, 0, false
-	}
-	cc := c.condForSample()
-	if cc == nil {
-		return nil, 0, false
-	}
-	cv := cc.at(v)
-	if cv == nil {
-		return nil, 0, false
-	}
-	B, q := l.Chains(), c.q
-	code := 0
-	if u8 := l.Raw8(); u8 != nil {
-		for _, u := range cv.nbrs {
-			x := u8[int(u)*B+chain]
-			if !state.Valid(x, q) {
-				return nil, 0, false
-			}
-			code = code*q + int(x)
-		}
-	} else {
-		wide := l.RawWide()
-		for _, u := range cv.nbrs {
-			x := wide[int(u)*B+chain]
-			if !state.Valid(x, q) {
-				return nil, 0, false
-			}
-			code = code*q + int(x)
-		}
-	}
-	m := cv.meta[code]
-	if m == condBad {
-		return nil, 0, false
-	}
-	return cv.rows[code*q : (code+1)*q], int(m), true
-}
-
-// CondDrawCum maps one uniform u ∈ [0,1) through a cached cumulative row:
-// the first symbol whose cumulative weight exceeds u·total, rounding slack
-// falling to lastPos. For equal uniforms it returns exactly what
-// dist.SampleWeights returns on the raw weight row (see the equivalence
-// argument at the top of this file).
-func CondDrawCum(cum []float64, lastPos int, u float64) int {
-	t := u * cum[len(cum)-1]
-	for j, acc := range cum {
-		if t < acc {
-			return j
-		}
-	}
-	return lastPos
 }

@@ -3,10 +3,11 @@ package gibbs
 // cond_test.go pins the conditional-CDF cache to the plan path it
 // replaces, mirroring plan_test.go: with identical uniform variates a
 // cache-covered engine must write exactly the symbols the plan kernels
-// draw (dense blocks, masked subsets, and the B = 1 lattice lookup),
-// consume exactly the same number of uniforms, keep partial coverage
-// bit-identical, and surface byte-for-byte the same bad-row errors —
-// without consuming the erroring chain's uniform.
+// draw (dense blocks, bound subsets, and the one-chain path every
+// single-site caller takes, which must also match dist.SampleWeights on
+// CondWeights), consume exactly the same number of uniforms, keep partial
+// coverage bit-identical, and surface byte-for-byte the same bad-row
+// errors — without consuming the erroring chain's uniform.
 
 import (
 	"testing"
@@ -78,7 +79,7 @@ func condEngines(t *testing.T, s *Spec, tableCap int) (off, on *Compiled) {
 }
 
 // TestCondSamplingMatchesPlanPath is the shadow-RNG equivalence property:
-// the cached dense, subset, and bound-subset kernels must write exactly
+// the cached dense and bound-subset kernels must write exactly
 // the cells the plan kernels write for identical generator states, on
 // compact and forced-wide lattices, on the tabled and closure-fallback
 // engines.
@@ -147,20 +148,7 @@ func TestCondSamplingMatchesPlanPath(t *testing.T) {
 								}
 							}
 							same("dense")
-							// Masked subsets, including the unbound entry point.
 							subsets := [][]int32{{0}, {1, 3, 4}, {0, 1, 2, 3, 4, 5}, {5}}
-							for sweep := 0; sweep < 4; sweep++ {
-								for v := 0; v < n; v++ {
-									chains := subsets[(sweep+v)%len(subsets)]
-									if err := engOff.SampleVertexSubset(latOff, v, chains, buf, sc, &rngOff); err != nil {
-										t.Fatal(err)
-									}
-									if err := engOn.SampleVertexSubset(latOn, v, chains, buf, sc, &rngOn); err != nil {
-										t.Fatal(err)
-									}
-								}
-							}
-							same("subset")
 							bindOff, err := engOff.BindVertexSubset(latOff)
 							if err != nil {
 								t.Fatal(err)
@@ -169,9 +157,9 @@ func TestCondSamplingMatchesPlanPath(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							for sweep := 0; sweep < 4; sweep++ {
+							for sweep := 0; sweep < 8; sweep++ {
 								for v := 0; v < n; v++ {
-									chains := subsets[(sweep+v+1)%len(subsets)]
+									chains := subsets[(sweep+v)%len(subsets)]
 									if err := bindOff(v, chains, buf, sc, &rngOff); err != nil {
 										t.Fatal(err)
 									}
@@ -189,63 +177,59 @@ func TestCondSamplingMatchesPlanPath(t *testing.T) {
 	}
 }
 
-// TestCondLookupLatticeMatchesSampleWeights pins the B = 1 path: for the
-// same uniform, CondLookupLattice + CondDrawCum must return exactly the
-// symbol dist.SampleWeightsX draws from the CondWeightsLattice row.
+// TestCondLookupLatticeMatchesSampleWeights pins the one-chain cache
+// lookup — the path of the sequential chain, the LOCAL harnesses and the
+// B = 1 engines — to the referee: for the same uniform, the cached draw
+// through SampleVertexBatch at (0, 1) and through the kernel bound to the
+// list {0} must return exactly the symbol dist.SampleWeights draws from
+// CondWeights, consuming one uniform.
 func TestCondLookupLatticeMatchesSampleWeights(t *testing.T) {
 	for _, spec := range condTestSpecs(t) {
 		t.Run(spec.name, func(t *testing.T) {
 			_, eng := condEngines(t, spec.s, DefaultTableCap)
 			n, q := eng.N(), eng.Q()
-			lat, err := state.Pack(n, q, randomChains(n, q, 1, 3))
+			if st := eng.CondStats(); st.Cached != n {
+				t.Fatalf("cache covers %d of %d vertices, want all", st.Cached, n)
+			}
+			cfg := randomChains(n, q, 1, 3)[0]
+			lat, err := state.Pack(n, q, []dist.Config{cfg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bound, err := eng.BindVertexSubset(lat)
 			if err != nil {
 				t.Fatal(err)
 			}
 			buf := make([]float64, q)
+			ref := make([]float64, q)
 			rng := dist.NewXoshiro(99, 0)
 			for sweep := 0; sweep < 50; sweep++ {
 				for v := 0; v < n; v++ {
 					shadow := rng
-					w, err := eng.CondWeightsLattice(lat, 0, v, buf)
+					w, err := eng.CondWeights(cfg, v, ref)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := dist.SampleWeightsX(w, &shadow)
+					want, err := dist.SampleWeights(w, &shadow)
 					if err != nil {
 						t.Fatal(err)
 					}
-					cum, last, ok := eng.CondLookupLattice(lat, 0, v)
-					if !ok {
-						t.Fatalf("vertex %d not served by the cache", v)
+					if sweep%2 == 0 {
+						err = eng.SampleVertexBatch(lat, v, 0, 1, buf, nil, &rng)
+					} else {
+						err = bound(v, []int32{0}, buf, nil, &rng)
 					}
-					got := CondDrawCum(cum, last, rng.Float64())
-					if got != want {
-						t.Fatalf("sweep %d v=%d: cache drew %d, SampleWeightsX %d", sweep, v, got, want)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := lat.Get(v, 0); got != want {
+						t.Fatalf("sweep %d v=%d: cache drew %d, SampleWeights %d", sweep, v, got, want)
 					}
 					if rng != shadow {
 						t.Fatalf("sweep %d v=%d: uniform consumption diverged", sweep, v)
 					}
-					lat.Set(v, 0, got)
+					cfg[v] = want
 				}
-			}
-			// The lookup declines calls it cannot serve instead of guessing.
-			eng.SetCondMode(CondOff)
-			if _, _, ok := eng.CondLookupLattice(lat, 0, 0); ok {
-				t.Error("lookup served a CondOff engine")
-			}
-			eng.SetCondMode(CondAuto)
-			if _, _, ok := eng.CondLookupLattice(lat, 0, -1); ok {
-				t.Error("lookup served a negative vertex")
-			}
-			if _, _, ok := eng.CondLookupLattice(lat, 1, 0); ok {
-				t.Error("lookup served an out-of-range chain")
-			}
-			fresh, err := state.New(n, 1, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, _, ok := eng.CondLookupLattice(fresh, 0, 0); ok {
-				t.Error("lookup served an unset neighborhood")
 			}
 		})
 	}
@@ -379,14 +363,17 @@ func TestCondBadRowMatchesPlanError(t *testing.T) {
 	if rngOff != rngOn {
 		t.Fatal("generators diverged on the error path")
 	}
-	// The B = 1 lookup declines bad rows so the fallback rebuilds the same
-	// error.
-	if _, _, ok := engOn.CondLookupLattice(mk(), 0, 1); ok {
-		t.Error("lookup served a zero-mass row")
+	// Bound subset kernel, same contract.
+	bindOff, err := engOff.BindVertexSubset(mk())
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Subset kernel, same contract.
-	errOff = engOff.SampleVertexSubset(mk(), 1, []int32{0}, buf, nil, &rngOff)
-	errOn = engOn.SampleVertexSubset(mk(), 1, []int32{0}, buf, nil, &rngOn)
+	bindOn, err := engOn.BindVertexSubset(mk())
+	if err != nil {
+		t.Fatal(err)
+	}
+	errOff = bindOff(1, []int32{0}, buf, nil, &rngOff)
+	errOn = bindOn(1, []int32{0}, buf, nil, &rngOn)
 	if errOff == nil || errOn == nil || errOff.Error() != errOn.Error() {
 		t.Fatalf("subset errors differ:\noff: %v\non:  %v", errOff, errOn)
 	}

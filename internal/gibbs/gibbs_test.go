@@ -298,7 +298,7 @@ func TestNewInstanceValidation(t *testing.T) {
 	}
 }
 
-func TestConsistentTotalAndWeightIfConsistent(t *testing.T) {
+func TestConsistentTotal(t *testing.T) {
 	g := graph.Path(2)
 	s := hardcoreSpec(t, g, 2)
 	in, _ := NewInstance(s, dist.Config{1, dist.Unset})
@@ -307,14 +307,6 @@ func TestConsistentTotalAndWeightIfConsistent(t *testing.T) {
 	}
 	if in.ConsistentTotal(dist.Config{0, 0}) {
 		t.Error("inconsistent config accepted")
-	}
-	w, err := in.WeightIfConsistent(dist.Config{0, 1})
-	if err != nil || w != 0 {
-		t.Fatalf("inconsistent weight = %v err %v", w, err)
-	}
-	w, err = in.WeightIfConsistent(dist.Config{1, 0})
-	if err != nil || w != 2 {
-		t.Fatalf("consistent weight = %v err %v", w, err)
 	}
 }
 

@@ -89,12 +89,3 @@ func (in *Instance) ConsistentTotal(c dist.Config) bool {
 	}
 	return true
 }
-
-// WeightIfConsistent returns w(c) when c extends the pinning and 0
-// otherwise.
-func (in *Instance) WeightIfConsistent(c dist.Config) (float64, error) {
-	if !in.ConsistentTotal(c) {
-		return 0, nil
-	}
-	return in.Spec.Weight(c)
-}

@@ -1,32 +1,34 @@
 package gibbs
 
-// plan.go compiles the per-vertex factor walk of batch.go into flat sweep
-// plans and fuses heat-bath sampling into the weight computation — the
-// "run the hot loop at hardware speed" layer on top of the chain-major
-// lattice of PR 5.
+// plan.go compiles each vertex's factor walk into a flat sweep plan and
+// fuses heat-bath sampling into the weight computation — the "run the hot
+// loop at hardware speed" layer on top of the chain-major lattice.
 //
-// CondWeightsBatch interprets the factor graph on every call: it walks
-// FactorsAt(v), re-derives which scope entries are v, re-reads unary
-// factors that cannot differ between chains, and validates every cell it
-// touches. A SweepPlan does that interpretation exactly once per Compiled:
-// for each vertex the prefix run of unary factors is folded into a single
-// precomputed per-symbol prior row, each dense pair factor is lowered to a
-// flat gather (neighbor row, accumulated strides, table), factors of
-// three or more distinct vertices keep a generic entry, and closure-backed
-// factors keep a fallback entry — so the hot loop is a straight run over a
-// flat instruction stream with no dispatch and no per-cell checks. Every
-// multiplication happens in the same order as the interpreted kernel, so
-// planned weights are bit-identical to CondWeightsBatch (pinned by the
-// root-level property test across all model builders).
+// Interpreting the factor graph per update means walking FactorsAt(v),
+// re-deriving which scope entries are v, re-reading unary factors that
+// cannot differ between chains, and validating every cell touched — what
+// CondWeights, the dist.Config referee, still does. A SweepPlan does that
+// interpretation exactly once per Compiled: for each vertex the prefix run
+// of unary factors is folded into a single precomputed per-symbol prior
+// row, each dense pair factor is lowered to a flat gather (neighbor row,
+// accumulated strides, table), factors of three or more distinct vertices
+// keep a generic entry, and closure-backed factors keep a fallback entry —
+// so the hot loop is a straight run over a flat instruction stream with no
+// dispatch and no per-cell checks. Every multiplication happens in the
+// same order as CondWeights, so planned weights are bit-identical to it
+// (pinned by the root-level property test across all model builders).
 //
 // The fused kernel SampleVertexBatch draws the heat-bath symbol in the
 // same pass that computes the weight row, through the value-type
-// dist.Xoshiro generator instead of the *rand.Rand interface, with a
-// division-free threshold draw at q = 2. Validity is the caller's
-// contract: the lattice must pass state.Lattice.CheckAssigned before a
-// stage (sampled symbols are always in range, so one preflight per Run
-// covers every subsequent stage), which is what lets the innermost loops
-// drop the per-(neighbor, chain) checks of the interpreted kernel.
+// dist.Xoshiro generator, with a division-free threshold draw at q = 2;
+// the draw is exactly dist.SampleWeights on the planned row. Validity is
+// the caller's contract: every cell the kernel reads must hold an
+// in-range symbol. The batched engines establish it with one
+// state.Lattice.CheckAssigned preflight per Run (sampled symbols are
+// always in range, so it covers every subsequent stage); the LOCAL
+// harnesses of internal/psample, whose per-node views are partial, by
+// receiving every neighbor's spin before the first update. That contract
+// is what lets the innermost loops drop per-(neighbor, chain) checks.
 
 import (
 	"fmt"
@@ -201,10 +203,9 @@ func unaryRow(f *cfactor, q int, sv int32) []float64 {
 
 // planWeightRow fills w (length (c1−c0)·q) with the conditional weight
 // rows of vertex v's plan for chains c0 ≤ c < c1 — the width-specialized
-// straight-line body shared by CondWeightsBatchPlan and the fused sampler.
-// Every cell the plan reads must hold an assigned in-range symbol
-// (state.Lattice.CheckAssigned); the only diagnostics left in here are
-// Go's bounds checks.
+// straight-line body shared by CondWeightsBatchPlan, the fused sampler and
+// the cond-cache build. Every cell the plan reads must hold an in-range
+// symbol; the only diagnostics left in here are Go's bounds checks.
 func planWeightRow[T state.Cells](q int, vp *vertexPlan, cells []T, B, c0, c1 int, w []float64, sc *BatchScratch) {
 	nb := c1 - c0
 	if vp.prior == nil {
@@ -317,9 +318,11 @@ func planWeightRow[T state.Cells](q int, vp *vertexPlan, cells []T, B, c0, c1 in
 	}
 }
 
-// CondWeightsBatchPlan is CondWeightsBatch evaluated through the sweep
-// plan: identical contract, bit-identical weights, but the lattice must
-// already have passed CheckAssigned — the plan kernels do not diagnose
+// CondWeightsBatchPlan fills buf with the heat-bath conditional weight
+// rows of vertex v for the chains c0 ≤ c < c1 through the sweep plan: on
+// return buf[(c-c0)*q+x] equals CondWeights(chain c, v)[x] bit for bit,
+// and the filled prefix buf[:(c1−c0)*q] is returned. Every cell the plan
+// reads must hold an in-range symbol — the plan kernels do not diagnose
 // unset cells. It exists for the bit-identity property tests and for
 // callers that want weights without sampling.
 func (c *Compiled) CondWeightsBatchPlan(l *state.Lattice, v, c0, c1 int, buf []float64, sc *BatchScratch) ([]float64, error) {
@@ -343,10 +346,14 @@ func (c *Compiled) CondWeightsBatchPlan(l *state.Lattice, v, c0, c1 int, buf []f
 // SampleVertexBatch is the fused stage kernel of the batched sampler: it
 // computes the heat-bath conditional weight rows of vertex v for chains
 // c0 ≤ c < c1 through the sweep plan and immediately draws each chain's
-// new symbol into the lattice, one rng.Float64 per chain. buf needs
-// (c1−c0)·q entries and sc must come from NewBatchScratch; the lattice
-// must have passed CheckAssigned (the kernel writes only in-range
-// symbols, so one preflight covers any number of subsequent stages).
+// new symbol into the lattice, one rng.Float64 per chain — for each chain
+// exactly the symbol dist.SampleWeights draws from CondWeights for the
+// same uniform. buf needs (c1−c0)·q entries and sc must come from
+// NewBatchScratch (nil allocates one). Every cell the kernel reads — the
+// neighbors of v in the block's chains — must hold an in-range symbol;
+// the kernel writes only in-range symbols, so one CheckAssigned preflight
+// covers any number of subsequent stages, and a one-chain call
+// (c0, c1) = (0, 1) on a partial view is fine once v's neighbors are set.
 // Vertices covered by the conditional-CDF cache (cond.go) skip the plan
 // walk for a per-code table lookup; weights, draws, uniforms consumed,
 // and errors are bit-identical on both paths.

@@ -1,10 +1,10 @@
 package gibbs
 
-// plan_test.go pins the compiled sweep plans to the interpreted batch
-// kernel: CondWeightsBatchPlan must reproduce CondWeightsBatch bit-for-bit
-// on the table and closure paths and on both cell representations, the
-// fused SampleVertexBatch must draw exactly the symbols SampleWeights
-// semantics dictate for the same uniform variates, and the plan builder
+// plan_test.go pins the compiled sweep plans to the referees:
+// CondWeightsBatchPlan must reproduce CondWeights bit-for-bit per chain on
+// the table and closure paths and on both cell representations, the fused
+// SampleVertexBatch must draw exactly the symbols dist.SampleWeights draws
+// from CondWeights for the same uniform variates, and the plan builder
 // must fold unary prefixes into priors without disturbing factor order.
 
 import (
@@ -70,7 +70,7 @@ func pairSpecQ3(t *testing.T) *Spec {
 	return s
 }
 
-func testPlanAgainstBatch(t *testing.T, eng *Compiled, wide bool) {
+func testPlanAgainstCondWeights(t *testing.T, eng *Compiled, wide bool) {
 	t.Helper()
 	n, q := eng.N(), eng.Q()
 	const B = 7
@@ -86,28 +86,33 @@ func testPlanAgainstBatch(t *testing.T, eng *Compiled, wide bool) {
 		t.Fatalf("lattice Compact() = %v with wide=%v", lat.Compact(), wide)
 	}
 	sc := NewBatchScratch(B)
-	ref := make([]float64, B*q)
+	ref := make([]float64, q)
 	got := make([]float64, B*q)
 	for v := 0; v < n; v++ {
 		for _, span := range [][2]int{{0, B}, {2, 5}, {B - 1, B}} {
 			c0, c1 := span[0], span[1]
-			want, err := eng.CondWeightsBatch(lat, v, c0, c1, ref, sc)
-			if err != nil {
-				t.Fatal(err)
-			}
 			w, err := eng.CondWeightsBatchPlan(lat, v, c0, c1, got, sc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := range want {
-				if w[i] != want[i] {
-					t.Fatalf("v=%d span=[%d,%d) entry %d: plan %v != batch %v", v, c0, c1, i, w[i], want[i])
+			for c := c0; c < c1; c++ {
+				want, err := eng.CondWeights(chains[c], v, ref)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for x := 0; x < q; x++ {
+					if w[(c-c0)*q+x] != want[x] {
+						t.Fatalf("v=%d span=[%d,%d) chain %d x=%d: plan %v != CondWeights %v", v, c0, c1, c, x, w[(c-c0)*q+x], want[x])
+					}
 				}
 			}
 		}
 	}
 }
 
+// TestPlanWeightsMatchBatch pins the planned batch rows of a multi-chain
+// lattice, over full, interior and one-chain spans, to CondWeights on each
+// chain's configuration.
 func TestPlanWeightsMatchBatch(t *testing.T) {
 	for _, spec := range []struct {
 		name string
@@ -119,8 +124,8 @@ func TestPlanWeightsMatchBatch(t *testing.T) {
 				wide bool
 			}{{"compact", false}, {"wide", true}} {
 				t.Run(rep.name, func(t *testing.T) {
-					t.Run("tabled", func(t *testing.T) { testPlanAgainstBatch(t, Compile(spec.s), rep.wide) })
-					t.Run("closure-fallback", func(t *testing.T) { testPlanAgainstBatch(t, CompileCap(spec.s, 0), rep.wide) })
+					t.Run("tabled", func(t *testing.T) { testPlanAgainstCondWeights(t, Compile(spec.s), rep.wide) })
+					t.Run("closure-fallback", func(t *testing.T) { testPlanAgainstCondWeights(t, CompileCap(spec.s, 0), rep.wide) })
 				})
 			}
 		})
@@ -191,39 +196,23 @@ func TestSampleVertexBatchMatchesSampleWeights(t *testing.T) {
 			}
 			sc := NewBatchScratch(B)
 			buf := make([]float64, B*q)
-			ref := make([]float64, B*q)
+			ref := make([]float64, q)
 			rng := dist.NewXoshiro(5, 0)
 			for sweep := 0; sweep < 20; sweep++ {
 				for v := 0; v < n; v++ {
 					// The reference draw replays the same generator against
-					// the interpreted weights: copy the value-type RNG
-					// before the kernel consumes it.
+					// the referee weights: copy the value-type RNG before
+					// the kernel consumes it.
 					shadow := rng
-					w, err := eng.CondWeightsBatch(lat, v, 0, B, ref, sc)
-					if err != nil {
-						t.Fatal(err)
-					}
 					want := make([]int, B)
 					for c := 0; c < B; c++ {
-						row := w[c*q : (c+1)*q]
-						total := 0.0
-						for _, x := range row {
-							total += x
+						w, err := eng.CondWeights(lat.Chain(c), v, ref)
+						if err != nil {
+							t.Fatal(err)
 						}
-						u := shadow.Float64() * total
-						acc := 0.0
-						pick := -1
-						for x, wx := range row {
-							if wx <= 0 {
-								continue
-							}
-							pick = x
-							acc += wx
-							if u < acc {
-								break
-							}
+						if want[c], err = dist.SampleWeights(w, &shadow); err != nil {
+							t.Fatal(err)
 						}
-						want[c] = pick
 					}
 					if err := eng.SampleVertexBatch(lat, v, 0, B, buf, sc, &rng); err != nil {
 						t.Fatal(err)
@@ -264,8 +253,8 @@ func TestSampleVertexBatchZeroMass(t *testing.T) {
 	}
 }
 
-// TestSampleVertexBatchRejectsBadInput mirrors the argument checks of the
-// interpreted kernel.
+// TestSampleVertexBatchRejectsBadInput covers the argument checks of the
+// fused kernel.
 func TestSampleVertexBatchRejectsBadInput(t *testing.T) {
 	eng := Compile(batchSpec(t))
 	n, q := eng.N(), eng.Q()

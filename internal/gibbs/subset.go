@@ -1,26 +1,26 @@
 package gibbs
 
-// subset.go: the masked variants of the fused sweep-plan kernels for the
-// batched LubyGlauber engine. A Luby phase selects a random independent
-// set per chain, so the set of chains in which a given vertex updates is
-// an arbitrary subset of the chain block — SampleVertexSubset is
-// SampleVertexBatch over an explicit chain-index list instead of a dense
-// [c0,c1) range. The plan walk, the multiplication order, and the draw
-// semantics are those of the dense kernel (bit-identical weights, the
-// sampleWalk draw of dist.SampleWeights), so a one-chain subset produces
-// exactly the update of the single-chain heat-bath path. The same
-// contract applies: every cell the plan reads must already hold an
-// assigned in-range symbol (state.Lattice.CheckAssigned preflight), the
-// kernel writes only in-range symbols, and all diagnostics for bad weight
-// rows are built off the hot path by rowError.
+// subset.go: the masked variant of the fused sweep-plan kernel, and the
+// batched LocalMetropolis filter. A Luby phase selects a random
+// independent set per chain, so the set of chains in which a given vertex
+// updates is an arbitrary subset of the chain block — the kernel bound by
+// BindVertexSubset is SampleVertexBatch over an explicit chain-index list
+// instead of a dense [c0,c1) range. The plan walk, the multiplication
+// order, and the draw semantics are those of the dense kernel
+// (bit-identical weights, the draw of dist.SampleWeights), and the
+// one-chain list {0} on a one-chain lattice is the sequential Glauber
+// chain's heat-bath update. The same contract applies: every cell the
+// kernel reads must hold an in-range symbol, the kernel writes only
+// in-range symbols, and all diagnostics for bad weight rows are built off
+// the hot path by rowError.
 //
 // FilterWeightBatch is the LocalMetropolis companion: the subset-product
 // filter weight of one acceptance factor evaluated for a dense chain
 // block in one pass, amortizing the mixed-radix base and the per-toggled-
-// vertex index deltas across the block the way CondWeightsBatch amortizes
-// the factor walk. The per-chain mask walk keeps the order and the
-// early-exit-on-zero of the single-chain filterCells body, so the weights
-// are bit-identical per chain.
+// vertex index deltas across the block. The per-chain mask walk keeps the
+// order and the early-exit-on-zero of FilterWeight's table walk, so the
+// weights are bit-identical to it per chain; the LOCAL harness runs it at
+// one chain.
 
 import (
 	"fmt"
@@ -30,68 +30,25 @@ import (
 	"repro/internal/state"
 )
 
-// SampleVertexSubset heat-baths vertex v in exactly the listed chains:
-// conditional weight rows through the sweep plan, then one rng.Float64
-// draw per listed chain, written straight into the lattice. chains must
-// be in-range chain indices (engines pass them ascending so the RNG
-// consumption order is deterministic, but the kernel does not require
-// order); buf needs len(chains)·q entries. The lattice must have passed
-// CheckAssigned. An empty subset is a no-op.
-func (c *Compiled) SampleVertexSubset(l *state.Lattice, v int, chains []int32, buf []float64, sc *BatchScratch, rng *dist.Xoshiro) error {
-	nb := len(chains)
-	if nb == 0 {
-		return nil
-	}
-	if v < 0 || v >= c.n {
-		return fmt.Errorf("gibbs: batch conditional vertex %d out of range", v)
-	}
-	B := l.Chains()
-	for _, ch := range chains {
-		if ch < 0 || int(ch) >= B {
-			return fmt.Errorf("gibbs: subset chain %d out of range for B=%d", ch, B)
-		}
-	}
-	if l.N() < c.n {
-		return fmt.Errorf("gibbs: batch lattice has %d vertices, need %d", l.N(), c.n)
-	}
-	if len(buf) < nb*c.q {
-		return fmt.Errorf("gibbs: batch buffer has %d entries, need len(chains)·q = %d", len(buf), nb*c.q)
-	}
-	if sc == nil || len(sc.base) < nb {
-		sc = NewBatchScratch(nb)
-	}
-	if cc := c.condForSample(); cc != nil {
-		if cv := cc.at(v); cv != nil {
-			if u8 := l.Raw8(); u8 != nil {
-				return condSampleSubset(c.q, cv, u8, B, v, chains, sc, rng)
-			}
-			return condSampleSubset(c.q, cv, l.RawWide(), B, v, chains, sc, rng)
-		}
-	}
-	w := buf[:nb*c.q]
-	vp := &c.Plan().verts[v]
-	if u8 := l.Raw8(); u8 != nil {
-		return sampleSubsetCells(c.q, vp, u8, B, v, chains, w, sc, rng)
-	}
-	return sampleSubsetCells(c.q, vp, l.RawWide(), B, v, chains, w, sc, rng)
-}
-
-// VertexSubsetFn is a subset kernel bound to one lattice by
-// BindVertexSubset: SampleVertexSubset with the argument validation and
-// the cell-width dispatch hoisted out of the per-vertex call.
+// VertexSubsetFn is the subset kernel bound to one lattice by
+// BindVertexSubset: it heat-baths vertex v in exactly the listed chains —
+// conditional weight rows through the sweep plan (or the cond cache),
+// then one rng.Float64 draw per listed chain in list order, written
+// straight into the lattice. An empty list is a no-op.
 type VertexSubsetFn func(v int, chains []int32, buf []float64, sc *BatchScratch, rng *dist.Xoshiro) error
 
 // BindVertexSubset validates the lattice against the engine once and
 // returns the width-specialized subset kernel bound to its cells — the
-// per-round fast path of the batched LubyGlauber engine, which calls the
-// kernel once per free vertex. The returned function skips the per-call
-// checks of SampleVertexSubset, so the caller owns their contracts: v is
-// a valid vertex, chains lists in-range chain indices (ascending for a
-// deterministic RNG order), buf holds len(chains)·q entries, sc is a
-// scratch of the block size, and the lattice has passed CheckAssigned
-// and keeps its backing arrays (no grow) for the lifetime of the
-// binding. Weights, draws, and errors are exactly those of
-// SampleVertexSubset.
+// per-update path of the batched LubyGlauber engine, which calls it once
+// per free vertex, and of the sequential Glauber chain, which calls it
+// with the list {0}. The returned function does no per-call checks, so
+// the caller owns their contracts: v is a valid vertex, chains lists
+// in-range chain indices (ascending for a deterministic RNG order), buf
+// holds len(chains)·q entries, sc is a scratch of the block size, every
+// cell the kernel reads holds an in-range symbol, and the lattice keeps
+// its backing arrays (no grow) for the lifetime of the binding. Each
+// listed chain draws exactly the symbol dist.SampleWeights draws from
+// CondWeights for the same uniform.
 func (c *Compiled) BindVertexSubset(l *state.Lattice) (VertexSubsetFn, error) {
 	if l.N() < c.n {
 		return nil, fmt.Errorf("gibbs: batch lattice has %d vertices, need %d", l.N(), c.n)
@@ -434,13 +391,13 @@ func subsetPairOnlyQ3[T state.Cells](vp *vertexPlan, cells []T, B, v int, chains
 
 // FilterWeightBatch fills out[0:c1−c0] with the LocalMetropolis filter
 // weights of acceptance factor i between chains c of old (current) and
-// prop (proposal), c0 ≤ c < c1 — the batched equivalent of calling
-// FilterWeightLattice once per chain, bit-identical per chain. The factor
-// must be table-backed (ErrNotTabled otherwise; closure-backed acceptance
-// factors are rejected upstream by the rules compiler). Both lattices
-// must have passed CheckAssigned — the batch kernel drops the per-cell
-// validity checks of the single-chain body, exactly like the plan
-// kernels. sc amortizes the base and delta rows (nil allocates).
+// prop (proposal), c0 ≤ c < c1 — for each chain exactly FilterWeight on
+// that chain's two configurations, bit for bit. The factor must be
+// table-backed (ErrNotTabled otherwise; closure-backed acceptance factors
+// are rejected upstream by the rules compiler). Every cell the kernel
+// reads — the factor's scope in both lattices — must hold an in-range
+// symbol: the kernel has no per-cell validity checks, exactly like the
+// plan kernels. sc amortizes the base and delta rows (nil allocates).
 func (c *Compiled) FilterWeightBatch(i int, old, prop *state.Lattice, c0, c1 int, verts []int, out []float64, sc *BatchScratch) error {
 	if i < 0 || i >= len(c.factors) {
 		return fmt.Errorf("gibbs: filter factor %d out of range", i)
@@ -485,8 +442,8 @@ func (c *Compiled) FilterWeightBatch(i int, old, prop *state.Lattice, c0, c1 int
 // all-old base index accumulates vectorized over the chain block (one
 // multiply-add per scope occurrence per chain, contiguous reads), each
 // toggled vertex's index delta likewise, and then each chain runs the
-// single-chain mask walk — same mask order, same multiplication order,
-// same early exit on a zero term as filterCells.
+// mask walk — same mask order, same multiplication order, same early
+// exit on a zero term as FilterWeight's table walk.
 func filterBatchCells[T state.Cells](f *cfactor, old []T, oB int, prop []T, pB int, c0, c1 int, verts []int, out []float64, sc *BatchScratch) error {
 	nb := c1 - c0
 	if len(verts) == 2 && len(f.scope) == 2 &&

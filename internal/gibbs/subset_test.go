@@ -1,25 +1,26 @@
 package gibbs
 
-// subset_test.go pins the masked kernels to their per-chain references:
-// SampleVertexSubset must draw exactly what the reference walk over the
-// interpreted weights draws for the same uniforms, touch only the listed
-// chains, and agree bit-for-bit with the single-chain heat-bath on a
-// one-chain subset; FilterWeightBatch must reproduce FilterWeightLattice
-// per chain across arities and representations.
+// subset_test.go pins the masked kernels to the referees: the kernel
+// bound by BindVertexSubset must draw exactly what dist.SampleWeights
+// draws from CondWeights for the same uniforms, touch only the listed
+// chains, and on a one-chain list update like a sequential heat-bath
+// step; FilterWeightBatch must reproduce FilterWeight per chain across
+// arities and representations.
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/dist"
 	"repro/internal/state"
 )
 
-// TestSampleVertexSubsetMatchesReference drives the masked fused kernel
+// TestSampleVertexSubsetMatchesReference drives the bound masked kernel
 // over irregular chain subsets on all three plan paths (q=2 register,
-// q=3 register, buffered mixed-arity) and both representations, checking
-// each listed chain against the reference walk and each unlisted chain
-// for bit-exact preservation.
+// q=3 register, buffered mixed-arity), both representations, and with the
+// cond cache off and on, checking each listed chain against the referee
+// draw and each unlisted chain for bit-exact preservation.
 func TestSampleVertexSubsetMatchesReference(t *testing.T) {
 	for _, spec := range []struct {
 		name string
@@ -31,83 +32,11 @@ func TestSampleVertexSubsetMatchesReference(t *testing.T) {
 				wide bool
 			}{{"compact", false}, {"wide", true}} {
 				t.Run(rep.name, func(t *testing.T) {
-					eng := Compile(spec.s)
-					n, q := eng.N(), eng.Q()
-					const B = 8
 					if rep.wide {
 						defer state.SetCompactLimitForTest(0)()
 					}
-					lat, err := state.Pack(n, q, randomChains(n, q, B, 31))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if lat.Compact() == rep.wide {
-						t.Fatalf("lattice Compact() = %v with wide=%v", lat.Compact(), rep.wide)
-					}
-					if err := lat.CheckAssigned(); err != nil {
-						t.Fatal(err)
-					}
-					subsets := [][]int32{
-						{0}, {B - 1}, {2, 5}, {0, 3, 4, 7}, {1, 2, 3, 4, 5, 6}, {0, 1, 2, 3, 4, 5, 6, 7},
-					}
-					sc := NewBatchScratch(B)
-					buf := make([]float64, B*q)
-					ref := make([]float64, B*q)
-					before := make([]int, B)
-					rng := dist.NewXoshiro(11, 0)
-					for sweep := 0; sweep < 8; sweep++ {
-						for v := 0; v < n; v++ {
-							sub := subsets[(sweep*n+v)%len(subsets)]
-							in := make(map[int32]bool, len(sub))
-							for _, ch := range sub {
-								in[ch] = true
-							}
-							for c := 0; c < B; c++ {
-								before[c] = lat.Get(v, c)
-							}
-							// The reference draw replays the same generator
-							// against the interpreted weights.
-							shadow := rng
-							w, err := eng.CondWeightsBatch(lat, v, 0, B, ref, sc)
-							if err != nil {
-								t.Fatal(err)
-							}
-							want := make(map[int32]int, len(sub))
-							for _, ch := range sub {
-								row := w[int(ch)*q : (int(ch)+1)*q]
-								total := 0.0
-								for _, x := range row {
-									total += x
-								}
-								u := shadow.Float64() * total
-								acc := 0.0
-								pick := -1
-								for x, wx := range row {
-									if wx <= 0 {
-										continue
-									}
-									pick = x
-									acc += wx
-									if u < acc {
-										break
-									}
-								}
-								want[ch] = pick
-							}
-							if err := eng.SampleVertexSubset(lat, v, sub, buf, sc, &rng); err != nil {
-								t.Fatal(err)
-							}
-							for c := 0; c < B; c++ {
-								got := lat.Get(v, c)
-								if in[int32(c)] {
-									if got != want[int32(c)] {
-										t.Fatalf("sweep %d v=%d chain %d: subset drew %d, reference walk %d", sweep, v, c, got, want[int32(c)])
-									}
-								} else if got != before[c] {
-									t.Fatalf("sweep %d v=%d chain %d: unlisted chain changed %d -> %d", sweep, v, c, before[c], got)
-								}
-							}
-						}
+					for _, mode := range []CondMode{CondOff, CondAuto} {
+						testSubsetAgainstReference(t, spec.s, mode, rep.wide)
 					}
 				})
 			}
@@ -115,9 +44,74 @@ func TestSampleVertexSubsetMatchesReference(t *testing.T) {
 	}
 }
 
-// TestSampleVertexSubsetMatchesHeatBath is the gibbs-layer half of the
-// B=1 agreement contract: a one-chain subset must update exactly like the
-// single-chain heat-bath consuming the same uniform.
+func testSubsetAgainstReference(t *testing.T, s *Spec, mode CondMode, wide bool) {
+	t.Helper()
+	eng := Compile(s)
+	eng.SetCondMode(mode)
+	n, q := eng.N(), eng.Q()
+	const B = 8
+	lat, err := state.Pack(n, q, randomChains(n, q, B, 31))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lat.Compact() == wide {
+		t.Fatalf("lattice Compact() = %v with wide=%v", lat.Compact(), wide)
+	}
+	if err := lat.CheckAssigned(); err != nil {
+		t.Fatal(err)
+	}
+	kernel, err := eng.BindVertexSubset(lat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subsets := [][]int32{
+		{0}, {B - 1}, {2, 5}, {0, 3, 4, 7}, {1, 2, 3, 4, 5, 6}, {0, 1, 2, 3, 4, 5, 6, 7},
+	}
+	sc := NewBatchScratch(B)
+	buf := make([]float64, B*q)
+	ref := make([]float64, q)
+	before := make([]int, B)
+	rng := dist.NewXoshiro(11, 0)
+	for sweep := 0; sweep < 8; sweep++ {
+		for v := 0; v < n; v++ {
+			sub := subsets[(sweep*n+v)%len(subsets)]
+			for c := 0; c < B; c++ {
+				before[c] = lat.Get(v, c)
+			}
+			// The referee draw replays the same generator in list order:
+			// copy the value-type RNG before the kernel consumes it.
+			shadow := rng
+			want := make(map[int32]int, len(sub))
+			for _, ch := range sub {
+				w, err := eng.CondWeights(lat.Chain(int(ch)), v, ref)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want[ch], err = dist.SampleWeights(w, &shadow); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := kernel(v, sub, buf, sc, &rng); err != nil {
+				t.Fatal(err)
+			}
+			for c := 0; c < B; c++ {
+				got := lat.Get(v, c)
+				if x, in := want[int32(c)]; in {
+					if got != x {
+						t.Fatalf("mode %d sweep %d v=%d chain %d: subset drew %d, SampleWeights %d", mode, sweep, v, c, got, x)
+					}
+				} else if got != before[c] {
+					t.Fatalf("sweep %d v=%d chain %d: unlisted chain changed %d -> %d", sweep, v, c, before[c], got)
+				}
+			}
+		}
+	}
+}
+
+// TestSampleVertexSubsetMatchesHeatBath pins the one-chain list, the
+// sequential Glauber chain's update: binding once and updating a single
+// chain per call must track a dist.Config heat-bath mirror — CondWeights
+// then dist.SampleWeights on the same uniform — symbol for symbol.
 func TestSampleVertexSubsetMatchesHeatBath(t *testing.T) {
 	for _, spec := range []struct {
 		name string
@@ -127,16 +121,16 @@ func TestSampleVertexSubsetMatchesHeatBath(t *testing.T) {
 			eng := Compile(spec.s)
 			n, q := eng.N(), eng.Q()
 			const B = 4
-			chains := randomChains(n, q, B, 53)
-			lat, err := state.Pack(n, q, chains)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mirror, err := state.Pack(n, q, chains)
+			mirror := randomChains(n, q, B, 53)
+			lat, err := state.Pack(n, q, mirror)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := lat.CheckAssigned(); err != nil {
+				t.Fatal(err)
+			}
+			kernel, err := eng.BindVertexSubset(lat)
+			if err != nil {
 				t.Fatal(err)
 			}
 			buf := make([]float64, q)
@@ -146,18 +140,18 @@ func TestSampleVertexSubsetMatchesHeatBath(t *testing.T) {
 			for sweep := 0; sweep < 10; sweep++ {
 				for v := 0; v < n; v++ {
 					c := (sweep + v) % B
-					if err := eng.SampleVertexSubset(lat, v, []int32{int32(c)}, buf, nil, &rng); err != nil {
+					if err := kernel(v, []int32{int32(c)}, buf, nil, &rng); err != nil {
 						t.Fatal(err)
 					}
-					w, err := eng.CondWeightsLattice(mirror, c, v, cond)
+					w, err := eng.CondWeights(mirror[c], v, cond)
 					if err != nil {
 						t.Fatal(err)
 					}
-					x, err := dist.SampleWeightsX(w, &shadow)
+					x, err := dist.SampleWeights(w, &shadow)
 					if err != nil {
 						t.Fatal(err)
 					}
-					mirror.Set(v, c, x)
+					mirror[c][v] = x
 					if got := lat.Get(v, c); got != x {
 						t.Fatalf("sweep %d v=%d chain %d: subset %d != heat-bath %d", sweep, v, c, got, x)
 					}
@@ -167,45 +161,41 @@ func TestSampleVertexSubsetMatchesHeatBath(t *testing.T) {
 	}
 }
 
-// TestSampleVertexSubsetRejectsBadInput covers the argument checks and the
-// empty-subset no-op.
+// TestSampleVertexSubsetRejectsBadInput covers the binding's lattice check
+// and the bound kernel's empty-list no-op, which must draw nothing.
 func TestSampleVertexSubsetRejectsBadInput(t *testing.T) {
 	eng := Compile(batchSpec(t))
 	n, q := eng.N(), eng.Q()
 	const B = 3
-	lat, err := state.Pack(n, q, randomChains(n, q, B, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]float64, B*q)
-	rng := dist.NewXoshiro(1, 0)
-	if err := eng.SampleVertexSubset(lat, 0, nil, buf, nil, &rng); err != nil {
-		t.Errorf("empty subset: err = %v, want nil", err)
-	}
-	if err := eng.SampleVertexSubset(lat, -1, []int32{0}, buf, nil, &rng); err == nil {
-		t.Error("negative vertex accepted")
-	}
-	if err := eng.SampleVertexSubset(lat, 0, []int32{int32(B)}, buf, nil, &rng); err == nil {
-		t.Error("out-of-range chain accepted")
-	}
-	if err := eng.SampleVertexSubset(lat, 0, []int32{-1}, buf, nil, &rng); err == nil {
-		t.Error("negative chain accepted")
-	}
-	if err := eng.SampleVertexSubset(lat, 0, []int32{0, 1}, buf[:1], nil, &rng); err == nil {
-		t.Error("short buffer accepted")
-	}
 	short, err := state.New(n-1, B, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SampleVertexSubset(short, 0, []int32{0}, buf, nil, &rng); err == nil {
+	if _, err := eng.BindVertexSubset(short); err == nil {
 		t.Error("short lattice accepted")
+	}
+	lat, err := state.Pack(n, q, randomChains(n, q, B, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kernel, err := eng.BindVertexSubset(lat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := lat.Chain(0)
+	rng := dist.NewXoshiro(1, 0)
+	start := rng
+	if err := kernel(0, nil, make([]float64, B*q), nil, &rng); err != nil {
+		t.Errorf("empty subset: err = %v, want nil", err)
+	}
+	if rng != start || !slices.Equal(lat.Chain(0), before) {
+		t.Error("empty subset drew or wrote")
 	}
 }
 
 // TestFilterWeightBatchMatchesSingle pins the batched filter to
-// FilterWeightLattice per chain on every tabled factor, across toggled
-// subsets of each factor's scope, chain spans, and representations.
+// FilterWeight per chain on every tabled factor, across toggled subsets of
+// each factor's scope, chain spans, and representations.
 func TestFilterWeightBatchMatchesSingle(t *testing.T) {
 	for _, rep := range []struct {
 		name string
@@ -218,11 +208,12 @@ func TestFilterWeightBatchMatchesSingle(t *testing.T) {
 			if rep.wide {
 				defer state.SetCompactLimitForTest(0)()
 			}
-			old, err := state.Pack(n, q, randomChains(n, q, B, 17))
+			oldCfg, propCfg := randomChains(n, q, B, 17), randomChains(n, q, B, 18)
+			old, err := state.Pack(n, q, oldCfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			prop, err := state.Pack(n, q, randomChains(n, q, B, 18))
+			prop, err := state.Pack(n, q, propCfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -256,7 +247,7 @@ func TestFilterWeightBatchMatchesSingle(t *testing.T) {
 							t.Fatal(err)
 						}
 						for c := c0; c < c1; c++ {
-							want, err := eng.FilterWeightLattice(i, old, prop, c, verts)
+							want, err := eng.FilterWeight(i, oldCfg[c], propCfg[c], verts)
 							if err != nil {
 								t.Fatal(err)
 							}

@@ -1,7 +1,7 @@
 package glauber
 
 import (
-	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dist"
@@ -27,13 +27,12 @@ func hardcoreInstance(t *testing.T, g *graph.Graph, lambda float64, pinned dist.
 func TestChainStaysFeasible(t *testing.T) {
 	g := graph.Cycle(8)
 	in := hardcoreInstance(t, g, 1.5, nil)
-	c, err := New(in)
+	c, err := New(in, 101)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(101))
 	for i := 0; i < 500; i++ {
-		if err := c.Step(rng); err != nil {
+		if err := c.Step(); err != nil {
 			t.Fatal(err)
 		}
 		w, err := in.Spec.Weight(c.State())
@@ -41,8 +40,8 @@ func TestChainStaysFeasible(t *testing.T) {
 			t.Fatalf("step %d: infeasible state %v (w=%v err=%v)", i, c.State(), w, err)
 		}
 	}
-	if c.Steps() != 500 {
-		t.Errorf("steps = %d", c.Steps())
+	if c.Rounds() != 500 {
+		t.Errorf("rounds = %d", c.Rounds())
 	}
 }
 
@@ -50,12 +49,11 @@ func TestChainRespectsPinning(t *testing.T) {
 	g := graph.Path(5)
 	pin := dist.Config{1, dist.Unset, dist.Unset, dist.Unset, 0}
 	in := hardcoreInstance(t, g, 1, pin)
-	c, err := New(in)
+	c, err := New(in, 102)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(102))
-	if err := c.Run(300, rng); err != nil {
+	if err := c.Run(300); err != nil {
 		t.Fatal(err)
 	}
 	s := c.State()
@@ -73,11 +71,10 @@ func TestStationaryDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(103))
 	emp := dist.NewEmpirical(5)
 	const trials = 6000
 	for i := 0; i < trials; i++ {
-		cfg, err := Sample(in, 20, rng)
+		cfg, err := Sample(in, 20, int64(103000+i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,24 +93,6 @@ func TestStationaryDistribution(t *testing.T) {
 	}
 }
 
-func TestMeasureMixingMonotone(t *testing.T) {
-	g := graph.Cycle(6)
-	in := hardcoreInstance(t, g, 1, nil)
-	rng := rand.New(rand.NewSource(104))
-	points, err := MeasureMixing(in, []int{0, 4, 32}, 3000, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 3 {
-		t.Fatalf("points = %v", points)
-	}
-	// TV after a long run must be far smaller than at the (deterministic)
-	// start.
-	if points[2].TV > 0.5*points[0].TV {
-		t.Errorf("mixing not observed: %v", points)
-	}
-}
-
 func TestNoFeasibleStart(t *testing.T) {
 	// 1-coloring of an edge cannot start.
 	g := graph.Path(2)
@@ -125,7 +104,7 @@ func TestNoFeasibleStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(in); err == nil {
+	if _, err := New(in, 1); err == nil {
 		t.Error("infeasible model started")
 	}
 }
@@ -133,12 +112,11 @@ func TestNoFeasibleStart(t *testing.T) {
 func TestFullyPinnedChain(t *testing.T) {
 	g := graph.Path(2)
 	in := hardcoreInstance(t, g, 1, dist.Config{0, 1})
-	c, err := New(in)
+	c, err := New(in, 105)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(105))
-	if err := c.Run(10, rng); err != nil {
+	if err := c.Run(10); err != nil {
 		t.Fatal(err)
 	}
 	if s := c.State(); s[0] != 0 || s[1] != 1 {
@@ -161,10 +139,9 @@ func TestColoringChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(106))
 	emp := dist.NewEmpirical(4)
 	for i := 0; i < 6000; i++ {
-		cfg, err := Sample(in, 15, rng)
+		cfg, err := Sample(in, 15, int64(106000+i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,5 +157,75 @@ func TestColoringChain(t *testing.T) {
 	}
 	if tv > 0.06 {
 		t.Errorf("coloring Glauber TV = %v", tv)
+	}
+}
+
+// TestChainMatchesReferee replays the chain's stream through the
+// dist.Config referee — the same IntN vertex pick, then dist.SampleWeights
+// on CondWeights — and requires the chain to agree symbol for symbol, with
+// the cond cache on and off; Reset with the same seed must replay the
+// trajectory.
+func TestChainMatchesReferee(t *testing.T) {
+	hc, err := model.Hardcore(graph.Torus(4, 4), 1.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, err := model.Coloring(graph.Grid(3, 3), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pin := dist.NewConfig(16)
+	pin[5] = 1
+	for _, c := range []struct {
+		name string
+		spec *gibbs.Spec
+		pin  dist.Config
+	}{{"hardcore-pinned", hc, pin}, {"coloring", col, nil}} {
+		for _, mode := range []gibbs.CondMode{gibbs.CondAuto, gibbs.CondOff} {
+			in, err := gibbs.NewInstance(c.spec, c.pin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := in.Spec.Compiled()
+			eng.SetCondMode(mode)
+			const seed, steps = 77, 600
+			chain, err := New(in, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg, err := eng.GreedyCompletion(in.Pinned)
+			if err != nil {
+				t.Fatal(err)
+			}
+			free := in.FreeVertices()
+			rng := dist.NewXoshiro(seed, 0)
+			buf := make([]float64, in.Q())
+			for i := 0; i < steps; i++ {
+				v := free[rng.IntN(len(free))]
+				w, err := eng.CondWeights(cfg, v, buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cfg[v], err = dist.SampleWeights(w, &rng); err != nil {
+					t.Fatal(err)
+				}
+				if err := chain.Step(); err != nil {
+					t.Fatal(err)
+				}
+				if got := chain.State(); got[v] != cfg[v] {
+					t.Fatalf("%s mode %d step %d: vertex %d = %d, referee %d", c.name, mode, i, v, got[v], cfg[v])
+				}
+			}
+			final := chain.State()
+			if err := chain.Reset(seed); err != nil {
+				t.Fatal(err)
+			}
+			if err := chain.Run(steps); err != nil {
+				t.Fatal(err)
+			}
+			if got := chain.State(); !slices.Equal(got, final) || chain.Rounds() != steps {
+				t.Fatalf("%s mode %d: Reset replay ended at %v after %d rounds, first run %v", c.name, mode, got, chain.Rounds(), final)
+			}
+		}
 	}
 }

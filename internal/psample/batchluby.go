@@ -9,9 +9,9 @@ package psample
 //     row of the chain-major draw matrix per (vertex, chain group) item;
 //  2. every free vertex computes the subset of its chains in which it
 //     wins the Luby phase and heat-baths exactly those chains through the
-//     masked fused kernel gibbs.Compiled.SampleVertexSubset — plan walk
-//     and weight rows amortized across the winning chains, one uniform
-//     per winner, symbols written straight into the lattice.
+//     masked fused kernel bound by gibbs.Compiled.BindVertexSubset — plan
+//     walk and weight rows amortized across the winning chains, one
+//     uniform per winner, symbols written straight into the lattice.
 //
 // The phase check is the engine's own hot loop, so the draw matrix
 // stores each phase value as the shifted 53-bit key (Uint64()>>11)<<1

@@ -16,15 +16,17 @@ package psample
 // engine: a stage updates one color class, an independent set of the
 // interaction graph whose factor scopes are cliques, so simultaneous
 // updates never share a factor and each stage is a product of ordinary
-// heat-bath kernels. The harness updates through glauber.HeatBathX, the
-// single-site form of the conditional the in-process kernels compute, and
-// the tests pin both to the same exact referee.
+// heat-bath kernels. A node updates through the fused kernel the
+// in-process engines run, at one chain on its partial view
+// (gibbs.Compiled.SampleVertexBatch at (0, 1), see network.go), and the
+// tests pin harness and engine to the same exact referee and the harness
+// to golden outputs.
 
 import (
 	"fmt"
 
 	"repro/internal/dist"
-	"repro/internal/glauber"
+	"repro/internal/gibbs"
 	"repro/internal/local"
 	"repro/internal/state"
 )
@@ -39,6 +41,7 @@ type cgNodeState struct {
 	// neighbor u is u's spin as of the previous stage.
 	cfg  *state.Lattice
 	cond []float64
+	sc   *gibbs.BatchScratch
 	done int
 	// err records a failed update; the simulator has no error channel for
 	// steps, so it is surfaced through the final state.
@@ -91,6 +94,7 @@ func ChromaticGlauberLOCAL(net *local.Network, r *Rules, R int, seed int64) (dis
 			color: color[v],
 			cfg:   view,
 			cond:  make([]float64, r.q),
+			sc:    gibbs.NewBatchScratch(1),
 		}
 		if err != nil {
 			st.err = err
@@ -110,7 +114,7 @@ func ChromaticGlauberLOCAL(net *local.Network, r *Rules, R int, seed int64) (dis
 			}
 			if st.color == (round-1)%chi {
 				st.cfg.Set(v, 0, int(st.val))
-				if err := glauber.HeatBathX(r.eng, st.cfg, 0, v, st.cond, &rngs[v]); err != nil {
+				if err := r.eng.SampleVertexBatch(st.cfg, v, 0, 1, st.cond, st.sc, &rngs[v]); err != nil {
 					st.err = err
 					return st, nil, true
 				}

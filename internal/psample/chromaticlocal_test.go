@@ -111,8 +111,9 @@ func TestChromaticLOCALMatchesExact(t *testing.T) {
 
 func TestChromaticLOCALWrongNetwork(t *testing.T) {
 	r := hardcoreRules(t, graph.Cycle(6), 1.0, nil)
-	wrong := local.NewNetwork(graph.Cycle(5))
-	if _, _, err := ChromaticGlauberLOCAL(wrong, r, 3, 1); err == nil {
-		t.Error("mismatched network accepted")
+	for _, wrong := range []*graph.Graph{graph.Cycle(5), graph.Path(6)} {
+		if _, _, err := ChromaticGlauberLOCAL(local.NewNetwork(wrong), r, 3, 1); err == nil {
+			t.Errorf("mismatched network %v accepted", wrong)
+		}
 	}
 }

@@ -3,10 +3,13 @@ package psample
 // network.go runs the two samplers as genuine message-passing algorithms on
 // the local.Network simulator, charging synchronous rounds the way the
 // LOCAL model does. The harnesses run the model-faithful form of each
-// update rule — construct.Beats + glauber.HeatBathX for LubyGlauber and
-// Rules.Propose + Rules.FilterProb for LocalMetropolis — over the same
-// compiled Rules as the in-process engines, and the tests pin both to the
-// same exact referee.
+// update rule — construct.Beats for the Luby phase and Rules.Propose for
+// the LocalMetropolis proposal — and every heat-bath update and filter
+// evaluation goes through the fused kernels the in-process engines run,
+// at one chain on the node's own view: gibbs.Compiled.SampleVertexBatch
+// at (0, 1) for LubyGlauber and FilterWeightBatch at (0, 1) for
+// LocalMetropolis. The tests pin both harnesses to the same exact referee
+// as the engines, and to golden outputs.
 //
 // The implementations pipeline one dynamics round per LOCAL round: the
 // message a node sends in LOCAL round t carries its state after t dynamics
@@ -16,29 +19,38 @@ package psample
 // proposals, and the shared per-factor filter coin flipped by the
 // factor's smallest scope vertex — arrives from direct neighbors.
 //
-// Node payloads carry spins as single bytes and each node's view of its
-// neighborhood is a compact (uint8-cell) state.Lattice, so the harness
-// requires q ≤ state.MaxCompactQ — far above any model this repo builds;
-// the wide []int fallback is an in-process-engine concern only.
+// A node's view of the configuration is partial: a one-chain compact
+// (uint8-cell) state.Lattice in which only the node and its neighbors are
+// ever set. The kernels read exactly the cells of the updated vertex's
+// factor scopes, so the view satisfies their contract — every cell read
+// holds an in-range symbol — from the first update on, provided the
+// network is the instance's interaction graph; networkFor rejects any
+// other network. Node payloads carry spins as single bytes, so the
+// harness requires q ≤ state.MaxCompactQ — far above any model this repo
+// builds; the wide []int fallback is an in-process-engine concern only.
 
 import (
 	"fmt"
 
 	"repro/internal/construct"
 	"repro/internal/dist"
-	"repro/internal/glauber"
+	"repro/internal/gibbs"
 	"repro/internal/local"
 	"repro/internal/state"
 )
 
-// networkFor validates that the network matches the rules' interaction
-// graph and returns the per-node RNGs (private randomness: one
-// SplitMix64-seeded xoshiro256++ stream per node, the same value-type
+// networkFor validates that the network is the rules' interaction graph
+// — same nodes and same edges, so every factor-scope neighbor of a node
+// sends it its spin — and returns the per-node RNGs (private randomness:
+// one SplitMix64-seeded xoshiro256++ stream per node, the same value-type
 // generator the in-process engines run, so no harness hand-rolls its own
 // seed arithmetic).
 func networkFor(net *local.Network, r *Rules, seed int64) ([]dist.Xoshiro, error) {
 	if net.G.N() != r.n {
 		return nil, fmt.Errorf("psample: network has %d nodes, instance has %d", net.G.N(), r.n)
+	}
+	if !net.G.Equal(r.in.Spec.G) {
+		return nil, fmt.Errorf("psample: network edges differ from the instance's interaction graph")
 	}
 	if r.q > state.MaxCompactQ {
 		return nil, &state.DomainError{N: r.n, Chains: 1, Q: r.q,
@@ -64,6 +76,7 @@ type lgNodeState struct {
 	// neighbors u is u's spin as of the previous round.
 	cfg  *state.Lattice
 	cond []float64
+	sc   *gibbs.BatchScratch
 	done int
 	// err records a failed update; the simulator has no error channel for
 	// steps, so it is surfaced through the final state.
@@ -102,6 +115,7 @@ func LubyGlauberLOCAL(net *local.Network, r *Rules, R int, seed int64) (dist.Con
 			val:  uint8(start[v]),
 			cfg:  view,
 			cond: make([]float64, r.q),
+			sc:   gibbs.NewBatchScratch(1),
 		}
 		if err != nil {
 			st.err = err
@@ -127,7 +141,7 @@ func LubyGlauberLOCAL(net *local.Network, r *Rules, R int, seed int64) (dist.Con
 			}
 			if win {
 				st.cfg.Set(v, 0, int(st.val))
-				if err := glauber.HeatBathX(r.eng, st.cfg, 0, v, st.cond, &rngs[v]); err != nil {
+				if err := r.eng.SampleVertexBatch(st.cfg, v, 0, 1, st.cond, st.sc, &rngs[v]); err != nil {
 					st.err = err
 					return st, nil, true
 				}
@@ -190,7 +204,10 @@ type lmNodeState struct {
 	// coinAt[j] is the coin of acceptance factor j this round (only the
 	// factors toggling this node are ever read).
 	coinAt map[int]float64
-	done   int
+	// filt and sc are the filter kernel's one-entry output and scratch.
+	filt [1]float64
+	sc   *gibbs.BatchScratch
+	done int
 	// err records a failed filter evaluation, surfaced after the run.
 	err error
 }
@@ -235,6 +252,7 @@ func LocalMetropolisLOCAL(net *local.Network, r *Rules, R int, seed int64) (dist
 		st := &lmNodeState{
 			val:    uint8(start[v]),
 			coinAt: make(map[int]float64, len(r.AccAt(v))),
+			sc:     gibbs.NewBatchScratch(1),
 		}
 		var err error
 		if st.cfg, err = nodeView(r.n, r.q); err != nil {
@@ -270,12 +288,12 @@ func LocalMetropolisLOCAL(net *local.Network, r *Rules, R int, seed int64) (dist
 			if r.free[v] {
 				accept := true
 				for _, j := range r.AccAt(v) {
-					p, err := r.FilterProbLattice(int(j), st.cfg, st.props, 0)
-					if err != nil {
+					af := &r.acc[j]
+					if err := r.eng.FilterWeightBatch(af.fi, st.cfg, st.props, 0, 1, af.verts, st.filt[:], st.sc); err != nil {
 						st.err = err
 						return st, nil, true
 					}
-					if st.coinAt[int(j)] >= p {
+					if st.coinAt[int(j)] >= st.filt[0]*af.scale {
 						accept = false
 						break
 					}

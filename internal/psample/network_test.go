@@ -7,6 +7,7 @@ package psample
 // distribution as the brute-force referee.
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/dist"
@@ -128,14 +129,114 @@ func TestLOCALMatchesExact(t *testing.T) {
 
 func net(g *graph.Graph) *local.Network { return local.NewNetwork(g) }
 
-// TestLOCALWrongNetwork checks the network/instance size validation.
+// TestLOCALWrongNetwork checks the network/instance validation: a network
+// of another size, and one of the same size with different edges — a
+// factor-scope neighbor that never sends its spin — must come back as
+// errors from every harness, never reach the kernels.
 func TestLOCALWrongNetwork(t *testing.T) {
 	r := hardcoreRules(t, graph.Cycle(6), 1.0, nil)
-	wrong := local.NewNetwork(graph.Cycle(5))
-	if _, _, err := LubyGlauberLOCAL(wrong, r, 3, 1); err == nil {
-		t.Error("mismatched network accepted by LubyGlauber")
+	for _, wrong := range []*graph.Graph{graph.Cycle(5), graph.Path(6)} {
+		wnet := local.NewNetwork(wrong)
+		if _, _, err := LubyGlauberLOCAL(wnet, r, 3, 1); err == nil {
+			t.Errorf("network %v accepted by LubyGlauber", wrong)
+		}
+		if _, _, err := LocalMetropolisLOCAL(wnet, r, 3, 1); err == nil {
+			t.Errorf("network %v accepted by LocalMetropolis", wrong)
+		}
+		if _, _, err := ChromaticGlauberLOCAL(wnet, r, 3, 1); err == nil {
+			t.Errorf("network %v accepted by ChromaticGlauber", wrong)
+		}
 	}
-	if _, _, err := LocalMetropolisLOCAL(wrong, r, 3, 1); err == nil {
-		t.Error("mismatched network accepted by LocalMetropolis")
+}
+
+// localGolden holds the final configurations of the three LOCAL harnesses
+// on localGoldenModels, one digit per vertex, keyed harness/model/seed.
+// They were recorded from the harnesses' former single-site updates
+// (construct.Beats plus a lattice heat-bath step and a lattice filter
+// walk), which the fused one-chain kernels reproduce bit for bit with the
+// cond cache on and off.
+var localGolden = map[string]string{
+	"luby/hardcore/1":       "0010000000000100",
+	"luby/hardcore/2":       "0000000110000010",
+	"luby/hardcore/3":       "1010000001000000",
+	"luby/ising/1":          "01000011",
+	"luby/ising/2":          "11011001",
+	"luby/ising/3":          "10101100",
+	"luby/coloring/1":       "012101310",
+	"luby/coloring/2":       "143231324",
+	"luby/coloring/3":       "230401014",
+	"chromatic/hardcore/1":  "0000000010000100",
+	"chromatic/hardcore/2":  "0001001010000010",
+	"chromatic/hardcore/3":  "0010010100101000",
+	"chromatic/ising/1":     "01001001",
+	"chromatic/ising/2":     "10011010",
+	"chromatic/ising/3":     "01100111",
+	"chromatic/coloring/1":  "213040204",
+	"chromatic/coloring/2":  "401340213",
+	"chromatic/coloring/3":  "314132340",
+	"metropolis/hardcore/1": "0001000000000000",
+	"metropolis/hardcore/2": "1000001000000000",
+	"metropolis/hardcore/3": "0000010000000101",
+	"metropolis/ising/1":    "10110101",
+	"metropolis/ising/2":    "01001010",
+	"metropolis/ising/3":    "01010101",
+	"metropolis/coloring/1": "413130413",
+	"metropolis/coloring/2": "310203014",
+	"metropolis/coloring/3": "214103020",
+}
+
+// localGoldenModels are the golden instances: hardcore and Ising at q = 2
+// (the register paths) and a 5-coloring (the generic q path).
+var localGoldenModels = []struct {
+	name string
+	spec func() (*gibbs.Spec, error)
+}{
+	{"hardcore", func() (*gibbs.Spec, error) { return model.Hardcore(graph.Torus(4, 4), 1.0) }},
+	{"ising", func() (*gibbs.Spec, error) { return model.Ising(graph.Cycle(8), 0.5, 0.8) }},
+	{"coloring", func() (*gibbs.Spec, error) { return model.Coloring(graph.Grid(3, 3), 5) }},
+}
+
+// TestLOCALGolden pins every LOCAL harness output on localGoldenModels at
+// seeds 1–3 to the recorded configurations, with the cond cache on and
+// off: a one-chain kernel path that changes a weight, a draw or the RNG
+// consumption order fails it.
+func TestLOCALGolden(t *testing.T) {
+	harnesses := []struct {
+		name string
+		R    int
+		run  func(*local.Network, *Rules, int, int64) (dist.Config, int, error)
+	}{
+		{"luby", 12, LubyGlauberLOCAL},
+		{"chromatic", 4, ChromaticGlauberLOCAL},
+		{"metropolis", 12, LocalMetropolisLOCAL},
+	}
+	for _, mode := range []gibbs.CondMode{gibbs.CondAuto, gibbs.CondOff} {
+		for _, h := range harnesses {
+			for _, m := range localGoldenModels {
+				for seed := int64(1); seed <= 3; seed++ {
+					key := fmt.Sprintf("%s/%s/%d", h.name, m.name, seed)
+					spec, err := m.spec()
+					if err != nil {
+						t.Fatal(err)
+					}
+					spec.Compiled().SetCondMode(mode)
+					in, err := gibbs.NewInstance(spec, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					r, err := NewRules(in)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg, _, err := h.run(local.NewNetwork(spec.G), r, h.R, seed)
+					if err != nil {
+						t.Fatalf("%s mode %d: %v", key, mode, err)
+					}
+					if got := digits(cfg); got != localGolden[key] {
+						t.Errorf("%s mode %d: %s, want %s", key, mode, got, localGolden[key])
+					}
+				}
+			}
+		}
 	}
 }

@@ -8,17 +8,21 @@
 //   - one in-process engine per dynamics (BatchLubyGlauber,
 //     BatchLocalMetropolis) advancing B independent chains in lockstep
 //     over one chain-major state.Lattice through the masked fused kernels
-//     (gibbs.Compiled.SampleVertexSubset, FilterWeightBatch), on a worker
-//     pool over (vertex, chain group) blocks with per-worker value-type
-//     RNG streams. B = 1 is the single-chain sampler: its one-chain rows
-//     take scalar paths instead of the chain-row kernels.
+//     (the subset kernel of gibbs.Compiled.BindVertexSubset,
+//     FilterWeightBatch), on a worker pool over (vertex, chain group)
+//     blocks with per-worker value-type RNG streams. B = 1 is the
+//     single-chain sampler: its one-chain rows take scalar paths instead
+//     of the chain-row kernels.
+//
+// The message-passing harnesses run the same fused kernels at one chain on
+// each node's partial view, so both harnesses share one heat-bath kernel
+// and one filter kernel as well as the rules.
 //
 // LubyGlauber interleaves construction and sampling: each round one phase
 // of Luby's MIS algorithm (construct.Beats) picks an independent set of
 // free vertices, and every selected vertex performs a heat-bath update
-// (glauber.HeatBath) simultaneously — correct because an independent set
-// shares no factor, so the simultaneous conditionals coincide with the
-// sequential ones. LocalMetropolis is fully parallel: every free vertex
+// simultaneously — correct because an independent set shares no factor,
+// so the simultaneous conditionals coincide with the sequential ones. LocalMetropolis is fully parallel: every free vertex
 // proposes a fresh spin from its unary-weight distribution each round, and
 // every multi-vertex factor independently accepts with the subset-product
 // filter probability (gibbs.Compiled.FilterWeight normalized by the
@@ -401,17 +405,6 @@ func (r *Rules) AccAt(v int) []int32 {
 func (r *Rules) FilterProb(j int, old, prop dist.Config) (float64, error) {
 	af := &r.acc[j]
 	w, err := r.eng.FilterWeight(af.fi, old, prop, af.verts)
-	if err != nil {
-		return 0, err
-	}
-	return w * af.scale, nil
-}
-
-// FilterProbLattice is FilterProb reading the current configuration and the
-// proposal from chain `chain` of two state lattices.
-func (r *Rules) FilterProbLattice(j int, old, prop *state.Lattice, chain int) (float64, error) {
-	af := &r.acc[j]
-	w, err := r.eng.FilterWeightLattice(af.fi, old, prop, chain, af.verts)
 	if err != nil {
 		return 0, err
 	}

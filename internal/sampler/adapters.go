@@ -1,14 +1,11 @@
 package sampler
 
 // adapters.go registers the four built-in dynamics. The three batched
-// engines satisfy MultiChain natively; the sequential chain needs a thin
-// adapter that owns its RNG stream (glauber.Chain takes the generator per
-// call).
+// engines satisfy MultiChain natively, and the sequential chain
+// (glauber.Chain) satisfies Sampler natively: each owns its xoshiro
+// streams and runs the fused kernels of internal/gibbs.
 
 import (
-	"math/rand"
-
-	"repro/internal/dist"
 	"repro/internal/gibbs"
 	"repro/internal/glauber"
 	"repro/internal/psample"
@@ -18,7 +15,13 @@ func init() {
 	Register(Info{
 		Name:     "glauber",
 		Synopsis: "sequential random-scan heat-bath (the Θ(n log n)-update baseline); one round = one single-site update",
-		New:      newSeqGlauber,
+		New: func(in *gibbs.Instance, seed int64) (Sampler, error) {
+			c, err := glauber.New(in, seed)
+			if err != nil {
+				return nil, err
+			}
+			return c, nil
+		},
 		SweepRounds: func(in *gibbs.Instance) int {
 			return max(in.N(), 1)
 		},
@@ -63,41 +66,3 @@ func init() {
 		},
 	})
 }
-
-// seqGlauber adapts glauber.Chain to the Sampler interface: it owns the
-// RNG stream (stream 0 of the seed) and counts single-site updates as
-// rounds.
-type seqGlauber struct {
-	chain  *glauber.Chain
-	rng    *rand.Rand
-	rounds int
-}
-
-func newSeqGlauber(in *gibbs.Instance, seed int64) (Sampler, error) {
-	chain, err := glauber.New(in)
-	if err != nil {
-		return nil, err
-	}
-	return &seqGlauber{chain: chain, rng: dist.SeedStream(seed, 0)}, nil
-}
-
-func (s *seqGlauber) Reset(seed int64) error {
-	if err := s.chain.Reset(); err != nil {
-		return err
-	}
-	s.rng = dist.SeedStream(seed, 0)
-	s.rounds = 0
-	return nil
-}
-
-func (s *seqGlauber) Run(rounds int) error {
-	if err := s.chain.Run(rounds, s.rng); err != nil {
-		return err
-	}
-	s.rounds += rounds
-	return nil
-}
-
-func (s *seqGlauber) State() dist.Config { return s.chain.State() }
-
-func (s *seqGlauber) Rounds() int { return s.rounds }

@@ -38,8 +38,8 @@ import (
 )
 
 // Sampler is the common control surface of every dynamic. All four
-// built-in dynamics implement it: the three batched engines natively, the
-// sequential chain through a thin adapter.
+// built-in dynamics implement it natively: the three batched engines and
+// the sequential chain.
 type Sampler interface {
 	// Reset restarts the dynamic from the instance's canonical start (the
 	// greedy feasible completion of the pinning) with fresh RNG streams

@@ -45,10 +45,6 @@ func (c *Ctx) RNG() *rand.Rand { return c.rng }
 // Err returns the first access violation recorded on the context.
 func (c *Ctx) Err() error { return c.err }
 
-// MaxRadiusUsed returns the largest distance at which the algorithm actually
-// read or wrote a state while processing the current node.
-func (c *Ctx) MaxRadiusUsed() int { return c.maxUsed }
-
 func (c *Ctx) check(u int) bool {
 	if u < 0 || u >= c.g.N() {
 		c.recordErr(fmt.Errorf("slocal: node %d out of range", u))

@@ -1,18 +1,19 @@
 package repro_test
 
-// plan_prop_test.go: the sweep-plan equivalence property. The fused batch
-// kernels of PR 6 run a compiled per-vertex instruction stream
-// (gibbs.SweepPlan) instead of interpreting the factor graph; nothing
-// downstream may be able to tell. The test pins that exactly: for every
-// model builder of internal/model, the planned weights
-// (CondWeightsBatchPlan) must be BIT-IDENTICAL to the interpreted kernel
-// (CondWeightsBatch) at every vertex and chain span — on the dense-table
-// and the closure-fallback engine, on compact and forced-wide lattices —
-// with the chain states drawn from real batched sweeps.
+// plan_prop_test.go: the sweep-plan equivalence property. The fused
+// kernels run a compiled per-vertex instruction stream (gibbs.SweepPlan)
+// instead of interpreting the factor graph; nothing downstream may be able
+// to tell. The test pins that exactly: for every model builder of
+// internal/model, the planned weights (CondWeightsBatchPlan) must be
+// BIT-IDENTICAL to the referee (CondWeights on each chain's configuration)
+// at every vertex and chain span — on the dense-table and the
+// closure-fallback engine, on compact and forced-wide lattices — with the
+// chain states drawn from real batched sweeps.
 
 import (
 	"testing"
 
+	"repro/internal/dist"
 	"repro/internal/gibbs"
 	"repro/internal/psample"
 	"repro/internal/sampler"
@@ -71,6 +72,10 @@ func TestSweepPlanBitIdenticalToBatchKernel(t *testing.T) {
 					if lat.Compact() == rep.wide {
 						t.Fatalf("lattice Compact() = %v with wide=%v", lat.Compact(), rep.wide)
 					}
+					chains := make([]dist.Config, B)
+					for c := range chains {
+						chains[c] = lat.Chain(c)
+					}
 					engines := []struct {
 						name string
 						eng  *gibbs.Compiled
@@ -82,23 +87,25 @@ func TestSweepPlanBitIdenticalToBatchKernel(t *testing.T) {
 						eng := e.eng
 						q := eng.Q()
 						sc := gibbs.NewBatchScratch(B)
-						ref := make([]float64, B*q)
+						ref := make([]float64, q)
 						got := make([]float64, B*q)
 						for v := 0; v < eng.N(); v++ {
 							for _, span := range [][2]int{{0, B}, {1, 4}, {B - 1, B}} {
 								c0, c1 := span[0], span[1]
-								want, err := eng.CondWeightsBatch(lat, v, c0, c1, ref, sc)
-								if err != nil {
-									t.Fatal(err)
-								}
 								w, err := eng.CondWeightsBatchPlan(lat, v, c0, c1, got, sc)
 								if err != nil {
 									t.Fatal(err)
 								}
-								for i := range want {
-									if w[i] != want[i] {
-										t.Fatalf("%s engine v=%d span=[%d,%d) entry %d: plan %v != interpreted %v",
-											e.name, v, c0, c1, i, w[i], want[i])
+								for c := c0; c < c1; c++ {
+									want, err := eng.CondWeights(chains[c], v, ref)
+									if err != nil {
+										t.Fatal(err)
+									}
+									for x := range want {
+										if w[(c-c0)*q+x] != want[x] {
+											t.Fatalf("%s engine v=%d span=[%d,%d) chain %d x=%d: plan %v != CondWeights %v",
+												e.name, v, c0, c1, c, x, w[(c-c0)*q+x], want[x])
+										}
 									}
 								}
 							}
