@@ -371,23 +371,27 @@ func BenchmarkCondWeights(b *testing.B) {
 }
 
 // BenchmarkCondLookup isolates the single-chain heat-bath update the
-// sequential chain runs — the subset kernel bound to a one-chain lattice,
-// called with the list {0} on the vertices in order — with the
-// conditional-CDF cache lookup (lut) against the sweep-plan walk it
-// replaces (plan). Only the engine's cache mode at binding time differs.
+// sequential chain runs — the kernel bound to a one-chain lattice, called
+// with the list {0} on the vertices in order — with the conditional-CDF
+// cache lookup (lut) against the sweep-plan walk it replaces (plan). The
+// two engines differ only in the cache: plan's was built under a zero
+// entry cap.
 func BenchmarkCondLookup(b *testing.B) {
 	g := graph.Torus(16, 16)
-	spec, err := model.Hardcore(g, 1.0)
-	if err != nil {
-		b.Fatal(err)
+	compile := func(b *testing.B) *gibbs.Compiled {
+		spec, err := model.Hardcore(g, 1.0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return spec.Compiled()
 	}
-	eng := spec.Compiled()
+	eng := compile(b)
 	cfg, err := eng.GreedyCompletion(dist.NewConfig(g.N()))
 	if err != nil {
 		b.Fatal(err)
 	}
-	step := func(b *testing.B) {
-		lat, err := state.Pack(g.N(), spec.Q, []dist.Config{cfg})
+	step := func(b *testing.B, eng *gibbs.Compiled) {
+		lat, err := state.Pack(g.N(), eng.Q(), []dist.Config{cfg})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -396,7 +400,7 @@ func BenchmarkCondLookup(b *testing.B) {
 			b.Fatal(err)
 		}
 		chain0 := []int32{0}
-		buf := make([]float64, spec.Q)
+		buf := make([]float64, eng.Q())
 		sc := gibbs.NewBatchScratch(1)
 		rng := dist.NewXoshiro(7, 0)
 		b.ReportAllocs()
@@ -407,11 +411,13 @@ func BenchmarkCondLookup(b *testing.B) {
 			}
 		}
 	}
-	b.Run("lut", step)
+	b.Run("lut", func(b *testing.B) { step(b, eng) })
 	b.Run("plan", func(b *testing.B) {
-		eng.SetCondMode(gibbs.CondOff)
-		defer eng.SetCondMode(gibbs.CondAuto)
-		step(b)
+		restore := gibbs.SetCondCapForTest(0, 0)
+		planEng := compile(b)
+		planEng.Cond()
+		restore()
+		step(b, planEng)
 	})
 }
 
@@ -495,7 +501,7 @@ func BenchmarkSamplerSweep(b *testing.B) {
 // across the B chains of a vertex block.
 func BenchmarkBatchSweep(b *testing.B) {
 	_, rules := benchSamplerSetup(b)
-	runSweep := func(b *testing.B, B int) {
+	runSweep := func(b *testing.B, rules *psample.Rules, B int) {
 		bt, err := sampler.NewBatch(rules, B, 11)
 		if err != nil {
 			b.Fatal(err)
@@ -518,21 +524,23 @@ func BenchmarkBatchSweep(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*B), "ns/chain-sweep")
 	}
 	for _, B := range []int{1, 8, 32, 128, 512} {
-		b.Run(fmt.Sprintf("B=%d", B), func(b *testing.B) { runSweep(b, B) })
+		b.Run(fmt.Sprintf("B=%d", B), func(b *testing.B) { runSweep(b, rules, B) })
 	}
 	// The cond=off / cond=on pair isolates the conditional-CDF cache at the
-	// headline width: off forces every draw back onto the sweep-plan walk,
-	// on uses the cache and reports its footprint as cond-bytes (per-chain
-	// samples are bit-identical either way).
-	eng := rules.Engine()
+	// headline width: off runs an engine whose cache was built under a zero
+	// entry cap, so every draw walks the sweep plan; on uses the cache and
+	// reports its footprint as cond-bytes (per-chain samples are
+	// bit-identical either way).
 	b.Run("cond=off/B=32", func(b *testing.B) {
-		eng.SetCondMode(gibbs.CondOff)
-		defer eng.SetCondMode(gibbs.CondAuto)
-		runSweep(b, 32)
+		restore := gibbs.SetCondCapForTest(0, 0)
+		_, planRules := benchSamplerSetup(b)
+		planRules.Engine().Cond()
+		restore()
+		runSweep(b, planRules, 32)
 	})
 	b.Run("cond=on/B=32", func(b *testing.B) {
-		runSweep(b, 32)
-		st := eng.CondStats()
+		runSweep(b, rules, 32)
+		st := rules.Engine().CondStats()
 		b.ReportMetric(float64(st.Bytes), "cond-bytes")
 	})
 }
@@ -562,7 +570,7 @@ func batchRound(b *testing.B, s interface{ Run(int) error }, chains int) {
 // 576-vertex torus: one round (one Luby phase across all B chains) per
 // iteration. B = 1 is the single-chain sampler, whose rows take the
 // one-chain paths. ns/chain-round must drop as B grows — the per-vertex
-// plan walk, neighbor scan, and factor-table traffic of the masked subset
+// plan walk, neighbor scan, and factor-table traffic of the heat-bath
 // kernel are shared across the winning chains of a vertex.
 func BenchmarkBatchLubySweep(b *testing.B) {
 	_, rules := benchSamplerSetup(b)

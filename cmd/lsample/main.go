@@ -110,7 +110,6 @@ type options struct {
 	minRate  float64
 	cpuprof  string
 	memprof  string
-	cond     string
 	verbose  bool
 	// chainsSet records whether -chains appeared on the command line: the
 	// adaptive driver defaults an unset -chains to a useful batch, but an
@@ -187,7 +186,6 @@ func run(args []string, out *os.File) error {
 	fs.Float64Var(&o.minRate, "min-rate", 0, "acceptance-rate floor per sweep-equivalent: below it the driver escalates to the next dynamic of the comma-separated -algo list")
 	fs.StringVar(&o.cpuprof, "cpuprofile", "", "write a CPU profile of the whole run to this file")
 	fs.StringVar(&o.memprof, "memprofile", "", "write a GC-settled heap profile at exit to this file")
-	fs.StringVar(&o.cond, "cond", "auto", "conditional-CDF cache: auto (greedy under the byte budget) | on (cache every eligible vertex) | off (always walk the sweep plan)")
 	fs.BoolVar(&o.verbose, "v", false, "verbose: print engine details (conditional-CDF cache coverage)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -199,6 +197,12 @@ func run(args []string, out *os.File) error {
 	})
 	if o.chains == 0 {
 		return fmt.Errorf("-chains 0 names no engine: -chains counts the independent chains and must be ≥ 1")
+	}
+	if o.rounds < 0 {
+		return fmt.Errorf("-rounds %d is negative: -rounds counts dynamics rounds and must be ≥ 0 (0 = use -sweeps)", o.rounds)
+	}
+	if o.sweeps < 0 {
+		return fmt.Errorf("-sweeps %d is negative: -sweeps counts sweep-equivalents and must be ≥ 0", o.sweeps)
 	}
 	if o.specPath != "" {
 		var conflict []string
@@ -277,20 +281,11 @@ func sample(out *os.File, o options) error {
 		return err
 	}
 	in, render := b.Instance, renderFor(b)
-	mode, err := parseCondMode(o.cond)
-	if err != nil {
-		return err
-	}
-	eng := in.Spec.Compiled()
-	eng.SetCondMode(mode)
 	if o.verbose {
 		// CondStats forces the lazy cache build, so the coverage line is
 		// accurate before any sampling starts.
-		if st := eng.CondStats(); mode == gibbs.CondOff {
-			fmt.Fprintf(out, "cond-cache: mode=off (every draw walks the sweep plan)\n")
-		} else {
-			fmt.Fprintf(out, "cond-cache: mode=%s cached=%d/%d vertices bytes=%d\n", o.cond, st.Cached, st.Total, st.Bytes)
-		}
+		st := in.Spec.Compiled().CondStats()
+		fmt.Fprintf(out, "cond-cache: cached=%d/%d vertices bytes=%d\n", st.Cached, st.Total, st.Bytes)
 	}
 	rng := rand.New(rand.NewSource(o.seed))
 
@@ -334,23 +329,6 @@ func sample(out *os.File, o options) error {
 		return fmt.Errorf("unknown sampler %q", o.sampler)
 	}
 	return nil
-}
-
-// parseCondMode maps the -cond flag to a cache mode. The draws are
-// bit-identical in every mode (the cache is an equivalence-preserving
-// speedup), so off exists for ablation and on for instances whose LUTs
-// exceed the default byte budget.
-func parseCondMode(s string) (gibbs.CondMode, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "auto", "":
-		return gibbs.CondAuto, nil
-	case "on":
-		return gibbs.CondOn, nil
-	case "off":
-		return gibbs.CondOff, nil
-	default:
-		return 0, fmt.Errorf("unknown -cond mode %q: the conditional-CDF cache modes are auto | on | off — try -cond auto", s)
-	}
 }
 
 // parseConverge parses the -converge criterion. The only supported form

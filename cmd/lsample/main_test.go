@@ -56,6 +56,18 @@ func TestRunRejectsBadInput(t *testing.T) {
 			t.Errorf("run(%v) accepted", args)
 		}
 	}
+	// Negative step counts are flag errors, never a silent fallback to
+	// the default budget.
+	for _, args := range [][]string{
+		{"-n", "6", "-algo", "luby", "-rounds", "-3"},
+		{"-n", "6", "-algo", "chromatic", "-sweeps", "-2"},
+		{"-n", "6", "-algo", "metropolis", "-chains", "4", "-rhat", "-sweeps", "-1"},
+	} {
+		flagName := args[len(args)-2]
+		if err := run(args, devnull); err == nil || !strings.Contains(err.Error(), flagName+" ") || !strings.Contains(err.Error(), "negative") {
+			t.Errorf("run(%v) = %v, want a %s flag error", args, err, flagName)
+		}
+	}
 }
 
 // TestSpecFlagEquivalence is the contract of the redesigned construction
@@ -377,11 +389,9 @@ func TestRunSurfacesDomainError(t *testing.T) {
 	}
 }
 
-// TestRunCondFlag pins the -cond ablation flag: every mode produces the
-// same sample stream (the cache is an equivalence-preserving speedup), -v
-// prefixes the run with the cache coverage line, and unknown modes are
-// refused with the fix-up message.
-func TestRunCondFlag(t *testing.T) {
+// TestRunVerbose pins -v: the run is prefixed with the conditional-CDF
+// cache coverage line, and the sample stream after it is the plain run's.
+func TestRunVerbose(t *testing.T) {
 	dir := t.TempDir()
 	capture := func(args ...string) string {
 		t.Helper()
@@ -400,27 +410,12 @@ func TestRunCondFlag(t *testing.T) {
 		return string(got)
 	}
 	base := []string{"-model", "hardcore", "-graph", "torus", "-n", "4", "-algo", "chromatic", "-chains", "6", "-sweeps", "8", "-seed", "9"}
-	auto := capture(base...)
-	for _, mode := range []string{"on", "off"} {
-		if got := capture(append(append([]string{}, base...), "-cond", mode)...); got != auto {
-			t.Errorf("-cond %s changed the sample stream:\nauto:\n%s\n%s:\n%s", mode, auto, mode, got)
-		}
+	plain := capture(base...)
+	line, rest, _ := strings.Cut(capture(append(append([]string{}, base...), "-v")...), "\n")
+	if !strings.HasPrefix(line, "cond-cache: cached=16/16 vertices bytes=") {
+		t.Errorf("-v coverage line missing or wrong: %q", line)
 	}
-	verbose := capture(append(append([]string{}, base...), "-v")...)
-	if !strings.HasPrefix(verbose, "cond-cache: mode=auto cached=16/16 vertices bytes=") {
-		t.Errorf("-v coverage line missing or wrong:\n%s", verbose)
-	}
-	offVerbose := capture(append(append([]string{}, base...), "-cond", "off", "-v")...)
-	if !strings.Contains(offVerbose, "cond-cache: mode=off") {
-		t.Errorf("-cond off -v line missing:\n%s", offVerbose)
-	}
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer devnull.Close()
-	err = run([]string{"-n", "6", "-cond", "sometimes"}, devnull)
-	if err == nil || !strings.Contains(err.Error(), "auto | on | off") {
-		t.Errorf("bad -cond mode returned %v, want the fix-up message", err)
+	if rest != plain {
+		t.Errorf("-v changed the sample stream:\nplain:\n%s\n-v:\n%s", plain, rest)
 	}
 }

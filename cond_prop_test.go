@@ -2,7 +2,7 @@ package repro_test
 
 // cond_prop_test.go: the conditional-CDF cache equivalence property. PR 10
 // layers per-vertex neighborhood-code LUTs (gibbs.CondCache) under the
-// fused batch kernels; nothing downstream may be able to tell. The test
+// heat-bath kernel; nothing downstream may be able to tell. The test
 // pins that corpus-wide: for every instance of testdata/corpus/, on
 // compact and forced-wide lattices, every registered batched dynamic
 // driven by the adaptive controller must produce BIT-IDENTICAL reports and
@@ -32,12 +32,23 @@ func TestCondCacheBitIdenticalAcrossCorpus(t *testing.T) {
 		MinESS:     50,
 		Workers:    3,
 	}
+	// Every instance is built twice; the copy whose cache is built under a
+	// zero entry cap runs every draw on the sweep-plan walk.
+	offs := corpusInstances(t)
+	restoreCap := gibbs.SetCondCapForTest(0, 0)
+	for _, in := range offs {
+		in.Spec.Compiled().Cond()
+	}
+	restoreCap()
 	for name, in := range corpusInstances(t) {
+		off := offs[name]
 		t.Run(name, func(t *testing.T) {
-			eng := in.Spec.Compiled()
-			st := eng.CondStats()
+			st := in.Spec.Compiled().CondStats()
 			if st.Cached == 0 || st.Bytes == 0 {
 				t.Fatalf("cache covers nothing on %s (stats %+v) — the comparison would be vacuous", name, st)
+			}
+			if st := off.Spec.Compiled().CondStats(); st.Cached != 0 {
+				t.Fatalf("plan-only copy caches %d vertices", st.Cached)
 			}
 			for _, rep := range []struct {
 				name string
@@ -51,9 +62,7 @@ func TestCondCacheBitIdenticalAcrossCorpus(t *testing.T) {
 					defer restore()
 					for _, dyn := range sampler.MultiNames() {
 						t.Run(dyn, func(t *testing.T) {
-							eng.SetCondMode(gibbs.CondOff)
-							repOff, mOff, err := run.One(in, dyn, seed, policy)
-							eng.SetCondMode(gibbs.CondAuto)
+							repOff, mOff, err := run.One(off, dyn, seed, policy)
 							if err != nil {
 								t.Fatal(err)
 							}

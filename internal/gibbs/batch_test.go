@@ -1,8 +1,9 @@
 package gibbs
 
 // batch_test.go pins the lattice kernels to the dist.Config referees on
-// single-chain views: the sweep-plan weights and the fused draw at one
-// chain must reproduce CondWeights and dist.SampleWeights bit for bit
+// single-chain views: the sweep-plan weights and the bound heat-bath
+// kernel at the list {0} must reproduce CondWeights and dist.SampleWeights
+// bit for bit
 // when only the updated vertex's neighborhood is assigned (the partial
 // views of the LOCAL harnesses), FilterWeightBatch at one chain must
 // reproduce FilterWeight, and the exact enumerator's lattice evaluators
@@ -62,6 +63,24 @@ func randomChains(n, q, B int, seed int64) []dist.Config {
 	return chains
 }
 
+// chainList returns the ascending chain list {0, …, B−1}.
+func chainList(B int) []int32 {
+	all := make([]int32, B)
+	for c := range all {
+		all[c] = int32(c)
+	}
+	return all
+}
+
+// compilePlanOnly compiles s with its cond cache built under a zero entry
+// cap, so every draw of the engine's kernel walks the sweep plan.
+func compilePlanOnly(s *Spec, tableCap int) *Compiled {
+	defer SetCondCapForTest(0, 0)()
+	c := CompileCap(s, tableCap)
+	c.Cond()
+	return c
+}
+
 // neighborhoodView returns cfg restricted to v and the scope vertices of
 // v's factors, every other vertex Unset — what a LOCAL node holds when it
 // updates v.
@@ -78,24 +97,22 @@ func neighborhoodView(eng *Compiled, cfg dist.Config, v int) dist.Config {
 
 // testSingleChainViews drives the one-chain kernels over partial views:
 // for every vertex of random configurations, CondWeightsBatchPlan at
-// (0, 1) must equal CondWeights, and SampleVertexBatch must draw the
-// symbol dist.SampleWeights draws from those weights for the same uniform,
-// with the cache on and off.
-func testSingleChainViews(t *testing.T, eng *Compiled, wide bool) {
+// (0, 1) must equal CondWeights, and the kernel bound to the view must
+// draw at the list {0} the symbol dist.SampleWeights draws from those
+// weights for the same uniform, with the cache on and off.
+func testSingleChainViews(t *testing.T, s *Spec, tableCap int, wide bool) {
 	t.Helper()
-	n, q := eng.N(), eng.Q()
+	engs := []*Compiled{CompileCap(s, tableCap), compilePlanOnly(s, tableCap)}
+	n, q := engs[0].N(), engs[0].Q()
 	if wide {
 		defer state.SetCompactLimitForTest(0)()
 	}
 	buf := make([]float64, q)
 	ref := make([]float64, q)
+	sc := NewBatchScratch(1)
 	rng := dist.NewXoshiro(9, 0)
 	for trial, cfg := range randomChains(n, q, 12, 9) {
-		if trial%2 == 0 {
-			eng.SetCondMode(CondAuto)
-		} else {
-			eng.SetCondMode(CondOff)
-		}
+		eng := engs[trial%2]
 		for v := 0; v < n; v++ {
 			view := neighborhoodView(eng, cfg, v)
 			lat, err := state.Pack(n, q, []dist.Config{view})
@@ -123,11 +140,15 @@ func testSingleChainViews(t *testing.T, eng *Compiled, wide bool) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := eng.SampleVertexBatch(lat, v, 0, 1, buf, nil, &rng); err != nil {
+			kernel, err := eng.BindVertexSubset(lat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := kernel(v, []int32{0}, buf, sc, &rng); err != nil {
 				t.Fatal(err)
 			}
 			if gx := lat.Get(v, 0); gx != wx || rng != shadow {
-				t.Fatalf("trial %d v=%d: fused drew %d, SampleWeights %d (streams equal: %v)", trial, v, gx, wx, rng == shadow)
+				t.Fatalf("trial %d v=%d: kernel drew %d, SampleWeights %d (streams equal: %v)", trial, v, gx, wx, rng == shadow)
 			}
 		}
 	}
@@ -140,11 +161,11 @@ func TestCondWeightsBatchMatchesSingle(t *testing.T) {
 		wide bool
 	}{{"compact", false}, {"wide", true}} {
 		t.Run(rep.name, func(t *testing.T) {
-			t.Run("tabled", func(t *testing.T) { testSingleChainViews(t, Compile(s), rep.wide) })
+			t.Run("tabled", func(t *testing.T) { testSingleChainViews(t, s, DefaultTableCap, rep.wide) })
 			// A cap of 0 forces every closure factor onto the fallback path
 			// while explicit tables stay tabled — both kernel paths in one
 			// engine.
-			t.Run("closure-fallback", func(t *testing.T) { testSingleChainViews(t, CompileCap(s, 0), rep.wide) })
+			t.Run("closure-fallback", func(t *testing.T) { testSingleChainViews(t, s, 0, rep.wide) })
 		})
 	}
 }

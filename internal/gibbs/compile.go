@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/dist"
 )
@@ -48,11 +47,9 @@ type Compiled struct {
 	plan     *SweepPlan
 
 	// cond is the conditional-CDF cache layered on the plan (see cond.go),
-	// likewise lazy and immutable; condMode gates its use (CondAuto zero
-	// value).
+	// likewise lazy and immutable.
 	condOnce sync.Once
 	cond     *CondCache
-	condMode atomic.Int32
 }
 
 // cfactor is one compiled factor: either a dense table (fast path) or the

@@ -1,23 +1,23 @@
 package gibbs
 
 // cond.go: the conditional-CDF cache — per-vertex lookup tables that
-// replace the sweep-plan walk of the fused batch kernels with a single
+// replace the sweep-plan walk of the heat-bath kernel with a single
 // indexed load per chain. A vertex's heat-bath conditional depends only on
 // its neighborhood (the distinct non-v vertices across its factor scopes),
 // so when q^deg(v) is small every weight row the plan walk can ever
 // produce is enumerable up front: the cache stores one cumulative weight
 // row per big-endian mixed-radix neighborhood code, built by running the
-// existing planWeightRow per code so each row's partial sums are
+// plan walk (subsetWeightRow) per code so each row's partial sums are
 // bit-identical (math.Float64bits) to the accumulation the plan path
 // performs at draw time. The hot loop for a cached vertex is: gather the
-// neighbor cells of the chain block into codes (one multiply-accumulate
-// per (neighbor, chain), a shift-or at q = 2), index the CDF row, and do
-// one branchless threshold draw per chain — no factor walk, no per-draw
-// validation, no weight buffer. A one-chain call takes a scalar path
+// neighbor cells of the listed chains into codes (one multiply-accumulate
+// per (neighbor, chain)), index the CDF row, and do one branchless
+// threshold draw per chain — no factor walk, no per-draw validation, no
+// weight buffer. A one-chain list takes a scalar path
 // (condSampleOne), and that is how every single-site caller — the B = 1
 // engines, the sequential Glauber chain and the LOCAL harnesses of
-// internal/psample — reads the cache, through the same kernel entry
-// points as the batched engines.
+// internal/psample — reads the cache, through the same bound kernel as
+// the batched engines.
 //
 // Draw equivalence (the load-bearing argument): dist.sampleWalk returns
 // the first positive-weight symbol whose running total exceeds
@@ -29,9 +29,8 @@ package gibbs
 // cumulative value, so any u below it was already caught). Overflow
 // (u lands at or past cum[q−1] through rounding) falls to the precomputed
 // last positive symbol. Every path consumes exactly one uniform per chain,
-// so the RNG streams — and therefore the engine-equivalence and B = 1
-// bit-reproducibility contracts of PRs 6–7 — are unchanged no matter
-// which vertices are cached.
+// so the RNG streams — and therefore every pinned trajectory — are the
+// same no matter which vertices are cached.
 //
 // Rows whose plan weights are invalid (zero-mass, negative, NaN, or
 // infinite — reachable codes need not be feasible) are marked bad and
@@ -42,7 +41,9 @@ package gibbs
 //
 // The cache is built lazily and sync.Once-shared alongside Plan(), is
 // invalidation-free (the compiled engine is immutable), and reports its
-// footprint through CondStats for benchmarks and cmd/lsample.
+// footprint through CondStats for benchmarks and cmd/lsample. Which
+// vertices it covers is decided by sizes alone: the DefaultCondCap entry
+// cap and the DefaultCondBytes budget.
 
 import (
 	"math"
@@ -64,7 +65,7 @@ const DefaultCondCap = 1 << 16
 // DefaultCondBytes is the default per-instance byte budget of the cache:
 // vertices are admitted greedily in vertex order until their rows, code
 // metadata, and neighbor lists would exceed it; the rest stay on the plan
-// walk. CondOn lifts this budget (the entry cap still applies per vertex).
+// walk.
 const DefaultCondBytes = 16 << 20
 
 // condEntryCap and condByteBudget are the live limits, overridable by
@@ -76,39 +77,15 @@ var (
 
 // SetCondCapForTest overrides the per-vertex entry cap and the per-instance
 // byte budget used by subsequently built caches and returns a restore
-// function — the cache twin of state.SetCompactLimitForTest. It must not
-// run concurrently with cache builds; already-built caches are unaffected
-// (the cache is invalidation-free).
+// function — the cache twin of state.SetCompactLimitForTest. A cache built
+// under (0, 0) covers no vertex, which is how tests run the plan walk. It
+// must not run concurrently with cache builds; already-built caches are
+// unaffected (the cache is invalidation-free).
 func SetCondCapForTest(entries int, bytes int64) (restore func()) {
 	oldE, oldB := condEntryCap, condByteBudget
 	condEntryCap, condByteBudget = entries, bytes
 	return func() { condEntryCap, condByteBudget = oldE, oldB }
 }
-
-// CondMode selects whether the fused sampling kernels consult the
-// conditional-CDF cache.
-type CondMode int32
-
-const (
-	// CondAuto caches every vertex under DefaultCondCap entries, greedily
-	// in vertex order within the DefaultCondBytes instance budget — the
-	// default.
-	CondAuto CondMode = iota
-	// CondOn caches every vertex under the entry cap regardless of the
-	// instance byte budget.
-	CondOn
-	// CondOff disables the cache: every draw runs the plan walk.
-	CondOff
-)
-
-// SetCondMode sets the engine's cache mode. CondOff takes effect on the
-// next kernel call (subset kernels bound by BindVertexSubset keep the mode
-// they were bound with); CondAuto vs CondOn is read once when the cache is
-// first built, so set it before the first sampling call or Cond use.
-func (c *Compiled) SetCondMode(m CondMode) { c.condMode.Store(int32(m)) }
-
-// CondMode returns the engine's current cache mode.
-func (c *Compiled) CondMode() CondMode { return CondMode(c.condMode.Load()) }
 
 // condBad marks a neighborhood code whose weight row is invalid
 // (zero-mass or non-finite); its row slot stores the raw weights so the
@@ -145,31 +122,19 @@ type CondStats struct {
 }
 
 // Cond returns the engine's conditional-CDF cache, building it on first
-// call (which also builds the sweep plan). The build honors the mode,
-// entry cap, and byte budget in effect at that moment and is never
-// invalidated.
+// call (which also builds the sweep plan) — the gate of the heat-bath
+// kernel, which reads a vertex's table when the cache covers it and walks
+// the plan otherwise. The build honors the entry cap and byte budget in
+// effect at that moment and is never invalidated.
 func (c *Compiled) Cond() *CondCache {
-	c.condOnce.Do(func() { c.cond = buildCond(c, c.CondMode()) })
+	c.condOnce.Do(func() { c.cond = buildCond(c) })
 	return c.cond
 }
 
 // CondStats reports the cache footprint, building the cache if needed.
-// Under CondOff nothing is cached and no build happens.
 func (c *Compiled) CondStats() CondStats {
-	if c.CondMode() == CondOff {
-		return CondStats{Total: c.n}
-	}
 	cc := c.Cond()
 	return CondStats{Cached: cc.cached, Total: c.n, Bytes: cc.bytes}
-}
-
-// condForSample returns the cache when the engine's mode enables it, nil
-// under CondOff — the per-call gate of the sampling kernels.
-func (c *Compiled) condForSample() *CondCache {
-	if c.CondMode() == CondOff {
-		return nil
-	}
-	return c.Cond()
 }
 
 // at returns vertex v's table, nil when v is not cached.
@@ -182,12 +147,12 @@ func (cc *CondCache) at(v int) *condVertex {
 }
 
 // buildCond enumerates the eligible vertices' conditionals through the
-// sweep plan. Each code's row is produced by planWeightRow on a synthetic
-// single-chain cell array holding the decoded neighborhood — the exact
-// generic body both lattice widths run, so the stored partial sums match
-// the plan path's draw-time accumulation bitwise on compact and wide
+// sweep plan. Each code's row is produced by subsetWeightRow on a
+// synthetic single-chain cell array holding the decoded neighborhood — the
+// exact generic body both lattice widths run, so the stored partial sums
+// match the plan path's draw-time accumulation bitwise on compact and wide
 // lattices alike.
-func buildCond(c *Compiled, mode CondMode) *CondCache {
+func buildCond(c *Compiled) *CondCache {
 	cc := &CondCache{q: c.q, verts: make([]condVertex, c.n)}
 	if c.q < 1 || c.q > condBad {
 		// meta bytes hold last positive symbols, so q must stay below the
@@ -198,6 +163,7 @@ func buildCond(c *Compiled, mode CondMode) *CondCache {
 	cells := make([]uint8, c.n)
 	w := make([]float64, c.q)
 	sc := NewBatchScratch(1)
+	chain0 := []int32{0}
 	for v := 0; v < c.n; v++ {
 		vp := &p.verts[v]
 		nbrs := condNeighbors(vp, v)
@@ -207,7 +173,7 @@ func buildCond(c *Compiled, mode CondMode) *CondCache {
 		}
 		ncodes := int(entries) / c.q
 		sz := entries*8 + int64(ncodes) + int64(len(nbrs))*4
-		if mode != CondOn && cc.bytes+sz > condByteBudget {
+		if cc.bytes+sz > condByteBudget {
 			continue
 		}
 		cv := &cc.verts[v]
@@ -220,7 +186,7 @@ func buildCond(c *Compiled, mode CondMode) *CondCache {
 				cells[nbrs[j]] = uint8(rem % c.q)
 				rem /= c.q
 			}
-			planWeightRow(c.q, vp, cells, 1, 0, 1, w, sc)
+			subsetWeightRow(c.q, vp, cells, 1, chain0, w, sc)
 			row := cv.rows[code*c.q : (code+1)*c.q]
 			acc := 0.0
 			last := -1
@@ -278,152 +244,37 @@ func condNeighbors(vp *vertexPlan, v int) []int32 {
 	return nbrs
 }
 
-// condGatherDense fills codes[0:c1−c0] with the neighborhood codes of the
-// dense chain block: big-endian mixed-radix accumulation, neighbor-outer
-// over contiguous cell rows, strength-reduced to a shift-or at q = 2 and a
-// constant-multiply at q = 3.
-func condGatherDense[T state.Cells](q int, nbrs []int32, cells []T, B, c0, c1 int, codes []int32) {
-	for i := range codes {
-		codes[i] = 0
-	}
-	switch q {
-	case 2:
-		for _, u := range nbrs {
-			nrow := cells[int(u)*B+c0 : int(u)*B+c1]
-			for i, x := range nrow {
-				codes[i] = codes[i]<<1 | int32(x)
-			}
-		}
-	case 3:
-		for _, u := range nbrs {
-			nrow := cells[int(u)*B+c0 : int(u)*B+c1]
-			for i, x := range nrow {
-				codes[i] = codes[i]*3 + int32(x)
-			}
-		}
-	default:
-		q32 := int32(q)
-		for _, u := range nbrs {
-			nrow := cells[int(u)*B+c0 : int(u)*B+c1]
-			for i, x := range nrow {
-				codes[i] = codes[i]*q32 + int32(x)
-			}
-		}
-	}
-}
-
-// condGatherSubset is condGatherDense over an explicit chain-index list.
+// condGatherSubset fills codes[0:len(chains)] with the neighborhood codes
+// of the listed chains: big-endian mixed-radix accumulation,
+// neighbor-outer, two neighbors per pass over the list so each chain
+// index and partial code is loaded and stored once per pair.
 func condGatherSubset[T state.Cells](q int, nbrs []int32, cells []T, B int, chains []int32, codes []int32) {
+	codes = codes[:len(chains)]
 	for i := range codes {
 		codes[i] = 0
 	}
-	switch q {
-	case 2:
-		for _, u := range nbrs {
-			ubase := int(u) * B
-			for i, ch := range chains {
-				codes[i] = codes[i]<<1 | int32(cells[ubase+int(ch)])
-			}
+	q32 := int32(q)
+	j := 0
+	for ; j+1 < len(nbrs); j += 2 {
+		r0 := cells[int(nbrs[j])*B:][:B]
+		r1 := cells[int(nbrs[j+1])*B:][:B]
+		for i, ch := range chains {
+			codes[i] = (codes[i]*q32+int32(r0[ch]))*q32 + int32(r1[ch])
 		}
-	case 3:
-		for _, u := range nbrs {
-			ubase := int(u) * B
-			for i, ch := range chains {
-				codes[i] = codes[i]*3 + int32(cells[ubase+int(ch)])
-			}
-		}
-	default:
-		q32 := int32(q)
-		for _, u := range nbrs {
-			ubase := int(u) * B
-			for i, ch := range chains {
-				codes[i] = codes[i]*q32 + int32(cells[ubase+int(ch)])
-			}
+	}
+	if j < len(nbrs) {
+		r0 := cells[int(nbrs[j])*B:][:B]
+		for i, ch := range chains {
+			codes[i] = codes[i]*q32 + int32(r0[ch])
 		}
 	}
 }
 
-// condSampleDense is the cached twin of sampleVertexCells: codes for the
-// chain block (into the sc.base scratch the plan walk would otherwise
-// use), then one threshold draw per chain against the indexed cumulative
-// row. A bad code surfaces the plan path's exact rowError before its
-// chain's uniform is drawn.
-func condSampleDense[T state.Cells](q int, cv *condVertex, cells []T, B, v, c0, c1 int, sc *BatchScratch, rng *dist.Xoshiro) error {
-	nb := c1 - c0
-	if nb == 1 {
-		return condSampleOne(q, cv, cells, B, v, c0, rng)
-	}
-	codes := sc.base[:nb]
-	condGatherDense(q, cv.nbrs, cells, B, c0, c1, codes)
-	rows, meta := cv.rows, cv.meta
-	out := cells[v*B+c0 : v*B+c1]
-	switch q {
-	case 2:
-		for i := range out {
-			code := codes[i]
-			m := meta[code]
-			if m == condBad {
-				return rowError(rows[2*code:2*code+2], v, c0+i)
-			}
-			cum0, total := rows[2*code], rows[2*code+1]
-			// Branchless select, exactly the q = 2 plan draw: the symbol is
-			// 1 iff u clears cum0 and symbol 1 carries weight (m is the
-			// last positive symbol, 0 or 1).
-			u := rng.Float64() * total
-			var ge uint8
-			if u >= cum0 {
-				ge = 1
-			}
-			out[i] = T(ge & m)
-		}
-	case 3:
-		for i := range out {
-			code := codes[i]
-			m := meta[code]
-			if m == condBad {
-				return rowError(rows[3*code:3*code+3], v, c0+i)
-			}
-			cum0, cum1, total := rows[3*code], rows[3*code+1], rows[3*code+2]
-			u := rng.Float64() * total
-			var x T
-			switch {
-			case u < cum0:
-				x = 0
-			case u < cum1:
-				x = 1
-			default:
-				x = T(m)
-			}
-			out[i] = x
-		}
-	default:
-		for i := range out {
-			code := int(codes[i])
-			m := meta[code]
-			row := rows[code*q : (code+1)*q]
-			if m == condBad {
-				return rowError(row, v, c0+i)
-			}
-			u := rng.Float64() * row[q-1]
-			x := int(m)
-			for j, cum := range row {
-				if u < cum {
-					x = j
-					break
-				}
-			}
-			out[i] = T(x)
-		}
-	}
-	return nil
-}
-
-// condSampleOne draws vertex v in the one chain ch — the one-chain block
-// or list of condSampleDense and condSampleSubset (B = 1 engines, the
-// sequential Glauber chain, the LOCAL harnesses, ragged tails, lone phase
-// winners). The code is a scalar accumulation, with no scratch row and no
-// per-neighbor slicing, and the draw is the row-wise threshold walk the
-// wide paths unroll, so it is bit-identical to them.
+// condSampleOne draws vertex v in the one chain ch — the one-chain list
+// of condSampleSubset (B = 1 engines, the sequential Glauber chain, the
+// LOCAL harnesses, lone phase winners). The code is a scalar
+// accumulation, with no scratch row, and the draw is the row-wise
+// threshold walk condSampleWide unrolls, so it is bit-identical to it.
 func condSampleOne[T state.Cells](q int, cv *condVertex, cells []T, B, v, ch int, rng *dist.Xoshiro) error {
 	code := 0
 	for _, u := range cv.nbrs {
@@ -446,8 +297,11 @@ func condSampleOne[T state.Cells](q int, cv *condVertex, cells []T, B, v, ch int
 	return nil
 }
 
-// condSampleSubset is condSampleDense over an explicit chain-index list —
-// the cached twin of sampleSubsetCells. A one-chain list takes
+// condSampleSubset is the cached twin of sampleSubsetCells: codes for the
+// listed chains (into the sc.base scratch the plan walk would otherwise
+// use), then one threshold draw per chain against the indexed cumulative
+// row. A bad code surfaces the plan path's exact rowError before its
+// chain's uniform is drawn. A one-chain list takes
 // condSampleOne and never enters condSampleWide's large frame: engine
 // stages run on pool goroutines that start on a small stack, and entering
 // that frame from a stage grew the stack on every Run.
@@ -459,7 +313,10 @@ func condSampleSubset[T state.Cells](q int, cv *condVertex, cells []T, B, v int,
 }
 
 // condSampleWide is condSampleSubset's body for lists of two or more
-// chains: codes for every listed chain, then one threshold draw each.
+// chains: codes for every listed chain, then one threshold draw each. At
+// q = 2 the select is branchless, exactly the plan path's q = 2 draw: the
+// symbol is 1 iff u clears cum0 and symbol 1 carries weight (m is the
+// last positive symbol, 0 or 1).
 func condSampleWide[T state.Cells](q int, cv *condVertex, cells []T, B, v int, chains []int32, sc *BatchScratch, rng *dist.Xoshiro) error {
 	nb := len(chains)
 	codes := sc.base[:nb]

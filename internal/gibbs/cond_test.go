@@ -2,12 +2,14 @@ package gibbs
 
 // cond_test.go pins the conditional-CDF cache to the plan path it
 // replaces, mirroring plan_test.go: with identical uniform variates a
-// cache-covered engine must write exactly the symbols the plan kernels
-// draw (dense blocks, bound subsets, and the one-chain path every
-// single-site caller takes, which must also match dist.SampleWeights on
-// CondWeights), consume exactly the same number of uniforms, keep partial
-// coverage bit-identical, and surface byte-for-byte the same bad-row
-// errors — without consuming the erroring chain's uniform.
+// cache-covered engine must write exactly the symbols the plan walk draws
+// (slices of the full chain list, irregular subsets, and the one-chain
+// list every single-site caller passes, which must also match
+// dist.SampleWeights on CondWeights), consume exactly the same number of
+// uniforms, keep partial coverage bit-identical, and surface
+// byte-for-byte the same bad-row errors — without consuming the erroring
+// chain's uniform. The plan side is an engine whose cache was built under
+// a zero entry cap (compilePlanOnly).
 
 import (
 	"testing"
@@ -50,7 +52,7 @@ func pairSpecQ4(t *testing.T) *Spec {
 	return s
 }
 
-// condTestSpecs covers every draw path: q=2 register, q=3 register, q=3
+// condTestSpecs covers every draw path: q=2 and q=3 pair-only, q=3
 // buffered (mixed arities + closures), q=4 generic.
 func condTestSpecs(t *testing.T) []struct {
 	name string
@@ -69,20 +71,17 @@ func condTestSpecs(t *testing.T) []struct {
 }
 
 // condEngines compiles the spec twice — one engine with the cache off, one
-// with it on — so the two paths can run the same draws side by side.
-func condEngines(t *testing.T, s *Spec, tableCap int) (off, on *Compiled) {
-	t.Helper()
-	off = CompileCap(s, tableCap)
-	off.SetCondMode(CondOff)
-	on = CompileCap(s, tableCap)
-	return off, on
+// whose cache is built on first use under the limits then in effect — so
+// the two paths can run the same draws side by side.
+func condEngines(s *Spec, tableCap int) (off, on *Compiled) {
+	return compilePlanOnly(s, tableCap), CompileCap(s, tableCap)
 }
 
 // TestCondSamplingMatchesPlanPath is the shadow-RNG equivalence property:
-// the cached dense and bound-subset kernels must write exactly
-// the cells the plan kernels write for identical generator states, on
-// compact and forced-wide lattices, on the tabled and closure-fallback
-// engines.
+// the cached kernel must write exactly the cells the plan walk writes for
+// identical generator states — over slices of the full chain list and
+// over irregular subsets — on compact and forced-wide lattices, on the
+// tabled and closure-fallback engines.
 func TestCondSamplingMatchesPlanPath(t *testing.T) {
 	const B = 6
 	for _, spec := range condTestSpecs(t) {
@@ -100,7 +99,7 @@ func TestCondSamplingMatchesPlanPath(t *testing.T) {
 							if rep.wide {
 								defer state.SetCompactLimitForTest(0)()
 							}
-							engOff, engOn := condEngines(t, spec.s, cap.cap)
+							engOff, engOn := condEngines(spec.s, cap.cap)
 							n, q := engOn.N(), engOn.Q()
 							if st := engOn.CondStats(); st.Cached != n {
 								t.Fatalf("cache covers %d of %d vertices, want all", st.Cached, n)
@@ -133,22 +132,6 @@ func TestCondSamplingMatchesPlanPath(t *testing.T) {
 									}
 								}
 							}
-							// Dense sweeps over spans including single-chain
-							// blocks (the scalar fast path).
-							for sweep := 0; sweep < 8; sweep++ {
-								for v := 0; v < n; v++ {
-									for _, span := range [][2]int{{0, B}, {2, 3}, {B - 1, B}} {
-										if err := engOff.SampleVertexBatch(latOff, v, span[0], span[1], buf, sc, &rngOff); err != nil {
-											t.Fatal(err)
-										}
-										if err := engOn.SampleVertexBatch(latOn, v, span[0], span[1], buf, sc, &rngOn); err != nil {
-											t.Fatal(err)
-										}
-									}
-								}
-							}
-							same("dense")
-							subsets := [][]int32{{0}, {1, 3, 4}, {0, 1, 2, 3, 4, 5}, {5}}
 							bindOff, err := engOff.BindVertexSubset(latOff)
 							if err != nil {
 								t.Fatal(err)
@@ -157,6 +140,23 @@ func TestCondSamplingMatchesPlanPath(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
+							// Sweeps over slices of the full list, including
+							// one-chain slices (the scalar fast path).
+							all := chainList(B)
+							for sweep := 0; sweep < 8; sweep++ {
+								for v := 0; v < n; v++ {
+									for _, span := range [][2]int{{0, B}, {2, 3}, {B - 1, B}} {
+										if err := bindOff(v, all[span[0]:span[1]], buf, sc, &rngOff); err != nil {
+											t.Fatal(err)
+										}
+										if err := bindOn(v, all[span[0]:span[1]], buf, sc, &rngOn); err != nil {
+											t.Fatal(err)
+										}
+									}
+								}
+							}
+							same("list-slices")
+							subsets := [][]int32{{0}, {1, 3, 4}, {0, 1, 2, 3, 4, 5}, {5}}
 							for sweep := 0; sweep < 8; sweep++ {
 								for v := 0; v < n; v++ {
 									chains := subsets[(sweep+v)%len(subsets)]
@@ -180,13 +180,12 @@ func TestCondSamplingMatchesPlanPath(t *testing.T) {
 // TestCondLookupLatticeMatchesSampleWeights pins the one-chain cache
 // lookup — the path of the sequential chain, the LOCAL harnesses and the
 // B = 1 engines — to the referee: for the same uniform, the cached draw
-// through SampleVertexBatch at (0, 1) and through the kernel bound to the
-// list {0} must return exactly the symbol dist.SampleWeights draws from
-// CondWeights, consuming one uniform.
+// through the kernel bound to the list {0} must return exactly the symbol
+// dist.SampleWeights draws from CondWeights, consuming one uniform.
 func TestCondLookupLatticeMatchesSampleWeights(t *testing.T) {
 	for _, spec := range condTestSpecs(t) {
 		t.Run(spec.name, func(t *testing.T) {
-			_, eng := condEngines(t, spec.s, DefaultTableCap)
+			_, eng := condEngines(spec.s, DefaultTableCap)
 			n, q := eng.N(), eng.Q()
 			if st := eng.CondStats(); st.Cached != n {
 				t.Fatalf("cache covers %d of %d vertices, want all", st.Cached, n)
@@ -214,12 +213,7 @@ func TestCondLookupLatticeMatchesSampleWeights(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if sweep%2 == 0 {
-						err = eng.SampleVertexBatch(lat, v, 0, 1, buf, nil, &rng)
-					} else {
-						err = bound(v, []int32{0}, buf, nil, &rng)
-					}
-					if err != nil {
+					if err := bound(v, []int32{0}, buf, nil, &rng); err != nil {
 						t.Fatal(err)
 					}
 					if got := lat.Get(v, 0); got != want {
@@ -244,7 +238,7 @@ func TestCondPartialCoverage(t *testing.T) {
 	// a 500-byte budget caches the first two vertices only.
 	restore := SetCondCapForTest(DefaultCondCap, 500)
 	defer restore()
-	engOff, engOn := condEngines(t, s, DefaultTableCap)
+	engOff, engOn := condEngines(s, DefaultTableCap)
 	n, q := engOn.N(), engOn.Q()
 	st := engOn.CondStats()
 	if st.Cached == 0 || st.Cached == n {
@@ -259,16 +253,25 @@ func TestCondPartialCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	bindOff, err := engOff.BindVertexSubset(latOff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bindOn, err := engOn.BindVertexSubset(latOn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := chainList(B)
 	sc := NewBatchScratch(B)
 	buf := make([]float64, B*q)
 	rngOff := dist.NewXoshiro(41, 2)
 	rngOn := rngOff
 	for sweep := 0; sweep < 10; sweep++ {
 		for v := 0; v < n; v++ {
-			if err := engOff.SampleVertexBatch(latOff, v, 0, B, buf, sc, &rngOff); err != nil {
+			if err := bindOff(v, all, buf, sc, &rngOff); err != nil {
 				t.Fatal(err)
 			}
-			if err := engOn.SampleVertexBatch(latOn, v, 0, B, buf, sc, &rngOn); err != nil {
+			if err := bindOn(v, all, buf, sc, &rngOn); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -286,12 +289,12 @@ func TestCondPartialCoverage(t *testing.T) {
 }
 
 // TestCondCapGates checks the eligibility caps: a zero entry cap caches
-// nothing (kernels fall back to the plan walk), and CondOn lifts the byte
-// budget but not the entry cap.
+// nothing (the kernel falls back to the plan walk), and the byte budget
+// holds under any entry cap.
 func TestCondCapGates(t *testing.T) {
 	t.Run("zero-entry-cap", func(t *testing.T) {
 		defer SetCondCapForTest(0, int64(DefaultCondBytes))()
-		_, eng := condEngines(t, pairSpecQ3(t), DefaultTableCap)
+		_, eng := condEngines(pairSpecQ3(t), DefaultTableCap)
 		if st := eng.CondStats(); st.Cached != 0 || st.Bytes != 0 {
 			t.Fatalf("zero cap cached %+v", st)
 		}
@@ -301,22 +304,18 @@ func TestCondCapGates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rng := dist.NewXoshiro(1, 0)
-		if err := eng.SampleVertexBatch(lat, 0, 0, 3, make([]float64, 3*q), nil, &rng); err != nil {
+		kernel, err := eng.BindVertexSubset(lat)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	t.Run("cond-on-lifts-byte-budget", func(t *testing.T) {
-		defer SetCondCapForTest(DefaultCondCap, 1)()
-		_, eng := condEngines(t, pairSpecQ3(t), DefaultTableCap)
-		eng.SetCondMode(CondOn)
-		if st := eng.CondStats(); st.Cached != eng.N() {
-			t.Fatalf("CondOn under a 1-byte budget cached %d of %d", st.Cached, eng.N())
+		rng := dist.NewXoshiro(1, 0)
+		if err := kernel(0, chainList(3), make([]float64, 3*q), NewBatchScratch(3), &rng); err != nil {
+			t.Fatal(err)
 		}
 	})
 	t.Run("auto-respects-byte-budget", func(t *testing.T) {
 		defer SetCondCapForTest(DefaultCondCap, 1)()
-		_, eng := condEngines(t, pairSpecQ3(t), DefaultTableCap)
+		_, eng := condEngines(pairSpecQ3(t), DefaultTableCap)
 		if st := eng.CondStats(); st.Cached != 0 {
 			t.Fatalf("1-byte budget cached %d vertices", st.Cached)
 		}
@@ -339,7 +338,7 @@ func TestCondBadRowMatchesPlanError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engOff, engOn := condEngines(t, s, DefaultTableCap)
+	engOff, engOn := condEngines(s, DefaultTableCap)
 	mk := func() *state.Lattice {
 		cfg := dist.NewConfig(3)
 		cfg[0], cfg[1], cfg[2] = 0, 0, 1 // v1's conditional: both colors blocked
@@ -350,20 +349,9 @@ func TestCondBadRowMatchesPlanError(t *testing.T) {
 		return lat
 	}
 	buf := make([]float64, 2)
+	sc := NewBatchScratch(1)
 	rngOff := dist.NewXoshiro(3, 0)
 	rngOn := rngOff
-	errOff := engOff.SampleVertexBatch(mk(), 1, 0, 1, buf, nil, &rngOff)
-	errOn := engOn.SampleVertexBatch(mk(), 1, 0, 1, buf, nil, &rngOn)
-	if errOff == nil || errOn == nil {
-		t.Fatalf("zero-mass row not diagnosed: off=%v on=%v", errOff, errOn)
-	}
-	if errOff.Error() != errOn.Error() {
-		t.Fatalf("errors differ:\noff: %v\non:  %v", errOff, errOn)
-	}
-	if rngOff != rngOn {
-		t.Fatal("generators diverged on the error path")
-	}
-	// Bound subset kernel, same contract.
 	bindOff, err := engOff.BindVertexSubset(mk())
 	if err != nil {
 		t.Fatal(err)
@@ -372,12 +360,15 @@ func TestCondBadRowMatchesPlanError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	errOff = bindOff(1, []int32{0}, buf, nil, &rngOff)
-	errOn = bindOn(1, []int32{0}, buf, nil, &rngOn)
-	if errOff == nil || errOn == nil || errOff.Error() != errOn.Error() {
-		t.Fatalf("subset errors differ:\noff: %v\non:  %v", errOff, errOn)
+	errOff := bindOff(1, []int32{0}, buf, sc, &rngOff)
+	errOn := bindOn(1, []int32{0}, buf, sc, &rngOn)
+	if errOff == nil || errOn == nil {
+		t.Fatalf("zero-mass row not diagnosed: off=%v on=%v", errOff, errOn)
+	}
+	if errOff.Error() != errOn.Error() {
+		t.Fatalf("errors differ:\noff: %v\non:  %v", errOff, errOn)
 	}
 	if rngOff != rngOn {
-		t.Fatal("generators diverged on the subset error path")
+		t.Fatal("generators diverged on the error path")
 	}
 }

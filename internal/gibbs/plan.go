@@ -1,8 +1,8 @@
 package gibbs
 
 // plan.go compiles each vertex's factor walk into a flat sweep plan and
-// fuses heat-bath sampling into the weight computation — the "run the hot
-// loop at hardware speed" layer on top of the chain-major lattice.
+// walks it for a list of chains — the "run the hot loop at hardware
+// speed" layer on top of the chain-major lattice.
 //
 // Interpreting the factor graph per update means walking FactorsAt(v),
 // re-deriving which scope entries are v, re-reading unary factors that
@@ -18,13 +18,13 @@ package gibbs
 // same order as CondWeights, so planned weights are bit-identical to it
 // (pinned by the root-level property test across all model builders).
 //
-// The fused kernel SampleVertexBatch draws the heat-bath symbol in the
-// same pass that computes the weight row, through the value-type
-// dist.Xoshiro generator, with a division-free threshold draw at q = 2;
-// the draw is exactly dist.SampleWeights on the planned row. Validity is
-// the caller's contract: every cell the kernel reads must hold an
-// in-range symbol. The batched engines establish it with one
-// state.Lattice.CheckAssigned preflight per Run (sampled symbols are
+// subsetWeightRow is the one plan walk. The heat-bath kernel bound by
+// BindVertexSubset (subset.go) draws from its rows, the cond-cache build
+// (cond.go) enumerates them once per neighborhood code, and
+// CondWeightsBatchPlan hands them to the bit-identity tests. Validity is
+// the caller's contract: every cell the walk reads must hold an in-range
+// symbol. The batched engines establish it with one
+// state.Lattice.CheckAssigned preflight per Reset (sampled symbols are
 // always in range, so it covers every subsequent stage); the LOCAL
 // harnesses of internal/psample, whose per-node views are partial, by
 // receiving every neighbor's spin before the first update. That contract
@@ -85,8 +85,8 @@ type planOp struct {
 // the prior row (all-ones when nil) and each op multiplies in, in factor
 // index order. pairOnly marks plans whose every op is a pair gather or a
 // unary row — the all-pairwise case (hardcore, Ising, colorings) — which
-// the fused sampler runs chain-major with the weights held in registers
-// instead of round-tripping through the weight buffer.
+// the sampling kernel draws at q = 2 and q = 3 without the generic weight
+// walk (subset.go).
 type vertexPlan struct {
 	prior    []float64
 	ops      []planOp
@@ -201,15 +201,17 @@ func unaryRow(f *cfactor, q int, sv int32) []float64 {
 	return row
 }
 
-// planWeightRow fills w (length (c1−c0)·q) with the conditional weight
-// rows of vertex v's plan for chains c0 ≤ c < c1 — the width-specialized
-// straight-line body shared by CondWeightsBatchPlan, the fused sampler and
-// the cond-cache build. Every cell the plan reads must hold an in-range
-// symbol; the only diagnostics left in here are Go's bounds checks.
-func planWeightRow[T state.Cells](q int, vp *vertexPlan, cells []T, B, c0, c1 int, w []float64, sc *BatchScratch) {
-	nb := c1 - c0
+// subsetWeightRow fills w (length len(chains)·q) with the conditional
+// weight rows of the vertex plan vp for the listed chains, row i for
+// chain chains[i] — the width-specialized straight-line body shared by the
+// sampling kernel, the cond-cache build and CondWeightsBatchPlan. Every
+// per-chain access is an indexed gather cells[u·B + chains[i]]. Every cell
+// the plan reads must hold an in-range symbol; the only diagnostics left
+// in here are Go's bounds checks.
+func subsetWeightRow[T state.Cells](q int, vp *vertexPlan, cells []T, B int, chains []int32, w []float64, sc *BatchScratch) {
+	nb := len(chains)
 	if vp.prior == nil {
-		for i := range w {
+		for i := range w[:nb*q] {
 			w[i] = 1
 		}
 	} else {
@@ -230,27 +232,27 @@ func planWeightRow[T state.Cells](q int, vp *vertexPlan, cells []T, B, c0, c1 in
 				}
 			}
 		case opPair:
-			nrow := cells[int(op.u)*B+c0 : int(op.u)*B+c1]
+			ubase := int(op.u) * B
 			table, su, sv := op.table, op.su, op.sv
 			switch q32 {
 			case 2:
-				for i, xu := range nrow {
-					bi := int32(xu) * su
+				for i, ch := range chains {
+					bi := int32(cells[ubase+int(ch)]) * su
 					row := w[2*i : 2*i+2 : 2*i+2]
 					row[0] *= table[bi]
 					row[1] *= table[bi+sv]
 				}
 			case 3:
-				for i, xu := range nrow {
-					bi := int32(xu) * su
+				for i, ch := range chains {
+					bi := int32(cells[ubase+int(ch)]) * su
 					row := w[3*i : 3*i+3 : 3*i+3]
 					row[0] *= table[bi]
 					row[1] *= table[bi+sv]
 					row[2] *= table[bi+2*sv]
 				}
 			default:
-				for i, xu := range nrow {
-					bi := int32(xu) * su
+				for i, ch := range chains {
+					bi := int32(cells[ubase+int(ch)]) * su
 					row := w[i*q : (i+1)*q]
 					for x := int32(0); x < q32; x++ {
 						row[x] *= table[bi+x*sv]
@@ -263,10 +265,10 @@ func planWeightRow[T state.Cells](q int, vp *vertexPlan, cells []T, B, c0, c1 in
 				base[i] = 0
 			}
 			for j, u := range op.scope {
-				nrow := cells[int(u)*B+c0 : int(u)*B+c1]
+				ubase := int(u) * B
 				st := op.strides[j]
-				for i, x := range nrow {
-					base[i] += int32(x) * st
+				for i, ch := range chains {
+					base[i] += int32(cells[ubase+int(ch)]) * st
 				}
 			}
 			table, sv := op.table, op.sv
@@ -301,15 +303,14 @@ func planWeightRow[T state.Cells](q int, vp *vertexPlan, cells []T, B, c0, c1 in
 				sc.assign = make([]int, len(f.scope))
 			}
 			assign := sc.assign[:len(f.scope)]
-			for i := 0; i < nb; i++ {
-				ch := c0 + i
+			for i, ch := range chains {
 				for x := 0; x < q; x++ {
 					for j, u := range f.scope {
 						if u == op.u {
 							assign[j] = x
 							continue
 						}
-						assign[j] = int(cells[int(u)*B+ch])
+						assign[j] = int(cells[int(u)*B+int(ch)])
 					}
 					w[i*q+x] *= f.eval(assign)
 				}
@@ -322,244 +323,39 @@ func planWeightRow[T state.Cells](q int, vp *vertexPlan, cells []T, B, c0, c1 in
 // rows of vertex v for the chains c0 ≤ c < c1 through the sweep plan: on
 // return buf[(c-c0)*q+x] equals CondWeights(chain c, v)[x] bit for bit,
 // and the filled prefix buf[:(c1−c0)*q] is returned. Every cell the plan
-// reads must hold an in-range symbol — the plan kernels do not diagnose
-// unset cells. It exists for the bit-identity property tests and for
-// callers that want weights without sampling.
+// reads must hold an in-range symbol — the plan walk does not diagnose
+// unset cells. It is the plan side of the bit-identity property tests: the
+// body the sampling kernel and the cond-cache build run, over the list
+// c0, …, c1−1.
 func (c *Compiled) CondWeightsBatchPlan(l *state.Lattice, v, c0, c1 int, buf []float64, sc *BatchScratch) ([]float64, error) {
-	nb, err := c.planArgs(l, v, c0, c1, len(buf))
-	if err != nil {
-		return nil, err
-	}
-	if sc == nil || len(sc.base) < nb {
-		sc = NewBatchScratch(nb)
-	}
-	w := buf[:nb*c.q]
-	vp := &c.Plan().verts[v]
-	if u8 := l.Raw8(); u8 != nil {
-		planWeightRow(c.q, vp, u8, l.Chains(), c0, c1, w, sc)
-	} else {
-		planWeightRow(c.q, vp, l.RawWide(), l.Chains(), c0, c1, w, sc)
-	}
-	return w, nil
-}
-
-// SampleVertexBatch is the fused stage kernel of the batched sampler: it
-// computes the heat-bath conditional weight rows of vertex v for chains
-// c0 ≤ c < c1 through the sweep plan and immediately draws each chain's
-// new symbol into the lattice, one rng.Float64 per chain — for each chain
-// exactly the symbol dist.SampleWeights draws from CondWeights for the
-// same uniform. buf needs (c1−c0)·q entries and sc must come from
-// NewBatchScratch (nil allocates one). Every cell the kernel reads — the
-// neighbors of v in the block's chains — must hold an in-range symbol;
-// the kernel writes only in-range symbols, so one CheckAssigned preflight
-// covers any number of subsequent stages, and a one-chain call
-// (c0, c1) = (0, 1) on a partial view is fine once v's neighbors are set.
-// Vertices covered by the conditional-CDF cache (cond.go) skip the plan
-// walk for a per-code table lookup; weights, draws, uniforms consumed,
-// and errors are bit-identical on both paths.
-func (c *Compiled) SampleVertexBatch(l *state.Lattice, v, c0, c1 int, buf []float64, sc *BatchScratch, rng *dist.Xoshiro) error {
-	nb, err := c.planArgs(l, v, c0, c1, len(buf))
-	if err != nil {
-		return err
-	}
-	if sc == nil || len(sc.base) < nb {
-		sc = NewBatchScratch(nb)
-	}
-	if cc := c.condForSample(); cc != nil {
-		if cv := cc.at(v); cv != nil {
-			if u8 := l.Raw8(); u8 != nil {
-				return condSampleDense(c.q, cv, u8, l.Chains(), v, c0, c1, sc, rng)
-			}
-			return condSampleDense(c.q, cv, l.RawWide(), l.Chains(), v, c0, c1, sc, rng)
-		}
-	}
-	w := buf[:nb*c.q]
-	vp := &c.Plan().verts[v]
-	if u8 := l.Raw8(); u8 != nil {
-		return sampleVertexCells(c.q, vp, u8, l.Chains(), v, c0, c1, w, sc, rng)
-	}
-	return sampleVertexCells(c.q, vp, l.RawWide(), l.Chains(), v, c0, c1, w, sc, rng)
-}
-
-// planArgs validates the shared argument contract of the plan kernels,
-// returning the block width c1−c0.
-func (c *Compiled) planArgs(l *state.Lattice, v, c0, c1, bufLen int) (int, error) {
 	if v < 0 || v >= c.n {
-		return 0, fmt.Errorf("gibbs: batch conditional vertex %d out of range", v)
+		return nil, fmt.Errorf("gibbs: batch conditional vertex %d out of range", v)
 	}
 	nb := c1 - c0
 	if c0 < 0 || c1 > l.Chains() || nb <= 0 {
-		return 0, fmt.Errorf("gibbs: batch chain range [%d,%d) invalid for B=%d", c0, c1, l.Chains())
+		return nil, fmt.Errorf("gibbs: batch chain range [%d,%d) invalid for B=%d", c0, c1, l.Chains())
 	}
 	if l.N() < c.n {
-		return 0, fmt.Errorf("gibbs: batch lattice has %d vertices, need %d", l.N(), c.n)
+		return nil, fmt.Errorf("gibbs: batch lattice has %d vertices, need %d", l.N(), c.n)
 	}
-	if bufLen < nb*c.q {
-		return 0, fmt.Errorf("gibbs: batch buffer has %d entries, need (c1−c0)·q = %d", bufLen, nb*c.q)
+	if len(buf) < nb*c.q {
+		return nil, fmt.Errorf("gibbs: batch buffer has %d entries, need (c1−c0)·q = %d", len(buf), nb*c.q)
 	}
-	return nb, nil
-}
-
-// sampleVertexCells is the width-specialized fused body: weight rows, then
-// one threshold draw per chain written straight into v's lattice row. The
-// draw reproduces dist.SampleWeights semantics — nonpositive entries carry
-// no mass, rounding slack falls to the last positive symbol, and bad rows
-// (negative, NaN, infinite, or zero-mass) surface as errors built in the
-// cold path.
-func sampleVertexCells[T state.Cells](q int, vp *vertexPlan, cells []T, B, v, c0, c1 int, w []float64, sc *BatchScratch, rng *dist.Xoshiro) error {
-	if vp.pairOnly {
-		switch q {
-		case 2:
-			return samplePairOnlyQ2(vp, cells, B, v, c0, c1, rng)
-		case 3:
-			return samplePairOnlyQ3(vp, cells, B, v, c0, c1, rng)
-		}
+	if sc == nil || len(sc.base) < nb {
+		sc = NewBatchScratch(nb)
 	}
-	planWeightRow(q, vp, cells, B, c0, c1, w, sc)
-	out := cells[v*B+c0 : v*B+c1]
-	if q == 2 {
-		// Division-free threshold draw: u ~ U[0, total) lands in [0, w0)
-		// for symbol 0, exactly sampleWalk with the slack falling to the
-		// last positive symbol.
-		for i := range out {
-			w0, w1 := w[2*i], w[2*i+1]
-			total := w0 + w1
-			if !(w0 >= 0 && w1 >= 0 && total > 0 && total <= math.MaxFloat64) {
-				return rowError(w[2*i:2*i+2], v, c0+i)
-			}
-			u := rng.Float64() * total
-			x := T(0)
-			if w0 > 0 && u < w0 {
-				x = 0
-			} else if w1 > 0 {
-				x = 1
-			}
-			out[i] = x
-		}
-		return nil
+	chains := make([]int32, nb)
+	for i := range chains {
+		chains[i] = int32(c0 + i)
 	}
-	for i := range out {
-		row := w[i*q : (i+1)*q]
-		total := 0.0
-		ok := true
-		for _, x := range row {
-			if !(x >= 0) {
-				ok = false
-				break
-			}
-			total += x
-		}
-		if !ok || !(total > 0 && total <= math.MaxFloat64) {
-			return rowError(row, v, c0+i)
-		}
-		u := rng.Float64() * total
-		acc := 0.0
-		last := -1
-		for x, wx := range row {
-			if wx <= 0 {
-				continue
-			}
-			last = x
-			acc += wx
-			if u < acc {
-				break
-			}
-		}
-		out[i] = T(last)
+	w := buf[:nb*c.q]
+	vp := &c.Plan().verts[v]
+	if u8 := l.Raw8(); u8 != nil {
+		subsetWeightRow(c.q, vp, u8, l.Chains(), chains, w, sc)
+	} else {
+		subsetWeightRow(c.q, vp, l.RawWide(), l.Chains(), chains, w, sc)
 	}
-	return nil
-}
-
-// samplePairOnlyQ2 is the chain-major register path at q = 2: for each
-// chain the weight pair starts at the prior, every op multiplies in
-// (prior, then ops, in factor order — the multiplication sequence of the
-// buffered path, so the weights are bit-identical; the float64 registers
-// round-trip through nothing), and the threshold draw happens in place.
-func samplePairOnlyQ2[T state.Cells](vp *vertexPlan, cells []T, B, v, c0, c1 int, rng *dist.Xoshiro) error {
-	p0, p1 := 1.0, 1.0
-	if vp.prior != nil {
-		p0, p1 = vp.prior[0], vp.prior[1]
-	}
-	ops := vp.ops
-	out := cells[v*B+c0 : v*B+c1]
-	for i := range out {
-		w0, w1 := p0, p1
-		for oi := range ops {
-			op := &ops[oi]
-			if op.kind == opPair {
-				bi := int32(cells[int(op.u)*B+c0+i]) * op.su
-				w0 *= op.table[bi]
-				w1 *= op.table[bi+op.sv]
-			} else {
-				w0 *= op.row[0]
-				w1 *= op.row[1]
-			}
-		}
-		total := w0 + w1
-		if !(w0 >= 0 && w1 >= 0 && total > 0 && total <= math.MaxFloat64) {
-			return rowError([]float64{w0, w1}, v, c0+i)
-		}
-		u := rng.Float64() * total
-		x := T(0)
-		if w0 > 0 && u < w0 {
-			x = 0
-		} else if w1 > 0 {
-			x = 1
-		}
-		out[i] = x
-	}
-	return nil
-}
-
-// samplePairOnlyQ3 is samplePairOnlyQ2 at q = 3, with the three-symbol
-// walk inlined (sampleWalk semantics: nonpositive symbols carry no mass,
-// slack falls to the last positive one).
-func samplePairOnlyQ3[T state.Cells](vp *vertexPlan, cells []T, B, v, c0, c1 int, rng *dist.Xoshiro) error {
-	p0, p1, p2 := 1.0, 1.0, 1.0
-	if vp.prior != nil {
-		p0, p1, p2 = vp.prior[0], vp.prior[1], vp.prior[2]
-	}
-	ops := vp.ops
-	out := cells[v*B+c0 : v*B+c1]
-	for i := range out {
-		w0, w1, w2 := p0, p1, p2
-		for oi := range ops {
-			op := &ops[oi]
-			if op.kind == opPair {
-				bi := int32(cells[int(op.u)*B+c0+i]) * op.su
-				w0 *= op.table[bi]
-				w1 *= op.table[bi+op.sv]
-				w2 *= op.table[bi+2*op.sv]
-			} else {
-				w0 *= op.row[0]
-				w1 *= op.row[1]
-				w2 *= op.row[2]
-			}
-		}
-		total := w0 + w1 + w2
-		if !(w0 >= 0 && w1 >= 0 && w2 >= 0 && total > 0 && total <= math.MaxFloat64) {
-			return rowError([]float64{w0, w1, w2}, v, c0+i)
-		}
-		// u ≥ 0, so u < prefix-sum subsumes the nonpositive-skip of
-		// sampleWalk (zero weights add nothing to the prefix); only the
-		// rounding-slack branch needs the last-positive rule.
-		u := rng.Float64() * total
-		var x T
-		switch {
-		case u < w0:
-			x = 0
-		case u < w0+w1:
-			x = 1
-		case w2 > 0:
-			x = 2
-		case w1 > 0:
-			x = 1
-		default:
-			x = 0
-		}
-		out[i] = x
-	}
-	return nil
+	return w, nil
 }
 
 // rowError diagnoses a bad weight row off the hot path, mirroring the

@@ -2,10 +2,12 @@ package gibbs
 
 // plan_test.go pins the compiled sweep plans to the referees:
 // CondWeightsBatchPlan must reproduce CondWeights bit-for-bit per chain on
-// the table and closure paths and on both cell representations, the fused
-// SampleVertexBatch must draw exactly the symbols dist.SampleWeights draws
-// from CondWeights for the same uniform variates, and the plan builder
-// must fold unary prefixes into priors without disturbing factor order.
+// the table and closure paths and on both cell representations, the bound
+// heat-bath kernel called the chromatic engine's way — one vertex over a
+// slice of one ascending chain list — must draw exactly the symbols
+// dist.SampleWeights draws from CondWeights for the same uniform variates,
+// and the plan builder must fold unary prefixes into priors without
+// disturbing factor order.
 
 import (
 	"errors"
@@ -47,7 +49,7 @@ func unaryFirstSpec(t *testing.T) *Spec {
 }
 
 // pairSpecQ3 is a purely pairwise q=3 spec (unary prefix + pair tables),
-// landing every vertex on the q=3 register path of the fused sampler.
+// landing every vertex on the q=3 pair-only draw of the kernel.
 func pairSpecQ3(t *testing.T) *Spec {
 	t.Helper()
 	g := graph.New(4)
@@ -173,53 +175,67 @@ func TestPlanFoldsUnaryPrefix(t *testing.T) {
 	checkKinds(CompileCap(unaryFirstSpec(t), 0), []planOpKind{opPair, opUnary, opClosure})
 }
 
-// TestSampleVertexBatchMatchesSampleWeights pins the fused draw to
-// dist.SampleWeights semantics: with identical uniform variates the fused
-// kernel must write exactly the symbol the reference walk selects.
+// TestSampleVertexBatchMatchesSampleWeights pins the kernel's
+// vertex-batch call — the chromatic engine's: one vertex over the slice
+// [c0:c1] of one ascending list {0, …, B−1}, whole, interior and one-chain
+// — to dist.SampleWeights semantics, with the cache on and off: with
+// identical uniform variates the kernel must write exactly the symbol the
+// reference walk selects and consume one uniform per chain.
 func TestSampleVertexBatchMatchesSampleWeights(t *testing.T) {
-	// unaryFirstSpec takes the q=2 register path, pairSpecQ3 the q=3 one,
-	// and batchSpec (arity-3 + closure factors) the buffered fallback.
+	// unaryFirstSpec takes the q=2 pair-only draw, pairSpecQ3 the q=3 one,
+	// and batchSpec (arity-3 + closure factors) the buffered walk.
 	for _, spec := range []struct {
 		name string
 		s    *Spec
 	}{{"q2", unaryFirstSpec(t)}, {"q3-pair", pairSpecQ3(t)}, {"q3-mixed", batchSpec(t)}} {
 		t.Run(spec.name, func(t *testing.T) {
-			eng := Compile(spec.s)
-			n, q := eng.N(), eng.Q()
-			const B = 6
-			lat, err := state.Pack(n, q, randomChains(n, q, B, 77))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := lat.CheckAssigned(); err != nil {
-				t.Fatal(err)
-			}
-			sc := NewBatchScratch(B)
-			buf := make([]float64, B*q)
-			ref := make([]float64, q)
-			rng := dist.NewXoshiro(5, 0)
-			for sweep := 0; sweep < 20; sweep++ {
-				for v := 0; v < n; v++ {
-					// The reference draw replays the same generator against
-					// the referee weights: copy the value-type RNG before
-					// the kernel consumes it.
-					shadow := rng
-					want := make([]int, B)
-					for c := 0; c < B; c++ {
-						w, err := eng.CondWeights(lat.Chain(c), v, ref)
-						if err != nil {
+			for _, eng := range []*Compiled{Compile(spec.s), compilePlanOnly(spec.s, DefaultTableCap)} {
+				n, q := eng.N(), eng.Q()
+				const B = 6
+				lat, err := state.Pack(n, q, randomChains(n, q, B, 77))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := lat.CheckAssigned(); err != nil {
+					t.Fatal(err)
+				}
+				kernel, err := eng.BindVertexSubset(lat)
+				if err != nil {
+					t.Fatal(err)
+				}
+				all := chainList(B)
+				sc := NewBatchScratch(B)
+				buf := make([]float64, B*q)
+				ref := make([]float64, q)
+				rng := dist.NewXoshiro(5, 0)
+				spans := [][2]int{{0, B}, {2, 5}, {B - 1, B}}
+				for sweep := 0; sweep < 20; sweep++ {
+					for v := 0; v < n; v++ {
+						c0, c1 := spans[(sweep+v)%len(spans)][0], spans[(sweep+v)%len(spans)][1]
+						// The reference draw replays the same generator against
+						// the referee weights: copy the value-type RNG before
+						// the kernel consumes it.
+						shadow := rng
+						want := make([]int, B)
+						for c := c0; c < c1; c++ {
+							w, err := eng.CondWeights(lat.Chain(c), v, ref)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if want[c], err = dist.SampleWeights(w, &shadow); err != nil {
+								t.Fatal(err)
+							}
+						}
+						if err := kernel(v, all[c0:c1], buf, sc, &rng); err != nil {
 							t.Fatal(err)
 						}
-						if want[c], err = dist.SampleWeights(w, &shadow); err != nil {
-							t.Fatal(err)
+						if rng != shadow {
+							t.Fatalf("sweep %d v=%d: uniform consumption diverged", sweep, v)
 						}
-					}
-					if err := eng.SampleVertexBatch(lat, v, 0, B, buf, sc, &rng); err != nil {
-						t.Fatal(err)
-					}
-					for c := 0; c < B; c++ {
-						if got := lat.Get(v, c); got != want[c] {
-							t.Fatalf("sweep %d v=%d chain %d: fused drew %d, reference walk %d", sweep, v, c, got, want[c])
+						for c := c0; c < c1; c++ {
+							if got := lat.Get(v, c); got != want[c] {
+								t.Fatalf("sweep %d v=%d chain %d: kernel drew %d, reference walk %d", sweep, v, c, got, want[c])
+							}
 						}
 					}
 				}
@@ -228,9 +244,9 @@ func TestSampleVertexBatchMatchesSampleWeights(t *testing.T) {
 	}
 }
 
-// TestSampleVertexBatchZeroMass checks the cold error path: an all-zero
-// weight row surfaces dist.ErrZeroMass wrapped with the (vertex, chain)
-// site instead of writing anything.
+// TestSampleVertexBatchZeroMass checks the cold error path of the kernel's
+// vertex-batch call, cached and planned: an all-zero weight row surfaces
+// dist.ErrZeroMass wrapped with the (vertex, chain) site.
 func TestSampleVertexBatchZeroMass(t *testing.T) {
 	g := graph.New(2)
 	g.MustAddEdge(0, 1)
@@ -240,45 +256,19 @@ func TestSampleVertexBatchZeroMass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := Compile(s)
-	lat, err := state.Pack(2, 2, randomChains(2, 2, 3, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]float64, 3*2)
-	rng := dist.NewXoshiro(1, 0)
-	err = eng.SampleVertexBatch(lat, 0, 0, 3, buf, nil, &rng)
-	if !errors.Is(err, dist.ErrZeroMass) {
-		t.Fatalf("zero-mass row: err = %v, want dist.ErrZeroMass", err)
-	}
-}
-
-// TestSampleVertexBatchRejectsBadInput covers the argument checks of the
-// fused kernel.
-func TestSampleVertexBatchRejectsBadInput(t *testing.T) {
-	eng := Compile(batchSpec(t))
-	n, q := eng.N(), eng.Q()
-	const B = 3
-	lat, err := state.Pack(n, q, randomChains(n, q, B, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]float64, B*q)
-	rng := dist.NewXoshiro(1, 0)
-	if err := eng.SampleVertexBatch(lat, -1, 0, B, buf, nil, &rng); err == nil {
-		t.Error("negative vertex accepted")
-	}
-	if err := eng.SampleVertexBatch(lat, 0, 2, 1, buf, nil, &rng); err == nil {
-		t.Error("empty chain range accepted")
-	}
-	if err := eng.SampleVertexBatch(lat, 0, 0, B, buf[:1], nil, &rng); err == nil {
-		t.Error("short buffer accepted")
-	}
-	short, err := state.New(n-1, B, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.SampleVertexBatch(short, 0, 0, B, buf, nil, &rng); err == nil {
-		t.Error("short lattice accepted")
+	for _, eng := range []*Compiled{Compile(s), compilePlanOnly(s, DefaultTableCap)} {
+		lat, err := state.Pack(2, 2, randomChains(2, 2, 3, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		kernel, err := eng.BindVertexSubset(lat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := dist.NewXoshiro(1, 0)
+		err = kernel(0, chainList(3), make([]float64, 3*2), NewBatchScratch(3), &rng)
+		if !errors.Is(err, dist.ErrZeroMass) {
+			t.Fatalf("zero-mass row: err = %v, want dist.ErrZeroMass", err)
+		}
 	}
 }

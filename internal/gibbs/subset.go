@@ -1,15 +1,16 @@
 package gibbs
 
-// subset.go: the masked variant of the fused sweep-plan kernel, and the
-// batched LocalMetropolis filter. A Luby phase selects a random
-// independent set per chain, so the set of chains in which a given vertex
-// updates is an arbitrary subset of the chain block — the kernel bound by
-// BindVertexSubset is SampleVertexBatch over an explicit chain-index list
-// instead of a dense [c0,c1) range. The plan walk, the multiplication
-// order, and the draw semantics are those of the dense kernel
-// (bit-identical weights, the draw of dist.SampleWeights), and the
-// one-chain list {0} on a one-chain lattice is the sequential Glauber
-// chain's heat-bath update. The same contract applies: every cell the
+// subset.go: the one heat-bath sampling entry point, and the batched
+// LocalMetropolis filter. BindVertexSubset binds the fused sweep-plan
+// kernel to a lattice; the bound kernel heat-baths one vertex in an
+// explicit ascending list of chains. Every dynamic runs it: the batched
+// LubyGlauber engine over the chains whose Luby phase the vertex won, the
+// ChromaticGlauber engine over slices of one engine-owned list
+// {0, …, B−1}, and the sequential Glauber chain and the LOCAL harnesses
+// of internal/psample over the one-chain list {0}. The weights are the
+// plan walk's (plan.go, bit-identical to CondWeights) or the cond cache's
+// cumulative rows (cond.go), and each listed chain draws exactly the
+// symbol dist.SampleWeights draws for the same uniform. Every cell the
 // kernel reads must hold an in-range symbol, the kernel writes only
 // in-range symbols, and all diagnostics for bad weight rows are built off
 // the hot path by rowError.
@@ -30,7 +31,7 @@ import (
 	"repro/internal/state"
 )
 
-// VertexSubsetFn is the subset kernel bound to one lattice by
+// VertexSubsetFn is the heat-bath kernel bound to one lattice by
 // BindVertexSubset: it heat-baths vertex v in exactly the listed chains —
 // conditional weight rows through the sweep plan (or the cond cache),
 // then one rng.Float64 draw per listed chain in list order, written
@@ -38,58 +39,48 @@ import (
 type VertexSubsetFn func(v int, chains []int32, buf []float64, sc *BatchScratch, rng *dist.Xoshiro) error
 
 // BindVertexSubset validates the lattice against the engine once and
-// returns the width-specialized subset kernel bound to its cells — the
-// per-update path of the batched LubyGlauber engine, which calls it once
-// per free vertex, and of the sequential Glauber chain, which calls it
-// with the list {0}. The returned function does no per-call checks, so
-// the caller owns their contracts: v is a valid vertex, chains lists
-// in-range chain indices (ascending for a deterministic RNG order), buf
-// holds len(chains)·q entries, sc is a scratch of the block size, every
-// cell the kernel reads holds an in-range symbol, and the lattice keeps
-// its backing arrays (no grow) for the lifetime of the binding. Each
-// listed chain draws exactly the symbol dist.SampleWeights draws from
-// CondWeights for the same uniform.
+// returns the width-specialized heat-bath kernel bound to its cells — the
+// per-update path of every sampler. The returned function does no
+// per-call checks, so the caller owns their contracts: v is a valid
+// vertex, chains lists in-range chain indices (ascending for a
+// deterministic RNG order), buf holds len(chains)·q entries, sc is a
+// scratch of the list size, every cell the kernel reads holds an in-range
+// symbol, and the lattice keeps its backing arrays (no grow) for the
+// lifetime of the binding. Each listed chain draws exactly the symbol
+// dist.SampleWeights draws from CondWeights for the same uniform. Binding
+// builds the plan and the cond cache if they are not built yet.
 func (c *Compiled) BindVertexSubset(l *state.Lattice) (VertexSubsetFn, error) {
 	if l.N() < c.n {
 		return nil, fmt.Errorf("gibbs: batch lattice has %d vertices, need %d", l.N(), c.n)
 	}
-	B := l.Chains()
-	verts := c.Plan().verts
-	q := c.q
-	// The cache gate is hoisted with the rest of the validation: the bound
-	// kernel keeps the mode it was bound with.
-	cc := c.condForSample()
+	verts, cc := c.Plan().verts, c.Cond()
 	if u8 := l.Raw8(); u8 != nil {
-		return func(v int, chains []int32, buf []float64, sc *BatchScratch, rng *dist.Xoshiro) error {
-			if len(chains) == 0 {
-				return nil
-			}
-			if cc != nil {
-				if cv := cc.at(v); cv != nil {
-					return condSampleSubset(q, cv, u8, B, v, chains, sc, rng)
-				}
-			}
-			return sampleSubsetCells(q, &verts[v], u8, B, v, chains, buf, sc, rng)
-		}, nil
+		return bindSubset(c.q, verts, cc, u8, l.Chains()), nil
 	}
-	wide := l.RawWide()
+	return bindSubset(c.q, verts, cc, l.RawWide(), l.Chains()), nil
+}
+
+// bindSubset is BindVertexSubset's kernel over one cell width: the cached
+// draw for vertices the cond cache covers, the plan walk otherwise.
+func bindSubset[T state.Cells](q int, verts []vertexPlan, cc *CondCache, cells []T, B int) VertexSubsetFn {
 	return func(v int, chains []int32, buf []float64, sc *BatchScratch, rng *dist.Xoshiro) error {
 		if len(chains) == 0 {
 			return nil
 		}
-		if cc != nil {
-			if cv := cc.at(v); cv != nil {
-				return condSampleSubset(q, cv, wide, B, v, chains, sc, rng)
-			}
+		if cv := cc.at(v); cv != nil {
+			return condSampleSubset(q, cv, cells, B, v, chains, sc, rng)
 		}
-		return sampleSubsetCells(q, &verts[v], wide, B, v, chains, buf, sc, rng)
-	}, nil
+		return sampleSubsetCells(q, &verts[v], cells, B, v, chains, buf, sc, rng)
+	}
 }
 
-// sampleSubsetCells is the width-specialized masked fused body, the
-// subset twin of sampleVertexCells: straight-line register paths for the
-// pair-only plans at q = 2 and q = 3, the buffered plan walk plus
-// per-chain draw otherwise.
+// sampleSubsetCells is the width-specialized fused body: dedicated draws
+// for the pair-only plans at q = 2 and q = 3, the buffered plan walk plus
+// a per-chain threshold draw otherwise. The draw reproduces
+// dist.SampleWeights semantics — nonpositive entries carry no mass,
+// rounding slack falls to the last positive symbol, and bad rows
+// (negative, NaN, infinite, or zero-mass) surface as errors built in the
+// cold path.
 func sampleSubsetCells[T state.Cells](q int, vp *vertexPlan, cells []T, B, v int, chains []int32, w []float64, sc *BatchScratch, rng *dist.Xoshiro) error {
 	if vp.pairOnly {
 		switch q {
@@ -156,126 +147,12 @@ func sampleSubsetCells[T state.Cells](q int, vp *vertexPlan, cells []T, B, v int
 	return nil
 }
 
-// subsetWeightRow is planWeightRow over an explicit chain-index list: the
-// same op stream and multiplication order, with every per-chain access an
-// indexed gather cells[u·B + chains[i]] instead of a contiguous slice.
-func subsetWeightRow[T state.Cells](q int, vp *vertexPlan, cells []T, B int, chains []int32, w []float64, sc *BatchScratch) {
-	nb := len(chains)
-	if vp.prior == nil {
-		for i := range w[:nb*q] {
-			w[i] = 1
-		}
-	} else {
-		for i := 0; i < nb; i++ {
-			copy(w[i*q:(i+1)*q], vp.prior)
-		}
-	}
-	q32 := int32(q)
-	for oi := range vp.ops {
-		op := &vp.ops[oi]
-		switch op.kind {
-		case opUnary:
-			urow := op.row
-			for i := 0; i < nb; i++ {
-				row := w[i*q : (i+1)*q]
-				for x := range row {
-					row[x] *= urow[x]
-				}
-			}
-		case opPair:
-			ubase := int(op.u) * B
-			table, su, sv := op.table, op.su, op.sv
-			switch q32 {
-			case 2:
-				for i, ch := range chains {
-					bi := int32(cells[ubase+int(ch)]) * su
-					row := w[2*i : 2*i+2 : 2*i+2]
-					row[0] *= table[bi]
-					row[1] *= table[bi+sv]
-				}
-			case 3:
-				for i, ch := range chains {
-					bi := int32(cells[ubase+int(ch)]) * su
-					row := w[3*i : 3*i+3 : 3*i+3]
-					row[0] *= table[bi]
-					row[1] *= table[bi+sv]
-					row[2] *= table[bi+2*sv]
-				}
-			default:
-				for i, ch := range chains {
-					bi := int32(cells[ubase+int(ch)]) * su
-					row := w[i*q : (i+1)*q]
-					for x := int32(0); x < q32; x++ {
-						row[x] *= table[bi+x*sv]
-					}
-				}
-			}
-		case opGeneric:
-			base := sc.base[:nb]
-			for i := range base {
-				base[i] = 0
-			}
-			for j, u := range op.scope {
-				ubase := int(u) * B
-				st := op.strides[j]
-				for i, ch := range chains {
-					base[i] += int32(cells[ubase+int(ch)]) * st
-				}
-			}
-			table, sv := op.table, op.sv
-			switch q32 {
-			case 2:
-				for i := 0; i < nb; i++ {
-					bi := base[i]
-					row := w[2*i : 2*i+2 : 2*i+2]
-					row[0] *= table[bi]
-					row[1] *= table[bi+sv]
-				}
-			case 3:
-				for i := 0; i < nb; i++ {
-					bi := base[i]
-					row := w[3*i : 3*i+3 : 3*i+3]
-					row[0] *= table[bi]
-					row[1] *= table[bi+sv]
-					row[2] *= table[bi+2*sv]
-				}
-			default:
-				for i := 0; i < nb; i++ {
-					bi := base[i]
-					row := w[i*q : (i+1)*q]
-					for x := int32(0); x < q32; x++ {
-						row[x] *= table[bi+x*sv]
-					}
-				}
-			}
-		case opClosure:
-			f := op.f
-			if len(sc.assign) < len(f.scope) {
-				sc.assign = make([]int, len(f.scope))
-			}
-			assign := sc.assign[:len(f.scope)]
-			for i, ch := range chains {
-				for x := 0; x < q; x++ {
-					for j, u := range f.scope {
-						if u == op.u {
-							assign[j] = x
-							continue
-						}
-						assign[j] = int(cells[int(u)*B+int(ch)])
-					}
-					w[i*q+x] *= f.eval(assign)
-				}
-			}
-		}
-	}
-}
-
-// subsetPairOnlyQ2 is samplePairOnlyQ2 over a chain-index list. The walk
-// runs ops-outer over the subset — op fields decoded once, the per-chain
-// four-deep dependent multiply chains of the register version pipelined
-// across chains in the two buffer columns — but each chain still sees
-// prior then ops in factor order (bit-identical weights), and the
-// threshold draws still consume one uniform per chain in list order.
+// subsetPairOnlyQ2 is the pair-only draw at q = 2. The walk runs
+// ops-outer over the list — op fields decoded once, the per-chain
+// dependent multiply chains pipelined across chains in two buffer columns
+// — but each chain still sees prior then ops in factor order
+// (bit-identical weights), and the threshold draws consume one uniform
+// per chain in list order.
 func subsetPairOnlyQ2[T state.Cells](vp *vertexPlan, cells []T, B, v int, chains []int32, buf []float64, rng *dist.Xoshiro) error {
 	p0, p1 := 1.0, 1.0
 	if vp.prior != nil {
@@ -342,7 +219,10 @@ func subsetPairOnlyQ2[T state.Cells](vp *vertexPlan, cells []T, B, v int, chains
 	return nil
 }
 
-// subsetPairOnlyQ3 is samplePairOnlyQ3 over a chain-index list.
+// subsetPairOnlyQ3 is the pair-only draw at q = 3: per chain the weight
+// triple starts at the prior and every op multiplies in, in factor order
+// (bit-identical weights, held in registers), and the three-symbol walk
+// is inlined with sampleWalk semantics.
 func subsetPairOnlyQ3[T state.Cells](vp *vertexPlan, cells []T, B, v int, chains []int32, rng *dist.Xoshiro) error {
 	p0, p1, p2 := 1.0, 1.0, 1.0
 	if vp.prior != nil {

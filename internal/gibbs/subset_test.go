@@ -1,11 +1,11 @@
 package gibbs
 
-// subset_test.go pins the masked kernels to the referees: the kernel
-// bound by BindVertexSubset must draw exactly what dist.SampleWeights
-// draws from CondWeights for the same uniforms, touch only the listed
-// chains, and on a one-chain list update like a sequential heat-bath
-// step; FilterWeightBatch must reproduce FilterWeight per chain across
-// arities and representations.
+// subset_test.go pins the fused kernels to the referees: the heat-bath
+// kernel bound by BindVertexSubset must draw exactly what
+// dist.SampleWeights draws from CondWeights for the same uniforms, touch
+// only the listed chains, and on a one-chain list update like a
+// sequential heat-bath step; FilterWeightBatch must reproduce FilterWeight
+// per chain across arities and representations.
 
 import (
 	"errors"
@@ -16,11 +16,11 @@ import (
 	"repro/internal/state"
 )
 
-// TestSampleVertexSubsetMatchesReference drives the bound masked kernel
-// over irregular chain subsets on all three plan paths (q=2 register,
-// q=3 register, buffered mixed-arity), both representations, and with the
-// cond cache off and on, checking each listed chain against the referee
-// draw and each unlisted chain for bit-exact preservation.
+// TestSampleVertexSubsetMatchesReference drives the bound kernel over
+// irregular chain subsets on all three plan paths (q=2 and q=3 pair-only,
+// buffered mixed-arity), both representations, and with the cond cache
+// off and on, checking each listed chain against the referee draw and
+// each unlisted chain for bit-exact preservation.
 func TestSampleVertexSubsetMatchesReference(t *testing.T) {
 	for _, spec := range []struct {
 		name string
@@ -35,8 +35,8 @@ func TestSampleVertexSubsetMatchesReference(t *testing.T) {
 					if rep.wide {
 						defer state.SetCompactLimitForTest(0)()
 					}
-					for _, mode := range []CondMode{CondOff, CondAuto} {
-						testSubsetAgainstReference(t, spec.s, mode, rep.wide)
+					for _, cache := range []bool{false, true} {
+						testSubsetAgainstReference(t, spec.s, cache, rep.wide)
 					}
 				})
 			}
@@ -44,10 +44,12 @@ func TestSampleVertexSubsetMatchesReference(t *testing.T) {
 	}
 }
 
-func testSubsetAgainstReference(t *testing.T, s *Spec, mode CondMode, wide bool) {
+func testSubsetAgainstReference(t *testing.T, s *Spec, cache, wide bool) {
 	t.Helper()
 	eng := Compile(s)
-	eng.SetCondMode(mode)
+	if !cache {
+		eng = compilePlanOnly(s, DefaultTableCap)
+	}
 	n, q := eng.N(), eng.Q()
 	const B = 8
 	lat, err := state.Pack(n, q, randomChains(n, q, B, 31))
@@ -98,7 +100,7 @@ func testSubsetAgainstReference(t *testing.T, s *Spec, mode CondMode, wide bool)
 				got := lat.Get(v, c)
 				if x, in := want[int32(c)]; in {
 					if got != x {
-						t.Fatalf("mode %d sweep %d v=%d chain %d: subset drew %d, SampleWeights %d", mode, sweep, v, c, got, x)
+						t.Fatalf("cache=%v sweep %d v=%d chain %d: subset drew %d, SampleWeights %d", cache, sweep, v, c, got, x)
 					}
 				} else if got != before[c] {
 					t.Fatalf("sweep %d v=%d chain %d: unlisted chain changed %d -> %d", sweep, v, c, before[c], got)

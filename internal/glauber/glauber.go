@@ -119,8 +119,12 @@ func (c *Chain) Step() error {
 	return nil
 }
 
-// Run performs the given number of single-site updates.
+// Run performs the given number of single-site updates. A negative count
+// is an error and changes nothing.
 func (c *Chain) Run(rounds int) error {
+	if rounds < 0 {
+		return fmt.Errorf("glauber: negative round count %d", rounds)
+	}
 	for i := 0; i < rounds; i++ {
 		if err := c.Step(); err != nil {
 			return err

@@ -166,28 +166,33 @@ func TestColoringChain(t *testing.T) {
 // the cond cache on and off; Reset with the same seed must replay the
 // trajectory.
 func TestChainMatchesReferee(t *testing.T) {
-	hc, err := model.Hardcore(graph.Torus(4, 4), 1.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	col, err := model.Coloring(graph.Grid(3, 3), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
 	pin := dist.NewConfig(16)
 	pin[5] = 1
 	for _, c := range []struct {
 		name string
-		spec *gibbs.Spec
+		spec func() (*gibbs.Spec, error)
 		pin  dist.Config
-	}{{"hardcore-pinned", hc, pin}, {"coloring", col, nil}} {
-		for _, mode := range []gibbs.CondMode{gibbs.CondAuto, gibbs.CondOff} {
-			in, err := gibbs.NewInstance(c.spec, c.pin)
+	}{
+		{"hardcore-pinned", func() (*gibbs.Spec, error) { return model.Hardcore(graph.Torus(4, 4), 1.3) }, pin},
+		{"coloring", func() (*gibbs.Spec, error) { return model.Coloring(graph.Grid(3, 3), 5) }, nil},
+	} {
+		for _, cache := range []bool{true, false} {
+			spec, err := c.spec()
+			if err != nil {
+				t.Fatal(err)
+			}
+			in, err := gibbs.NewInstance(spec, c.pin)
 			if err != nil {
 				t.Fatal(err)
 			}
 			eng := in.Spec.Compiled()
-			eng.SetCondMode(mode)
+			if !cache {
+				// A cache built under a zero entry cap covers nothing:
+				// every update walks the sweep plan.
+				restore := gibbs.SetCondCapForTest(0, 0)
+				eng.Cond()
+				restore()
+			}
 			const seed, steps = 77, 600
 			chain, err := New(in, seed)
 			if err != nil {
@@ -213,7 +218,7 @@ func TestChainMatchesReferee(t *testing.T) {
 					t.Fatal(err)
 				}
 				if got := chain.State(); got[v] != cfg[v] {
-					t.Fatalf("%s mode %d step %d: vertex %d = %d, referee %d", c.name, mode, i, v, got[v], cfg[v])
+					t.Fatalf("%s cache=%v step %d: vertex %d = %d, referee %d", c.name, cache, i, v, got[v], cfg[v])
 				}
 			}
 			final := chain.State()
@@ -224,7 +229,7 @@ func TestChainMatchesReferee(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got := chain.State(); !slices.Equal(got, final) || chain.Rounds() != steps {
-				t.Fatalf("%s mode %d: Reset replay ended at %v after %d rounds, first run %v", c.name, mode, got, chain.Rounds(), final)
+				t.Fatalf("%s cache=%v: Reset replay ended at %v after %d rounds, first run %v", c.name, cache, got, chain.Rounds(), final)
 			}
 		}
 	}

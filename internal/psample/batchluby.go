@@ -9,7 +9,7 @@ package psample
 //     row of the chain-major draw matrix per (vertex, chain group) item;
 //  2. every free vertex computes the subset of its chains in which it
 //     wins the Luby phase and heat-baths exactly those chains through the
-//     masked fused kernel bound by gibbs.Compiled.BindVertexSubset — plan
+//     heat-bath kernel bound by gibbs.Compiled.BindVertexSubset — plan
 //     walk and weight rows amortized across the winning chains, one
 //     uniform per winner, symbols written straight into the lattice.
 //
@@ -34,7 +34,7 @@ package psample
 // rival row slices, the bitmask word loop), so a row holding one chain
 // (every row at B = 1, the last chain group of a ragged B) applies the
 // same four padded compares to its one key directly, and a lone winner
-// is drawn by the subset kernel's scalar one-chain path. The choice
+// is drawn by the heat-bath kernel's scalar one-chain path. The choice
 // depends only on the row length, and every path computes the same
 // winners and draws, so trajectories do not depend on it.
 //
@@ -53,6 +53,7 @@ package psample
 // golden trajectories in batch_test.go pin that order symbol for symbol.
 
 import (
+	"fmt"
 	"math/bits"
 
 	"repro/internal/dist"
@@ -81,16 +82,15 @@ type BatchLubyGlauber struct {
 	updates int64
 	workers []blgWorker
 	seed    int64
-	// checked records that the lattice passed its CheckAssigned preflight;
-	// stages write only in-range symbols, so one scan per Reset suffices.
-	checked bool
-	// sample is the subset kernel bound to lat (gibbs.BindVertexSubset),
-	// rebound alongside the preflight whenever Reset replaces the lattice.
+	// sample is the heat-bath kernel bound to lat
+	// (gibbs.BindVertexSubset), nil until the lattice passes its
+	// CheckAssigned preflight; stages write only in-range symbols, so one
+	// scan and one binding per Reset suffice.
 	sample gibbs.VertexSubsetFn
 }
 
 // blgWorker is the per-worker mutable state: a value-type RNG stream, the
-// subset kernel's weight buffer and scratch, the phase-survival mask, and
+// heat-bath kernel's weight buffer and scratch, the phase-survival mask, and
 // the winning-chain list.
 type blgWorker struct {
 	rng dist.Xoshiro
@@ -127,7 +127,6 @@ func (s *BatchLubyGlauber) Reset(seed int64) error {
 	s.rounds = 0
 	s.updates = 0
 	s.workers = s.workers[:0]
-	s.checked = false
 	s.sample = nil
 	return nil
 }
@@ -176,8 +175,12 @@ func (s *BatchLubyGlauber) ensureWorkers(w, cb int) {
 
 // Run executes the given number of rounds on the worker pool. Both stages
 // statically partition the (vertex, chain-group) item grid with groups
-// outermost, so each worker owns contiguous chain columns.
+// outermost, so each worker owns contiguous chain columns. A negative
+// count is an error and changes nothing.
 func (s *BatchLubyGlauber) Run(rounds int) error {
+	if rounds < 0 {
+		return fmt.Errorf("psample: negative round count %d", rounds)
+	}
 	r := s.rules
 	free := r.freeList
 	if len(free) == 0 {
@@ -185,7 +188,7 @@ func (s *BatchLubyGlauber) Run(rounds int) error {
 		s.rounds += rounds
 		return nil
 	}
-	if !s.checked {
+	if s.sample == nil {
 		if err := s.lat.CheckAssigned(); err != nil {
 			return err
 		}
@@ -194,7 +197,6 @@ func (s *BatchLubyGlauber) Run(rounds int) error {
 			return err
 		}
 		s.sample = fn
-		s.checked = true
 	}
 	B := s.chains
 	cb := min(B, ChainBlock(r.q))

@@ -45,6 +45,7 @@ package psample
 
 import (
 	"errors"
+	"fmt"
 
 	"repro/internal/dist"
 	"repro/internal/gibbs"
@@ -216,7 +217,11 @@ func adoptItems[T state.Cells](latC, propC []T, B int, mask []uint8, v, c0, c1 i
 // groups outermost; stage 2 partitions chain columns directly (all
 // factors per column range) so its adoption-mask writes stay
 // worker-disjoint. Either way each worker owns contiguous chain columns.
+// A negative count is an error and changes nothing.
 func (s *BatchLocalMetropolis) Run(rounds int) error {
+	if rounds < 0 {
+		return fmt.Errorf("psample: negative round count %d", rounds)
+	}
 	r := s.rules
 	free := r.freeList
 	if len(free) == 0 {

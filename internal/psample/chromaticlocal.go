@@ -16,11 +16,11 @@ package psample
 // engine: a stage updates one color class, an independent set of the
 // interaction graph whose factor scopes are cliques, so simultaneous
 // updates never share a factor and each stage is a product of ordinary
-// heat-bath kernels. A node updates through the fused kernel the
-// in-process engines run, at one chain on its partial view
-// (gibbs.Compiled.SampleVertexBatch at (0, 1), see network.go), and the
-// tests pin harness and engine to the same exact referee and the harness
-// to golden outputs.
+// heat-bath kernels. A node updates through the heat-bath kernel every
+// sampler runs, bound once to its partial view and called at the list {0}
+// (gibbs.Compiled.BindVertexSubset, see network.go), and the tests pin
+// harness and engine to the same exact referee and the harness to golden
+// outputs.
 
 import (
 	"fmt"
@@ -38,11 +38,13 @@ type cgNodeState struct {
 	// pinned vertices, which never update and only relay.
 	color int
 	// cfg is the node's view of its closed neighborhood: the cell at u for
-	// neighbor u is u's spin as of the previous stage.
-	cfg  *state.Lattice
-	cond []float64
-	sc   *gibbs.BatchScratch
-	done int
+	// neighbor u is u's spin as of the previous stage. sample is the
+	// heat-bath kernel bound to it; cond and sc are the kernel's buffers.
+	cfg    *state.Lattice
+	sample gibbs.VertexSubsetFn
+	cond   []float64
+	sc     *gibbs.BatchScratch
+	done   int
 	// err records a failed update; the simulator has no error channel for
 	// steps, so it is surfaced through the final state.
 	err error
@@ -96,6 +98,9 @@ func ChromaticGlauberLOCAL(net *local.Network, r *Rules, R int, seed int64) (dis
 			cond:  make([]float64, r.q),
 			sc:    gibbs.NewBatchScratch(1),
 		}
+		if err == nil {
+			st.sample, err = r.eng.BindVertexSubset(view)
+		}
 		if err != nil {
 			st.err = err
 			return st
@@ -114,7 +119,7 @@ func ChromaticGlauberLOCAL(net *local.Network, r *Rules, R int, seed int64) (dis
 			}
 			if st.color == (round-1)%chi {
 				st.cfg.Set(v, 0, int(st.val))
-				if err := r.eng.SampleVertexBatch(st.cfg, v, 0, 1, st.cond, st.sc, &rngs[v]); err != nil {
+				if err := st.sample(v, chain0, st.cond, st.sc, &rngs[v]); err != nil {
 					st.err = err
 					return st, nil, true
 				}

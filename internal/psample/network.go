@@ -6,10 +6,11 @@ package psample
 // update rule — construct.Beats for the Luby phase and Rules.Propose for
 // the LocalMetropolis proposal — and every heat-bath update and filter
 // evaluation goes through the fused kernels the in-process engines run,
-// at one chain on the node's own view: gibbs.Compiled.SampleVertexBatch
-// at (0, 1) for LubyGlauber and FilterWeightBatch at (0, 1) for
-// LocalMetropolis. The tests pin both harnesses to the same exact referee
-// as the engines, and to golden outputs.
+// at one chain on the node's own view: for LubyGlauber the heat-bath
+// kernel that gibbs.Compiled.BindVertexSubset binds once per node view,
+// called at the list {0}; for LocalMetropolis FilterWeightBatch at
+// (0, 1). The tests pin both harnesses to the same exact referee as the
+// engines, and to golden outputs.
 //
 // The implementations pipeline one dynamics round per LOCAL round: the
 // message a node sends in LOCAL round t carries its state after t dynamics
@@ -63,6 +64,10 @@ func networkFor(net *local.Network, r *Rules, seed int64) ([]dist.Xoshiro, error
 	return rngs, nil
 }
 
+// chain0 is the one-chain list every LOCAL heat-bath update passes to the
+// kernel bound to the node's view.
+var chain0 = []int32{0}
+
 // nodeView returns a node's all-Unset compact view of the configuration.
 func nodeView(n, q int) (*state.Lattice, error) {
 	return state.NewCompact(n, 1, q)
@@ -73,11 +78,13 @@ type lgNodeState struct {
 	val  uint8
 	draw float64
 	// cfg is the node's view of its closed neighborhood: the cell at u for
-	// neighbors u is u's spin as of the previous round.
-	cfg  *state.Lattice
-	cond []float64
-	sc   *gibbs.BatchScratch
-	done int
+	// neighbors u is u's spin as of the previous round. sample is the
+	// heat-bath kernel bound to it; cond and sc are the kernel's buffers.
+	cfg    *state.Lattice
+	sample gibbs.VertexSubsetFn
+	cond   []float64
+	sc     *gibbs.BatchScratch
+	done   int
 	// err records a failed update; the simulator has no error channel for
 	// steps, so it is surfaced through the final state.
 	err error
@@ -117,6 +124,9 @@ func LubyGlauberLOCAL(net *local.Network, r *Rules, R int, seed int64) (dist.Con
 			cond: make([]float64, r.q),
 			sc:   gibbs.NewBatchScratch(1),
 		}
+		if err == nil {
+			st.sample, err = r.eng.BindVertexSubset(view)
+		}
 		if err != nil {
 			st.err = err
 			return st
@@ -141,7 +151,7 @@ func LubyGlauberLOCAL(net *local.Network, r *Rules, R int, seed int64) (dist.Con
 			}
 			if win {
 				st.cfg.Set(v, 0, int(st.val))
-				if err := r.eng.SampleVertexBatch(st.cfg, v, 0, 1, st.cond, st.sc, &rngs[v]); err != nil {
+				if err := st.sample(v, chain0, st.cond, st.sc, &rngs[v]); err != nil {
 					st.err = err
 					return st, nil, true
 				}

@@ -210,7 +210,7 @@ func TestLOCALGolden(t *testing.T) {
 		{"chromatic", 4, ChromaticGlauberLOCAL},
 		{"metropolis", 12, LocalMetropolisLOCAL},
 	}
-	for _, mode := range []gibbs.CondMode{gibbs.CondAuto, gibbs.CondOff} {
+	for _, cache := range []bool{true, false} {
 		for _, h := range harnesses {
 			for _, m := range localGoldenModels {
 				for seed := int64(1); seed <= 3; seed++ {
@@ -219,7 +219,13 @@ func TestLOCALGolden(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					spec.Compiled().SetCondMode(mode)
+					if !cache {
+						// Build the cache under a zero entry cap: every
+						// draw walks the sweep plan.
+						restore := gibbs.SetCondCapForTest(0, 0)
+						spec.Compiled().Cond()
+						restore()
+					}
 					in, err := gibbs.NewInstance(spec, nil)
 					if err != nil {
 						t.Fatal(err)
@@ -230,10 +236,10 @@ func TestLOCALGolden(t *testing.T) {
 					}
 					cfg, _, err := h.run(local.NewNetwork(spec.G), r, h.R, seed)
 					if err != nil {
-						t.Fatalf("%s mode %d: %v", key, mode, err)
+						t.Fatalf("%s cache=%v: %v", key, cache, err)
 					}
 					if got := digits(cfg); got != localGolden[key] {
-						t.Errorf("%s mode %d: %s, want %s", key, mode, got, localGolden[key])
+						t.Errorf("%s cache=%v: %s, want %s", key, cache, got, localGolden[key])
 					}
 				}
 			}

@@ -7,8 +7,8 @@
 //     experimentally, and
 //   - one in-process engine per dynamics (BatchLubyGlauber,
 //     BatchLocalMetropolis) advancing B independent chains in lockstep
-//     over one chain-major state.Lattice through the masked fused kernels
-//     (the subset kernel of gibbs.Compiled.BindVertexSubset,
+//     over one chain-major state.Lattice through the fused kernels (the
+//     heat-bath kernel of gibbs.Compiled.BindVertexSubset,
 //     FilterWeightBatch), on a worker pool over (vertex, chain group)
 //     blocks with per-worker value-type RNG streams. B = 1 is the
 //     single-chain sampler: its one-chain rows take scalar paths instead

@@ -20,13 +20,15 @@ package sampler
 // chain, and the compact cells keep the whole B×n working set in cache at
 // large B.
 //
-// The per-stage work runs through the fused sweep-plan kernel
-// (gibbs.Compiled.SampleVertexBatch): weights and the heat-bath draw in
-// one pass over a flat per-vertex instruction stream, a value-type
-// dist.Xoshiro stream per worker instead of *rand.Rand interface calls,
-// and lattice validity checked once per Run (state.Lattice.CheckAssigned)
-// instead of per cell — sampled symbols are always in range, so one
-// preflight covers every subsequent stage.
+// The per-stage work runs through the heat-bath kernel every sampler
+// shares (gibbs.Compiled.BindVertexSubset), bound to the lattice at the
+// preflight: weights and the heat-bath draw in one pass over a flat
+// per-vertex instruction stream (or one cond-cache lookup), a value-type
+// dist.Xoshiro stream per worker, and lattice validity checked once per
+// Reset (state.Lattice.CheckAssigned) instead of per cell — sampled
+// symbols are always in range, so one preflight covers every subsequent
+// stage. A (vertex, chain-group) item passes the kernel the slice
+// [c0:c1] of one engine-owned ascending list {0, …, B−1}.
 //
 // The stage schedule is the cached psample.Rules.ClassSchedule: the
 // interaction graph colored by natural-order greedy and by the degeneracy
@@ -46,6 +48,8 @@ package sampler
 // for locality now and the NUMA story later.
 
 import (
+	"fmt"
+
 	"repro/internal/dist"
 	"repro/internal/gibbs"
 	"repro/internal/psample"
@@ -64,15 +68,18 @@ type Batch struct {
 	chains int
 	// lat is the chain-major state lattice: cell (v, c) is chain c at v.
 	lat *state.Lattice
+	// all is the chain list {0, …, B−1}; a chain group is a slice of it.
+	all []int32
 	// classes is the cached chromatic stage schedule of the rules.
 	classes [][]int
 	sweeps  int
 	updates int64
 	workers []batchWorker
 	seed    int64
-	// checked records that the lattice passed its CheckAssigned preflight;
-	// stages write only in-range symbols, so one scan per Reset suffices.
-	checked bool
+	// sample is the heat-bath kernel bound to lat, nil until the lattice
+	// passes its CheckAssigned preflight; stages write only in-range
+	// symbols, so one scan and one binding per Reset suffice.
+	sample gibbs.VertexSubsetFn
 }
 
 // batchWorker is the per-worker mutable state: a value-type RNG stream and
@@ -100,6 +107,10 @@ func NewBatch(r *psample.Rules, chains int, seed int64) (*Batch, error) {
 	if err := b.Reset(seed); err != nil {
 		return nil, err
 	}
+	b.all = make([]int32, chains)
+	for c := range b.all {
+		b.all[c] = int32(c)
+	}
 	return b, nil
 }
 
@@ -114,7 +125,7 @@ func (b *Batch) Reset(seed int64) error {
 	b.sweeps = 0
 	b.updates = 0
 	b.workers = b.workers[:0]
-	b.checked = false
+	b.sample = nil
 	return nil
 }
 
@@ -166,24 +177,31 @@ func (b *Batch) ensureWorkers(w, cb int) {
 
 // Run executes the given number of full sweeps; each sweep is one
 // barrier-separated stage per color class, and each stage advances every
-// chain at every vertex of the class through the fused sweep-plan kernel.
+// chain at every vertex of the class through the bound heat-bath kernel.
 // The worker pool statically partitions the stage's (chain-group, vertex)
 // item grid with groups outermost, so each worker owns contiguous chain
-// columns.
+// columns. A negative count is an error and changes nothing.
 func (b *Batch) Run(sweeps int) error {
+	if sweeps < 0 {
+		return fmt.Errorf("sampler: negative sweep count %d", sweeps)
+	}
 	if len(b.classes) == 0 {
 		// Fully pinned instance: a sweep is a no-op.
 		b.sweeps += sweeps
 		return nil
 	}
 	// One preflight scan replaces the per-cell validity checks of the
-	// fused kernel: every symbol the stages write is in range, so the
-	// invariant survives until the next Reset.
-	if !b.checked {
+	// kernel: every symbol the stages write is in range, so the invariant
+	// (and the binding) survives until the next Reset.
+	if b.sample == nil {
 		if err := b.lat.CheckAssigned(); err != nil {
 			return err
 		}
-		b.checked = true
+		fn, err := b.rules.Engine().BindVertexSubset(b.lat)
+		if err != nil {
+			return err
+		}
+		b.sample = fn
 	}
 	B := b.chains
 	// Chains are processed in groups of psample.ChainBlock(q) so the
@@ -203,7 +221,6 @@ func (b *Batch) Run(sweeps int) error {
 	}
 	workers = max(min(workers, maxItems), 1)
 	b.ensureWorkers(workers, cb)
-	eng := b.rules.Engine()
 	stages := make([]func(w, round int) error, len(b.classes))
 	for k, class := range b.classes {
 		nclass := len(class)
@@ -219,7 +236,7 @@ func (b *Batch) Run(sweeps int) error {
 				v := class[it%nclass]
 				c0 := (it / nclass) * cb
 				c1 := min(c0+cb, B)
-				if err := eng.SampleVertexBatch(b.lat, v, c0, c1, wk.buf, wk.sc, &wk.rng); err != nil {
+				if err := b.sample(v, b.all[c0:c1], wk.buf, wk.sc, &wk.rng); err != nil {
 					return err
 				}
 			}

@@ -9,6 +9,7 @@ package sampler
 
 import (
 	"errors"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -445,5 +446,77 @@ func TestBatchFullyPinned(t *testing.T) {
 	}
 	if cfg := b.Chain(1); cfg[0] != model.Out || cfg[1] != model.Out {
 		t.Errorf("pinned state moved: %v", cfg)
+	}
+}
+
+// TestRunRejectsNegativeCount: on every registered dynamic, Run with a
+// negative count returns an error and changes nothing — not the round or
+// update counters, not a chain, not the RNG streams (the run that follows
+// matches a twin that never saw the bad call) — on a free and on a fully
+// pinned 6-cycle hardcore instance.
+func TestRunRejectsNegativeCount(t *testing.T) {
+	spec, err := model.Hardcore(graph.Cycle(6), 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	free, err := gibbs.NewInstance(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned, err := gibbs.NewInstance(spec, dist.Config{0, 1, 0, 1, 0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type updater interface{ Updates() int64 }
+	snapshot := func(s Sampler) (int, int64, []dist.Config) {
+		var u int64
+		if su, ok := s.(updater); ok {
+			u = su.Updates()
+		}
+		var chains []dist.Config
+		if m, ok := s.(MultiChain); ok {
+			for c := 0; c < m.Chains(); c++ {
+				chains = append(chains, m.Chain(c))
+			}
+		} else {
+			chains = append(chains, s.State())
+		}
+		return s.Rounds(), u, chains
+	}
+	for _, inst := range []struct {
+		name string
+		in   *gibbs.Instance
+	}{{"free", free}, {"pinned", pinned}} {
+		for _, name := range Names() {
+			t.Run(inst.name+"/"+name, func(t *testing.T) {
+				var s, twin Sampler
+				for _, p := range []*Sampler{&s, &twin} {
+					if *p, err = Create(name, inst.in, Options{Seed: 4}); err != nil {
+						t.Fatal(err)
+					}
+					if err := (*p).Run(3); err != nil {
+						t.Fatal(err)
+					}
+				}
+				r0, u0, c0 := snapshot(s)
+				if err := s.Run(-3); err == nil {
+					t.Fatal("Run(-3) accepted")
+				}
+				r1, u1, c1 := snapshot(s)
+				if r1 != r0 || u1 != u0 || !reflect.DeepEqual(c1, c0) {
+					t.Fatalf("Run(-3) changed the engine: rounds %d -> %d, updates %d -> %d", r0, r1, u0, u1)
+				}
+				for _, x := range []Sampler{s, twin} {
+					if err := x.Run(3); err != nil {
+						t.Fatal(err)
+					}
+				}
+				r2, u2, c2 := snapshot(s)
+				rt, ut, ct := snapshot(twin)
+				if r2 != rt || u2 != ut || !reflect.DeepEqual(c2, ct) {
+					t.Fatalf("the run after Run(-3) diverged from its twin: rounds %d/%d, updates %d/%d", r2, rt, u2, ut)
+				}
+			})
+		}
 	}
 }
