@@ -671,12 +671,14 @@ func BenchmarkDriverConverge(b *testing.B) {
 }
 
 // BenchmarkRhatCheck measures one convergence check of the adaptive
-// driver — Worst, WorstSplit and MinESS — on the accumulator a drive of
-// the 64×64 antiferromagnetic Ising torus (β = 0.8, λ = 1, chromatic, 16
-// chains) holds after 24 observed sweeps, where such a drive stops. It is
-// the driver-diagnostics layer of the time-to-converged-chains benchmark.
-// The warm-up check sizes the accumulator's gather scratch, so the timed
-// checks allocate nothing, which the allocs/op gate holds.
+// driver — Rhat.Check, the one call run.Drive makes per decision point —
+// on the accumulator a drive of the 64×64 antiferromagnetic Ising torus
+// (β = 0.8, λ = 1, chromatic, 16 chains) holds after 24 observed sweeps,
+// where such a drive stops. It is the driver-diagnostics layer of the
+// time-to-converged-chains benchmark. The check runs its vertex blocks on
+// every core the -cpu setting allows. The warm-up check sizes the blocks'
+// scratch, so the timed checks allocate nothing, which the allocs/op gate
+// holds.
 func BenchmarkRhatCheck(b *testing.B) {
 	spec, err := model.Ising(graph.Torus(64, 64), 0.8, 1)
 	if err != nil {
@@ -705,21 +707,14 @@ func BenchmarkRhatCheck(b *testing.B) {
 		}
 		acc.Observe()
 	}
-	check := func() {
-		if _, _, err := acc.Worst(); err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := acc.WorstSplit(); err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := acc.MinESS(); err != nil {
-			b.Fatal(err)
-		}
+	if _, err := acc.Check(); err != nil {
+		b.Fatal(err)
 	}
-	check()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		check()
+		if _, err := acc.Check(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

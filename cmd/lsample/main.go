@@ -204,6 +204,11 @@ func run(args []string, out *os.File) error {
 	if o.sweeps < 0 {
 		return fmt.Errorf("-sweeps %d is negative: -sweeps counts sweep-equivalents and must be ≥ 0", o.sweeps)
 	}
+	// runAlgo takes the driver path on -min-ess > 0, which a NaN floor
+	// fails: reject it here rather than silently run the fixed budget.
+	if !(o.minESS >= 0) || math.IsInf(o.minESS, 1) {
+		return fmt.Errorf("-min-ess %v is negative or not finite: -min-ess is a floor on the per-vertex effective sample size and must be a finite number ≥ 0 (0 = no floor)", o.minESS)
+	}
 	if o.specPath != "" {
 		var conflict []string
 		fs.Visit(func(f *flag.Flag) {
@@ -343,6 +348,9 @@ func parseConverge(s string) (float64, error) {
 	x, err := strconv.ParseFloat(rest, 64)
 	if err != nil {
 		return 0, fmt.Errorf("-converge %q: threshold %q is not a number", s, rest)
+	}
+	if math.IsNaN(x) || math.IsInf(x, 0) {
+		return 0, fmt.Errorf("-converge %q: threshold %v is not finite", s, x)
 	}
 	return x, nil
 }

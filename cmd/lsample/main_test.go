@@ -68,6 +68,21 @@ func TestRunRejectsBadInput(t *testing.T) {
 			t.Errorf("run(%v) = %v, want a %s flag error", args, err, flagName)
 		}
 	}
+	// Negative or non-finite convergence targets are flag errors too:
+	// otherwise a NaN or negative -min-ess would run the fixed-budget path
+	// and 'rhat<Inf' would stop "converged" at the first check.
+	for _, args := range [][]string{
+		{"-n", "6", "-algo", "chromatic", "-chains", "4", "-min-ess", "-5"},
+		{"-n", "6", "-algo", "chromatic", "-chains", "4", "-min-ess", "NaN"},
+		{"-n", "6", "-algo", "chromatic", "-chains", "4", "-min-ess", "Inf"},
+		{"-n", "6", "-algo", "chromatic", "-chains", "4", "-converge", "rhat<Inf"},
+		{"-n", "6", "-algo", "chromatic", "-chains", "4", "-converge", "rhat<NaN"},
+	} {
+		flagName := args[len(args)-2]
+		if err := run(args, devnull); err == nil || !strings.Contains(err.Error(), flagName+" ") {
+			t.Errorf("run(%v) = %v, want a %s flag error", args, err, flagName)
+		}
+	}
 }
 
 // TestSpecFlagEquivalence is the contract of the redesigned construction

@@ -112,7 +112,9 @@ type Policy struct {
 	MinESS float64
 	// Workers pins the engines' worker count (default DefaultWorkers;
 	// negative requests the engines' own machine-dependent default, which
-	// forfeits cross-machine reproducibility).
+	// forfeits cross-machine reproducibility). It pins the engines only:
+	// the convergence check (sampler.Rhat.Check) draws no random numbers,
+	// runs on every core, and reports the same whatever the core count.
 	Workers int
 }
 
@@ -129,7 +131,7 @@ func (p Policy) withDefaults() (Policy, error) {
 		if st.MaxSweeps < 0 {
 			return p, &PolicyError{Field: fmt.Sprintf("Stages[%d].MaxSweeps", i), Reason: "negative stage budget"}
 		}
-		if st.MinRate < 0 || st.MinRate > 1 {
+		if !(st.MinRate >= 0 && st.MinRate <= 1) { // NaN included
 			return p, &PolicyError{Field: fmt.Sprintf("Stages[%d].MinRate", i), Reason: "rate floor outside [0, 1]"}
 		}
 	}
@@ -154,11 +156,17 @@ func (p Policy) withDefaults() (Policy, error) {
 	if p.CheckEvery < 0 {
 		return p, &PolicyError{Field: "CheckEvery", Reason: "negative check cadence"}
 	}
+	if !finite(p.Rhat) {
+		return p, &PolicyError{Field: "Rhat", Reason: "non-finite threshold"}
+	}
 	if p.Rhat < 0 {
 		return p, &PolicyError{Field: "Rhat", Reason: "negative threshold"}
 	}
 	if p.Rhat > 0 && p.Rhat < 1 {
 		return p, &PolicyError{Field: "Rhat", Reason: "R̂ thresholds below 1 are unreachable"}
+	}
+	if !finite(p.MinESS) {
+		return p, &PolicyError{Field: "MinESS", Reason: "non-finite target"}
 	}
 	if p.MinESS < 0 {
 		return p, &PolicyError{Field: "MinESS", Reason: "negative target"}
@@ -168,6 +176,11 @@ func (p Policy) withDefaults() (Policy, error) {
 	}
 	return p, nil
 }
+
+// finite reports whether x is neither NaN nor infinite. A NaN target fails
+// every comparison, so it would never fire; an infinite one fires at once
+// (Rhat) or never (MinESS).
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // StopReason says why the driver stopped or left a stage.
 type StopReason string
@@ -363,15 +376,7 @@ func Drive(in *gibbs.Instance, seed int64, p Policy) (*Report, sampler.MultiChai
 				continue
 			}
 			sinceCheck = 0
-			wv, rh, err := acc.Worst()
-			if err != nil {
-				return nil, nil, fmt.Errorf("run: stage %d: %w", si, err)
-			}
-			sv, srh, err := acc.WorstSplit()
-			if err != nil {
-				return nil, nil, fmt.Errorf("run: stage %d: %w", si, err)
-			}
-			ev, ess, err := acc.MinESS()
+			d, err := acc.Check()
 			if err != nil {
 				return nil, nil, fmt.Errorf("run: stage %d: %w", si, err)
 			}
@@ -384,21 +389,21 @@ func Drive(in *gibbs.Instance, seed int64, p Policy) (*Report, sampler.MultiChai
 			ck := Check{
 				Sweep:       rep.Sweeps + stageSweeps,
 				Rounds:      m.Rounds(),
-				Rhat:        rh,
-				WorstVertex: wv,
-				SplitRhat:   srh,
-				SplitVertex: sv,
-				ESS:         ess,
-				ESSVertex:   ev,
+				Rhat:        d.Rhat,
+				WorstVertex: d.WorstVertex,
+				SplitRhat:   d.SplitRhat,
+				SplitVertex: d.SplitVertex,
+				ESS:         d.ESS,
+				ESSVertex:   d.ESSVertex,
 				Rate:        rate,
 			}
 			sr.Checks = append(sr.Checks, ck)
-			rep.Rhat, rep.WorstVertex = rh, wv
-			rep.SplitRhat, rep.SplitVertex = srh, sv
-			rep.ESS, rep.ESSVertex = ess, ev
+			rep.Rhat, rep.WorstVertex = d.Rhat, d.WorstVertex
+			rep.SplitRhat, rep.SplitVertex = d.SplitRhat, d.SplitVertex
+			rep.ESS, rep.ESSVertex = d.ESS, d.ESSVertex
 			if hasTarget &&
-				(p.Rhat <= 0 || rh <= p.Rhat) &&
-				(p.MinESS <= 0 || ess >= p.MinESS) {
+				(p.Rhat <= 0 || d.Rhat <= p.Rhat) &&
+				(p.MinESS <= 0 || d.ESS >= p.MinESS) {
 				sr.Reason = Converged
 				break
 			}

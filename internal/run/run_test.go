@@ -37,6 +37,14 @@ func TestPolicyValidation(t *testing.T) {
 		{"rhat below 1", Policy{Stages: []Stage{{Dynamic: "chromatic"}}, Rhat: 0.5}},
 		{"negative burn-in", Policy{Stages: []Stage{{Dynamic: "chromatic"}}, BurnIn: -1}},
 		{"rate above 1", Policy{Stages: []Stage{{Dynamic: "chromatic", MinRate: 1.5}, {Dynamic: "metropolis"}}}},
+		// NaN fails every comparison, so a NaN target or trigger would
+		// never fire; +Inf R̂ would pass every first check and +Inf ESS
+		// none.
+		{"rhat NaN", Policy{Stages: []Stage{{Dynamic: "chromatic"}}, Rhat: math.NaN()}},
+		{"rhat +Inf", Policy{Stages: []Stage{{Dynamic: "chromatic"}}, Rhat: math.Inf(1)}},
+		{"min ESS NaN", Policy{Stages: []Stage{{Dynamic: "chromatic"}}, MinESS: math.NaN()}},
+		{"min ESS +Inf", Policy{Stages: []Stage{{Dynamic: "chromatic"}}, MinESS: math.Inf(1)}},
+		{"rate NaN", Policy{Stages: []Stage{{Dynamic: "chromatic", MinRate: math.NaN()}, {Dynamic: "metropolis"}}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -32,20 +32,32 @@ package sampler
 // it fills, every other snapshot is dropped (snapshot 2i+1 moves to i) and
 // the retention stride doubles, so the retained series stays evenly
 // spaced across the whole history and memory stays bounded no matter how
-// long the run. The split statistic and the ESS gather one vertex's series
-// at a time into a reused chain-major float64 scratch.
+// long the run.
+//
+// Reading the buffer is one kernel per vertex (vertexStats): it gathers
+// the vertex's series once into a chain-major float64 scratch, takes one
+// sum pass and one deviation pass per chain, and yields the split
+// statistic and the ESS together; SplitAt and ESSAt are views of it. A
+// convergence check (Check) is one pass of that kernel over every vertex,
+// cut into contiguous vertex blocks that run on every core, each with its
+// own scratch, and folded in vertex order — the diagnostics draw no random
+// numbers, so the result does not depend on GOMAXPROCS or on the engines'
+// worker count.
 //
 // Every statistic is bit-identical (same vertex, same math.Float64bits) to
 // the earlier series-major layout, which stored each (vertex, chain)
-// series in its own fixed-length row: the same values meet the same
-// floating-point operations in the same order. rhatref_test.go keeps that
-// layout as the test oracle.
+// series in its own fixed-length row and ran each statistic on its own:
+// the same values meet the same floating-point operations in the same
+// order, or, where a sum of integer cells is regrouped, an order that is
+// exact either way. rhatref_test.go keeps that layout as the test oracle.
 
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/dist"
+	"repro/internal/psample"
 )
 
 // DefaultRetain is the observation-buffer capacity in snapshots: enough
@@ -62,7 +74,8 @@ const DefaultRetain = 256
 // works with any MultiChain — the chromatic Batch and the batched
 // LubyGlauber and LocalMetropolis engines alike. Memory is the 16·n·B
 // bytes of running moments plus the snapshot buffer, which holds one byte
-// per cell per retained observation (four on wide lattices).
+// per cell per retained observation (four on wide lattices), plus at most
+// 8·B·DefaultRetain bytes of kernel scratch per check block.
 type Rhat struct {
 	m MultiChain
 	// n and b are the vertex and chain counts, read once; cells = n·b is
@@ -86,13 +99,11 @@ type Rhat struct {
 	stride  int
 	skip    int
 
-	// series is one vertex's gathered history, chain-major: chain c's
-	// retained series at series[c*rlen:(c+1)*rlen]. seqMean/seqVar are the
-	// 2B-sequence scratch of the split statistic. All are reused across
-	// vertices so Worst-style sweeps do not allocate.
-	series  []float64
-	seqMean []float64
-	seqVar  []float64
+	// blocks are the vertex blocks of a check, kept across checks so a
+	// check allocates nothing once they are sized; wg waits for the
+	// goroutines of a check's blocks.
+	blocks []*checkBlock
+	wg     sync.WaitGroup
 }
 
 // NewRhat returns an empty accumulator for the multi-chain engine with the
@@ -123,8 +134,6 @@ func newRhat(m MultiChain, retain int) (*Rhat, error) {
 		compact: lat.Compact(),
 		retain:  retain,
 		stride:  1,
-		seqMean: make([]float64, 2*B),
-		seqVar:  make([]float64, 2*B),
 	}, nil
 }
 
@@ -220,15 +229,26 @@ func thin[T uint8 | int32](buf []T, cells, half int) []T {
 	return buf[:half*cells]
 }
 
-// gather copies vertex v's retained series into the chain-major scratch —
-// chain c's series at y[c*L:(c+1)*L], oldest first — and returns it.
-func (r *Rhat) gather(v int) []float64 {
+// vertexScratch is the reusable scratch of the per-vertex kernel: one
+// vertex's gathered history, chain-major (chain c's retained series at
+// series[c*rlen:(c+1)*rlen]), the 2B half-sequence means and variances of
+// the split statistic, and the B chain means of the ESS.
+type vertexScratch struct {
+	series    []float64
+	seqMean   []float64
+	seqVar    []float64
+	chainMean []float64
+}
+
+// gather copies vertex v's retained series into the scratch, chain c's
+// series at y[c*L:(c+1)*L], oldest first, and returns it.
+func (r *Rhat) gather(v int, sc *vertexScratch) []float64 {
 	B, L := r.b, r.rlen
-	if cap(r.series) < B*L {
+	if cap(sc.series) < B*L {
 		// Sized ahead like the snapshot buffer, so growth is as rare.
-		r.series = make([]float64, B*min(2*L, r.retain))
+		sc.series = make([]float64, B*min(2*L, r.retain))
 	}
-	y := r.series[:B*L]
+	y := sc.series[:B*L]
 	off := v * B
 	if r.compact {
 		for t := 0; t < L; t++ {
@@ -259,15 +279,38 @@ func (r *Rhat) Retained() (length, stride int) { return r.rlen, r.stride }
 // split statistic and the effective sample size (≥ 4 retained).
 func (r *Rhat) SplitReady() bool { return r.rlen >= 4 }
 
+// ready returns nil when SplitReady holds and otherwise an error naming
+// the statistic that needs it.
+func (r *Rhat) ready(what string) error {
+	if r.SplitReady() {
+		return nil
+	}
+	return fmt.Errorf("sampler: %s needs ≥ 4 retained observations, have %d", what, r.rlen)
+}
+
 // At returns the classic whole-chain Gelman–Rubin statistic of vertex v
 // over the observations so far. A vertex with zero variance everywhere
 // (pinned, or a frozen degree of freedom) reports exactly 1; zero
 // within-chain variance with disagreeing chains reports +Inf. At least two
 // observations are required.
 func (r *Rhat) At(v int) (float64, error) {
-	if r.count < 2 {
-		return 0, fmt.Errorf("sampler: Gelman–Rubin needs ≥ 2 observations, have %d", r.count)
+	if err := r.observed(); err != nil {
+		return 0, err
 	}
+	return r.at(v), nil
+}
+
+// observed returns nil when the whole-chain statistic has its two
+// observations and otherwise the error saying so.
+func (r *Rhat) observed() error {
+	if r.count >= 2 {
+		return nil
+	}
+	return fmt.Errorf("sampler: Gelman–Rubin needs ≥ 2 observations, have %d", r.count)
+}
+
+// at is At without the observation-count check.
+func (r *Rhat) at(v int) float64 {
 	B := r.b
 	T := float64(r.count)
 	means := r.mean[v*B : (v+1)*B]
@@ -283,16 +326,25 @@ func (r *Rhat) At(v int) (float64, error) {
 		d := means[c] - grand
 		between += d * d
 	}
-	within /= float64(B)
-	between = between * T / float64(B-1)
+	return psrf(within, between, B, T)
+}
+
+// psrf is the potential scale reduction factor of k sequences of n
+// observations each, from the sum of their within-sequence variances and
+// the sum of squared deviations of their means from the grand mean. All
+// sequences constant and equal report exactly 1; zero within-sequence
+// variance with disagreeing sequences reports +Inf.
+func psrf(within, between float64, k int, n float64) float64 {
+	within /= float64(k)
+	between = between * n / float64(k-1)
 	if within == 0 {
 		if between == 0 {
-			return 1, nil
+			return 1
 		}
-		return math.Inf(1), nil
+		return math.Inf(1)
 	}
-	varPlus := (T-1)/T*within + between/T
-	return math.Sqrt(varPlus / within), nil
+	varPlus := (n-1)/n*within + between/n
+	return math.Sqrt(varPlus / within)
 }
 
 // SplitAt returns the split Gelman–Rubin statistic of vertex v: every
@@ -303,51 +355,11 @@ func (r *Rhat) At(v int) (float64, error) {
 // all-constant sequences report exactly 1, zero within-sequence variance
 // with disagreeing sequences reports +Inf. SplitReady must hold.
 func (r *Rhat) SplitAt(v int) (float64, error) {
-	if !r.SplitReady() {
-		return 0, fmt.Errorf("sampler: split R̂ needs ≥ 4 retained observations, have %d", r.rlen)
+	if err := r.ready("split R̂"); err != nil {
+		return 0, err
 	}
-	B, L := r.b, r.rlen
-	y := r.gather(v)
-	m := L / 2
-	mf := float64(m)
-	nseq := 2 * B
-	grand := 0.0
-	for c := 0; c < B; c++ {
-		s := y[c*L : (c+1)*L]
-		halves := [2][]float64{s[:m], s[L-m:]}
-		for h, seq := range halves {
-			sum := 0.0
-			for _, x := range seq {
-				sum += x
-			}
-			mean := sum / mf
-			vsum := 0.0
-			for _, x := range seq {
-				d := x - mean
-				vsum += d * d
-			}
-			r.seqMean[2*c+h] = mean
-			r.seqVar[2*c+h] = vsum / (mf - 1)
-			grand += mean
-		}
-	}
-	grand /= float64(nseq)
-	within, between := 0.0, 0.0
-	for i := 0; i < nseq; i++ {
-		within += r.seqVar[i]
-		d := r.seqMean[i] - grand
-		between += d * d
-	}
-	within /= float64(nseq)
-	between = between * mf / float64(nseq-1)
-	if within == 0 {
-		if between == 0 {
-			return 1, nil
-		}
-		return math.Inf(1), nil
-	}
-	varPlus := (mf-1)/mf*within + between/mf
-	return math.Sqrt(varPlus / within), nil
+	split, _ := r.vertexStats(v, &r.block(0).vertexScratch)
+	return split, nil
 }
 
 // ESSAt returns the effective sample size of vertex v pooled across
@@ -362,37 +374,96 @@ func (r *Rhat) SplitAt(v int) (float64, error) {
 // every chain) is perfectly estimated and reports the full pooled count
 // B·Count. SplitReady must hold.
 func (r *Rhat) ESSAt(v int) (float64, error) {
-	if !r.SplitReady() {
-		return 0, fmt.Errorf("sampler: ESS needs ≥ 4 retained observations, have %d", r.rlen)
+	if err := r.ready("ESS"); err != nil {
+		return 0, err
 	}
+	_, ess := r.vertexStats(v, &r.block(0).vertexScratch)
+	return ess, nil
+}
+
+// vertexStats is the per-vertex kernel behind SplitAt, ESSAt and Check: it
+// gathers vertex v's retained series once and returns its split R̂ and its
+// effective sample size. SplitReady must hold.
+//
+// Each chain takes one sum pass and one deviation pass. The sum pass adds
+// up the two halves; the whole-series sum is first half + odd middle cell
+// + second half. Every cell is an int32 integer (a symbol, or Unset = −1)
+// and a series holds at most the buffer capacity of them (DefaultRetain,
+// far below the 2²² at which a sum could leave float64's exact integers),
+// so every partial sum is exact and this regrouping equals the sequential
+// sum bit for bit. The deviation pass feeds three independent
+// accumulators, each in time order: the two half variances about the half
+// means, and the whole-chain variance about the chain mean, which also
+// centres the series in place for the autocovariances.
+func (r *Rhat) vertexStats(v int, sc *vertexScratch) (split, ess float64) {
 	B, L := r.b, r.rlen
-	Lf := float64(L)
-	total := float64(B) * float64(r.count)
-	y := r.gather(v)
-	means := r.seqMean[:B]
-	grand, W := 0.0, 0.0
+	y := r.gather(v, sc)
+	m := L / 2
+	mf, Lf := float64(m), float64(L)
+	seqMean, seqVar, means := sc.seqMean, sc.seqVar, sc.chainMean
+	splitGrand, grand, W := 0.0, 0.0, 0.0
 	for c := 0; c < B; c++ {
 		s := y[c*L : (c+1)*L]
-		sum := 0.0
-		for _, x := range s {
-			sum += x
+		first, second := s[:m], s[L-m:]
+		sumA, sumB := 0.0, 0.0
+		for _, x := range first {
+			sumA += x
 		}
-		mean := sum / Lf
-		means[c] = mean
-		grand += mean
-		// Center the series in place: the autocovariances below read the
-		// centered values.
-		vsum := 0.0
-		for t, x := range s {
-			d := x - mean
-			s[t] = d
+		for _, x := range second {
+			sumB += x
+		}
+		sum := sumA + sumB
+		if L%2 == 1 {
+			sum += s[m]
+		}
+		meanA, meanB, mean := sumA/mf, sumB/mf, sum/Lf
+		varA, varB, vsum := 0.0, 0.0, 0.0
+		for t, x := range first {
+			d := x - meanA
+			varA += d * d
+			d = x - mean
+			first[t] = d
 			vsum += d * d
 		}
+		if L%2 == 1 {
+			d := s[m] - mean
+			s[m] = d
+			vsum += d * d
+		}
+		for t, x := range second {
+			d := x - meanB
+			varB += d * d
+			d = x - mean
+			second[t] = d
+			vsum += d * d
+		}
+		seqMean[2*c], seqMean[2*c+1] = meanA, meanB
+		seqVar[2*c], seqVar[2*c+1] = varA/(mf-1), varB/(mf-1)
+		// Two adds, not one of meanA + meanB: the split statistic's grand
+		// mean sums the 2B half means one at a time.
+		splitGrand += meanA
+		splitGrand += meanB
+		means[c] = mean
+		grand += mean
 		W += vsum / (Lf - 1)
 	}
+
+	// Split R̂ over the 2B half sequences.
+	nseq := 2 * B
+	splitGrand /= float64(nseq)
+	within, between := 0.0, 0.0
+	for i := 0; i < nseq; i++ {
+		within += seqVar[i]
+		d := seqMean[i] - splitGrand
+		between += d * d
+	}
+	split = psrf(within, between, nseq, mf)
+
+	// ESS over the B centred whole-chain series.
+	total := float64(B) * float64(r.count)
 	grand /= float64(B)
 	W /= float64(B)
-	between := 0.0
+	between = 0.0
 	for c := 0; c < B; c++ {
 		d := means[c] - grand
 		between += d * d
@@ -401,11 +472,11 @@ func (r *Rhat) ESSAt(v int) (float64, error) {
 	varPlus := (Lf-1)/Lf*W + between
 	if varPlus == 0 {
 		// Frozen everywhere: the constant is known exactly.
-		return total, nil
+		return split, total
 	}
 	if W == 0 {
 		// Chains frozen apart: no amount of further observation helps.
-		return 0, nil
+		return split, 0
 	}
 	// gammaPair(l) returns the within-chain autocovariances at lags l and
 	// l+1, averaged over chains (biased 1/L scaling, per the standard
@@ -443,55 +514,153 @@ func (r *Rhat) ESSAt(v int) (float64, error) {
 		sum += p
 	}
 	tau := 1 + 2*sum
-	ess := float64(B) * float64(r.stride*L) / tau
-	return math.Min(ess, total), nil
+	ess = float64(B) * float64(r.stride*L) / tau
+	return split, math.Min(ess, total)
+}
+
+// Diagnostics is one convergence check over every vertex: the worst
+// whole-chain R̂, the worst split R̂ and the smallest effective sample
+// size, each with the vertex attaining it (the lowest such vertex on
+// ties).
+type Diagnostics struct {
+	Rhat        float64
+	WorstVertex int
+	SplitRhat   float64
+	SplitVertex int
+	ESS         float64
+	ESSVertex   int
+}
+
+// fold takes each statistic of o that is strictly worse than d's, so
+// folding in vertex order keeps the lowest vertex on ties.
+func (d *Diagnostics) fold(o Diagnostics) {
+	if o.Rhat > d.Rhat {
+		d.Rhat, d.WorstVertex = o.Rhat, o.WorstVertex
+	}
+	if o.SplitRhat > d.SplitRhat {
+		d.SplitRhat, d.SplitVertex = o.SplitRhat, o.SplitVertex
+	}
+	if o.ESS < d.ESS {
+		d.ESS, d.ESSVertex = o.ESS, o.ESSVertex
+	}
+}
+
+// checkBlock is one contiguous vertex block of a check: the kernel
+// scratch, the block's range and result, and the entry point that scans
+// it on its own goroutine, bound once so a check allocates nothing.
+type checkBlock struct {
+	vertexScratch
+	lo, hi int
+	d      Diagnostics
+	run    func()
+}
+
+// block returns check block w, creating the blocks up to w on first use.
+// Block 0 also serves SplitAt and ESSAt.
+func (r *Rhat) block(w int) *checkBlock {
+	for len(r.blocks) <= w {
+		blk := &checkBlock{vertexScratch: vertexScratch{
+			seqMean:   make([]float64, 2*r.b),
+			seqVar:    make([]float64, 2*r.b),
+			chainMean: make([]float64, r.b),
+		}}
+		blk.run = func() {
+			defer r.wg.Done()
+			r.scan(blk)
+		}
+		r.blocks = append(r.blocks, blk)
+	}
+	return r.blocks[w]
+}
+
+// scan runs the per-vertex kernel over the block's vertices in order.
+func (r *Rhat) scan(blk *checkBlock) {
+	d := Diagnostics{
+		Rhat: math.Inf(-1), WorstVertex: -1,
+		SplitRhat: math.Inf(-1), SplitVertex: -1,
+		ESS: math.Inf(1), ESSVertex: -1,
+	}
+	for v := blk.lo; v < blk.hi; v++ {
+		split, ess := r.vertexStats(v, &blk.vertexScratch)
+		d.fold(Diagnostics{
+			Rhat: r.at(v), WorstVertex: v,
+			SplitRhat: split, SplitVertex: v,
+			ESS: ess, ESSVertex: v,
+		})
+	}
+	blk.d = d
+}
+
+// Check runs one convergence check: the worst whole-chain R̂, the worst
+// split R̂ and the smallest effective sample size, in one pass of the
+// per-vertex kernel. The vertices are cut into psample.DefaultWorkers(n)
+// contiguous blocks, scanned concurrently, each with its own scratch, and
+// the block results are folded in vertex order. The diagnostics draw no
+// random numbers, so the result is the sequential scan's, bit for bit and
+// vertex for vertex, whatever GOMAXPROCS is; and the check uses every core
+// even when the engines run on one. An empty instance reports R̂ 1 and
+// the full pooled count B·Count at vertex 0. The one error is SplitReady
+// not holding.
+func (r *Rhat) Check() (Diagnostics, error) {
+	if r.n == 0 {
+		return Diagnostics{Rhat: 1, SplitRhat: 1, ESS: float64(r.b) * float64(r.count)}, nil
+	}
+	if err := r.ready("a convergence check"); err != nil {
+		return Diagnostics{}, err
+	}
+	k := psample.DefaultWorkers(r.n)
+	for w := 0; w < k; w++ {
+		blk := r.block(w)
+		blk.lo, blk.hi = psample.BlockOf(r.n, k, w)
+	}
+	r.wg.Add(k - 1)
+	for _, blk := range r.blocks[1:k] {
+		go blk.run()
+	}
+	r.scan(r.blocks[0])
+	r.wg.Wait()
+	d := r.blocks[0].d
+	for _, blk := range r.blocks[1:k] {
+		d.fold(blk.d)
+	}
+	return d, nil
 }
 
 // Worst returns the vertex with the largest whole-chain R̂ and its value.
+// It reads only the running moments, not the snapshot buffer.
 func (r *Rhat) Worst() (v int, rhat float64, err error) {
-	return r.worstOf(r.At)
-}
-
-// WorstSplit returns the vertex with the largest split R̂ and its value —
-// the headline convergence number of the adaptive driver (all chains
-// converged ⇒ every vertex near 1).
-func (r *Rhat) WorstSplit() (v int, rhat float64, err error) {
-	return r.worstOf(r.SplitAt)
-}
-
-func (r *Rhat) worstOf(at func(int) (float64, error)) (v int, rhat float64, err error) {
 	if r.n == 0 {
 		return 0, 1, nil
 	}
+	if err := r.observed(); err != nil {
+		return 0, 0, err
+	}
 	v, rhat = -1, math.Inf(-1)
 	for u := 0; u < r.n; u++ {
-		x, aerr := at(u)
-		if aerr != nil {
-			return 0, 0, aerr
-		}
-		if x > rhat {
+		if x := r.at(u); x > rhat {
 			v, rhat = u, x
 		}
 	}
 	return v, rhat, nil
 }
 
+// WorstSplit returns the vertex with the largest split R̂ and its value:
+// Check's split field.
+func (r *Rhat) WorstSplit() (v int, rhat float64, err error) {
+	d, err := r.Check()
+	if err != nil {
+		return 0, 0, r.ready("split R̂")
+	}
+	return d.SplitVertex, d.SplitRhat, nil
+}
+
 // MinESS returns the vertex with the smallest effective sample size and
-// its value — the bottleneck against a min-ESS target. An empty instance
-// reports the full pooled count.
+// its value — the bottleneck against a min-ESS target: Check's ESS field.
+// An empty instance reports the full pooled count.
 func (r *Rhat) MinESS() (v int, ess float64, err error) {
-	if r.n == 0 {
-		return 0, float64(r.b) * float64(r.count), nil
+	d, err := r.Check()
+	if err != nil {
+		return 0, 0, r.ready("ESS")
 	}
-	v, ess = -1, math.Inf(1)
-	for u := 0; u < r.n; u++ {
-		x, aerr := r.ESSAt(u)
-		if aerr != nil {
-			return 0, 0, aerr
-		}
-		if x < ess {
-			v, ess = u, x
-		}
-	}
-	return v, ess, nil
+	return d.ESSVertex, d.ESS, nil
 }

@@ -4,21 +4,25 @@ package sampler
 // accumulator. After every observation it must report exactly what the
 // series-major reference (rhatref_test.go) reports — the same
 // math.Float64bits for At, SplitAt and ESSAt on every vertex, and the same
-// vertex and bits for Worst, WorstSplit and MinESS — on fabricated
-// histories (compact and wide lattices, several alphabets and buffer
-// capacities driven through repeated thinning, degenerate vertices) and on
-// every corpus instance under every batched dynamic.
+// vertex and bits for Worst, WorstSplit, MinESS and the three fields of
+// Check — on fabricated histories (compact and wide lattices, several
+// alphabets and buffer capacities driven through repeated thinning,
+// degenerate vertices, and a history wide enough for Check's vertex
+// blocks at every GOMAXPROCS from 1 to 4) and on every corpus instance
+// under every batched dynamic.
 
 import (
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/dist"
 	"repro/internal/gibbs"
+	"repro/internal/psample"
 	"repro/internal/spec"
 	"repro/internal/state"
 )
@@ -92,6 +96,35 @@ func sameStats(t *testing.T, acc *Rhat, ref *rhatRef) {
 		sameBits(t, what, got, gerr, want, werr)
 		if gv != wv {
 			t.Fatalf("%s: vertex %d, reference %d", what, gv, wv)
+		}
+	}
+	// Check is the three worsts in one pass; it needs SplitReady.
+	d, err := acc.Check()
+	if ref.n > 0 && !ref.SplitReady() {
+		if err == nil {
+			t.Fatalf("obs %d: Check() succeeded with %d retained observations", ref.Count(), gl)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("obs %d: Check(): %v", ref.Count(), err)
+	}
+	fields := []struct {
+		name string
+		v    int
+		x    float64
+		want func() (int, float64, error)
+	}{
+		{"Check.Rhat", d.WorstVertex, d.Rhat, ref.Worst},
+		{"Check.SplitRhat", d.SplitVertex, d.SplitRhat, ref.WorstSplit},
+		{"Check.ESS", d.ESSVertex, d.ESS, ref.MinESS},
+	}
+	for _, f := range fields {
+		wv, want, werr := f.want()
+		what := fmtStat(ref.Count(), f.name, -1)
+		sameBits(t, what, f.x, nil, want, werr)
+		if f.v != wv {
+			t.Fatalf("%s: vertex %d, reference %d", what, f.v, wv)
 		}
 	}
 }
@@ -200,6 +233,67 @@ func TestRhatMatchesReferenceFabricated(t *testing.T) {
 						t.Fatalf("stride %d after %d observations: fewer than three thinnings", stride, T)
 					}
 				})
+			}
+		}
+	}
+}
+
+// TestRhatMatchesReferenceBlocks runs the fabricated histories at the
+// scale where Check cuts the vertices into blocks: 259 vertices get
+// GOMAXPROCS blocks for GOMAXPROCS 1 to 4 (ragged at 3). The roles repeat
+// every numRoles vertices, so the frozen, constant and pinned vertices tie
+// exactly across block boundaries, and the lowest vertex must win every
+// tie whatever the block count.
+func TestRhatMatchesReferenceBlocks(t *testing.T) {
+	const (
+		n = 259
+		B = 4
+	)
+	for _, procs := range []int{1, 2, 3, 4} {
+		for _, layout := range []struct {
+			name string
+			wide bool
+		}{{"compact", false}, {"wide", true}} {
+			for _, q := range []int{2, 16} {
+				for _, retain := range []int{8, 10} {
+					name := fmt.Sprintf("procs=%d/%s/q=%d/retain=%d", procs, layout.name, q, retain)
+					t.Run(name, func(t *testing.T) {
+						defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+						if k := psample.DefaultWorkers(n); k != procs {
+							t.Fatalf("DefaultWorkers(%d) = %d at GOMAXPROCS %d: the block count must follow GOMAXPROCS", n, k, procs)
+						}
+						restore := func() {}
+						if layout.wide {
+							restore = state.SetCompactLimitForTest(0)
+						}
+						lat, err := state.New(n, B, q)
+						restore()
+						if err != nil {
+							t.Fatal(err)
+						}
+						m := latticeOnly{lat}
+						acc, err := newRhat(m, retain)
+						if err != nil {
+							t.Fatal(err)
+						}
+						ref, err := newRhatRef(m, retain)
+						if err != nil {
+							t.Fatal(err)
+						}
+						rng := dist.NewXoshiro(int64(100*q+retain), 1)
+						// 2·retain observations pass two thinnings.
+						T := 2*retain + 3
+						for i := 0; i < T; i++ {
+							fabricate(lat, q, i, &rng)
+							acc.Observe()
+							ref.Observe()
+							sameStats(t, acc, ref)
+						}
+						if _, stride := acc.Retained(); stride < 4 {
+							t.Fatalf("stride %d after %d observations: fewer than two thinnings", stride, T)
+						}
+					})
+				}
 			}
 		}
 	}

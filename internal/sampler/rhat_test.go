@@ -7,6 +7,7 @@ package sampler
 import (
 	"math"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/dist"
@@ -191,12 +192,52 @@ func totalAlloc(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
+// allocsPerRun returns the heap allocations per call of f over runs
+// calls, truncated to an integer as testing.AllocsPerRun does. Unlike
+// AllocsPerRun it keeps the caller's GOMAXPROCS, so it sees a check's
+// block goroutines. The mean absorbs what the runtime allocates for its
+// own bookkeeping while those goroutines run: a new OS thread when a busy
+// machine leaves no idle one, or a wait record after a GC emptied its
+// shared cache of them.
+func allocsPerRun(runs int, f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs)
+}
+
+// stockGoroutines starts n goroutines that all block at once, then lets
+// them exit. Starting a goroutine reuses a dead goroutine's descriptor
+// (and blocking one a wait record) from the runtime's per-P and global
+// free lists, and allocates only when both are empty; the per-P lists
+// hold under 64 descriptors and 128 records each, so n well above
+// GOMAXPROCS·128 leaves the global lists stocked. A long-running process
+// reaches that state by itself; a test must force it before it can see
+// that a check on several goroutines allocates nothing of its own.
+func stockGoroutines(n int) {
+	release := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for range n {
+		go func() {
+			defer wg.Done()
+			<-release
+		}()
+	}
+	close(release)
+	wg.Wait()
+}
+
 // TestRhatAllocations pins what the accumulator allocates on the 64×64
 // antiferromagnetic Ising torus with 16 chains: NewRhat only the running
 // moments (the snapshot buffer grows with the observations, one byte per
 // cell each, doubling, so its allocations stay under twice the full
-// buffer), a check nothing once its scratch is sized, and Observe nothing
-// once the buffer has filled and thinned.
+// buffer), a check nothing once its blocks' scratch is sized — at
+// GOMAXPROCS 1 (one block) and 4 (four blocks on their own goroutines) —
+// and Observe nothing once the buffer has filled and thinned.
 func TestRhatAllocations(t *testing.T) {
 	spec, err := model.Ising(graph.Torus(64, 64), 0.8, 1)
 	if err != nil {
@@ -219,22 +260,29 @@ func TestRhatAllocations(t *testing.T) {
 		}
 		observed += totalAlloc(acc.Observe)
 	}
-	// One warm-up check sizes the gather scratch; the next allocate nothing.
+	// One warm-up check sizes the blocks' scratch; the next allocate
+	// nothing, on one block or on four.
 	checks := map[string]func(){
+		"Check":      func() { _, err = acc.Check() },
 		"Worst":      func() { _, _, err = acc.Worst() },
 		"WorstSplit": func() { _, _, err = acc.WorstSplit() },
 		"MinESS":     func() { _, _, err = acc.MinESS() },
 	}
-	for name, check := range checks {
-		check()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		stockGoroutines(1024)
+		for name, check := range checks {
+			check()
+			if err != nil {
+				t.Fatalf("GOMAXPROCS %d: %s: %v", procs, name, err)
+			}
 		}
-	}
-	for name, check := range checks {
-		if n := testing.AllocsPerRun(3, check); n != 0 {
-			t.Errorf("%s allocates %v times per call after a warm-up check, want 0", name, n)
+		for name, check := range checks {
+			if n := allocsPerRun(10, check); n != 0 {
+				t.Errorf("GOMAXPROCS %d: %s allocates %d times per call after a warm-up check, want 0", procs, name, n)
+			}
 		}
+		runtime.GOMAXPROCS(prev)
 	}
 	for acc.Count() < DefaultRetain {
 		observed += totalAlloc(acc.Observe)

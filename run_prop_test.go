@@ -14,11 +14,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/gibbs"
+	"repro/internal/graph"
 	"repro/internal/local"
+	"repro/internal/model"
 	"repro/internal/psample"
 	"repro/internal/run"
 	"repro/internal/sampler"
@@ -126,6 +129,68 @@ func TestDriverDeterministicAcrossCorpus(t *testing.T) {
 				}
 				sameChains(t, mA, mB)
 			})
+		})
+	}
+}
+
+// TestDriveIndependentOfGOMAXPROCS: the convergence check runs its vertex
+// blocks on every core, so GOMAXPROCS sets how many blocks it cuts; the
+// engines stay pinned to the policy's worker count. Neither the Report nor
+// the final lattice may depend on it — on a torus large enough for several
+// blocks and on every corpus document (one block, under the escalation
+// policy of the corpus benchmark).
+func TestDriveIndependentOfGOMAXPROCS(t *testing.T) {
+	const seed = 23
+	policy := run.Policy{Chains: 16, Rhat: 1.05, MinESS: 50}
+	type drive struct {
+		in     *gibbs.Instance
+		policy run.Policy
+	}
+	ising, err := model.Ising(graph.Torus(32, 32), 0.8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	isingIn, err := gibbs.NewInstance(ising, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drives := map[string]drive{}
+	p := policy
+	p.Stages = []run.Stage{{Dynamic: "chromatic"}}
+	drives["ising-torus32/chromatic"] = drive{isingIn, p}
+	for name, in := range corpusInstances(t) {
+		p := policy
+		p.Stages = []run.Stage{
+			{Dynamic: "metropolis", MaxSweeps: 128, MinRate: 0.1},
+			{Dynamic: "chromatic"},
+		}
+		drives[name+"/escalate"] = drive{in, p}
+	}
+	for name, d := range drives {
+		t.Run(name, func(t *testing.T) {
+			var (
+				want  *run.Report
+				wantM sampler.MultiChain
+			)
+			for _, procs := range []int{1, 2, 4} {
+				prev := runtime.GOMAXPROCS(procs)
+				rep, m, err := run.Drive(d.in, seed, d.policy)
+				runtime.GOMAXPROCS(prev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(rep.Stages) == 0 || len(rep.Stages[len(rep.Stages)-1].Checks) == 0 {
+					t.Fatalf("GOMAXPROCS %d: no convergence check ran", procs)
+				}
+				if want == nil {
+					want, wantM = rep, m
+					continue
+				}
+				if !reflect.DeepEqual(rep, want) {
+					t.Errorf("GOMAXPROCS %d: report differs from GOMAXPROCS 1:\n%+v\n%+v", procs, rep, want)
+				}
+				sameChains(t, m, wantM)
+			}
 		})
 	}
 }
