@@ -502,7 +502,7 @@ func BenchmarkSamplerSweep(b *testing.B) {
 func BenchmarkBatchSweep(b *testing.B) {
 	_, rules := benchSamplerSetup(b)
 	runSweep := func(b *testing.B, rules *psample.Rules, B int) {
-		bt, err := sampler.NewBatch(rules, B, 11)
+		bt, err := psample.NewBatchChromaticGlauber(rules, B, 11)
 		if err != nil {
 			b.Fatal(err)
 		}

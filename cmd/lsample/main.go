@@ -204,6 +204,9 @@ func run(args []string, out *os.File) error {
 	if o.sweeps < 0 {
 		return fmt.Errorf("-sweeps %d is negative: -sweeps counts sweep-equivalents and must be ≥ 0", o.sweeps)
 	}
+	if o.sweeps == 0 && o.rounds == 0 {
+		return fmt.Errorf("-sweeps 0 runs nothing: -sweeps counts sweep-equivalents and must be ≥ 1 when -rounds is 0")
+	}
 	// runAlgo takes the driver path on -min-ess > 0, which a NaN floor
 	// fails: reject it here rather than silently run the fixed budget.
 	if !(o.minESS >= 0) || math.IsInf(o.minESS, 1) {
@@ -396,8 +399,8 @@ func runAlgo(out *os.File, b *spec.Built, render func(dist.Config) string, o opt
 		return runDriver(out, in, render, stages, sweep, o)
 	}
 	rounds := o.rounds
-	if rounds <= 0 {
-		rounds = max(o.sweeps, 1) * sweep
+	if rounds == 0 {
+		rounds = o.sweeps * sweep
 	}
 	// One path for every chain count: the dynamic's engine with -chains
 	// chains, rendering chain 0 (every chain is an equally valid sample;
@@ -435,7 +438,7 @@ func runDriver(out *os.File, in *gibbs.Instance, render func(dist.Config) string
 		}
 		p.Rhat = rhat
 	}
-	p.MaxSweeps = max(o.sweeps, 1)
+	p.MaxSweeps = o.sweeps
 	if o.rounds > 0 {
 		p.MaxSweeps = (o.rounds + sweep - 1) / sweep
 	}

@@ -68,6 +68,17 @@ func TestRunRejectsBadInput(t *testing.T) {
 			t.Errorf("run(%v) = %v, want a %s flag error", args, err, flagName)
 		}
 	}
+	// A zero sweep budget with no -rounds is a flag error, on the fixed
+	// budget and the driver path alike, never a silent single sweep.
+	for _, args := range [][]string{
+		{"-n", "6", "-algo", "chromatic", "-sweeps", "0"},
+		{"-n", "8", "-algo", "glauber", "-sweeps", "0"},
+		{"-n", "6", "-algo", "chromatic", "-chains", "4", "-rhat", "-sweeps", "0"},
+	} {
+		if err := run(args, devnull); err == nil || !strings.Contains(err.Error(), "-sweeps 0") {
+			t.Errorf("run(%v) = %v, want a -sweeps flag error", args, err)
+		}
+	}
 	// Negative or non-finite convergence targets are flag errors too:
 	// otherwise a NaN or negative -min-ess would run the fixed-budget path
 	// and 'rhat<Inf' would stop "converged" at the first check.

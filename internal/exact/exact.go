@@ -55,15 +55,10 @@ func enumerate(in *gibbs.Instance, budget int, visit func(l *state.Lattice, w fl
 	if err := lat.SetChain(0, in.Pinned); err != nil {
 		return err
 	}
-	// Factors fully determined by the pinning contribute once, up front.
-	base := eng.PartialWeightLattice(lat, 0)
-	if base == 0 {
-		return nil
-	}
 	if u8 := lat.Raw8(); u8 != nil {
-		enumerateCells(eng, lat, u8, free, q, base, visit)
+		enumerateCells(eng, lat, u8, free, q, visit)
 	} else {
-		enumerateCells(eng, lat, lat.RawWide(), free, q, base, visit)
+		enumerateCells(eng, lat, lat.RawWide(), free, q, visit)
 	}
 	return nil
 }
@@ -73,7 +68,12 @@ func enumerate(in *gibbs.Instance, budget int, visit func(l *state.Lattice, w fl
 // (layout cells[v], B = 1) and incremental weight deltas run on the raw
 // cells. T(dist.Unset) is the representation's own Unset sentinel (−1
 // truncates to the compact 0xFF).
-func enumerateCells[T state.Cells](eng *gibbs.Compiled, lat *state.Lattice, cells []T, free []int, q int, base float64, visit func(l *state.Lattice, w float64)) {
+func enumerateCells[T state.Cells](eng *gibbs.Compiled, lat *state.Lattice, cells []T, free []int, q int, visit func(l *state.Lattice, w float64)) {
+	// Factors fully determined by the pinning contribute once, up front.
+	base := gibbs.PartialWeightCells1(eng, cells)
+	if base == 0 {
+		return
+	}
 	unset := dist.Unset // variable, so T(unset) truncates to the cell sentinel
 	var rec func(i int, w float64)
 	rec = func(i int, w float64) {
@@ -234,29 +234,12 @@ func BallMarginalBudget(in *gibbs.Instance, v int, ball []int, budget int) (dist
 	if err := lat.SetChain(0, in.Pinned); err != nil {
 		return nil, err
 	}
-	// As in enumerate, the within-ball weight w_B is maintained
-	// incrementally on the lattice: active factors fully determined by the
-	// pinning contribute to the root weight, and each active factor at u
-	// that became fully assigned when u was assigned contributes at u.
-	base := 1.0
-	for i := range in.Spec.Factors {
-		if !active[i] {
-			continue
-		}
-		val, ok := eng.EvalFullLattice(i, lat, 0)
-		if !ok {
-			continue
-		}
-		base *= val
-		if base == 0 {
-			return nil, fmt.Errorf("exact: ball marginal at %d: %w (infeasible pinning)", v, dist.ErrZeroMass)
-		}
-	}
 	if u8 := lat.Raw8(); u8 != nil {
-		ballWalkCells(eng, u8, active, free, v, q, base, weights)
+		ballWalkCells(eng, u8, active, free, v, q, weights)
 	} else {
-		ballWalkCells(eng, lat.RawWide(), active, free, v, q, base, weights)
+		ballWalkCells(eng, lat.RawWide(), active, free, v, q, weights)
 	}
+	// An infeasible pinning leaves every weight zero: dist.ErrZeroMass.
 	d, err := dist.FromWeights(weights)
 	if err != nil {
 		return nil, fmt.Errorf("exact: ball marginal at %d: %w", v, err)
@@ -266,8 +249,22 @@ func BallMarginalBudget(in *gibbs.Instance, v int, ball []int, budget int) (dist
 
 // ballWalkCells is the width-specialized within-ball assignment walk of
 // BallMarginal: only the active (fully inside the ball) factors
-// contribute, via the incremental per-vertex delta.
-func ballWalkCells[T state.Cells](eng *gibbs.Compiled, cells []T, active []bool, free []int, v, q int, base float64, weights []float64) {
+// contribute. As in enumerate, the within-ball weight w_B is maintained
+// incrementally: the active factors fully determined by the pinning give
+// the root weight, and each active factor at u that became fully assigned
+// when u was assigned contributes at u. A zero root weight adds nothing.
+func ballWalkCells[T state.Cells](eng *gibbs.Compiled, cells []T, active []bool, free []int, v, q int, weights []float64) {
+	base := 1.0
+	for i, on := range active {
+		if !on {
+			continue
+		}
+		if val, ok := gibbs.EvalFullCells1(eng, i, cells); ok {
+			if base *= val; base == 0 {
+				return
+			}
+		}
+	}
 	unset := dist.Unset // variable, so T(unset) truncates to the cell sentinel
 	deltaAt := func(u int) float64 {
 		w := 1.0

@@ -185,6 +185,15 @@ func TestBallMarginalPinnedTarget(t *testing.T) {
 	}
 }
 
+// TestBallMarginalInfeasiblePinning: an inside-ball factor that the
+// pinning alone sets to zero gives the zero-mass error, not a marginal.
+func TestBallMarginalInfeasiblePinning(t *testing.T) {
+	in := hardcoreInstance(t, graph.Path(3), 1, dist.Config{1, 1, dist.Unset})
+	if _, err := BallMarginal(in, 2, []int{0, 1, 2}); !errors.Is(err, dist.ErrZeroMass) {
+		t.Errorf("BallMarginal on an infeasible pinning = %v, want dist.ErrZeroMass", err)
+	}
+}
+
 func TestBallMarginalTargetOutsideBall(t *testing.T) {
 	in := hardcoreInstance(t, graph.Path(3), 1, nil)
 	if _, err := BallMarginal(in, 0, []int{1, 2}); err == nil {

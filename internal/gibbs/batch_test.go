@@ -170,10 +170,11 @@ func TestCondWeightsBatchMatchesSingle(t *testing.T) {
 	}
 }
 
-// TestLatticePartialKernels pins the exact enumerator's lattice
-// evaluators — EvalFullLattice, PartialWeightAtCells1 and
-// PartialWeightLattice — to their dist.Config counterparts on partial
-// configurations, for both representations.
+// TestLatticePartialKernels pins the exact enumerator's one-chain cell
+// evaluators — EvalFullCells1, PartialWeightCells1 and
+// PartialWeightAtCells1 — to their dist.Config counterparts EvalFull,
+// PartialWeight and PartialWeightAt on partial configurations, for both
+// cell widths.
 func TestLatticePartialKernels(t *testing.T) {
 	eng := Compile(batchSpec(t))
 	n, q := eng.N(), eng.Q()
@@ -194,29 +195,36 @@ func TestLatticePartialKernels(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := range eng.factors {
-				wv, wok := eng.EvalFull(i, cfg)
-				lv, lok := eng.EvalFullLattice(i, lat, 0)
-				if wv != lv || wok != lok {
-					t.Fatalf("wide=%v factor %d on %v: lattice (%v,%v) != config (%v,%v)", wide, i, cfg, lv, lok, wv, wok)
-				}
+			if lat.Compact() == wide {
+				t.Fatalf("lattice compact=%v, want %v", lat.Compact(), !wide)
 			}
-			for v := 0; v < n; v++ {
-				var got float64
-				if u8 := lat.Raw8(); u8 != nil {
-					got = PartialWeightAtCells1(eng, u8, v)
-				} else {
-					got = PartialWeightAtCells1(eng, lat.RawWide(), v)
-				}
-				if want := eng.PartialWeightAt(cfg, v); got != want {
-					t.Fatalf("wide=%v PartialWeightAt(%d) on %v: cells %v != config %v", wide, v, cfg, got, want)
-				}
-			}
-			if got, want := eng.PartialWeightLattice(lat, 0), eng.PartialWeight(cfg); got != want {
-				t.Fatalf("wide=%v PartialWeight on %v: lattice %v != config %v", wide, cfg, got, want)
+			if u8 := lat.Raw8(); u8 != nil {
+				checkCells1(t, eng, u8, cfg)
+			} else {
+				checkCells1(t, eng, lat.RawWide(), cfg)
 			}
 		}
 		restore()
+	}
+}
+
+// checkCells1 compares the cell evaluators on cells, a one-chain packing
+// of cfg, with the dist.Config evaluators on cfg.
+func checkCells1[T state.Cells](t *testing.T, eng *Compiled, cells []T, cfg dist.Config) {
+	t.Helper()
+	for i := range eng.factors {
+		wv, wok := eng.EvalFull(i, cfg)
+		if lv, lok := EvalFullCells1(eng, i, cells); wv != lv || wok != lok {
+			t.Fatalf("factor %d on %v: cells (%v,%v) != config (%v,%v)", i, cfg, lv, lok, wv, wok)
+		}
+	}
+	for v := range cfg {
+		if got, want := PartialWeightAtCells1(eng, cells, v), eng.PartialWeightAt(cfg, v); got != want {
+			t.Fatalf("PartialWeightAt(%d) on %v: cells %v != config %v", v, cfg, got, want)
+		}
+	}
+	if got, want := PartialWeightCells1(eng, cells), eng.PartialWeight(cfg); got != want {
+		t.Fatalf("PartialWeight on %v: cells %v != config %v", cfg, got, want)
 	}
 }
 

@@ -36,6 +36,26 @@ func NewInstance(s *Spec, pinned dist.Config) (*Instance, error) {
 	return &Instance{Spec: s, Pinned: pinned.Clone()}, nil
 }
 
+// Start returns the canonical start every dynamic runs from: the greedy
+// feasible completion of the pinning (Compiled.GreedyCompletion), checked
+// to have positive weight. A pinning with no such completion gives an
+// error wrapping ErrInfeasible.
+func (in *Instance) Start() (dist.Config, error) {
+	eng := in.Spec.Compiled()
+	start, err := eng.GreedyCompletion(in.Pinned)
+	if err != nil {
+		return nil, err
+	}
+	w, err := eng.Weight(start)
+	if err != nil {
+		return nil, err
+	}
+	if w <= 0 {
+		return nil, fmt.Errorf("%w: the greedy completion of the pinning has weight %v", ErrInfeasible, w)
+	}
+	return start, nil
+}
+
 // N returns the number of variables.
 func (in *Instance) N() int { return in.Spec.N() }
 

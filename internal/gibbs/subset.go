@@ -80,7 +80,11 @@ func bindSubset[T state.Cells](q int, verts []vertexPlan, cc *CondCache, cells [
 // dist.SampleWeights semantics — nonpositive entries carry no mass,
 // rounding slack falls to the last positive symbol, and bad rows
 // (negative, NaN, infinite, or zero-mass) surface as errors built in the
-// cold path.
+// cold path. The pair-only draws are bit-identical to the generic walk and
+// stay because they pay on the vertices the cond cache does not cover:
+// routing them through the walk slowed BenchmarkBatchSweep/cond=off/B=32
+// by ×1.5 and BenchmarkCondLookup/plan by ×1.3 (medians of 10 interleaved
+// pairs at -cpu 1, 2-vCPU Xeon VM, Go 1.24).
 func sampleSubsetCells[T state.Cells](q int, vp *vertexPlan, cells []T, B, v int, chains []int32, w []float64, sc *BatchScratch, rng *dist.Xoshiro) error {
 	if vp.pairOnly {
 		switch q {

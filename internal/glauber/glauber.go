@@ -15,7 +15,6 @@
 package glauber
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/dist"
@@ -34,7 +33,6 @@ var chain0 = []int32{0}
 // update as one round.
 type Chain struct {
 	in     *gibbs.Instance
-	eng    *gibbs.Compiled
 	state  *state.Lattice
 	kernel gibbs.VertexSubsetFn
 	free   []int
@@ -45,22 +43,16 @@ type Chain struct {
 	sc  *gibbs.BatchScratch
 }
 
-// ErrNoFeasibleStart indicates that no feasible initial state could be
-// constructed.
-var ErrNoFeasibleStart = errors.New("glauber: no feasible initial state")
-
 // New returns a chain started from the greedy feasible completion of the
 // instance pinning (for locally admissible distributions this always
 // exists), drawing from stream 0 of seed.
 func New(in *gibbs.Instance, seed int64) (*Chain, error) {
-	eng := in.Spec.Compiled()
 	lat, err := state.New(in.N(), 1, in.Q())
 	if err != nil {
 		return nil, err
 	}
 	c := &Chain{
 		in:    in,
-		eng:   eng,
 		state: lat,
 		free:  in.FreeVertices(),
 		buf:   make([]float64, in.Q()),
@@ -71,26 +63,20 @@ func New(in *gibbs.Instance, seed int64) (*Chain, error) {
 	}
 	// The start assigns every vertex and Reset rewrites the cells in
 	// place, so one binding serves the chain's whole life.
-	if c.kernel, err = eng.BindVertexSubset(lat); err != nil {
+	if c.kernel, err = in.Spec.Compiled().BindVertexSubset(lat); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// Reset restarts the chain from the greedy feasible completion of the
-// instance pinning with a fresh stream derived from seed, and zeroes the
-// round counter — the restart every dynamic shares.
+// Reset restarts the chain from the canonical start of the instance
+// (gibbs.Instance.Start, the greedy feasible completion of the pinning)
+// with a fresh stream derived from seed, and zeroes the round counter —
+// the restart every dynamic shares.
 func (c *Chain) Reset(seed int64) error {
-	start, err := c.eng.GreedyCompletion(c.in.Pinned)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrNoFeasibleStart, err)
-	}
-	w, err := c.eng.Weight(start)
+	start, err := c.in.Start()
 	if err != nil {
 		return err
-	}
-	if w <= 0 {
-		return ErrNoFeasibleStart
 	}
 	if err := c.state.SetChain(0, start); err != nil {
 		return err

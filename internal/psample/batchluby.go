@@ -42,62 +42,27 @@ package psample
 // chain the winners form an independent set, so the simultaneous subset
 // updates share no factor and the round restricted to that chain is a
 // product of ordinary heat-bath kernels; across chains there is no
-// interaction at all. The work grid enumerates chain groups
-// outermost (exactly like the chromatic sampler.Batch), so a worker's
-// contiguous item range covers contiguous chain columns and each column
-// stays with one worker and its RNG stream.
+// interaction at all. The work grid enumerates chain groups outermost,
+// as in every engine over the lockstep core, so a worker's contiguous item
+// range covers contiguous chain columns and each column stays with one
+// worker and its RNG stream.
 //
 // With one worker the RNG stream is consumed in a fixed order: one raw
 // word per (free vertex, chain) in group-major, increasing-vertex order,
 // then one heat-bath uniform per winner in the same order. The B = 1
 // golden trajectories in batch_test.go pin that order symbol for symbol.
 
-import (
-	"fmt"
-	"math/bits"
-
-	"repro/internal/dist"
-	"repro/internal/gibbs"
-	"repro/internal/state"
-)
+import "math/bits"
 
 // BatchLubyGlauber advances B independent LubyGlauber chains in lockstep
 // over one shared compiled engine.
 type BatchLubyGlauber struct {
-	// nworkers overrides the worker count when positive (SetWorkers;
-	// default: one per CPU, bounded so per-stage blocks stay coarse).
-	nworkers int
-
-	rules *Rules
-	// chains is B, the number of independent chains.
-	chains int
-	// lat is the chain-major state lattice: cell (v, c) is chain c at v.
-	lat *state.Lattice
+	lockstep
 	// draws is the chain-major phase matrix: draws[v*B+c] is vertex v's
 	// shifted 53-bit phase key in chain c this round. Row n (one past the
 	// vertices) is the all-zero sentinel the padded rival plan points at —
 	// stages never write it, and zero never beats a real key.
-	draws   []uint64
-	rounds  int
-	updates int64
-	workers []blgWorker
-	seed    int64
-	// sample is the heat-bath kernel bound to lat
-	// (gibbs.BindVertexSubset), nil until the lattice passes its
-	// CheckAssigned preflight; stages write only in-range symbols, so one
-	// scan and one binding per Reset suffice.
-	sample gibbs.VertexSubsetFn
-}
-
-// blgWorker is the per-worker mutable state: a value-type RNG stream, the
-// heat-bath kernel's weight buffer and scratch, the phase-survival mask, and
-// the winning-chain list.
-type blgWorker struct {
-	rng dist.Xoshiro
-	buf []float64
-	sc  *gibbs.BatchScratch
-	won []uint8
-	win []int32
+	draws []uint64
 }
 
 // NewBatchLubyGlauber returns a batched engine of the given number of
@@ -106,7 +71,7 @@ type blgWorker struct {
 // nonpositive chain count surfaces as the state container's typed
 // *state.DomainError.
 func NewBatchLubyGlauber(r *Rules, chains int, seed int64) (*BatchLubyGlauber, error) {
-	s := &BatchLubyGlauber{rules: r, chains: chains}
+	s := &BatchLubyGlauber{lockstep: lockstep{rules: r, chains: chains}}
 	if err := s.Reset(seed); err != nil {
 		return nil, err
 	}
@@ -115,107 +80,41 @@ func NewBatchLubyGlauber(r *Rules, chains int, seed int64) (*BatchLubyGlauber, e
 
 // Reset restarts every chain from the greedy start with fresh RNG streams.
 func (s *BatchLubyGlauber) Reset(seed int64) error {
-	lat, err := s.rules.ResetLattice(s.lat, s.chains)
-	if err != nil {
+	if err := s.reset(seed); err != nil {
 		return err
 	}
-	s.lat = lat
-	if len(s.draws) < (s.rules.n+1)*s.chains {
-		s.draws = make([]uint64, (s.rules.n+1)*s.chains)
+	if n := (s.rules.n + 1) * s.chains; len(s.draws) < n {
+		s.draws = make([]uint64, n)
 	}
-	s.seed = seed
-	s.rounds = 0
-	s.updates = 0
-	s.workers = s.workers[:0]
-	s.sample = nil
 	return nil
 }
-
-// Chains returns B, the number of independent chains.
-func (s *BatchLubyGlauber) Chains() int { return s.chains }
-
-// Chain returns a copy of chain c's current configuration.
-func (s *BatchLubyGlauber) Chain(c int) dist.Config { return s.lat.Chain(c) }
-
-// State returns a copy of chain 0's configuration (the Sampler view).
-func (s *BatchLubyGlauber) State() dist.Config { return s.lat.Chain(0) }
-
-// Lattice exposes the underlying state container (read-only for callers:
-// diagnostics such as the R̂ accumulator read it between runs).
-func (s *BatchLubyGlauber) Lattice() *state.Lattice { return s.lat }
-
-// Rounds returns the number of rounds executed since the last Reset.
-func (s *BatchLubyGlauber) Rounds() int { return s.rounds }
 
 // Updates returns the total number of heat-bath updates performed across
 // all chains (the sum of the per-chain independent-set sizes over all
 // rounds).
-func (s *BatchLubyGlauber) Updates() int64 { return s.updates }
-
-// SetWorkers overrides the worker count (nonpositive restores the
-// CPU-scaled default). Per-worker RNG streams mean trajectories depend on
-// the worker count; callers wanting machine-independent reproducibility
-// (the adaptive run driver) pin it.
-func (s *BatchLubyGlauber) SetWorkers(w int) { s.nworkers = w }
-
-// ensureWorkers sizes the per-worker state for w workers and chain
-// groups of cb.
-func (s *BatchLubyGlauber) ensureWorkers(w, cb int) {
-	for len(s.workers) < w {
-		i := len(s.workers)
-		s.workers = append(s.workers, blgWorker{
-			rng: dist.NewXoshiro(s.seed, int64(i)),
-			buf: make([]float64, cb*s.rules.q),
-			sc:  gibbs.NewBatchScratch(cb),
-			won: make([]uint8, cb),
-			win: make([]int32, 0, cb),
-		})
-	}
-}
+func (s *BatchLubyGlauber) Updates() int64 { return s.count }
 
 // Run executes the given number of rounds on the worker pool. Both stages
 // statically partition the (vertex, chain-group) item grid with groups
 // outermost, so each worker owns contiguous chain columns. A negative
 // count is an error and changes nothing.
 func (s *BatchLubyGlauber) Run(rounds int) error {
-	if rounds < 0 {
-		return fmt.Errorf("psample: negative round count %d", rounds)
+	if ok, err := s.begin(rounds, s.bind); !ok {
+		return err
 	}
 	r := s.rules
 	free := r.freeList
-	if len(free) == 0 {
-		// Fully pinned instance: a round is a no-op.
-		s.rounds += rounds
-		return nil
-	}
-	if s.sample == nil {
-		if err := s.lat.CheckAssigned(); err != nil {
-			return err
-		}
-		fn, err := r.eng.BindVertexSubset(s.lat)
-		if err != nil {
-			return err
-		}
-		s.sample = fn
-	}
 	B := s.chains
-	cb := min(B, ChainBlock(r.q))
-	groups := (B + cb - 1) / cb
+	cb, groups := s.groups()
 	nfree := len(free)
 	items := nfree * groups
-	workers := s.nworkers
-	if workers <= 0 {
-		workers = DefaultWorkers(items * cb)
-	}
-	workers = max(min(workers, items), 1)
-	s.ensureWorkers(workers, cb)
+	workers := s.pool(items*cb, items, cb)
 	sample := s.sample
 	draws := s.draws
-	updates := make([]int64, workers)
 	stages := []func(w, round int) error{
 		func(w, round int) error {
 			lo, hi := BlockOf(items, workers, w)
-			rng := &s.workers[w].rng
+			rng := &s.slots[w].rng
 			if groups == 1 && nfree == r.n {
 				// Fully unpinned, single chain group: the worker's rows
 				// form one contiguous region, filled in the same
@@ -244,7 +143,7 @@ func (s *BatchLubyGlauber) Run(rounds int) error {
 		},
 		func(w, round int) error {
 			lo, hi := BlockOf(items, workers, w)
-			wk := &s.workers[w]
+			sl := &s.slots[w]
 			g := lo / nfree
 			k := lo - g*nfree
 			for it := lo; it < hi; it++ {
@@ -272,7 +171,7 @@ func (s *BatchLubyGlauber) Run(rounds int) error {
 					if lost != 0 {
 						continue
 					}
-					win = append(wk.win[:0], int32(c0))
+					win = append(sl.list[:0], int32(c0))
 				case len(adj) <= 4:
 					// Fused padded-rival pass: four branchless key
 					// compares per chain, winners compacted in place.
@@ -287,7 +186,7 @@ func (s *BatchLubyGlauber) Run(rounds int) error {
 					r2 := draws[o2 : o2+len(rowv)]
 					r3 := draws[o3 : o3+len(rowv)]
 					b0, b1, b2, b3 := bb[0], bb[1], bb[2], bb[3]
-					win = wk.win[:len(rowv)]
+					win = sl.list[:len(rowv)]
 					idx := 0
 					for base := 0; base < len(rowv); base += 64 {
 						end := min(base+64, len(rowv))
@@ -317,7 +216,7 @@ func (s *BatchLubyGlauber) Run(rounds int) error {
 				default:
 					// High-degree fallback (any row length): rival-major
 					// row sweep with the same shifted-key compare.
-					won := wk.won[:len(rowv)]
+					won := sl.mask[:len(rowv)]
 					for i := range won {
 						won[i] = 1
 					}
@@ -331,7 +230,7 @@ func (s *BatchLubyGlauber) Run(rounds int) error {
 							won[i] &^= uint8((dv - (rowu[i] | bit)) >> 63)
 						}
 					}
-					win = wk.win[:0]
+					win = sl.list[:0]
 					for i, ok := range won {
 						if ok != 0 {
 							win = append(win, int32(c0+i))
@@ -341,20 +240,13 @@ func (s *BatchLubyGlauber) Run(rounds int) error {
 				if len(win) == 0 {
 					continue
 				}
-				if err := sample(v, win, wk.buf, wk.sc, &wk.rng); err != nil {
+				if err := sample(v, win, sl.buf, sl.sc, &sl.rng); err != nil {
 					return err
 				}
-				updates[w] += int64(len(win))
+				sl.count += int64(len(win))
 			}
 			return nil
 		},
 	}
-	if err := RunRounds(workers, rounds, stages); err != nil {
-		return err
-	}
-	s.rounds += rounds
-	for _, u := range updates {
-		s.updates += u
-	}
-	return nil
+	return s.end(rounds, RunRounds(workers, rounds, stages))
 }

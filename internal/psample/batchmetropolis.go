@@ -45,25 +45,17 @@ package psample
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/dist"
-	"repro/internal/gibbs"
 	"repro/internal/state"
 )
 
 // BatchLocalMetropolis advances B independent LocalMetropolis chains in
 // lockstep over one shared compiled engine.
 type BatchLocalMetropolis struct {
-	// nworkers overrides the worker count when positive (SetWorkers;
-	// default: one per CPU, bounded so per-stage blocks stay coarse).
-	nworkers int
-
-	rules *Rules
-	// chains is B, the number of independent chains.
-	chains int
-	// lat and prop are the chain-major current and proposal lattices.
-	lat  *state.Lattice
+	lockstep
+	// prop is the chain-major proposal lattice next to the core's current
+	// one.
 	prop *state.Lattice
 	// mask is the chain-major adoption mask: mask[v*B+c] is 1 while every
 	// filter coin seen so far this round accepts chain c's proposal at v.
@@ -71,25 +63,7 @@ type BatchLocalMetropolis struct {
 	// it toggles; stage 3 applies each free vertex's row as a write mask
 	// and resets it to all-ones in the same pass. Rows of pinned vertices
 	// are never touched after Reset.
-	mask    []uint8
-	rounds  int
-	accepts int64
-	workers []blmWorker
-	seed    int64
-	// checked records that both lattices passed their CheckAssigned
-	// preflight; stages write only in-range symbols, so one scan per
-	// Reset suffices.
-	checked bool
-}
-
-// blmWorker is the per-worker mutable state: a value-type RNG stream,
-// the batched filter's weight buffer and scratch, and the per-factor
-// verdict row stage 2 ANDs into the adoption mask.
-type blmWorker struct {
-	rng  dist.Xoshiro
-	wbuf []float64
-	sc   *gibbs.BatchScratch
-	ok   []uint8
+	mask []uint8
 }
 
 // NewBatchLocalMetropolis returns a batched engine of the given number of
@@ -102,7 +76,7 @@ func NewBatchLocalMetropolis(r *Rules, chains int, seed int64) (*BatchLocalMetro
 	if err := r.MetropolisReady(); err != nil {
 		return nil, err
 	}
-	s := &BatchLocalMetropolis{rules: r, chains: chains}
+	s := &BatchLocalMetropolis{lockstep: lockstep{rules: r, chains: chains}}
 	if err := s.Reset(seed); err != nil {
 		return nil, err
 	}
@@ -114,11 +88,9 @@ func NewBatchLocalMetropolis(r *Rules, chains int, seed int64) (*BatchLocalMetro
 // pre-fills the pinned proposal cells once: stage 1 only ever rewrites
 // free cells.
 func (s *BatchLocalMetropolis) Reset(seed int64) error {
-	lat, err := s.rules.ResetLattice(s.lat, s.chains)
-	if err != nil {
+	if err := s.reset(seed); err != nil {
 		return err
 	}
-	s.lat = lat
 	prop, err := s.rules.ResetLattice(s.prop, s.chains)
 	if err != nil {
 		return err
@@ -130,53 +102,29 @@ func (s *BatchLocalMetropolis) Reset(seed int64) error {
 	for i := range s.mask {
 		s.mask[i] = 1
 	}
-	s.seed = seed
-	s.rounds = 0
-	s.accepts = 0
-	s.workers = s.workers[:0]
-	s.checked = false
 	return nil
 }
-
-// Chains returns B, the number of independent chains.
-func (s *BatchLocalMetropolis) Chains() int { return s.chains }
-
-// Chain returns a copy of chain c's current configuration.
-func (s *BatchLocalMetropolis) Chain(c int) dist.Config { return s.lat.Chain(c) }
-
-// State returns a copy of chain 0's configuration (the Sampler view).
-func (s *BatchLocalMetropolis) State() dist.Config { return s.lat.Chain(0) }
-
-// Lattice exposes the underlying state container (read-only for callers:
-// diagnostics such as the R̂ accumulator read it between runs).
-func (s *BatchLocalMetropolis) Lattice() *state.Lattice { return s.lat }
-
-// Rounds returns the number of rounds executed since the last Reset.
-func (s *BatchLocalMetropolis) Rounds() int { return s.rounds }
 
 // Accepts returns the total number of adopted proposals across all
 // chains and rounds (proposals equal to the current value count as
 // adopted).
-func (s *BatchLocalMetropolis) Accepts() int64 { return s.accepts }
+func (s *BatchLocalMetropolis) Accepts() int64 { return s.count }
 
-// SetWorkers overrides the worker count (nonpositive restores the
-// CPU-scaled default). Per-worker RNG streams mean trajectories depend on
-// the worker count; callers wanting machine-independent reproducibility
-// (the adaptive run driver) pin it.
-func (s *BatchLocalMetropolis) SetWorkers(w int) { s.nworkers = w }
-
-// ensureWorkers sizes the per-worker state for w workers and chain
-// groups of cb.
-func (s *BatchLocalMetropolis) ensureWorkers(w, cb int) {
-	for len(s.workers) < w {
-		i := len(s.workers)
-		s.workers = append(s.workers, blmWorker{
-			rng:  dist.NewXoshiro(s.seed, int64(i)),
-			wbuf: make([]float64, cb),
-			sc:   gibbs.NewBatchScratch(cb),
-			ok:   make([]uint8, cb),
-		})
+// preflight is the engine's own lattice preflight: both lattices are
+// scanned once per Reset and must share one cell representation. It
+// binds no heat-bath kernel — LocalMetropolis never draws from one, so it
+// skips the plan and cond-cache build that binding implies.
+func (s *BatchLocalMetropolis) preflight() error {
+	if err := s.lat.CheckAssigned(); err != nil {
+		return err
 	}
+	if err := s.prop.CheckAssigned(); err != nil {
+		return err
+	}
+	if s.lat.Compact() != s.prop.Compact() {
+		return errors.New("psample: batch lattices have mixed cell representations")
+	}
+	return nil
 }
 
 // proposeItems is the width-specialized stage-1 body for one (vertex,
@@ -219,49 +167,25 @@ func adoptItems[T state.Cells](latC, propC []T, B int, mask []uint8, v, c0, c1 i
 // worker-disjoint. Either way each worker owns contiguous chain columns.
 // A negative count is an error and changes nothing.
 func (s *BatchLocalMetropolis) Run(rounds int) error {
-	if rounds < 0 {
-		return fmt.Errorf("psample: negative round count %d", rounds)
+	if ok, err := s.begin(rounds, s.preflight); !ok {
+		return err
 	}
 	r := s.rules
 	free := r.freeList
-	if len(free) == 0 {
-		// Fully pinned instance: a round is a no-op.
-		s.rounds += rounds
-		return nil
-	}
-	if !s.checked {
-		if err := s.lat.CheckAssigned(); err != nil {
-			return err
-		}
-		if err := s.prop.CheckAssigned(); err != nil {
-			return err
-		}
-		s.checked = true
-	}
 	lat8, prop8 := s.lat.Raw8(), s.prop.Raw8()
 	latW, propW := s.lat.RawWide(), s.prop.RawWide()
-	if (lat8 == nil) != (prop8 == nil) {
-		return errors.New("psample: batch lattices have mixed cell representations")
-	}
 	B := s.chains
-	cb := min(B, ChainBlock(r.q))
-	groups := (B + cb - 1) / cb
+	cb, groups := s.groups()
 	nfree := len(free)
 	nacc := len(r.acc)
 	vItems := nfree * groups
 	fItems := nacc * groups
-	workers := s.nworkers
-	if workers <= 0 {
-		workers = DefaultWorkers(max(vItems, fItems) * cb)
-	}
-	workers = max(min(workers, vItems), 1)
-	s.ensureWorkers(workers, cb)
+	workers := s.pool(max(vItems, fItems)*cb, vItems, cb)
 	eng := r.eng
-	accepts := make([]int64, workers)
 	stages := []func(w, round int) error{
 		func(w, round int) error {
 			lo, hi := BlockOf(vItems, workers, w)
-			rng := &s.workers[w].rng
+			rng := &s.slots[w].rng
 			for it := lo; it < hi; it++ {
 				v := free[it%nfree]
 				c0 := (it / nfree) * cb
@@ -282,7 +206,7 @@ func (s *BatchLocalMetropolis) Run(rounds int) error {
 			// Mask-row writes of distinct workers are disjoint byte
 			// ranges. At one worker the coin order is (group, factor,
 			// chain).
-			wk := &s.workers[w]
+			sl := &s.slots[w]
 			mask := s.mask
 			b0, b1 := BlockOf(B, workers, w)
 			for cc0 := b0; cc0 < b1; {
@@ -290,14 +214,14 @@ func (s *BatchLocalMetropolis) Run(rounds int) error {
 				nb := cc1 - cc0
 				for j := 0; j < nacc; j++ {
 					af := &r.acc[j]
-					if err := eng.FilterWeightBatch(af.fi, s.lat, s.prop, cc0, cc1, af.verts, wk.wbuf, wk.sc); err != nil {
+					if err := eng.FilterWeightBatch(af.fi, s.lat, s.prop, cc0, cc1, af.verts, sl.buf, sl.sc); err != nil {
 						return err
 					}
-					ok := wk.ok[:nb]
+					ok := sl.mask[:nb]
 					scale := af.scale
 					for i := range ok {
 						var o uint8
-						if wk.rng.Float64() < wk.wbuf[i]*scale {
+						if sl.rng.Float64() < sl.buf[i]*scale {
 							o = 1
 						}
 						ok[i] = o
@@ -315,25 +239,19 @@ func (s *BatchLocalMetropolis) Run(rounds int) error {
 		},
 		func(w, round int) error {
 			lo, hi := BlockOf(vItems, workers, w)
+			sl := &s.slots[w]
 			for it := lo; it < hi; it++ {
 				v := free[it%nfree]
 				c0 := (it / nfree) * cb
 				c1 := min(c0+cb, B)
 				if lat8 != nil {
-					accepts[w] += adoptItems(lat8, prop8, B, s.mask, v, c0, c1)
+					sl.count += adoptItems(lat8, prop8, B, s.mask, v, c0, c1)
 				} else {
-					accepts[w] += adoptItems(latW, propW, B, s.mask, v, c0, c1)
+					sl.count += adoptItems(latW, propW, B, s.mask, v, c0, c1)
 				}
 			}
 			return nil
 		},
 	}
-	if err := RunRounds(workers, rounds, stages); err != nil {
-		return err
-	}
-	s.rounds += rounds
-	for _, a := range accepts {
-		s.accepts += a
-	}
-	return nil
+	return s.end(rounds, RunRounds(workers, rounds, stages))
 }

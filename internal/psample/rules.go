@@ -1,18 +1,21 @@
 // Package psample implements the paper's two distributed samplers —
-// LubyGlauber and LocalMetropolis (Section 1.2) — in two harnesses that
-// share one update-rule implementation:
+// LubyGlauber and LocalMetropolis (Section 1.2) — and the chromatic
+// variant, in two harnesses that share one update-rule implementation
+// (Rules):
 //
 //   - a message-passing harness on local.Network, where only synchronous
 //     rounds are charged, validating the O(Δ log n)-style round behavior
-//     experimentally, and
-//   - one in-process engine per dynamics (BatchLubyGlauber,
-//     BatchLocalMetropolis) advancing B independent chains in lockstep
-//     over one chain-major state.Lattice through the fused kernels (the
-//     heat-bath kernel of gibbs.Compiled.BindVertexSubset,
-//     FilterWeightBatch), on a worker pool over (vertex, chain group)
-//     blocks with per-worker value-type RNG streams. B = 1 is the
-//     single-chain sampler: its one-chain rows take scalar paths instead
-//     of the chain-row kernels.
+//     experimentally (LubyGlauberLOCAL, LocalMetropolisLOCAL,
+//     ChromaticGlauberLOCAL), and
+//   - three in-process engines, one per dynamic (BatchLubyGlauber,
+//     BatchLocalMetropolis, BatchChromaticGlauber), over one lockstep
+//     core (lockstep.go). The core advances B independent chains over one
+//     chain-major state.Lattice on a worker pool over (vertex, chain
+//     group) blocks with per-worker value-type RNG streams; each engine
+//     adds only its stages, which run the fused kernels (the heat-bath
+//     kernel of gibbs.Compiled.BindVertexSubset, FilterWeightBatch).
+//     B = 1 is the single-chain sampler: its one-chain rows take scalar
+//     paths instead of the chain-row kernels.
 //
 // The message-passing harnesses run the same fused kernels at one chain on
 // each node's partial view, so both harnesses share one heat-bath kernel
@@ -22,15 +25,18 @@
 // of Luby's MIS algorithm (construct.Beats) picks an independent set of
 // free vertices, and every selected vertex performs a heat-bath update
 // simultaneously — correct because an independent set shares no factor,
-// so the simultaneous conditionals coincide with the sequential ones. LocalMetropolis is fully parallel: every free vertex
-// proposes a fresh spin from its unary-weight distribution each round, and
-// every multi-vertex factor independently accepts with the subset-product
+// so the simultaneous conditionals coincide with the sequential ones.
+// ChromaticGlauber fixes the independent sets up front: the color classes
+// of a proper coloring, heat-bathed one class per stage.
+// LocalMetropolis is fully parallel: every free vertex proposes a fresh
+// spin from its unary-weight distribution each round, and every
+// multi-vertex factor independently accepts with the subset-product
 // filter probability (gibbs.Compiled.FilterWeight normalized by the
 // factor's maximum table entry); a vertex adopts its proposal iff all its
 // factors accept.
 //
-// Both dynamics have the target Gibbs distribution µ^τ as their stationary
-// distribution (the package tests pin this exactly by enumerating the
+// All three dynamics have the target Gibbs distribution µ^τ as their
+// stationary distribution (the tests pin this exactly by enumerating the
 // one-round transition matrix on small instances and comparing each
 // engine's one-round law against it, and empirically by TV-distance tests
 // against internal/exact for every internal/model builder).
@@ -323,53 +329,31 @@ func (r *Rules) Q() int { return r.q }
 // Free reports whether v is unpinned.
 func (r *Rules) Free(v int) bool { return r.free[v] }
 
-// Start returns a feasible initial configuration (the greedy completion of
-// the pinning), mirroring the sequential chain's start so that mixing
-// comparisons share an initial state.
+// Start returns the canonical start every dynamic shares
+// (gibbs.Instance.Start: the greedy completion of the pinning), so that
+// mixing comparisons share an initial state; a failure wraps
+// ErrNoFeasibleStart.
 func (r *Rules) Start() (dist.Config, error) {
-	start, err := r.eng.GreedyCompletion(r.in.Pinned)
+	start, err := r.in.Start()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrNoFeasibleStart, err)
-	}
-	w, err := r.eng.Weight(start)
-	if err != nil {
-		return nil, err
-	}
-	if w <= 0 {
-		return nil, ErrNoFeasibleStart
 	}
 	return start, nil
 }
 
-// StartLattice returns a fresh `chains`-chain state lattice with every
-// chain at the canonical start — the state container every in-process
-// engine runs on. The lattice picks compact (uint8) cells for q ≤ 255 and
-// q bounds are validated by its constructor.
-func (r *Rules) StartLattice(chains int) (*state.Lattice, error) {
-	start, err := r.Start()
-	if err != nil {
-		return nil, err
-	}
-	l, err := state.New(r.n, chains, r.q)
-	if err != nil {
-		return nil, err
-	}
-	if err := l.Broadcast(start); err != nil {
-		return nil, err
-	}
-	return l, nil
-}
-
-// ResetLattice refills l with every chain at the canonical start,
-// allocating a fresh `chains`-chain lattice when l is nil — the shared
-// Reset path of every in-process engine.
+// ResetLattice refills l with every chain at the canonical start — the
+// shared Reset path of every in-process engine. When l is nil it
+// allocates a fresh `chains`-chain lattice, which picks compact (uint8)
+// cells for q ≤ 255 and whose constructor validates the chain count and q.
 func (r *Rules) ResetLattice(l *state.Lattice, chains int) (*state.Lattice, error) {
-	if l == nil {
-		return r.StartLattice(chains)
-	}
 	start, err := r.Start()
 	if err != nil {
 		return nil, err
+	}
+	if l == nil {
+		if l, err = state.New(r.n, chains, r.q); err != nil {
+			return nil, err
+		}
 	}
 	if err := l.Broadcast(start); err != nil {
 		return nil, err

@@ -11,6 +11,10 @@ import (
 	"repro/internal/psample"
 )
 
+// Batch is the chromatic engine under its old name, kept for one user: the
+// stagesPerRound type switch in perfbench/workload.go.
+type Batch = psample.BatchChromaticGlauber
+
 func init() {
 	Register(Info{
 		Name:     "glauber",
@@ -62,7 +66,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return NewBatch(r, chains, seed)
+			return psample.NewBatchChromaticGlauber(r, chains, seed)
 		},
 	})
 }

@@ -21,7 +21,7 @@ import (
 // fabric returns a 2-vertex q=16 coloring batch whose lattice the test
 // writes directly, plus its accumulator (observations are fabricated, the
 // engine never runs).
-func fabric(t *testing.T, B int) (*Batch, *Rhat) {
+func fabric(t *testing.T, B int) (*psample.BatchChromaticGlauber, *Rhat) {
 	t.Helper()
 	spec, err := model.Coloring(graph.Path(2), 16)
 	if err != nil {

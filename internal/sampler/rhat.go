@@ -71,8 +71,8 @@ const DefaultRetain = 256
 // Rhat accumulates per-(vertex, chain) observation statistics of a
 // multi-chain engine's state and reports the Gelman–Rubin statistic
 // (classic and split forms) and the effective sample size per vertex. It
-// works with any MultiChain — the chromatic Batch and the batched
-// LubyGlauber and LocalMetropolis engines alike. Memory is the 16·n·B
+// works with any MultiChain — the three batched engines of
+// internal/psample alike. Memory is the 16·n·B
 // bytes of running moments plus the snapshot buffer, which holds one byte
 // per cell per retained observation (four on wide lattices), plus at most
 // 8·B·DefaultRetain bytes of kernel scratch per check block.

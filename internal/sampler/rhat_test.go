@@ -17,7 +17,7 @@ import (
 	"repro/internal/psample"
 )
 
-func rhatBatch(t *testing.T, spec *gibbs.Spec, pin dist.Config, B int, seed int64) *Batch {
+func rhatBatch(t *testing.T, spec *gibbs.Spec, pin dist.Config, B int, seed int64) *psample.BatchChromaticGlauber {
 	t.Helper()
 	in, err := gibbs.NewInstance(spec, pin)
 	if err != nil {
@@ -27,7 +27,7 @@ func rhatBatch(t *testing.T, spec *gibbs.Spec, pin dist.Config, B int, seed int6
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewBatch(r, B, seed)
+	b, err := psample.NewBatchChromaticGlauber(r, B, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,20 +1,21 @@
-// Package sampler unifies every dynamics of the repo behind one interface
-// and one registry, and adds the chromatic engine.
+// Package sampler is the registry of every dynamic of the repo plus the
+// cross-chain convergence diagnostics on their batched engines.
 //
 // The paper (Feng & Yin, PODC 2018) gives several dynamics with the same
 // stationary Gibbs distribution — sequential Glauber, LubyGlauber,
-// LocalMetropolis — and this package adds a fourth, ChromaticGlauber.
-// Before it existed, every consumer (experiments, cmd/lsample, the
-// benchmarks) reached each dynamic through its own ad-hoc entry point and
-// its own switch statement; they now select dynamics by name through
+// LocalMetropolis — and the repo adds a fourth, ChromaticGlauber.
+// Before the registry existed, every consumer (experiments, cmd/lsample,
+// the benchmarks) reached each dynamic through its own ad-hoc entry point
+// and its own switch statement; they now select dynamics by name through
 // Lookup/Create, and per-dynamic knowledge (how many rounds make one
 // "sweep-equivalent") lives in the registry entry instead of being
 // re-derived at every call site.
 //
 // Each dynamic has exactly one in-process engine. The three parallel
-// dynamics run B independent chains in lockstep (MultiChain), and B = 1 is
-// their single-chain form; only the sequential baseline is a plain
-// single-chain Sampler.
+// dynamics run B independent chains in lockstep (MultiChain, the engines
+// of internal/psample), and B = 1 is their single-chain form; only the
+// sequential baseline (internal/glauber) is a plain single-chain Sampler.
+// The diagnostics (rhat.go: R̂, split R̂, ESS) read those chains.
 //
 // The interface is deliberately small: a dynamic is something that can be
 // restarted from the instance's canonical start (Reset), advanced by whole
@@ -56,8 +57,8 @@ type Sampler interface {
 
 // MultiChain is a Sampler advancing B independent chains in lockstep over
 // one chain-major state lattice — the control surface of every batched
-// engine (the chromatic Batch and the LubyGlauber and LocalMetropolis
-// engines of internal/psample). State() is chain 0's configuration, so a
+// engine (the ChromaticGlauber, LubyGlauber and LocalMetropolis engines of
+// internal/psample). State() is chain 0's configuration, so a
 // MultiChain at B = 1 is the dynamic's single-chain sampler; diagnostics
 // that want all chains (the R̂ accumulator) read Chains/Chain/Lattice.
 type MultiChain interface {

@@ -284,7 +284,7 @@ func TestBatchMatchesExact(t *testing.T) {
 				t.Fatal(err)
 			}
 			const B, runs = 16, 400
-			b, err := NewBatch(r, B, 1)
+			b, err := psample.NewBatchChromaticGlauber(r, B, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -337,7 +337,7 @@ func TestBatchForcedWorkers(t *testing.T) {
 	}
 	for _, workers := range []int{2, 3} {
 		for _, B := range []int{1, 5, 33} {
-			b, err := NewBatch(r, B, 17)
+			b, err := psample.NewBatchChromaticGlauber(r, B, 17)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -381,7 +381,7 @@ func TestBatchChainsDecorrelated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewBatch(r, 8, 5)
+	b, err := psample.NewBatchChromaticGlauber(r, 8, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +414,7 @@ func TestBatchRejectsBadChainCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewBatch(r, 0, 1); err == nil {
+	if _, err := psample.NewBatchChromaticGlauber(r, 0, 1); err == nil {
 		t.Error("0 chains accepted")
 	}
 }
@@ -434,7 +434,7 @@ func TestBatchFullyPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewBatch(r, 3, 1)
+	b, err := psample.NewBatchChromaticGlauber(r, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,5 +518,63 @@ func TestRunRejectsNegativeCount(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestFailedRunMovesNoCounter: a Run that fails in a stage returns the
+// stage's error and moves neither the round counter nor the update
+// counter, and leaves nothing behind that a later Run would add. The
+// gadget is the q = 2 colouring of two disjoint paths 0–1–2 and 3–4–5
+// with 3 and 5 pinned to 0; after two good rounds the pinned cell (5,
+// chain 3) is overwritten with 1, so vertex 4 of chain 3 has no colour
+// left and its heat-bath update fails with dist.ErrZeroMass. Vertex 4 has
+// no free rival, so LubyGlauber selects it in every round.
+func TestFailedRunMovesNoCounter(t *testing.T) {
+	g := graph.New(6)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {3, 4}, {4, 5}} {
+		g.MustAddEdge(e[0], e[1])
+	}
+	spec, err := model.Coloring(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pin := dist.NewConfig(6)
+	pin[3], pin[5] = 0, 0
+	in, err := gibbs.NewInstance(spec, pin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type updater interface {
+		MultiChain
+		Updates() int64
+		SetWorkers(int)
+	}
+	for _, name := range []string{"luby", "chromatic"} {
+		t.Run(name, func(t *testing.T) {
+			s, err := Create(name, in, Options{Chains: 4, Seed: 9})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := s.(updater)
+			m.SetWorkers(1)
+			if err := m.Run(2); err != nil {
+				t.Fatal(err)
+			}
+			m.Lattice().Set(5, 3, 1)
+			rounds, updates := m.Rounds(), m.Updates()
+			if err := m.Run(5); !errors.Is(err, dist.ErrZeroMass) {
+				t.Fatalf("Run(5) on the broken chain = %v, want dist.ErrZeroMass", err)
+			}
+			if m.Rounds() != rounds || m.Updates() != updates {
+				t.Fatalf("failed Run moved the counters: rounds %d → %d, updates %d → %d",
+					rounds, m.Rounds(), updates, m.Updates())
+			}
+			if err := m.Run(0); err != nil {
+				t.Fatal(err)
+			}
+			if m.Updates() != updates {
+				t.Fatalf("Run(0) after the failed Run: updates %d → %d", updates, m.Updates())
+			}
+		})
 	}
 }

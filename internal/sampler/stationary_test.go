@@ -136,7 +136,7 @@ func TestChromaticGlauberStationaryExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := NewBatch(r, 1, 1)
+			s, err := psample.NewBatchChromaticGlauber(r, 1, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -171,7 +171,7 @@ func TestChromaticScheduleCoversFreeVertices(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := NewBatch(r, 1, 1)
+			s, err := psample.NewBatchChromaticGlauber(r, 1, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -109,7 +109,7 @@ func runEngines(t *testing.T, in *gibbs.Instance, seed int64) map[string]dist.Co
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := sampler.NewBatch(r, 5, seed)
+	b, err := psample.NewBatchChromaticGlauber(r, 5, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/gibbs"
 	"repro/internal/psample"
-	"repro/internal/sampler"
 	"repro/internal/state"
 )
 
@@ -61,7 +60,7 @@ func TestSweepPlanBitIdenticalToBatchKernel(t *testing.T) {
 					// Real sweep states, not synthetic ones: run a few
 					// batched sweeps so the compared conditionals sit on
 					// configurations the engine actually visits.
-					b, err := sampler.NewBatch(r, B, seed)
+					b, err := psample.NewBatchChromaticGlauber(r, B, seed)
 					if err != nil {
 						t.Fatal(err)
 					}
