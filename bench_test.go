@@ -670,9 +670,10 @@ func BenchmarkDriverConverge(b *testing.B) {
 	b.ReportMetric(float64(sweeps), "sweeps-to-converge")
 }
 
-// BenchmarkRhatCheck measures one convergence check of the adaptive
-// driver — Rhat.Check, the one call run.Drive makes per decision point —
-// on the accumulator a drive of the 64×64 antiferromagnetic Ising torus
+// BenchmarkRhatCheck measures one synchronous convergence check —
+// Rhat.Check, the whole-chain R̂ plus the split-R̂/ESS pass, which run.Drive
+// runs inline when no core is spare for the pass, the previous check's
+// pass is still running, or the policy sets MinESS — on the accumulator a drive of the 64×64 antiferromagnetic Ising torus
 // (β = 0.8, λ = 1, chromatic, 16 chains) holds after 24 observed sweeps,
 // where such a drive stops. It is the driver-diagnostics layer of the
 // time-to-converged-chains benchmark. The check runs its vertex blocks on

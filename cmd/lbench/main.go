@@ -27,25 +27,50 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("lbench", flag.ContinueOnError)
 	quick := fs.Bool("quick", false, "reduced workloads (smoke run)")
 	seed := fs.Int64("seed", 1, "random seed")
-	only := fs.String("only", "", "comma-separated experiment IDs to print (e.g. E4,E8)")
+	only := fs.String("only", "", "comma-separated experiment IDs to run (e.g. E4,E8)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	want := map[string]bool{}
+	steps := experiment.Suite(experiment.SuiteParams{Quick: *quick, Seed: *seed})
 	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
-			want[strings.ToUpper(strings.TrimSpace(id))] = true
+		var err error
+		if steps, err = selectSteps(steps, *only); err != nil {
+			return err
 		}
 	}
-	tables, err := experiment.RunSuite(experiment.SuiteParams{Quick: *quick, Seed: *seed})
-	if err != nil {
-		return err
-	}
-	for _, t := range tables {
-		if len(want) > 0 && !want[strings.ToUpper(t.ID)] {
-			continue
+	for _, s := range steps {
+		t, err := s.Run()
+		if err != nil {
+			return fmt.Errorf("%s: %w", s.ID, err)
 		}
 		fmt.Println(t.String())
 	}
 	return nil
+}
+
+// selectSteps returns the steps the comma-separated IDs name (matched
+// without regard to case), in suite order. An ID that names no step is a
+// flag error, reported before anything runs.
+func selectSteps(steps []experiment.Step, only string) ([]experiment.Step, error) {
+	known := map[string]bool{}
+	ids := make([]string, len(steps))
+	for i, s := range steps {
+		ids[i] = s.ID
+		known[strings.ToUpper(s.ID)] = true
+	}
+	want := map[string]bool{}
+	for _, id := range strings.Split(only, ",") {
+		id = strings.TrimSpace(id)
+		if !known[strings.ToUpper(id)] {
+			return nil, fmt.Errorf("-only: unknown experiment %q (have %s)", id, strings.Join(ids, ","))
+		}
+		want[strings.ToUpper(id)] = true
+	}
+	var picked []experiment.Step
+	for _, s := range steps {
+		if want[strings.ToUpper(s.ID)] {
+			picked = append(picked, s)
+		}
+	}
+	return picked, nil
 }

@@ -50,19 +50,19 @@ func NewXoshiro(seed, stream int64) Xoshiro {
 	return x
 }
 
-// rotl64 is a left bit rotation (compiles to a single ROL).
-func rotl64(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
-
-// Uint64 returns the next 64 uniform bits.
+// Uint64 returns the next 64 uniform bits. The rotations are
+// bits.RotateLeft64, an intrinsic (one ROL) that the inliner prices below
+// a helper call, so Uint64 and Float64 both inline into the heat-bath
+// loops; CI fails if Float64 stops inlining.
 func (x *Xoshiro) Uint64() uint64 {
-	result := rotl64(x.s0+x.s3, 23) + x.s0
+	result := bits.RotateLeft64(x.s0+x.s3, 23) + x.s0
 	t := x.s1 << 17
 	x.s2 ^= x.s0
 	x.s3 ^= x.s1
 	x.s1 ^= x.s2
 	x.s0 ^= x.s3
 	x.s2 ^= t
-	x.s3 = rotl64(x.s3, 45)
+	x.s3 = bits.RotateLeft64(x.s3, 45)
 	return result
 }
 

@@ -325,14 +325,19 @@ func TestRunSuiteQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("suite run is slow")
 	}
-	tables, err := RunSuite(SuiteParams{Quick: true, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
+	steps := Suite(SuiteParams{Quick: true, Seed: 7})
+	if len(steps) != 16 {
+		t.Fatalf("suite lists %d experiments, want 16", len(steps))
 	}
-	if len(tables) != 16 {
-		t.Fatalf("suite produced %d tables, want 16", len(tables))
-	}
-	for _, tab := range tables {
+	for _, s := range steps {
+		tab, err := s.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", s.ID, err)
+		}
+		// cmd/lbench selects steps by table ID before running any.
+		if tab.ID != s.ID {
+			t.Errorf("step %s produces table %s", s.ID, tab.ID)
+		}
 		if len(tab.Rows) == 0 {
 			t.Errorf("%s has no rows", tab.ID)
 		}

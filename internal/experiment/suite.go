@@ -1,7 +1,5 @@
 package experiment
 
-import "fmt"
-
 // SuiteParams scales the full experiment suite; Quick shrinks workloads for
 // smoke runs.
 type SuiteParams struct {
@@ -11,10 +9,17 @@ type SuiteParams struct {
 	Seed int64
 }
 
-// RunSuite executes every experiment E1–E12 with canonical parameters and
-// returns the tables in order. Each table backs one claim of the paper;
-// README.md shows how to run the suite (cmd/lbench).
-func RunSuite(p SuiteParams) ([]*Table, error) {
+// Step is one experiment of the suite: the ID of the table it produces and
+// the run that produces it.
+type Step struct {
+	ID  string
+	Run func() (*Table, error)
+}
+
+// Suite lists every experiment E1–E12 with canonical parameters, in order,
+// without running them, so a caller can run a subset. Each table backs one
+// claim of the paper; README.md shows how to run the suite (cmd/lbench).
+func Suite(p SuiteParams) []Step {
 	sizes := []int{16, 32, 64, 128}
 	jvvSizes := []int{6, 8, 10}
 	jvvTrials := 6000
@@ -30,19 +35,7 @@ func RunSuite(p SuiteParams) ([]*Table, error) {
 	if p.Seed == 0 {
 		p.Seed = 1
 	}
-	var tables []*Table
-	run := func(name string, f func() (*Table, error)) error {
-		t, err := f()
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		tables = append(tables, t)
-		return nil
-	}
-	steps := []struct {
-		name string
-		f    func() (*Table, error)
-	}{
+	return []Step{
 		{"E1", func() (*Table, error) { return E1InferenceToSampling(sizes, 1.0, 0.1, p.Seed) }},
 		{"E2", func() (*Table, error) { return E2SamplingToInference(12, 1.0, 0.02, e2Runs, p.Seed) }},
 		{"E3", func() (*Table, error) { return E3Boosting(10, 1.0, []float64{0.5, 0.2, 0.1}, p.Seed) }},
@@ -70,10 +63,4 @@ func RunSuite(p SuiteParams) ([]*Table, error) {
 			return E12RoundsToMix(6, 1.0, []int{1, 2, 4, 8, 16}, e12Trials, p.Seed)
 		}},
 	}
-	for _, s := range steps {
-		if err := run(s.name, s.f); err != nil {
-			return tables, err
-		}
-	}
-	return tables, nil
 }

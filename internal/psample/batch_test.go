@@ -440,3 +440,58 @@ func TestBatchEnginesFullyPinned(t *testing.T) {
 		t.Errorf("rounds not counted: luby %d, metropolis %d", lg.Rounds(), lm.Rounds())
 	}
 }
+
+// TestRunAllocatesNothing: the lockstep core binds an engine's stages at
+// the first Run since Reset, so once that Run has bound them (and sized
+// the worker slots), a one-worker Run, whose stages run inline with no
+// pool, allocates nothing. A Reset drops the binding, and the first Run
+// after it binds again.
+func TestRunAllocatesNothing(t *testing.T) {
+	spec, err := model.Ising(graph.Torus(8, 8), 0.5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := gibbs.NewInstance(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRules(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chromatic, err := NewBatchChromaticGlauber(r, 16, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	luby, err := NewBatchLubyGlauber(r, 16, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	metropolis, err := NewBatchLocalMetropolis(r, 16, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines := map[string]interface {
+		multiChain
+		SetWorkers(int)
+	}{"chromatic": chromatic, "luby": luby, "metropolis": metropolis}
+	for name, s := range engines {
+		s.SetWorkers(1)
+		for _, phase := range []string{"first", "after Reset"} {
+			if phase != "first" {
+				if err := s.Reset(6); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Run(1); err != nil {
+				t.Fatal(err)
+			}
+			if n := testing.AllocsPerRun(20, func() { err = s.Run(1) }); n != 0 {
+				t.Errorf("%s, %s binding: Run(1) allocates %v times per call at one worker, want 0", name, phase, n)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}

@@ -94,13 +94,19 @@ func (b *BatchChromaticGlauber) Run(sweeps int) error {
 	if ok, err := b.begin(sweeps, b.bind); !ok {
 		return err
 	}
-	B := b.chains
 	cb, groups := b.groups()
 	maxItems := 0
 	for _, class := range b.classes {
 		maxItems = max(maxItems, len(class)*groups)
 	}
 	workers := b.pool(maxItems*cb, maxItems, cb)
+	return b.runStages(sweeps, workers, b.bindStages)
+}
+
+// bindStages builds one stage per color class for the given worker count.
+func (b *BatchChromaticGlauber) bindStages(workers int) []func(w, round int) error {
+	B := b.chains
+	cb, groups := b.groups()
 	stages := make([]func(w, round int) error, len(b.classes))
 	for k, class := range b.classes {
 		nclass := len(class)
@@ -120,5 +126,5 @@ func (b *BatchChromaticGlauber) Run(sweeps int) error {
 			return nil
 		}
 	}
-	return b.end(sweeps, RunRounds(workers, sweeps, stages))
+	return stages
 }

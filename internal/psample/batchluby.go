@@ -102,16 +102,24 @@ func (s *BatchLubyGlauber) Run(rounds int) error {
 	if ok, err := s.begin(rounds, s.bind); !ok {
 		return err
 	}
+	cb, groups := s.groups()
+	items := len(s.rules.freeList) * groups
+	workers := s.pool(items*cb, items, cb)
+	return s.runStages(rounds, workers, s.bindStages)
+}
+
+// bindStages builds the phase-draw and winner-update stages for the given
+// worker count.
+func (s *BatchLubyGlauber) bindStages(workers int) []func(w, round int) error {
 	r := s.rules
 	free := r.freeList
 	B := s.chains
 	cb, groups := s.groups()
 	nfree := len(free)
 	items := nfree * groups
-	workers := s.pool(items*cb, items, cb)
 	sample := s.sample
 	draws := s.draws
-	stages := []func(w, round int) error{
+	return []func(w, round int) error{
 		func(w, round int) error {
 			lo, hi := BlockOf(items, workers, w)
 			rng := &s.slots[w].rng
@@ -248,5 +256,4 @@ func (s *BatchLubyGlauber) Run(rounds int) error {
 			return nil
 		},
 	}
-	return s.end(rounds, RunRounds(workers, rounds, stages))
 }

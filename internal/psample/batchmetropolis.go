@@ -170,6 +170,16 @@ func (s *BatchLocalMetropolis) Run(rounds int) error {
 	if ok, err := s.begin(rounds, s.preflight); !ok {
 		return err
 	}
+	cb, groups := s.groups()
+	vItems := len(s.rules.freeList) * groups
+	fItems := len(s.rules.acc) * groups
+	workers := s.pool(max(vItems, fItems)*cb, vItems, cb)
+	return s.runStages(rounds, workers, s.bindStages)
+}
+
+// bindStages builds the proposal, filter and adoption stages for the
+// given worker count.
+func (s *BatchLocalMetropolis) bindStages(workers int) []func(w, round int) error {
 	r := s.rules
 	free := r.freeList
 	lat8, prop8 := s.lat.Raw8(), s.prop.Raw8()
@@ -179,10 +189,8 @@ func (s *BatchLocalMetropolis) Run(rounds int) error {
 	nfree := len(free)
 	nacc := len(r.acc)
 	vItems := nfree * groups
-	fItems := nacc * groups
-	workers := s.pool(max(vItems, fItems)*cb, vItems, cb)
 	eng := r.eng
-	stages := []func(w, round int) error{
+	return []func(w, round int) error{
 		func(w, round int) error {
 			lo, hi := BlockOf(vItems, workers, w)
 			rng := &s.slots[w].rng
@@ -253,5 +261,4 @@ func (s *BatchLocalMetropolis) Run(rounds int) error {
 			return nil
 		},
 	}
-	return s.end(rounds, RunRounds(workers, rounds, stages))
 }

@@ -7,8 +7,9 @@ package psample
 // static worker pool. The core owns one copy of every decision the
 // engines have in common — the start lattice, the per-worker slots and
 // their RNG streams, the worker-count rule, the lattice preflight, the
-// progress counters and the MultiChain accessors — and each engine keeps
-// only its stages and the state they need.
+// binding of the stages (once per Reset and worker count), the progress
+// counters and the MultiChain accessors — and each engine keeps only its
+// stages and the state they need.
 //
 // The decisions that fix a trajectory live here too. Worker i draws from
 // stream dist.NewXoshiro(seed, i); the streams are created lazily in
@@ -50,6 +51,11 @@ type lockstep struct {
 	// count is the engine's progress counter (Updates or Accepts): the
 	// slot counters of every Run that succeeded since Reset.
 	count int64
+	// stages are the engine's round stages, bound for staged workers at
+	// the first Run since Reset and rebound when the worker count
+	// changes, so a Run builds no closures.
+	stages []func(w, round int) error
+	staged int
 }
 
 // slot is one worker's mutable state, sized for chain groups of cb.
@@ -82,6 +88,7 @@ func (l *lockstep) reset(seed int64) error {
 	l.slots = l.slots[:0]
 	l.ready = false
 	l.sample = nil
+	l.stages = nil
 	return nil
 }
 
@@ -172,6 +179,18 @@ func (l *lockstep) pool(work, items, cb int) int {
 		})
 	}
 	return w
+}
+
+// runStages runs the given number of rounds of the engine's stages on
+// the given number of workers and closes the Run. It binds the stages
+// with bind at the first Run since Reset, when the slots, the preflight's
+// kernel and the engine's buffers are settled, and again when the worker
+// count changes.
+func (l *lockstep) runStages(rounds, workers int, bind func(workers int) []func(w, round int) error) error {
+	if l.stages == nil || l.staged != workers {
+		l.stages, l.staged = bind(workers), workers
+	}
+	return l.end(rounds, RunRounds(workers, rounds, l.stages))
 }
 
 // end closes a Run with RunRounds' result. A failed Run zeroes the slot

@@ -13,20 +13,38 @@
 // Report: rounds used, the per-check diagnostic trajectory, which dynamic
 // finished, and why the driver stopped.
 //
+// A decision reads the worst whole-chain R̂ (sampler.Rhat.Worst, from the
+// running moments) and the rate, and, only when the Policy sets MinESS,
+// the ESS. So unless MinESS is set, the driver decides first and, if the
+// stage goes on, hands the check's split-R̂/ESS pass to the accumulator
+// to run in the background (sampler.Rhat.Launch) on the cores the pinned
+// engines leave free, GOMAXPROCS − Policy.Workers, while it keeps
+// sweeping. The check's split-R̂ and ESS fields are filled in when the
+// pass joins: at the first later check that finds it finished, or at the
+// end of the stage, where the driver finishes on its own core whatever
+// the pass has left. At most one pass is in flight. A check runs its pass
+// inline (sampler.Rhat.Check, on every core) when MinESS is set, when no
+// core is spare, when it ends the stage, or while the previous check's
+// pass still runs: the driver never waits for a core to start.
+//
 // Determinism is part of the contract: given (instance, seed, policy) the
 // stop decision, the full Report, and the final lattice are
-// bit-reproducible. Two things make that true. Per-stage engine seeds are
+// bit-reproducible. Three things make that true. Per-stage engine seeds are
 // derived as dist.StreamSeed(seed, stage), so the escalation path never
-// re-uses a stream; and the Policy pins the engines' worker count to a
-// fixed default (per-worker RNG streams mean trajectories depend on the
-// worker count, and the engines' own default scales with GOMAXPROCS —
-// machine-dependent). The corpus property test at the repo root holds the
-// driver to this across every instance and every batched dynamic.
+// re-uses a stream; the Policy pins the engines' worker count to a fixed
+// default (per-worker RNG streams mean trajectories depend on the worker
+// count, and the engines' own default scales with GOMAXPROCS —
+// machine-dependent); and a check's split-R̂/ESS pass reads a frozen view
+// of the history and draws no random numbers, so it reports the same
+// whether it ran inline or in the background, on one core or several. The
+// corpus property test at the repo root holds the driver to this across
+// every instance and every batched dynamic.
 package run
 
 import (
 	"fmt"
 	"math"
+	"runtime"
 
 	"repro/internal/dist"
 	"repro/internal/gibbs"
@@ -108,13 +126,17 @@ type Policy struct {
 	// (Check.SplitRhat) as the conservative non-stationarity diagnostic.
 	Rhat float64
 	// MinESS, when positive, is the convergence floor on the
-	// smallest per-vertex effective sample size.
+	// smallest per-vertex effective sample size. The decision then
+	// needs the ESS, so every check's split-R̂/ESS pass runs inline.
 	MinESS float64
 	// Workers pins the engines' worker count (default DefaultWorkers;
 	// negative requests the engines' own machine-dependent default, which
-	// forfeits cross-machine reproducibility). It pins the engines only:
-	// the convergence check (sampler.Rhat.Check) draws no random numbers,
-	// runs on every core, and reports the same whatever the core count.
+	// forfeits cross-machine reproducibility). It also decides how many
+	// cores a check may borrow: unless MinESS is set, each check's
+	// split-R̂/ESS pass runs beside the engines on up to GOMAXPROCS −
+	// Workers cores (none for a negative Workers, whose engines fill every
+	// core). The check draws no random numbers and reports the same
+	// whatever the core count and wherever it ran.
 	Workers int
 }
 
@@ -312,6 +334,12 @@ func Drive(in *gibbs.Instance, seed int64, p Policy) (*Report, sampler.MultiChai
 		ESS:         math.NaN(),
 		ESSVertex:   -1,
 	}
+	// A check's split-R̂/ESS pass may borrow the cores the pinned engines
+	// leave free, unless the decision needs the ESS.
+	spare := 0
+	if p.Workers > 0 && p.MinESS == 0 {
+		spare = max(runtime.GOMAXPROCS(0)-p.Workers, 0)
+	}
 	var prev sampler.MultiChain
 	remaining := p.MaxSweeps
 	for si, st := range p.Stages {
@@ -361,13 +389,14 @@ func Drive(in *gibbs.Instance, seed int64, p Policy) (*Report, sampler.MultiChai
 		if err != nil {
 			return nil, nil, fmt.Errorf("run: stage %d: %w", si, err)
 		}
+		var bg inflight
 		lastCounter, _ := counterOf(m)
 		lastCounterSweep := stageSweeps
 		sinceCheck := 0
 		hasTarget := p.Rhat > 0 || p.MinESS > 0
 		for stageSweeps < budget {
-			if err := m.Run(sweepRounds); err != nil {
-				return nil, nil, fmt.Errorf("run: stage %d: %w", si, err)
+			if err = m.Run(sweepRounds); err != nil {
+				break
 			}
 			stageSweeps++
 			acc.Observe()
@@ -376,41 +405,69 @@ func Drive(in *gibbs.Instance, seed int64, p Policy) (*Report, sampler.MultiChai
 				continue
 			}
 			sinceCheck = 0
-			d, err := acc.Check()
-			if err != nil {
-				return nil, nil, fmt.Errorf("run: stage %d: %w", si, err)
+			if bg.pass != nil && bg.pass.Done() {
+				bg.join(sr.Checks)
 			}
-			rate := math.NaN()
+			ck := Check{Sweep: rep.Sweeps + stageSweeps, Rounds: m.Rounds(), Rate: math.NaN()}
+			if spare > 0 {
+				// The decision reads only the whole-chain R̂ and the rate.
+				ck.WorstVertex, ck.Rhat, err = acc.Worst()
+			} else {
+				var d sampler.Diagnostics
+				d, err = acc.Check()
+				ck.Rhat, ck.WorstVertex = d.Rhat, d.WorstVertex
+				ck.set(d)
+			}
+			if err != nil {
+				break
+			}
 			if c, ok := counterOf(m); ok && nfree > 0 && stageSweeps > lastCounterSweep {
 				cells := int64(nfree) * int64(p.Chains) * int64(stageSweeps-lastCounterSweep)
-				rate = float64(c-lastCounter) / float64(cells)
+				ck.Rate = float64(c-lastCounter) / float64(cells)
 				lastCounter, lastCounterSweep = c, stageSweeps
 			}
-			ck := Check{
-				Sweep:       rep.Sweeps + stageSweeps,
-				Rounds:      m.Rounds(),
-				Rhat:        d.Rhat,
-				WorstVertex: d.WorstVertex,
-				SplitRhat:   d.SplitRhat,
-				SplitVertex: d.SplitVertex,
-				ESS:         d.ESS,
-				ESSVertex:   d.ESSVertex,
-				Rate:        rate,
+			switch {
+			case hasTarget &&
+				(p.Rhat <= 0 || ck.Rhat <= p.Rhat) &&
+				(p.MinESS <= 0 || ck.ESS >= p.MinESS):
+				sr.Reason = Converged
+			case !last && st.MinRate > 0 && !math.IsNaN(ck.Rate) && ck.Rate < st.MinRate:
+				sr.Reason = RateCollapse
+			}
+			if spare > 0 {
+				// The split-R̂/ESS pass runs beside the next sweeps, if
+				// there are any and no pass is in flight, and on the
+				// driver otherwise.
+				var ps *sampler.Pass
+				if sr.Reason == Budget && stageSweeps < budget {
+					ps = acc.Launch(spare)
+				}
+				if ps != nil {
+					bg = inflight{at: len(sr.Checks), pass: ps}
+				} else {
+					var d sampler.Diagnostics
+					if d, err = acc.Check(); err != nil {
+						break
+					}
+					ck.set(d)
+				}
 			}
 			sr.Checks = append(sr.Checks, ck)
-			rep.Rhat, rep.WorstVertex = d.Rhat, d.WorstVertex
-			rep.SplitRhat, rep.SplitVertex = d.SplitRhat, d.SplitVertex
-			rep.ESS, rep.ESSVertex = d.ESS, d.ESSVertex
-			if hasTarget &&
-				(p.Rhat <= 0 || d.Rhat <= p.Rhat) &&
-				(p.MinESS <= 0 || d.ESS >= p.MinESS) {
-				sr.Reason = Converged
+			if sr.Reason != Budget {
 				break
 			}
-			if !last && st.MinRate > 0 && !math.IsNaN(rate) && rate < st.MinRate {
-				sr.Reason = RateCollapse
-				break
-			}
+		}
+		// No pass outlives its stage: every check is complete before
+		// the driver returns or moves on.
+		bg.join(sr.Checks)
+		if err != nil {
+			return nil, nil, fmt.Errorf("run: stage %d: %w", si, err)
+		}
+		if n := len(sr.Checks); n > 0 {
+			ck := sr.Checks[n-1]
+			rep.Rhat, rep.WorstVertex = ck.Rhat, ck.WorstVertex
+			rep.SplitRhat, rep.SplitVertex = ck.SplitRhat, ck.SplitVertex
+			rep.ESS, rep.ESSVertex = ck.ESS, ck.ESSVertex
 		}
 		if sr.Reason == Budget && !last && stageSweeps >= budget && remaining > budget {
 			// The stage cap (not the total budget) ran out: escalate.
@@ -434,6 +491,28 @@ func Drive(in *gibbs.Instance, seed int64, p Policy) (*Report, sampler.MultiChai
 	}
 	// Unreachable: the last stage always returns above.
 	return rep, prev, nil
+}
+
+// inflight is a check whose split-R̂/ESS pass runs in the background:
+// the index of the check in its stage's Checks and the pass, nil when no
+// pass is in flight.
+type inflight struct {
+	at   int
+	pass *sampler.Pass
+}
+
+// join finishes the pass in flight, if any, and fills in its check.
+func (f *inflight) join(checks []Check) {
+	if f.pass != nil {
+		checks[f.at].set(f.pass.Join())
+		f.pass = nil
+	}
+}
+
+// set records the split-R̂/ESS fields of a pass in the check.
+func (c *Check) set(d sampler.Diagnostics) {
+	c.SplitRhat, c.SplitVertex = d.SplitRhat, d.SplitVertex
+	c.ESS, c.ESSVertex = d.ESS, d.ESSVertex
 }
 
 // freeCount returns the number of unpinned vertices of the instance — the

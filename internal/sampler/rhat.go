@@ -38,11 +38,29 @@ package sampler
 // the vertex's series once into a chain-major float64 scratch, takes one
 // sum pass and one deviation pass per chain, and yields the split
 // statistic and the ESS together; SplitAt and ESSAt are views of it. A
-// convergence check (Check) is one pass of that kernel over every vertex,
-// cut into contiguous vertex blocks that run on every core, each with its
-// own scratch, and folded in vertex order — the diagnostics draw no random
-// numbers, so the result does not depend on GOMAXPROCS or on the engines'
-// worker count.
+// convergence check splits in two. The whole-chain R̂ (Worst) reads only
+// the running moments, a scan of n·B cells. The split-R̂/ESS pass runs the
+// kernel over every vertex: its workers — goroutines, each with its own
+// scratch, and the caller — claim chunks of consecutive vertices until
+// none are left, and their results fold so that the lowest vertex wins
+// every tie, whoever scanned it. Check runs both on the caller, with a
+// worker goroutine on every other core. Launch starts the pass in the
+// background instead, on the cores the caller says are free, and Join
+// finishes it on the caller: it scans what no worker has claimed and
+// waits only for the chunks in progress, never for a core to start. The
+// caller can decide on Worst at once and keep advancing its engine while
+// the pass runs.
+//
+// A background pass reads a frozen view: its own copy of the buffer's
+// slice header and of the retained length, stride and count (history),
+// never the moments or the live fields. That view stays valid while
+// Observe goes on: an observation writes past the frozen length, or into
+// a freshly grown buffer while the pass keeps the old array; only
+// thinning moves retained snapshots in place, and Observe finishes the
+// pass in flight, as Join does, before it thins. The diagnostics draw no
+// random numbers, so a pass's result is the same whether it ran inline or
+// in the background, on one worker or on several: it does not depend on
+// GOMAXPROCS, on the engines' worker count, or on when it ran.
 //
 // Every statistic is bit-identical (same vertex, same math.Float64bits) to
 // the earlier series-major layout, which stored each (vertex, chain)
@@ -55,6 +73,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/dist"
 	"repro/internal/psample"
@@ -75,35 +94,48 @@ const DefaultRetain = 256
 // internal/psample alike. Memory is the 16·n·B
 // bytes of running moments plus the snapshot buffer, which holds one byte
 // per cell per retained observation (four on wide lattices), plus at most
-// 8·B·DefaultRetain bytes of kernel scratch per check block.
+// 8·B·DefaultRetain bytes of kernel scratch for the caller and for each
+// worker goroutine of its two passes. An Rhat is not safe for concurrent
+// use; the background pass it launches is its only other reader.
 type Rhat struct {
 	m MultiChain
-	// n and b are the vertex and chain counts, read once; cells = n·b is
-	// one snapshot's length.
-	n, b, cells int
-	count       int
+	// history is everything the per-vertex kernel reads.
+	history
 	// mean and m2 are chain-major like the lattice: entry v*B+c carries
 	// chain c's running mean / centered second moment at vertex v.
 	mean []float64
 	m2   []float64
+	skip int
 
-	// The thinned snapshot buffer: snapshot i occupies
-	// snaps[i*cells:(i+1)*cells] of snaps8 (compact lattices) or snapsW
-	// (wide lattices; the other stays nil). Snapshots are evenly spaced
-	// every `stride` observations across the history, most recent last.
-	compact bool
-	snaps8  []uint8
-	snapsW  []int32
-	retain  int
-	rlen    int
-	stride  int
-	skip    int
+	// inline is the pass Check runs, bg the pass Launch runs in the
+	// background, reused once joined. Each pass keeps its workers and their
+	// scratch across checks, and own is the caller's scratch (SplitAt,
+	// ESSAt and the caller's share of a pass), so a check allocates nothing
+	// once they are sized.
+	inline Pass
+	bg     Pass
+	own    vertexScratch
+}
 
-	// blocks are the vertex blocks of a check, kept across checks so a
-	// check allocates nothing once they are sized; wg waits for the
-	// goroutines of a check's blocks.
-	blocks []*checkBlock
-	wg     sync.WaitGroup
+// history is the part of the accumulator the per-vertex kernel reads: the
+// shape, the thinned snapshot buffer and the observation count. Snapshot i
+// occupies snaps[i*cells:(i+1)*cells] of snaps8 (compact lattices) or
+// snapsW (wide lattices; the other stays nil), and the buffer's length is
+// exactly rlen snapshots. Snapshots are evenly spaced every `stride`
+// observations across the history, most recent last. A copy is a frozen
+// view: Observe changes the accumulator's copy, never the retained cells a
+// copy covers, except when it thins (see Observe).
+type history struct {
+	// n and b are the vertex and chain counts, read once; cells = n·b is
+	// one snapshot's length.
+	n, b, cells int
+	compact     bool
+	retain      int
+	snaps8      []uint8
+	snapsW      []int32
+	rlen        int
+	stride      int
+	count       int
 }
 
 // NewRhat returns an empty accumulator for the multi-chain engine with the
@@ -124,17 +156,22 @@ func newRhat(m MultiChain, retain int) (*Rhat, error) {
 	}
 	lat := m.Lattice()
 	n := lat.N()
-	return &Rhat{
-		m:       m,
-		n:       n,
-		b:       B,
-		cells:   n * B,
-		mean:    make([]float64, n*B),
-		m2:      make([]float64, n*B),
-		compact: lat.Compact(),
-		retain:  retain,
-		stride:  1,
-	}, nil
+	r := &Rhat{
+		m: m,
+		history: history{
+			n:       n,
+			b:       B,
+			cells:   n * B,
+			compact: lat.Compact(),
+			retain:  retain,
+			stride:  1,
+		},
+		mean: make([]float64, n*B),
+		m2:   make([]float64, n*B),
+	}
+	r.inline.init(r)
+	r.bg.init(r)
+	return r, nil
 }
 
 // cell8 decodes a compact cell: symbols are themselves and the 0xFF
@@ -149,7 +186,8 @@ var cell8 = func() (t [256]float64) {
 
 // Observe folds the engine's current state into the running moments and,
 // on retention strides, appends it to the snapshot buffer. Call it between
-// Run chunks (e.g. once per sweep-equivalent).
+// Run chunks (e.g. once per sweep-equivalent). When the buffer fills, it
+// finishes the background pass, if one is running, before thinning it.
 func (r *Rhat) Observe() {
 	r.count++
 	cnt := float64(r.count)
@@ -193,6 +231,9 @@ func (r *Rhat) Observe() {
 		// Thin: keep every other retained snapshot (the most recent one
 		// stays retained), double the stride. The retained set remains the
 		// multiples of the stride, so the series stays evenly spaced.
+		// Thinning moves retained snapshots in place, under the view of
+		// the background pass if it is still reading them: finish it.
+		r.settle()
 		half := r.retain / 2
 		if r.compact {
 			r.snaps8 = thin(r.snaps8, r.cells, half)
@@ -242,26 +283,26 @@ type vertexScratch struct {
 
 // gather copies vertex v's retained series into the scratch, chain c's
 // series at y[c*L:(c+1)*L], oldest first, and returns it.
-func (r *Rhat) gather(v int, sc *vertexScratch) []float64 {
-	B, L := r.b, r.rlen
+func (h *history) gather(v int, sc *vertexScratch) []float64 {
+	B, L := h.b, h.rlen
 	if cap(sc.series) < B*L {
 		// Sized ahead like the snapshot buffer, so growth is as rare.
-		sc.series = make([]float64, B*min(2*L, r.retain))
+		sc.series = make([]float64, B*min(2*L, h.retain))
 	}
 	y := sc.series[:B*L]
 	off := v * B
-	if r.compact {
+	if h.compact {
 		for t := 0; t < L; t++ {
-			at := t*r.cells + off
-			for c, x := range r.snaps8[at : at+B] {
+			at := t*h.cells + off
+			for c, x := range h.snaps8[at : at+B] {
 				y[c*L+t] = cell8[x]
 			}
 		}
 		return y
 	}
 	for t := 0; t < L; t++ {
-		at := t*r.cells + off
-		for c, x := range r.snapsW[at : at+B] {
+		at := t*h.cells + off
+		for c, x := range h.snapsW[at : at+B] {
 			y[c*L+t] = float64(x)
 		}
 	}
@@ -358,7 +399,7 @@ func (r *Rhat) SplitAt(v int) (float64, error) {
 	if err := r.ready("split R̂"); err != nil {
 		return 0, err
 	}
-	split, _ := r.vertexStats(v, &r.block(0).vertexScratch)
+	split, _ := r.vertexStats(v, r.callerScratch())
 	return split, nil
 }
 
@@ -377,7 +418,7 @@ func (r *Rhat) ESSAt(v int) (float64, error) {
 	if err := r.ready("ESS"); err != nil {
 		return 0, err
 	}
-	_, ess := r.vertexStats(v, &r.block(0).vertexScratch)
+	_, ess := r.vertexStats(v, r.callerScratch())
 	return ess, nil
 }
 
@@ -395,9 +436,9 @@ func (r *Rhat) ESSAt(v int) (float64, error) {
 // accumulators, each in time order: the two half variances about the half
 // means, and the whole-chain variance about the chain mean, which also
 // centres the series in place for the autocovariances.
-func (r *Rhat) vertexStats(v int, sc *vertexScratch) (split, ess float64) {
-	B, L := r.b, r.rlen
-	y := r.gather(v, sc)
+func (h *history) vertexStats(v int, sc *vertexScratch) (split, ess float64) {
+	B, L := h.b, h.rlen
+	y := h.gather(v, sc)
 	m := L / 2
 	mf, Lf := float64(m), float64(L)
 	seqMean, seqVar, means := sc.seqMean, sc.seqVar, sc.chainMean
@@ -460,7 +501,7 @@ func (r *Rhat) vertexStats(v int, sc *vertexScratch) (split, ess float64) {
 	split = psrf(within, between, nseq, mf)
 
 	// ESS over the B centred whole-chain series.
-	total := float64(B) * float64(r.count)
+	total := float64(B) * float64(h.count)
 	grand /= float64(B)
 	W /= float64(B)
 	between = 0.0
@@ -514,7 +555,7 @@ func (r *Rhat) vertexStats(v int, sc *vertexScratch) (split, ess float64) {
 		sum += p
 	}
 	tau := 1 + 2*sum
-	ess = float64(B) * float64(r.stride*L) / tau
+	ess = float64(B) * float64(h.stride*L) / tau
 	return split, math.Min(ess, total)
 }
 
@@ -531,76 +572,217 @@ type Diagnostics struct {
 	ESSVertex   int
 }
 
-// fold takes each statistic of o that is strictly worse than d's, so
-// folding in vertex order keeps the lowest vertex on ties.
+// fold takes each pass statistic of o that is worse than d's, or as bad
+// at a lower vertex. The result is the sequential scan's — the lowest
+// vertex attaining the worst value — whatever order the vertices, or the
+// partial results of several workers, are folded in. The empty result's
+// vertex is −1, so a vertex as bad as its ±Inf never replaces it, as in
+// the sequential scan.
 func (d *Diagnostics) fold(o Diagnostics) {
-	if o.Rhat > d.Rhat {
-		d.Rhat, d.WorstVertex = o.Rhat, o.WorstVertex
-	}
-	if o.SplitRhat > d.SplitRhat {
+	if o.SplitRhat > d.SplitRhat || o.SplitRhat == d.SplitRhat && o.SplitVertex < d.SplitVertex {
 		d.SplitRhat, d.SplitVertex = o.SplitRhat, o.SplitVertex
 	}
-	if o.ESS < d.ESS {
+	if o.ESS < d.ESS || o.ESS == d.ESS && o.ESSVertex < d.ESSVertex {
 		d.ESS, d.ESSVertex = o.ESS, o.ESSVertex
 	}
 }
 
-// checkBlock is one contiguous vertex block of a check: the kernel
-// scratch, the block's range and result, and the entry point that scans
-// it on its own goroutine, bound once so a check allocates nothing.
-type checkBlock struct {
+// noPass is the empty pass result every fold starts from.
+var noPass = Diagnostics{
+	SplitRhat: math.Inf(-1), SplitVertex: -1,
+	ESS: math.Inf(1), ESSVertex: -1,
+}
+
+// Pass is the split-R̂/ESS pass of one convergence check: the per-vertex
+// kernel over every vertex of a frozen view of the retained snapshots. Its
+// workers — goroutines, each with its own scratch, and the caller while it
+// waits for the pass — claim chunks of consecutive vertices until none are
+// left, so a pass ends as soon as the cores that did start have scanned
+// every vertex. Rhat.Launch starts one in the background and Join collects
+// it; Check runs one on the caller. An accumulator has one of each.
+type Pass struct {
+	r *Rhat
+	// view is the frozen history the workers read.
+	view history
+	// next is the first vertex no worker has claimed, a claim takes chunk
+	// consecutive vertices, and fin counts the vertices scanned.
+	next, fin atomic.Int64
+	chunk     int64
+	// mine is the caller's share of the result.
+	mine Diagnostics
+	// workers are the goroutines' slots, k of them open to this pass; the
+	// scratch of each is sized on first use and kept. work is the
+	// goroutines' entry point, bound once so a start allocates nothing.
+	workers []*passWorker
+	k       int
+	work    func()
+	// mu guards open (the pass takes workers), used (slots taken) and
+	// running (workers still scanning); idle is signalled when the last
+	// running worker leaves.
+	mu            sync.Mutex
+	idle          sync.Cond
+	open          bool
+	used, running int
+	// busy marks a background pass launched and not yet joined.
+	busy bool
+}
+
+// passWorker is one goroutine's slot in a pass: its kernel scratch and
+// its share of the result.
+type passWorker struct {
 	vertexScratch
-	lo, hi int
-	d      Diagnostics
-	run    func()
+	d Diagnostics
 }
 
-// block returns check block w, creating the blocks up to w on first use.
-// Block 0 also serves SplitAt and ESSAt.
-func (r *Rhat) block(w int) *checkBlock {
-	for len(r.blocks) <= w {
-		blk := &checkBlock{vertexScratch: vertexScratch{
-			seqMean:   make([]float64, 2*r.b),
-			seqVar:    make([]float64, 2*r.b),
-			chainMean: make([]float64, r.b),
-		}}
-		blk.run = func() {
-			defer r.wg.Done()
-			r.scan(blk)
+// newVertexScratch returns kernel scratch for B chains; gather sizes the
+// series on first use.
+func newVertexScratch(b int) vertexScratch {
+	return vertexScratch{
+		seqMean:   make([]float64, 2*b),
+		seqVar:    make([]float64, 2*b),
+		chainMean: make([]float64, b),
+	}
+}
+
+// init ties the pass to its accumulator and binds its entry point.
+func (p *Pass) init(r *Rhat) {
+	p.r = r
+	p.idle.L = &p.mu
+	p.work = p.worker
+}
+
+// start freezes the view h and starts k worker goroutines on it; the
+// caller is one more worker once it finishes the pass. Chunks are small
+// enough that the workers can share the vertices evenly.
+func (p *Pass) start(h history, k int) {
+	p.view = h
+	p.k = k
+	for len(p.workers) < k {
+		p.workers = append(p.workers, &passWorker{vertexScratch: newVertexScratch(h.b)})
+	}
+	p.next.Store(0)
+	p.fin.Store(0)
+	p.chunk = int64(max(h.n/(8*(k+1)), 1))
+	p.mine = noPass
+	p.mu.Lock()
+	p.open, p.used = true, 0
+	p.mu.Unlock()
+	for range k {
+		go p.work()
+	}
+}
+
+// worker is a goroutine's turn at the pass: it takes a free slot, if the
+// pass is still open and has one, and scans chunks until none are left. A
+// goroutine that starts after its pass has finished finds it closed, or
+// finds a later pass of the same accumulator and works on that one.
+func (p *Pass) worker() {
+	p.mu.Lock()
+	if !p.open || p.used == p.k {
+		p.mu.Unlock()
+		return
+	}
+	w := p.workers[p.used]
+	p.used++
+	p.running++
+	p.mu.Unlock()
+	w.d = noPass
+	p.scan(&w.vertexScratch, &w.d)
+	p.mu.Lock()
+	p.running--
+	if p.running == 0 {
+		p.idle.Signal()
+	}
+	p.mu.Unlock()
+}
+
+// scan claims chunks of vertices until none are left and folds each
+// vertex's statistics into d, in increasing vertex order.
+func (p *Pass) scan(sc *vertexScratch, d *Diagnostics) {
+	n, c := int64(p.view.n), p.chunk
+	for {
+		lo := p.next.Add(c) - c
+		if lo >= n {
+			return
 		}
-		r.blocks = append(r.blocks, blk)
+		hi := min(lo+c, n)
+		for v := int(lo); v < int(hi); v++ {
+			split, ess := p.view.vertexStats(v, sc)
+			d.fold(Diagnostics{SplitRhat: split, SplitVertex: v, ESS: ess, ESSVertex: v})
+		}
+		p.fin.Add(hi - lo)
 	}
-	return r.blocks[w]
 }
 
-// scan runs the per-vertex kernel over the block's vertices in order.
-func (r *Rhat) scan(blk *checkBlock) {
-	d := Diagnostics{
-		Rhat: math.Inf(-1), WorstVertex: -1,
-		SplitRhat: math.Inf(-1), SplitVertex: -1,
-		ESS: math.Inf(1), ESSVertex: -1,
+// finish scans what no worker has claimed on the caller, then closes the
+// pass to goroutines that have not started and waits for the workers still
+// scanning, each at most one chunk from done. So it never waits for a core
+// to start, and it costs at most what the whole pass costs on the caller.
+func (p *Pass) finish() {
+	p.scan(p.r.callerScratch(), &p.mine)
+	p.mu.Lock()
+	p.open = false
+	for p.running > 0 {
+		p.idle.Wait()
 	}
-	for v := blk.lo; v < blk.hi; v++ {
-		split, ess := r.vertexStats(v, &blk.vertexScratch)
-		d.fold(Diagnostics{
-			Rhat: r.at(v), WorstVertex: v,
-			SplitRhat: split, SplitVertex: v,
-			ESS: ess, ESSVertex: v,
-		})
-	}
-	blk.d = d
+	p.mu.Unlock()
 }
 
-// Check runs one convergence check: the worst whole-chain R̂, the worst
-// split R̂ and the smallest effective sample size, in one pass of the
-// per-vertex kernel. The vertices are cut into psample.DefaultWorkers(n)
-// contiguous blocks, scanned concurrently, each with its own scratch, and
-// the block results are folded in vertex order. The diagnostics draw no
-// random numbers, so the result is the sequential scan's, bit for bit and
-// vertex for vertex, whatever GOMAXPROCS is; and the check uses every core
-// even when the engines run on one. An empty instance reports R̂ 1 and
-// the full pooled count B·Count at vertex 0. The one error is SplitReady
-// not holding.
+// result folds the caller's and the workers' shares: the split R̂ and ESS
+// fields of the check, the whole-chain fields left zero.
+func (p *Pass) result() Diagnostics {
+	d := p.mine
+	for _, w := range p.workers[:p.used] {
+		d.fold(w.d)
+	}
+	return d
+}
+
+// Done reports whether every vertex of the pass has been scanned, so that
+// Join returns at once.
+func (p *Pass) Done() bool { return p.fin.Load() == int64(p.view.n) }
+
+// Join finishes the background pass on the caller — it scans the vertices
+// no worker has claimed and waits for the chunks in progress — and returns
+// the split R̂ and ESS fields of its check; the whole-chain fields are zero
+// (read them from Worst when the pass is launched). Join hands the pass
+// back to the accumulator, whose next Launch reuses it: do not use it
+// after Join.
+func (p *Pass) Join() Diagnostics {
+	if !p.busy {
+		panic("sampler: Join of a pass that is not in flight")
+	}
+	p.finish()
+	p.busy = false
+	return p.result()
+}
+
+// callerScratch returns the kernel scratch of the accumulator's caller:
+// SplitAt, ESSAt and the caller's share of every pass use it.
+func (r *Rhat) callerScratch() *vertexScratch {
+	if r.own.chainMean == nil {
+		r.own = newVertexScratch(r.b)
+	}
+	return &r.own
+}
+
+// settle finishes the background pass if it is in flight. Its result stays
+// with it until Join.
+func (r *Rhat) settle() {
+	if r.bg.busy {
+		r.bg.finish()
+	}
+}
+
+// Check runs one convergence check on the caller: the worst whole-chain
+// R̂ (Worst) and the split-R̂/ESS pass, the worst split R̂ and the smallest
+// effective sample size. The caller and psample.DefaultWorkers(n) − 1
+// goroutines share the pass's vertices, each with its own scratch, and
+// fold their results. The diagnostics draw no random numbers, so the
+// result is the sequential scan's, bit for bit and vertex for vertex,
+// whatever GOMAXPROCS is; and the check uses every core even when the
+// engines run on one. An empty instance reports R̂ 1 and the full pooled
+// count B·Count at vertex 0. The one error is SplitReady not holding.
 func (r *Rhat) Check() (Diagnostics, error) {
 	if r.n == 0 {
 		return Diagnostics{Rhat: 1, SplitRhat: 1, ESS: float64(r.b) * float64(r.count)}, nil
@@ -608,22 +790,31 @@ func (r *Rhat) Check() (Diagnostics, error) {
 	if err := r.ready("a convergence check"); err != nil {
 		return Diagnostics{}, err
 	}
-	k := psample.DefaultWorkers(r.n)
-	for w := 0; w < k; w++ {
-		blk := r.block(w)
-		blk.lo, blk.hi = psample.BlockOf(r.n, k, w)
-	}
-	r.wg.Add(k - 1)
-	for _, blk := range r.blocks[1:k] {
-		go blk.run()
-	}
-	r.scan(r.blocks[0])
-	r.wg.Wait()
-	d := r.blocks[0].d
-	for _, blk := range r.blocks[1:k] {
-		d.fold(blk.d)
-	}
+	p := &r.inline
+	p.start(r.history, psample.DefaultWorkers(r.n)-1)
+	p.finish()
+	d := p.result()
+	d.WorstVertex, d.Rhat = r.worst()
 	return d, nil
+}
+
+// Launch starts the split-R̂/ESS pass of a convergence check in the
+// background and returns it; Join collects its result, which is Check's
+// split R̂ and ESS fields at the moment of the launch, bit for bit. The
+// pass runs on min(cores, psample.DefaultWorkers(n)) goroutines, and Join
+// finishes on the caller what they have not. The accumulator has one
+// background pass: Launch returns nil and starts nothing while it is in
+// flight (not yet joined), when cores < 1, on an empty instance, or when
+// SplitReady does not hold — run Check then. Meanwhile the caller may go
+// on advancing the engine and calling Observe, Worst and At.
+func (r *Rhat) Launch(cores int) *Pass {
+	p := &r.bg
+	if p.busy || cores < 1 || r.n == 0 || !r.SplitReady() {
+		return nil
+	}
+	p.busy = true
+	p.start(r.history, min(cores, psample.DefaultWorkers(r.n)))
+	return p
 }
 
 // Worst returns the vertex with the largest whole-chain R̂ and its value.
@@ -635,13 +826,19 @@ func (r *Rhat) Worst() (v int, rhat float64, err error) {
 	if err := r.observed(); err != nil {
 		return 0, 0, err
 	}
+	v, rhat = r.worst()
+	return v, rhat, nil
+}
+
+// worst is Worst's scan, in vertex order with strict comparisons.
+func (r *Rhat) worst() (v int, rhat float64) {
 	v, rhat = -1, math.Inf(-1)
 	for u := 0; u < r.n; u++ {
 		if x := r.at(u); x > rhat {
 			v, rhat = u, x
 		}
 	}
-	return v, rhat, nil
+	return v, rhat
 }
 
 // WorstSplit returns the vertex with the largest split R̂ and its value:

@@ -7,9 +7,9 @@ package sampler
 // vertex and bits for Worst, WorstSplit, MinESS and the three fields of
 // Check — on fabricated histories (compact and wide lattices, several
 // alphabets and buffer capacities driven through repeated thinning,
-// degenerate vertices, and a history wide enough for Check's vertex
-// blocks at every GOMAXPROCS from 1 to 4) and on every corpus instance
-// under every batched dynamic.
+// degenerate vertices, and a history wide enough for Check's workers to
+// share it in chunks at every GOMAXPROCS from 1 to 4) and on every corpus
+// instance under every batched dynamic.
 
 import (
 	"fmt"
@@ -239,11 +239,12 @@ func TestRhatMatchesReferenceFabricated(t *testing.T) {
 }
 
 // TestRhatMatchesReferenceBlocks runs the fabricated histories at the
-// scale where Check cuts the vertices into blocks: 259 vertices get
-// GOMAXPROCS blocks for GOMAXPROCS 1 to 4 (ragged at 3). The roles repeat
-// every numRoles vertices, so the frozen, constant and pinned vertices tie
-// exactly across block boundaries, and the lowest vertex must win every
-// tie whatever the block count.
+// scale where Check shares the vertices among workers: 259 vertices go to
+// the caller and GOMAXPROCS − 1 goroutines in chunks of 32, 16, 10 and 8
+// vertices for GOMAXPROCS 1 to 4 (the last chunk ragged). The roles
+// repeat every numRoles vertices, so the frozen, constant and pinned
+// vertices tie exactly across chunk boundaries, and the lowest vertex must
+// win every tie whichever worker scanned which chunk.
 func TestRhatMatchesReferenceBlocks(t *testing.T) {
 	const (
 		n = 259
@@ -260,7 +261,7 @@ func TestRhatMatchesReferenceBlocks(t *testing.T) {
 					t.Run(name, func(t *testing.T) {
 						defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 						if k := psample.DefaultWorkers(n); k != procs {
-							t.Fatalf("DefaultWorkers(%d) = %d at GOMAXPROCS %d: the block count must follow GOMAXPROCS", n, k, procs)
+							t.Fatalf("DefaultWorkers(%d) = %d at GOMAXPROCS %d: the worker count must follow GOMAXPROCS", n, k, procs)
 						}
 						restore := func() {}
 						if layout.wide {
@@ -379,6 +380,110 @@ func TestRhatMatchesReferenceCorpus(t *testing.T) {
 							refs[k].Observe()
 							sameStats(t, accs[k], refs[k])
 						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestRhatLaunchMatchesReference launches background passes while the
+// fabricated history goes on, through thinning after thinning of an
+// 8-snapshot buffer, and holds each pass, when joined, to the reference's
+// worst split R̂ and smallest ESS at its launch, bit for bit and vertex for
+// vertex. A pass stays in flight for one to five observations, so Observe
+// appends, regrows and thins the buffer under it (finishing the pass
+// first); the race detector checks that the pass reads nothing Observe
+// writes. The pass takes min(cores, DefaultWorkers(n)) worker goroutines,
+// and Launch starts nothing while it is in flight.
+func TestRhatLaunchMatchesReference(t *testing.T) {
+	const (
+		B      = 4
+		q      = 3
+		retain = 8
+	)
+	type flight struct {
+		p         *Pass
+		at        int
+		sv, ev    int
+		split, es float64
+	}
+	for _, n := range []int{numRoles, 259} {
+		for _, cores := range []int{1, 3, 8} {
+			for _, wide := range []bool{false, true} {
+				t.Run(fmt.Sprintf("n=%d/cores=%d/wide=%v", n, cores, wide), func(t *testing.T) {
+					restore := func() {}
+					if wide {
+						restore = state.SetCompactLimitForTest(0)
+					}
+					lat, err := state.New(n, B, q)
+					restore()
+					if err != nil {
+						t.Fatal(err)
+					}
+					m := latticeOnly{lat}
+					acc, err := newRhat(m, retain)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ref, err := newRhatRef(m, retain)
+					if err != nil {
+						t.Fatal(err)
+					}
+					join := func(f *flight) {
+						t.Helper()
+						d := f.p.Join()
+						what := fmt.Sprintf("pass launched at obs %d", f.at)
+						if !f.p.Done() {
+							t.Fatalf("%s: Done false after Join", what)
+						}
+						sameBits(t, what+": split R̂", d.SplitRhat, nil, f.split, nil)
+						sameBits(t, what+": ESS", d.ESS, nil, f.es, nil)
+						if d.SplitVertex != f.sv || d.ESSVertex != f.ev {
+							t.Fatalf("%s: vertices %d, %d; reference %d, %d", what, d.SplitVertex, d.ESSVertex, f.sv, f.ev)
+						}
+					}
+					rng := dist.NewXoshiro(int64(n+cores), 2)
+					var inFlight *flight
+					launched, thinnedUnder := 0, 0
+					for i := 0; i < 6*retain+3; i++ {
+						fabricate(lat, q, i, &rng)
+						_, stride := acc.Retained()
+						acc.Observe()
+						ref.Observe()
+						if _, s := acc.Retained(); s != stride && inFlight != nil {
+							thinnedUnder++
+						}
+						if f := inFlight; f != nil && i-f.at >= 1+f.at%5 {
+							join(f)
+							inFlight = nil
+						}
+						if !acc.SplitReady() {
+							continue
+						}
+						p := acc.Launch(cores)
+						if inFlight != nil {
+							if p != nil {
+								t.Fatalf("obs %d: Launch started a pass while the one launched at obs %d is in flight", i, inFlight.at)
+							}
+							continue
+						}
+						if p == nil {
+							t.Fatalf("obs %d: Launch(%d) started nothing with no pass in flight", i, cores)
+						}
+						if want := min(cores, psample.DefaultWorkers(n)); p.k != want {
+							t.Fatalf("obs %d: pass has %d workers, want %d", i, p.k, want)
+						}
+						launched++
+						inFlight = &flight{p: p, at: i}
+						inFlight.sv, inFlight.split, _ = ref.WorstSplit()
+						inFlight.ev, inFlight.es, _ = ref.MinESS()
+					}
+					if inFlight != nil {
+						join(inFlight)
+					}
+					if launched == 0 || thinnedUnder < 3 {
+						t.Fatalf("%d passes launched, %d thinnings under a pass in flight; want passes across at least three", launched, thinnedUnder)
 					}
 				})
 			}

@@ -5,6 +5,7 @@ package sampler
 // large when chains are frozen apart.
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -32,6 +33,56 @@ func rhatBatch(t *testing.T, spec *gibbs.Spec, pin dist.Config, B int, seed int6
 		t.Fatal(err)
 	}
 	return b
+}
+
+// TestFoldAnyOrder holds the pass's fold to the sequential scan's result
+// when the vertices are shared among workers in any way: each worker folds
+// the vertices it claimed in increasing order, and the workers' results
+// fold in any order. The values come from a small pool with exact ties,
+// NaN and ±Inf, so the lowest vertex must win every tie, NaN must never
+// win, and a vertex as bad as the empty result's ±Inf must never replace
+// it.
+func TestFoldAnyOrder(t *testing.T) {
+	pool := []float64{math.NaN(), math.Inf(-1), math.Inf(1), 0, 1, 1.5, 1.5, 2, 7}
+	rng := dist.NewXoshiro(5, 0)
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.IntN(12)
+		stats := make([]Diagnostics, n)
+		want := noPass
+		for v := range stats {
+			stats[v] = Diagnostics{
+				SplitRhat: pool[rng.IntN(len(pool))], SplitVertex: v,
+				ESS: pool[rng.IntN(len(pool))], ESSVertex: v,
+			}
+			// The sequential scan: strictly worse wins, in vertex order.
+			if stats[v].SplitRhat > want.SplitRhat {
+				want.SplitRhat, want.SplitVertex = stats[v].SplitRhat, v
+			}
+			if stats[v].ESS < want.ESS {
+				want.ESS, want.ESSVertex = stats[v].ESS, v
+			}
+		}
+		workers := make([]Diagnostics, 1+rng.IntN(4))
+		for w := range workers {
+			workers[w] = noPass
+		}
+		for v := range stats {
+			workers[rng.IntN(len(workers))].fold(stats[v])
+		}
+		// The workers' results fold in a random order.
+		for i := len(workers) - 1; i > 0; i-- {
+			j := rng.IntN(i + 1)
+			workers[i], workers[j] = workers[j], workers[i]
+		}
+		got := noPass
+		for _, w := range workers {
+			got.fold(w)
+		}
+		if math.Float64bits(got.SplitRhat) != math.Float64bits(want.SplitRhat) || got.SplitVertex != want.SplitVertex ||
+			math.Float64bits(got.ESS) != math.Float64bits(want.ESS) || got.ESSVertex != want.ESSVertex {
+			t.Fatalf("trial %d: %d vertices over %d workers: fold gave %+v, sequential scan %+v", trial, n, len(workers), got, want)
+		}
+	}
 }
 
 // TestRhatHandComputed pins the statistic on a fabricated two-chain
@@ -195,7 +246,7 @@ func totalAlloc(f func()) uint64 {
 // allocsPerRun returns the heap allocations per call of f over runs
 // calls, truncated to an integer as testing.AllocsPerRun does. Unlike
 // AllocsPerRun it keeps the caller's GOMAXPROCS, so it sees a check's
-// block goroutines. The mean absorbs what the runtime allocates for its
+// worker goroutines. The mean absorbs what the runtime allocates for its
 // own bookkeeping while those goroutines run: a new OS thread when a busy
 // machine leaves no idle one, or a wait record after a GC emptied its
 // shared cache of them.
@@ -235,9 +286,10 @@ func stockGoroutines(n int) {
 // antiferromagnetic Ising torus with 16 chains: NewRhat only the running
 // moments (the snapshot buffer grows with the observations, one byte per
 // cell each, doubling, so its allocations stay under twice the full
-// buffer), a check nothing once its blocks' scratch is sized — at
-// GOMAXPROCS 1 (one block) and 4 (four blocks on their own goroutines) —
-// and Observe nothing once the buffer has filled and thinned.
+// buffer), a check nothing once its workers' scratch is sized — at
+// GOMAXPROCS 1 (the caller alone) and 4 (the caller and three goroutines)
+// — nor a background pass's launch and join once its workers exist, and
+// Observe nothing once the buffer has filled and thinned.
 func TestRhatAllocations(t *testing.T) {
 	spec, err := model.Ising(graph.Torus(64, 64), 0.8, 1)
 	if err != nil {
@@ -260,15 +312,24 @@ func TestRhatAllocations(t *testing.T) {
 		}
 		observed += totalAlloc(acc.Observe)
 	}
-	// One warm-up check sizes the blocks' scratch; the next allocate
-	// nothing, on one block or on four.
+	// One warm-up check sizes the workers' scratch; the next allocate
+	// nothing, on one worker or on four.
+	var procs int
 	checks := map[string]func(){
 		"Check":      func() { _, err = acc.Check() },
 		"Worst":      func() { _, _, err = acc.Worst() },
 		"WorstSplit": func() { _, _, err = acc.WorstSplit() },
 		"MinESS":     func() { _, _, err = acc.MinESS() },
+		"Launch+Join": func() {
+			p := acc.Launch(procs)
+			if p == nil {
+				err = fmt.Errorf("Launch(%d) started no pass", procs)
+				return
+			}
+			p.Join()
+		},
 	}
-	for _, procs := range []int{1, 4} {
+	for _, procs = range []int{1, 4} {
 		prev := runtime.GOMAXPROCS(procs)
 		stockGoroutines(1024)
 		for name, check := range checks {

@@ -133,15 +133,26 @@ func TestDriverDeterministicAcrossCorpus(t *testing.T) {
 	}
 }
 
-// TestDriveIndependentOfGOMAXPROCS: the convergence check runs its vertex
-// blocks on every core, so GOMAXPROCS sets how many blocks it cuts; the
-// engines stay pinned to the policy's worker count. Neither the Report nor
-// the final lattice may depend on it — on a torus large enough for several
-// blocks and on every corpus document (one block, under the escalation
-// policy of the corpus benchmark).
+// TestDriveIndependentOfGOMAXPROCS: GOMAXPROCS sets how many vertex
+// blocks a check's split-R̂/ESS pass cuts and, when the policy pins fewer
+// engine workers than there are cores, lets the pass run in the
+// background on the cores left over; the engines stay pinned to the
+// policy's worker count. Neither the Report nor the final lattice may
+// depend on it — on a torus large enough for several blocks and on every
+// corpus document (one block, under the escalation policy of the corpus
+// benchmark), both with an ESS floor at the default workers (every pass
+// inline) and gated on R̂ alone at one worker (at GOMAXPROCS 1 every pass
+// is inline, the reference; above it passes run beside the engine).
 func TestDriveIndependentOfGOMAXPROCS(t *testing.T) {
 	const seed = 23
-	policy := run.Policy{Chains: 16, Rhat: 1.05, MinESS: 50}
+	// The suffix names the policy in the subtest names.
+	policies := []struct {
+		suffix string
+		policy run.Policy
+	}{
+		{"", run.Policy{Chains: 16, Rhat: 1.05, MinESS: 50}},
+		{"-w1", run.Policy{Chains: 16, Rhat: 1.05, Workers: 1}},
+	}
 	type drive struct {
 		in     *gibbs.Instance
 		policy run.Policy
@@ -155,16 +166,19 @@ func TestDriveIndependentOfGOMAXPROCS(t *testing.T) {
 		t.Fatal(err)
 	}
 	drives := map[string]drive{}
-	p := policy
-	p.Stages = []run.Stage{{Dynamic: "chromatic"}}
-	drives["ising-torus32/chromatic"] = drive{isingIn, p}
-	for name, in := range corpusInstances(t) {
-		p := policy
-		p.Stages = []run.Stage{
-			{Dynamic: "metropolis", MaxSweeps: 128, MinRate: 0.1},
-			{Dynamic: "chromatic"},
+	corpus := corpusInstances(t)
+	for _, pol := range policies {
+		p := pol.policy
+		p.Stages = []run.Stage{{Dynamic: "chromatic"}}
+		drives["ising-torus32/chromatic"+pol.suffix] = drive{isingIn, p}
+		for name, in := range corpus {
+			p := pol.policy
+			p.Stages = []run.Stage{
+				{Dynamic: "metropolis", MaxSweeps: 128, MinRate: 0.1},
+				{Dynamic: "chromatic"},
+			}
+			drives[name+"/escalate"+pol.suffix] = drive{in, p}
 		}
-		drives[name+"/escalate"] = drive{in, p}
 	}
 	for name, d := range drives {
 		t.Run(name, func(t *testing.T) {
