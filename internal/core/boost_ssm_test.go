@@ -248,35 +248,6 @@ func TestInferenceImpliesSSMBound(t *testing.T) {
 	}
 }
 
-func TestBoundsForExactSampling(t *testing.T) {
-	b, err := BoundsForExactSampling(1024, 2, 1, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.InferenceRadius <= 0 || b.ExactSamplingRounds <= 0 {
-		t.Errorf("degenerate bounds: %+v", b)
-	}
-	if b.JVVLocality != 9*b.InferenceRadius+2 {
-		t.Errorf("locality accounting wrong: %+v", b)
-	}
-	// Rounds grow polylogarithmically: n → n² should grow by a constant
-	// factor, far from linearly.
-	b2, err := BoundsForExactSampling(1024*1024, 2, 1, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	growth := float64(b2.ExactSamplingRounds) / float64(b.ExactSamplingRounds)
-	if growth > 20 {
-		t.Errorf("rounds grew by %vx for n², not polylog", growth)
-	}
-	if _, err := BoundsForExactSampling(10, 2, 1, 1.0); err == nil {
-		t.Error("rate 1 accepted")
-	}
-	if _, err := BoundsForExactSampling(0, 2, 1, 0.5); err == nil {
-		t.Error("n=0 accepted")
-	}
-}
-
 func TestTheoreticalLog3N(t *testing.T) {
 	if TheoreticalLog3N(1, 1) <= 0 {
 		t.Error("nonpositive log³")

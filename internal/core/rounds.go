@@ -1,60 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math"
-)
-
-// RoundBounds collects the paper's round-complexity accounting for a model
-// with certified SSM decay rate α on n nodes (Corollary 5.3 and the
-// application list of Section 5).
-type RoundBounds struct {
-	// N is the instance size.
-	N int
-	// Alpha is the SSM decay rate.
-	Alpha float64
-	// InferenceRadius is t(n, δ) for the stated δ.
-	InferenceRadius int
-	// Delta is the inference accuracy the radius was computed for.
-	Delta float64
-	// JVVLocality is the single-pass SLOCAL locality of local-JVV, 9t + 2ℓ.
-	JVVLocality int
-	// ExactSamplingRounds is the end-to-end LOCAL bound
-	// O(1/(1−α) · log³ n) of Corollary 5.3.
-	ExactSamplingRounds int
-}
-
-// BoundsForExactSampling computes the Corollary 5.3 accounting: the JVV
-// sampler needs multiplicative error 1/n³, which via the boosting lemma
-// needs additive error 1/(5qn⁴); with rate α the inference radius is
-// t = O(log(n)/(1−α)); three passes give SLOCAL locality O(t) and the
-// network decomposition multiplies by O(log² n).
-func BoundsForExactSampling(n, q, ell int, alpha float64) (*RoundBounds, error) {
-	if alpha < 0 || alpha >= 1 {
-		return nil, fmt.Errorf("core: decay rate %v outside [0,1)", alpha)
-	}
-	if n < 1 {
-		return nil, fmt.Errorf("core: n must be positive")
-	}
-	delta := 1 / (5 * float64(q) * math.Pow(float64(n), 4))
-	t := 1
-	if alpha > 0 {
-		t = int(math.Ceil(math.Log(delta/float64(n)) / math.Log(alpha)))
-		if t < 1 {
-			t = 1
-		}
-	}
-	logn := math.Log2(float64(n + 1))
-	rounds := int(math.Ceil(float64(9*t+2*ell) * logn * logn))
-	return &RoundBounds{
-		N:                   n,
-		Alpha:               alpha,
-		InferenceRadius:     t,
-		Delta:               delta,
-		JVVLocality:         9*t + 2*ell,
-		ExactSamplingRounds: rounds,
-	}, nil
-}
+import "math"
 
 // TheoreticalLog3N returns c · log³ n for shape comparisons in the
 // experiment harness.

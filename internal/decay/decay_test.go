@@ -13,8 +13,6 @@ import (
 	"repro/internal/model"
 )
 
-func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
-
 func hardcoreInstance(t *testing.T, g *graph.Graph, lambda float64, pinned dist.Config) *gibbs.Instance {
 	t.Helper()
 	s, err := model.Hardcore(g, lambda)
@@ -347,20 +345,6 @@ func TestMatchingEstimatorWithPins(t *testing.T) {
 	}
 }
 
-func TestVertexUnmatchedProb(t *testing.T) {
-	// Single edge, λ=1: Pr[v unmatched] = 1/2.
-	g := graph.Path(2)
-	m, _ := model.Matching(g, 1)
-	est := NewMatchingEstimator(m)
-	p, err := est.VertexUnmatchedProb(dist.NewConfig(1), 0, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(p, 0.5, 1e-12) {
-		t.Fatalf("unmatched prob = %v, want 0.5", p)
-	}
-}
-
 func TestColoringEstimatorExactOnTrees(t *testing.T) {
 	for _, g := range []*graph.Graph{graph.Path(5), graph.Star(5), graph.CompleteTree(2, 2)} {
 		q := 4
@@ -474,20 +458,6 @@ func TestDepthForError(t *testing.T) {
 	}
 	if d, err := DepthForError(0, 0.1, 10); err != nil || d != 1 {
 		t.Errorf("zero rate should give depth 1: %d %v", d, err)
-	}
-}
-
-func TestMatchingDepthForError(t *testing.T) {
-	d, err := MatchingDepthForError(1, 4, 0.01, 64)
-	if err != nil || d < 1 {
-		t.Fatalf("depth %d err %v", d, err)
-	}
-	// √Δ scaling: quadrupling Δ roughly doubles the depth.
-	d4, _ := MatchingDepthForError(1, 4, 1e-6, 1024)
-	d16, _ := MatchingDepthForError(1, 16, 1e-6, 1024)
-	ratio := float64(d16) / float64(d4)
-	if ratio < 1.4 || ratio > 2.8 {
-		t.Errorf("depth ratio = %v, want ≈2 (√Δ scaling)", ratio)
 	}
 }
 

@@ -135,25 +135,3 @@ func (e *MatchingEstimator) Marginal(pinned dist.Config, i, depth int) (dist.Dis
 	}
 	return dist.Dist{1 / (1 + r), r / (1 + r)}, nil
 }
-
-// VertexUnmatchedProb estimates Pr[v unmatched] under the pinned
-// configuration, truncated at the given depth. Exposed for the matching
-// experiments (E9).
-func (e *MatchingEstimator) VertexUnmatchedProb(pinned dist.Config, v, depth int) (float64, error) {
-	st, err := e.pins(pinned)
-	if err != nil {
-		return 0, err
-	}
-	if v < 0 || v >= e.m.Base.N() {
-		return 0, fmt.Errorf("decay: vertex %d out of range", v)
-	}
-	return e.unmatchedProb(st, v, depth, make(map[int]bool)), nil
-}
-
-// MatchingDepthForError returns a truncation depth sufficient for additive
-// error δ for the matching model with activity λ on graphs of maximum
-// degree Δ, using the BGKNT decay rate.
-func MatchingDepthForError(lambda float64, delta int, eps float64, n int) (int, error) {
-	rate := model.MatchingDecayRate(lambda, delta)
-	return DepthForError(rate, eps, n)
-}

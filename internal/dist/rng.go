@@ -1,16 +1,13 @@
 package dist
 
-// rng.go derives independent math/rand streams from a single seed. Every
+// rng.go derives independent seeds from a single user-visible seed. Every
 // concurrent component of the repo (per-node randomness on the LOCAL
-// simulator, per-worker streams of the in-process engines) needs
-// many generators from one user-visible seed; feeding `seed + i*K` or
-// `seed ^ i*K` straight into rand.NewSource produces correlated streams,
-// because math/rand's seeding only scrambles the low bits weakly and
-// nearby seeds share state. SeedStream routes the (seed, stream) pair
-// through a SplitMix64 finalizer first, so any two distinct pairs yield
-// decorrelated generators.
-
-import "math/rand"
+// simulator, per-worker streams of the in-process engines) needs many
+// generators from one seed; feeding `seed + i*K` or `seed ^ i*K` straight
+// into a generator's seeding produces correlated streams whenever nearby
+// seeds share state. StreamSeed routes the (seed, stream) pair through a
+// SplitMix64 finalizer first, so any two distinct pairs yield decorrelated
+// generators; NewXoshiro (xoshiro.go) seeds every stream from it.
 
 // Mix64 is the SplitMix64 finalizer: a bijective avalanche mixer whose
 // output bits each depend on every input bit. It is the standard way to
@@ -29,11 +26,4 @@ func Mix64(x uint64) uint64 {
 // small consecutive integers.
 func StreamSeed(seed, stream int64) int64 {
 	return int64(Mix64(Mix64(uint64(seed)) + uint64(stream)))
-}
-
-// SeedStream returns a fresh rand.Rand for stream i of the base seed. The
-// returned generator is not safe for concurrent use; give each goroutine
-// (or LOCAL node) its own stream index.
-func SeedStream(seed, stream int64) *rand.Rand {
-	return rand.New(rand.NewSource(StreamSeed(seed, stream)))
 }

@@ -53,20 +53,3 @@ func popcount(x uint64) int {
 	}
 	return n
 }
-
-// TestSeedStreamIndependentDraws spot-checks that two adjacent streams do
-// not emit the same leading draws (the observable symptom of correlated
-// math/rand sources).
-func TestSeedStreamIndependentDraws(t *testing.T) {
-	a := SeedStream(7, 0)
-	b := SeedStream(7, 1)
-	same := 0
-	for i := 0; i < 32; i++ {
-		if a.Intn(1000) == b.Intn(1000) {
-			same++
-		}
-	}
-	if same > 4 {
-		t.Errorf("adjacent streams agree on %d/32 draws", same)
-	}
-}

@@ -10,12 +10,12 @@ package dist
 // embedded by value in per-worker state so the hot loop touches no
 // extra cache line and the compiler can keep the state in registers.
 //
-// Seeding routes through the same SplitMix64 mixing as SeedStream (the
-// fix for the correlated-stream bug of PR 4): NewXoshiro(seed, stream)
-// derives the stream's base from StreamSeed and expands it into the four
-// state words with the SplitMix64 sequence, per the xoshiro authors'
-// recommendation — any two distinct (seed, stream) pairs yield
-// decorrelated generators, even for small consecutive integers.
+// Seeding routes through the SplitMix64 mixing of rng.go:
+// NewXoshiro(seed, stream) derives the stream's base from StreamSeed and
+// expands it into the four state words with the SplitMix64 sequence, per
+// the xoshiro authors' recommendation — any two distinct (seed, stream)
+// pairs yield decorrelated generators, even for small consecutive
+// integers.
 
 import "math/bits"
 
@@ -25,7 +25,7 @@ const golden uint64 = 0x9E3779B97F4A7C15
 // Xoshiro is a xoshiro256++ generator. The zero value is NOT a valid
 // generator (all-zero state is the fixed point); construct with
 // NewXoshiro. Not safe for concurrent use; give each goroutine its own
-// stream, exactly like SeedStream.
+// stream.
 type Xoshiro struct {
 	s0, s1, s2, s3 uint64
 }

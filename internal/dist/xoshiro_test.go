@@ -40,8 +40,7 @@ func TestXoshiroFloat64Range(t *testing.T) {
 	}
 }
 
-// TestXoshiroStreamsDecorrelated is the stream-decorrelation property the
-// PR 4 SeedStream test pins for math/rand, applied to the fast PRNG:
+// TestXoshiroStreamsDecorrelated pins the stream-decorrelation property:
 // consecutive stream indices and consecutive base seeds must yield
 // generators that disagree on their leading draws, and adjacent streams'
 // first outputs must differ in roughly half their bits.

@@ -1,18 +1,17 @@
 // Package exact provides brute-force ground truth for small instances:
-// partition functions, exact joint distributions, exact (conditional)
-// marginals, and exact samplers, all by exhaustive enumeration. The
-// distributed algorithms never rely on this package for efficiency — it is
-// the referee against which the paper's exactness and accuracy claims
-// (Theorems 3.2, 4.2, 5.1) are verified, and it implements the exact
-// within-ball marginal computations that the paper's local algorithms
-// perform after pinning a boundary shell (Sections 4.1 and 5).
+// partition functions, exact joint distributions (which also draw exact
+// samples) and exact (conditional) marginals, all by exhaustive
+// enumeration. The distributed algorithms never rely on this package for
+// efficiency — it is the referee against which the paper's exactness and
+// accuracy claims (Theorems 3.2, 4.2, 5.1) are verified, and it implements
+// the exact within-ball marginal computations that the paper's local
+// algorithms perform after pinning a boundary shell (Sections 4.1 and 5).
 package exact
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/dist"
 	"repro/internal/gibbs"
@@ -301,16 +300,6 @@ func ballWalkCells[T state.Cells](eng *gibbs.Compiled, cells []T, active []bool,
 		cells[u] = T(unset)
 	}
 	rec(0, base)
-}
-
-// Sample draws an exact sample from µ^τ by enumeration (ground truth for
-// statistical tests).
-func Sample(in *gibbs.Instance, rng *rand.Rand) (dist.Config, error) {
-	j, err := JointDistribution(in)
-	if err != nil {
-		return nil, err
-	}
-	return j.Sample(rng)
 }
 
 // CountFeasible returns the number of feasible total configurations (for

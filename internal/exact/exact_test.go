@@ -201,35 +201,6 @@ func TestBallMarginalTargetOutsideBall(t *testing.T) {
 	}
 }
 
-func TestSampleMatchesDistribution(t *testing.T) {
-	in := hardcoreInstance(t, graph.Cycle(4), 1, nil)
-	j, err := JointDistribution(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(21))
-	emp := dist.NewEmpirical(4)
-	const trials = 40000
-	for i := 0; i < trials; i++ {
-		c, err := Sample(in, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		emp.Observe(c)
-	}
-	got, err := emp.Joint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tv, err := dist.TVJoint(j, got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tv > 0.02 {
-		t.Errorf("empirical TV = %v", tv)
-	}
-}
-
 func TestCountFeasibleColorings(t *testing.T) {
 	s, err := model.Coloring(graph.Path(3), 2)
 	if err != nil {

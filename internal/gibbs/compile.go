@@ -28,9 +28,8 @@ const DefaultTableCap = 1 << 12
 // Scratch (use one Scratch per goroutine) and CondWeights writes into the
 // caller-provided buffer.
 type Compiled struct {
-	spec *Spec
-	q    int
-	n    int
+	q int
+	n int
 
 	factors []cfactor
 
@@ -73,7 +72,7 @@ func Compile(s *Spec) *Compiled {
 // factor). A cap below q leaves every closure factor uncompiled — useful
 // for exercising the fallback path in tests.
 func CompileCap(s *Spec, tableCap int) *Compiled {
-	c := &Compiled{spec: s, q: s.Q, n: s.N()}
+	c := &Compiled{q: s.Q, n: s.N()}
 	c.factors = make([]cfactor, len(s.Factors))
 	for i, f := range s.Factors {
 		cf := &c.factors[i]
@@ -134,9 +133,6 @@ func enumerateTable(eval func([]int) float64, q, size, s int) []float64 {
 	}
 	return table
 }
-
-// Spec returns the specification the engine was compiled from.
-func (c *Compiled) Spec() *Spec { return c.spec }
 
 // N returns the number of variables.
 func (c *Compiled) N() int { return c.n }
@@ -221,12 +217,6 @@ func (c *Compiled) PartialWeight(cfg dist.Config) float64 {
 		}
 	}
 	return w
-}
-
-// LocallyFeasible reports whether no fully assigned factor evaluates to
-// zero under σ.
-func (c *Compiled) LocallyFeasible(cfg dist.Config) bool {
-	return c.PartialWeight(cfg) > 0
 }
 
 // LocallyFeasibleAt reports whether the factors involving vertex v that are

@@ -298,18 +298,6 @@ func TestNewInstanceValidation(t *testing.T) {
 	}
 }
 
-func TestConsistentTotal(t *testing.T) {
-	g := graph.Path(2)
-	s := hardcoreSpec(t, g, 2)
-	in, _ := NewInstance(s, dist.Config{1, dist.Unset})
-	if !in.ConsistentTotal(dist.Config{1, 0}) {
-		t.Error("consistent config rejected")
-	}
-	if in.ConsistentTotal(dist.Config{0, 0}) {
-		t.Error("inconsistent config accepted")
-	}
-}
-
 func TestPinAll(t *testing.T) {
 	g := graph.Path(3)
 	s := hardcoreSpec(t, g, 1)

@@ -98,14 +98,3 @@ func (in *Instance) PinAll(extra dist.Config) *Instance {
 func (in *Instance) LocallyFeasible() bool {
 	return in.Spec.LocallyFeasible(in.Pinned)
 }
-
-// ConsistentTotal reports whether the total configuration c extends the
-// pinning.
-func (in *Instance) ConsistentTotal(c dist.Config) bool {
-	for v, x := range in.Pinned {
-		if x != dist.Unset && c[v] != x {
-			return false
-		}
-	}
-	return true
-}

@@ -150,16 +150,6 @@ func (g *Graph) Edges() []Edge {
 	return es
 }
 
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := New(g.n)
-	c.m = g.m
-	for v := 0; v < g.n; v++ {
-		c.adj[v] = append([]int(nil), g.adj[v]...)
-	}
-	return c
-}
-
 // SortAdjacency sorts every adjacency list in increasing order. Generators
 // call this so that iteration order is deterministic.
 func (g *Graph) SortAdjacency() {
@@ -237,56 +227,6 @@ func (g *Graph) Ball(v, r int) []int {
 	return out
 }
 
-// BallWithDist returns, for every u in B_r(v), its distance from v.
-func (g *Graph) BallWithDist(v, r int) map[int]int {
-	res := make(map[int]int)
-	if v < 0 || v >= g.n || r < 0 {
-		return res
-	}
-	res[v] = 0
-	queue := []int{v}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		if res[u] == r {
-			continue
-		}
-		for _, w := range g.adj[u] {
-			if _, seen := res[w]; !seen {
-				res[w] = res[u] + 1
-				queue = append(queue, w)
-			}
-		}
-	}
-	return res
-}
-
-// DistToSet returns min over s in set of distG(v, s), or -1 if the set is
-// empty or unreachable.
-func (g *Graph) DistToSet(v int, set []int) int {
-	if len(set) == 0 {
-		return -1
-	}
-	inSet := make(map[int]bool, len(set))
-	for _, s := range set {
-		inSet[s] = true
-	}
-	if inSet[v] {
-		return 0
-	}
-	d := g.BFSDistances(v)
-	best := -1
-	for _, s := range set {
-		if s < 0 || s >= g.n || d[s] < 0 {
-			continue
-		}
-		if best == -1 || d[s] < best {
-			best = d[s]
-		}
-	}
-	return best
-}
-
 // IsConnected reports whether the graph is connected (vacuously true for
 // n <= 1).
 func (g *Graph) IsConnected() bool {
@@ -300,56 +240,6 @@ func (g *Graph) IsConnected() bool {
 		}
 	}
 	return true
-}
-
-// Components returns the connected components, each sorted, ordered by their
-// minimum vertex.
-func (g *Graph) Components() [][]int {
-	seen := make([]bool, g.n)
-	var comps [][]int
-	for v := 0; v < g.n; v++ {
-		if seen[v] {
-			continue
-		}
-		comp := []int{}
-		queue := []int{v}
-		seen[v] = true
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			comp = append(comp, u)
-			for _, w := range g.adj[u] {
-				if !seen[w] {
-					seen[w] = true
-					queue = append(queue, w)
-				}
-			}
-		}
-		sort.Ints(comp)
-		comps = append(comps, comp)
-	}
-	return comps
-}
-
-// Diameter returns the diameter of the graph (max eccentricity), or -1 if
-// the graph is disconnected or empty.
-func (g *Graph) Diameter() int {
-	if g.n == 0 {
-		return -1
-	}
-	diam := 0
-	for v := 0; v < g.n; v++ {
-		d := g.BFSDistances(v)
-		for _, x := range d {
-			if x < 0 {
-				return -1
-			}
-			if x > diam {
-				diam = x
-			}
-		}
-	}
-	return diam
 }
 
 // SetDiameter returns max over u,v in S of distG(u, v) measured in the full
@@ -410,41 +300,6 @@ func (g *Graph) IsTriangleFree() bool {
 	return true
 }
 
-// Girth returns the length of a shortest cycle, or -1 if the graph is a
-// forest.
-func (g *Graph) Girth() int {
-	best := -1
-	for src := 0; src < g.n; src++ {
-		dist := make([]int, g.n)
-		parent := make([]int, g.n)
-		for i := range dist {
-			dist[i] = -1
-			parent[i] = -1
-		}
-		dist[src] = 0
-		queue := []int{src}
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, w := range g.adj[u] {
-				if dist[w] == -1 {
-					dist[w] = dist[u] + 1
-					parent[w] = u
-					queue = append(queue, w)
-				} else if parent[u] != w {
-					// A non-tree edge closes a cycle through src of length
-					// at most dist[u]+dist[w]+1.
-					c := dist[u] + dist[w] + 1
-					if best == -1 || c < best {
-						best = c
-					}
-				}
-			}
-		}
-	}
-	return best
-}
-
 // LineGraph returns the line graph L(G) together with the edge list of G in
 // the order matching L(G)'s vertices: vertex i of L(G) corresponds to
 // edges[i] of G, and two vertices of L(G) are adjacent iff the corresponding
@@ -473,37 +328,6 @@ func (g *Graph) LineGraph() (*Graph, []Edge) {
 	}
 	lg.SortAdjacency()
 	return lg, edges
-}
-
-// InducedSubgraph returns the subgraph induced by the vertex set S, together
-// with the mapping newIndex -> originalVertex (sorted S) and its inverse.
-// Vertices outside [0, n) are ignored; duplicates are deduplicated.
-func (g *Graph) InducedSubgraph(s []int) (*Graph, []int, map[int]int) {
-	uniq := make(map[int]bool, len(s))
-	for _, v := range s {
-		if v >= 0 && v < g.n {
-			uniq[v] = true
-		}
-	}
-	orig := make([]int, 0, len(uniq))
-	for v := range uniq {
-		orig = append(orig, v)
-	}
-	sort.Ints(orig)
-	inv := make(map[int]int, len(orig))
-	for i, v := range orig {
-		inv[v] = i
-	}
-	sub := New(len(orig))
-	for i, v := range orig {
-		for _, u := range g.adj[v] {
-			if j, ok := inv[u]; ok && j > i {
-				sub.MustAddEdge(i, j)
-			}
-		}
-	}
-	sub.SortAdjacency()
-	return sub, orig, inv
 }
 
 // Equal reports whether g and h are identical as labeled graphs (same vertex

@@ -137,35 +137,6 @@ func TestBall(t *testing.T) {
 	}
 }
 
-func TestBallWithDist(t *testing.T) {
-	g := Grid(4, 4)
-	bd := g.BallWithDist(0, 2)
-	for u, d := range bd {
-		if want := g.Dist(0, u); want != d {
-			t.Errorf("ball dist of %d = %d, want %d", u, d, want)
-		}
-		if d > 2 {
-			t.Errorf("vertex %d at distance %d in radius-2 ball", u, d)
-		}
-	}
-	if len(bd) != 6 {
-		t.Errorf("corner radius-2 ball in grid has %d vertices, want 6", len(bd))
-	}
-}
-
-func TestDistToSet(t *testing.T) {
-	g := Path(6)
-	if got := g.DistToSet(0, []int{4, 5}); got != 4 {
-		t.Errorf("DistToSet = %d, want 4", got)
-	}
-	if got := g.DistToSet(4, []int{4}); got != 0 {
-		t.Errorf("DistToSet self = %d, want 0", got)
-	}
-	if got := g.DistToSet(0, nil); got != -1 {
-		t.Errorf("DistToSet empty = %d, want -1", got)
-	}
-}
-
 func TestConnectivity(t *testing.T) {
 	if !Cycle(5).IsConnected() {
 		t.Error("C5 reported disconnected")
@@ -175,29 +146,6 @@ func TestConnectivity(t *testing.T) {
 	g.MustAddEdge(2, 3)
 	if g.IsConnected() {
 		t.Error("two components reported connected")
-	}
-	comps := g.Components()
-	if len(comps) != 2 {
-		t.Fatalf("components = %v", comps)
-	}
-	if comps[0][0] != 0 || comps[1][0] != 2 {
-		t.Errorf("component order wrong: %v", comps)
-	}
-}
-
-func TestDiameter(t *testing.T) {
-	if d := Path(5).Diameter(); d != 4 {
-		t.Errorf("P5 diameter = %d", d)
-	}
-	if d := Cycle(6).Diameter(); d != 3 {
-		t.Errorf("C6 diameter = %d", d)
-	}
-	if d := Complete(7).Diameter(); d != 1 {
-		t.Errorf("K7 diameter = %d", d)
-	}
-	g := New(2)
-	if d := g.Diameter(); d != -1 {
-		t.Errorf("disconnected diameter = %d", d)
 	}
 }
 
@@ -231,21 +179,12 @@ func TestPower(t *testing.T) {
 	}
 }
 
-func TestTriangleFreeAndGirth(t *testing.T) {
+func TestTriangleFree(t *testing.T) {
 	if !Cycle(5).IsTriangleFree() {
 		t.Error("C5 has no triangle")
 	}
 	if Complete(3).IsTriangleFree() {
 		t.Error("K3 is a triangle")
-	}
-	if g := Cycle(5).Girth(); g != 5 {
-		t.Errorf("C5 girth = %d", g)
-	}
-	if g := Path(5).Girth(); g != -1 {
-		t.Errorf("tree girth = %d", g)
-	}
-	if g := Complete(4).Girth(); g != 3 {
-		t.Errorf("K4 girth = %d", g)
 	}
 }
 
@@ -270,41 +209,15 @@ func TestLineGraph(t *testing.T) {
 	}
 }
 
-func TestInducedSubgraph(t *testing.T) {
-	g := Cycle(6)
-	sub, orig, inv := g.InducedSubgraph([]int{0, 1, 2, 4})
-	if sub.N() != 4 {
-		t.Fatalf("induced n = %d", sub.N())
-	}
-	// Edges 0-1, 1-2 survive; vertex 4 is isolated.
-	if sub.M() != 2 {
-		t.Fatalf("induced m = %d", sub.M())
-	}
-	if orig[inv[4]] != 4 {
-		t.Error("index mapping inconsistent")
-	}
-	if sub.Degree(inv[4]) != 0 {
-		t.Error("vertex 4 should be isolated in induced subgraph")
-	}
-	// Duplicates and out-of-range entries are cleaned.
-	sub2, orig2, _ := g.InducedSubgraph([]int{1, 1, 99, -5, 2})
-	if sub2.N() != 2 || len(orig2) != 2 {
-		t.Errorf("dedup failed: %v", orig2)
-	}
-}
-
-func TestCloneAndEqual(t *testing.T) {
+func TestEqual(t *testing.T) {
 	g := Grid(3, 3)
-	c := g.Clone()
-	if !g.Equal(c) {
-		t.Fatal("clone not equal")
+	h := Grid(3, 3)
+	if !g.Equal(h) {
+		t.Fatal("equal grids reported different")
 	}
-	c.MustAddEdge(0, 4) // diagonal
-	if g.Equal(c) {
-		t.Fatal("mutation of clone affected equality check")
-	}
-	if g.HasEdge(0, 4) {
-		t.Fatal("clone shares storage with original")
+	h.MustAddEdge(0, 4) // diagonal
+	if g.Equal(h) {
+		t.Fatal("an extra edge left the graphs equal")
 	}
 }
 
@@ -493,26 +406,6 @@ func TestLineGraphDegrees(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: rng}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestGirthMatchesKnown(t *testing.T) {
-	// Petersen graph has girth 5.
-	pet := New(10)
-	outer := [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}}
-	inner := [][2]int{{5, 7}, {7, 9}, {9, 6}, {6, 8}, {8, 5}}
-	spokes := [][2]int{{0, 5}, {1, 6}, {2, 7}, {3, 8}, {4, 9}}
-	for _, e := range append(append(outer, inner...), spokes...) {
-		pet.MustAddEdge(e[0], e[1])
-	}
-	if g := pet.Girth(); g != 5 {
-		t.Errorf("Petersen girth = %d, want 5", g)
-	}
-	if !pet.IsTriangleFree() {
-		t.Error("Petersen graph is triangle-free")
-	}
-	if d := pet.Diameter(); d != 2 {
-		t.Errorf("Petersen diameter = %d, want 2", d)
 	}
 }
 

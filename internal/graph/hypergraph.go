@@ -59,17 +59,6 @@ func (h *Hypergraph) Edge(i int) []int {
 	return h.edges[i]
 }
 
-// Rank returns the maximum hyperedge size r (0 for no edges).
-func (h *Hypergraph) Rank() int {
-	r := 0
-	for _, e := range h.edges {
-		if len(e) > r {
-			r = len(e)
-		}
-	}
-	return r
-}
-
 // VertexDegree returns the number of hyperedges containing v.
 func (h *Hypergraph) VertexDegree(v int) int {
 	d := 0

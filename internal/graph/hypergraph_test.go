@@ -19,9 +19,6 @@ func TestHypergraphBasics(t *testing.T) {
 	if h.N() != 6 || h.M() != 3 {
 		t.Fatalf("n=%d m=%d", h.N(), h.M())
 	}
-	if h.Rank() != 3 {
-		t.Errorf("rank = %d", h.Rank())
-	}
 	if h.VertexDegree(2) != 2 {
 		t.Errorf("deg(2) = %d", h.VertexDegree(2))
 	}

@@ -84,9 +84,6 @@ func (p TwoSpinParams) Validate() error {
 	return nil
 }
 
-// Antiferromagnetic reports whether βγ < 1.
-func (p TwoSpinParams) Antiferromagnetic() bool { return p.Beta*p.Gamma < 1 }
-
 // TwoSpin returns the 2-spin Gibbs distribution on g: each vertex takes a
 // spin in {Out, In}; each edge (u, v) contributes β when both spins are Out,
 // γ when both are In, and 1 otherwise; each In vertex contributes λ.

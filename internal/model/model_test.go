@@ -81,12 +81,6 @@ func TestTwoSpinValidate(t *testing.T) {
 			t.Errorf("Validate(%+v) = %v", c.p, err)
 		}
 	}
-	if !(TwoSpinParams{Beta: 0.5, Gamma: 0.5, Lambda: 1}).Antiferromagnetic() {
-		t.Error("βγ<1 not antiferro")
-	}
-	if (TwoSpinParams{Beta: 2, Gamma: 1, Lambda: 1}).Antiferromagnetic() {
-		t.Error("βγ≥1 antiferro")
-	}
 }
 
 func TestTwoSpinMatchesHardcore(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/graph"
-	"repro/internal/local"
 )
 
 func TestBallCarvingValid(t *testing.T) {
@@ -246,58 +245,5 @@ func TestBallCarvingDiameterProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: rng}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestDistributedBallCarvingValid(t *testing.T) {
-	rng := rand.New(rand.NewSource(62))
-	for _, g := range []*graph.Graph{
-		graph.Cycle(18),
-		graph.Grid(5, 5),
-		graph.CompleteTree(2, 4),
-		graph.Complete(6),
-	} {
-		net := local.NewNetwork(g)
-		d, err := DistributedBallCarving(net, Params{}, rng)
-		if err != nil {
-			t.Fatalf("%v: %v", g, err)
-		}
-		if err := d.Validate(g, 0); err != nil {
-			t.Errorf("%v: %v", g, err)
-		}
-		if d.Rounds <= 0 {
-			t.Errorf("%v: no rounds executed", g)
-		}
-	}
-}
-
-func TestDistributedMatchesCentralizedGuarantees(t *testing.T) {
-	// Both constructions must satisfy the same structural bounds; the
-	// distributed one additionally reports genuinely executed rounds.
-	rng := rand.New(rand.NewSource(63))
-	g := graph.Torus(6, 6)
-	logn := math.Log2(float64(g.N() + 1))
-	net := local.NewNetwork(g)
-	for i := 0; i < 5; i++ {
-		dd, err := DistributedBallCarving(net, Params{}, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := dd.Validate(g, 0); err != nil {
-			t.Fatal(err)
-		}
-		if float64(dd.Colors) > 4*logn+2 || float64(dd.Diameter) > 4*logn+2 {
-			t.Errorf("distributed bounds violated: colors=%d diam=%d", dd.Colors, dd.Diameter)
-		}
-		if dd.FailureCount() > 0 {
-			t.Errorf("unexpected failures: %d", dd.FailureCount())
-		}
-	}
-}
-
-func TestDistributedBallCarvingEmpty(t *testing.T) {
-	rng := rand.New(rand.NewSource(64))
-	if _, err := DistributedBallCarving(local.NewNetwork(graph.New(0)), Params{}, rng); err == nil {
-		t.Error("empty graph accepted")
 	}
 }

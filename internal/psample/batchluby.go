@@ -19,10 +19,10 @@ package psample
 // draws Float64 would derive from the same raw word (same 53 bits, same
 // ties), and the free low bit absorbs the vertex-order tiebreak: rival u
 // beats v exactly when keyU|bit > keyV, where bit — precomputed per rival
-// in Rules.rivBit — is 1 iff u > v. That turns the full construct.Beats
-// order into one branchless unsigned compare, so the common case (at most
-// four free rivals, Rules.riv padded with an all-zero sentinel row that
-// never wins) runs as a single fused pass per (vertex, chain group): four
+// in Rules.rivBit — is 1 iff u > v. That turns the full order of beats
+// (network.go) into one branchless unsigned compare, so the common case
+// (at most four free rivals, Rules.riv padded with an all-zero sentinel row
+// that never wins) runs as a single fused pass per (vertex, chain group): four
 // compares, no mask buffer, winners compacted in place with a branch-free
 // index bump. Vertices with more than four free rivals take a rival-major
 // sweep over Rules.freeAdj with the same key compare. A naive chain-major

@@ -3,7 +3,7 @@ package psample
 // network.go runs the two samplers as genuine message-passing algorithms on
 // the local.Network simulator, charging synchronous rounds the way the
 // LOCAL model does. The harnesses run the model-faithful form of each
-// update rule — construct.Beats for the Luby phase and Rules.Propose for
+// update rule — beats for the Luby phase and Rules.Propose for
 // the LocalMetropolis proposal — and every heat-bath update and filter
 // evaluation goes through the fused kernels the in-process engines run,
 // at one chain on the node's own view: for LubyGlauber the heat-bath
@@ -33,7 +33,6 @@ package psample
 import (
 	"fmt"
 
-	"repro/internal/construct"
 	"repro/internal/dist"
 	"repro/internal/gibbs"
 	"repro/internal/local"
@@ -98,6 +97,16 @@ type lgMsg struct {
 	draw float64
 }
 
+// beats reports whether the phase draw (draw, id) defeats the rival draw
+// (rivalDraw, rivalID) in one phase of Luby's algorithm: the strictly
+// larger draw wins, with exact ties broken toward the larger ID. A vertex
+// joins the phase's independent set iff its draw beats every competing
+// rival's; the in-process engine applies the same order to shifted
+// integer keys (Rules.rivBit).
+func beats(draw float64, id int, rivalDraw float64, rivalID int) bool {
+	return draw > rivalDraw || (draw == rivalDraw && id > rivalID)
+}
+
 // LubyGlauberLOCAL runs R rounds of LubyGlauber by message passing on the
 // network (which must be the instance's interaction graph) and returns the
 // final configuration together with the LOCAL rounds consumed (R+1: the
@@ -145,7 +154,7 @@ func LubyGlauberLOCAL(net *local.Network, r *Rules, R int, seed int64) (dist.Con
 			for _, m := range inbox {
 				msg := m.Payload.(lgMsg)
 				st.cfg.Set(m.From, 0, int(msg.val))
-				if win && r.free[m.From] && construct.Beats(msg.draw, m.From, st.draw, v) {
+				if win && r.free[m.From] && beats(msg.draw, m.From, st.draw, v) {
 					win = false
 				}
 			}

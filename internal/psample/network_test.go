@@ -8,6 +8,7 @@ package psample
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/dist"
@@ -129,6 +130,28 @@ func TestLOCALMatchesExact(t *testing.T) {
 
 func net(g *graph.Graph) *local.Network { return local.NewNetwork(g) }
 
+// TestBeats pins the Luby phase rule of the LubyGlauber harness: strictly
+// larger draw wins, ties break toward the larger ID, and the relation is a
+// strict total order (exactly one side beats the other).
+func TestBeats(t *testing.T) {
+	if !beats(0.7, 1, 0.3, 2) {
+		t.Error("larger draw must win")
+	}
+	if beats(0.3, 9, 0.7, 0) {
+		t.Error("smaller draw must lose regardless of ID")
+	}
+	if !beats(0.5, 3, 0.5, 1) || beats(0.5, 1, 0.5, 3) {
+		t.Error("exact ties must break toward the larger ID")
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 100; i++ {
+		d1, d2 := rng.Float64(), rng.Float64()
+		if beats(d1, 1, d2, 2) == beats(d2, 2, d1, 1) {
+			t.Fatalf("beats is not a strict total order at (%v, %v)", d1, d2)
+		}
+	}
+}
+
 // TestLOCALWrongNetwork checks the network/instance validation: a network
 // of another size, and one of the same size with different edges — a
 // factor-scope neighbor that never sends its spin — must come back as
@@ -152,7 +175,7 @@ func TestLOCALWrongNetwork(t *testing.T) {
 // localGolden holds the final configurations of the three LOCAL harnesses
 // on localGoldenModels, one digit per vertex, keyed harness/model/seed.
 // They were recorded from the harnesses' former single-site updates
-// (construct.Beats plus a lattice heat-bath step and a lattice filter
+// (beats plus a lattice heat-bath step and a lattice filter
 // walk), which the fused one-chain kernels reproduce bit for bit with the
 // cond cache on and off.
 var localGolden = map[string]string{

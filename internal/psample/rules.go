@@ -22,7 +22,7 @@
 // and one filter kernel as well as the rules.
 //
 // LubyGlauber interleaves construction and sampling: each round one phase
-// of Luby's MIS algorithm (construct.Beats) picks an independent set of
+// of Luby's MIS algorithm (beats, in network.go) picks an independent set of
 // free vertices, and every selected vertex performs a heat-bath update
 // simultaneously — correct because an independent set shares no factor,
 // so the simultaneous conditionals coincide with the sequential ones.
@@ -82,7 +82,7 @@ type Rules struct {
 	// padding), and rivBit[4v+j] is 1 when the rival outranks v in the
 	// vertex-order tiebreak (rival id > v). With phase keys stored as
 	// (draw53 << 1), the rival beats v exactly when key|bit > keyV — the
-	// full construct.Beats order in one branchless unsigned compare.
+	// full beats order in one branchless unsigned compare.
 	// Vertices with more than four free rivals (len(freeAdj[v]) > 4) are
 	// not covered and take the engine's generic row-sweep instead.
 	riv    []int32
