@@ -604,6 +604,51 @@ func BenchmarkBatchMetropolisSweep(b *testing.B) {
 	}
 }
 
+// BenchmarkColoringSweep measures the heat-bath kernel at q > 2 on the
+// proper 10-colourings of a 48×48 torus, where the cond cache covers no
+// vertex (q^(deg+1) = 10⁵ entries) and every draw is the zero-one mask
+// draw: one sweep-equivalent of B = 16 chains per iteration on one worker
+// — Δ+1 = 5 LubyGlauber rounds, or one ChromaticGlauber sweep — reported
+// as ns/chain-sweep.
+func BenchmarkColoringSweep(b *testing.B) {
+	spec, err := model.Coloring(graph.Torus(48, 48), 10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	in, err := gibbs.NewInstance(spec, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const B = 16
+	for _, name := range []string{"luby", "chromatic"} {
+		b.Run(name, func(b *testing.B) {
+			s, err := sampler.Create(name, in, sampler.Options{Chains: B, Seed: 11})
+			if err != nil {
+				b.Fatal(err)
+			}
+			s.(interface{ SetWorkers(int) }).SetWorkers(1)
+			sweep, err := sampler.SweepRounds(name, in)
+			if err != nil {
+				b.Fatal(err)
+			}
+			// Warm up once so the plan, the cache and the lattice
+			// preflight land outside the timed region.
+			if err := s.Run(sweep); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.Run(sweep); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*B), "ns/chain-sweep")
+		})
+	}
+}
+
 // BenchmarkLubyGlauberLOCAL measures the message-passing harness (4 rounds
 // of LubyGlauber on a 12×12 torus through the LOCAL simulator) — the
 // simulator overhead the in-process engine removes.

@@ -186,7 +186,7 @@ func run(args []string, out *os.File) error {
 	fs.Float64Var(&o.minRate, "min-rate", 0, "acceptance-rate floor per sweep-equivalent: below it the driver escalates to the next dynamic of the comma-separated -algo list")
 	fs.StringVar(&o.cpuprof, "cpuprofile", "", "write a CPU profile of the whole run to this file")
 	fs.StringVar(&o.memprof, "memprofile", "", "write a GC-settled heap profile at exit to this file")
-	fs.BoolVar(&o.verbose, "v", false, "verbose: print engine details (conditional-CDF cache coverage)")
+	fs.BoolVar(&o.verbose, "v", false, "verbose: print engine details (conditional-CDF cache coverage, zero-one mask draws)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -291,9 +291,10 @@ func sample(out *os.File, o options) error {
 	in, render := b.Instance, renderFor(b)
 	if o.verbose {
 		// CondStats forces the lazy cache build, so the coverage line is
-		// accurate before any sampling starts.
+		// accurate before any sampling starts. zero-one counts the
+		// uncached vertices that take the mask draw.
 		st := in.Spec.Compiled().CondStats()
-		fmt.Fprintf(out, "cond-cache: cached=%d/%d vertices bytes=%d\n", st.Cached, st.Total, st.Bytes)
+		fmt.Fprintf(out, "cond-cache: cached=%d/%d vertices bytes=%d zero-one=%d\n", st.Cached, st.Total, st.Bytes, st.ZeroOne)
 	}
 	rng := rand.New(rand.NewSource(o.seed))
 

@@ -444,4 +444,10 @@ func TestRunVerbose(t *testing.T) {
 	if rest != plain {
 		t.Errorf("-v changed the sample stream:\nplain:\n%s\n-v:\n%s", plain, rest)
 	}
+	// The 10-colourings of an 8×8 torus fit no vertex into the cache
+	// (q^(deg+1) = 10⁵ entries), and every vertex takes the mask draw.
+	col := []string{"-model", "coloring", "-q", "10", "-graph", "torus", "-n", "8", "-algo", "luby", "-chains", "4", "-sweeps", "2", "-v"}
+	if line, _, _ := strings.Cut(capture(col...), "\n"); line != "cond-cache: cached=0/64 vertices bytes=0 zero-one=64" {
+		t.Errorf("-v coverage line on the q = 10 torus: %q", line)
+	}
 }

@@ -42,9 +42,6 @@ func NewCDF(d Dist) CDF {
 	return c
 }
 
-// K returns the alphabet size.
-func (c *CDF) K() int { return len(c.cum) }
-
 // SampleU returns the symbol of uniform u ∈ [0, 1): the first index whose
 // cumulative weight exceeds u. Exactly sampleWalk(d, u): a nonpositive
 // symbol shares its predecessor's cumulative value, so it can never be

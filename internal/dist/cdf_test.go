@@ -23,8 +23,8 @@ func TestCDFMatchesSampleWalk(t *testing.T) {
 	}
 	for ri, d := range rows {
 		c := NewCDF(d)
-		if c.K() != len(d) {
-			t.Fatalf("row %d: K() = %d, want %d", ri, c.K(), len(d))
+		if len(c.cum) != len(d) {
+			t.Fatalf("row %d: %d cumulative entries, want %d", ri, len(c.cum), len(d))
 		}
 		for i := 0; i <= 1000; i++ {
 			u := float64(i) / 1000 * (1 - 1e-12)

@@ -173,7 +173,7 @@ func TestCondWeightsBatchMatchesSingle(t *testing.T) {
 // TestLatticePartialKernels pins the exact enumerator's one-chain cell
 // evaluators — EvalFullCells1, PartialWeightCells1 and
 // PartialWeightAtCells1 — to their dist.Config counterparts EvalFull,
-// PartialWeight and PartialWeightAt on partial configurations, for both
+// PartialWeight and partialWeightAt on partial configurations, for both
 // cell widths.
 func TestLatticePartialKernels(t *testing.T) {
 	eng := Compile(batchSpec(t))
@@ -219,8 +219,8 @@ func checkCells1[T state.Cells](t *testing.T, eng *Compiled, cells []T, cfg dist
 		}
 	}
 	for v := range cfg {
-		if got, want := PartialWeightAtCells1(eng, cells, v), eng.PartialWeightAt(cfg, v); got != want {
-			t.Fatalf("PartialWeightAt(%d) on %v: cells %v != config %v", v, cfg, got, want)
+		if got, want := PartialWeightAtCells1(eng, cells, v), eng.partialWeightAt(cfg, v); got != want {
+			t.Fatalf("partialWeightAt(%d) on %v: cells %v != config %v", v, cfg, got, want)
 		}
 	}
 	if got, want := PartialWeightCells1(eng, cells), eng.PartialWeight(cfg); got != want {
@@ -298,7 +298,7 @@ func TestFilterWeightLatticeMatchesConfig(t *testing.T) {
 						}
 					}
 					err := eng.FilterWeightBatch(i, lo, lp, 0, 1, verts, out, sc)
-					if !eng.Tabled(i) && len(verts) > 0 {
+					if eng.factors[i].table == nil && len(verts) > 0 {
 						if !errors.Is(err, ErrNotTabled) {
 							t.Fatalf("cap=%d factor %d: closure factor err = %v, want ErrNotTabled", cap, i, err)
 						}

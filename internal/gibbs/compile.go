@@ -140,9 +140,6 @@ func (c *Compiled) N() int { return c.n }
 // Q returns the alphabet size.
 func (c *Compiled) Q() int { return c.q }
 
-// Tabled reports whether factor i is on the dense-table fast path.
-func (c *Compiled) Tabled(i int) bool { return c.factors[i].table != nil }
-
 // FactorsAt returns the indices of factors whose scope contains v, strictly
 // increasing and deduplicated. The slice aliases engine state and must not
 // be modified.
@@ -231,13 +228,13 @@ func (c *Compiled) LocallyFeasibleAt(cfg dist.Config, v int) bool {
 	return true
 }
 
-// PartialWeightAt returns the product of the factors containing v whose
+// partialWeightAt returns the product of the factors containing v whose
 // scopes are fully assigned under cfg — the multiplicative change in
 // PartialWeight caused by assigning v after all currently assigned
 // vertices. Summed over an assignment order, every factor is accounted
 // exactly once (by the last of its scope vertices to be assigned), which is
 // what turns exhaustive enumeration into an incremental product.
-func (c *Compiled) PartialWeightAt(cfg dist.Config, v int) float64 {
+func (c *Compiled) partialWeightAt(cfg dist.Config, v int) float64 {
 	w := 1.0
 	for _, i := range c.FactorsAt(v) {
 		val, ok := c.EvalFull(int(i), cfg)

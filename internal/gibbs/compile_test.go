@@ -34,7 +34,7 @@ func TestCompileTableAdoption(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := Compile(s)
-	if !c.Tabled(0) {
+	if c.factors[0].table == nil {
 		t.Fatal("explicit table factor not on table path")
 	}
 	// Big-endian encoding: (a0, a1) -> a0*2 + a1.
@@ -59,10 +59,10 @@ func TestCompileCapFallback(t *testing.T) {
 	low := CompileCap(s, 1) // q^1 = 2 > 1: everything stays a closure
 	full := Compile(s)
 	for i := range s.Factors {
-		if low.Tabled(i) {
+		if low.factors[i].table != nil {
 			t.Fatalf("factor %d compiled despite cap", i)
 		}
-		if !full.Tabled(i) {
+		if full.factors[i].table == nil {
 			t.Fatalf("factor %d not compiled under default cap", i)
 		}
 	}
@@ -104,7 +104,7 @@ func TestCompiledPartialKernels(t *testing.T) {
 	}
 }
 
-// Incremental identity: the product of PartialWeightAt deltas over any
+// Incremental identity: the product of partialWeightAt deltas over any
 // assignment order times the pinned base equals the total weight.
 func TestPartialWeightAtTelescopes(t *testing.T) {
 	g := graph.Cycle(5)
@@ -118,7 +118,7 @@ func TestPartialWeightAtTelescopes(t *testing.T) {
 		w := 1.0
 		for _, v := range order {
 			cfg[v] = target[v]
-			w *= c.PartialWeightAt(cfg, v)
+			w *= c.partialWeightAt(cfg, v)
 		}
 		want, err := s.Weight(target)
 		if err != nil {

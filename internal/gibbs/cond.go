@@ -43,7 +43,12 @@ package gibbs
 // invalidation-free (the compiled engine is immutable), and reports its
 // footprint through CondStats for benchmarks and cmd/lsample. Which
 // vertices it covers is decided by sizes alone: the DefaultCondCap entry
-// cap and the DefaultCondBytes budget.
+// cap and the DefaultCondBytes budget. The cache decides the first of a
+// vertex's three draws: a covered vertex takes the cached draw, whatever
+// its plan; an uncovered one takes the mask draw when its plan is
+// zero-one (plan.go) and the plan walk otherwise. 0/1 vertices stay in
+// the cache: routing them to the mask draw shrank the heap but slowed
+// the corpus drives.
 
 import (
 	"math"
@@ -114,11 +119,13 @@ type CondCache struct {
 }
 
 // CondStats summarizes a cache for footprint reporting: how many vertices
-// carry tables, out of how many, at what byte cost.
+// carry tables, out of how many, at what byte cost, and how many of the
+// rest take the mask draw of a zero-one plan instead of the plan walk.
 type CondStats struct {
-	Cached int
-	Total  int
-	Bytes  int64
+	Cached  int
+	Total   int
+	Bytes   int64
+	ZeroOne int
 }
 
 // Cond returns the engine's conditional-CDF cache, building it on first
@@ -134,7 +141,13 @@ func (c *Compiled) Cond() *CondCache {
 // CondStats reports the cache footprint, building the cache if needed.
 func (c *Compiled) CondStats() CondStats {
 	cc := c.Cond()
-	return CondStats{Cached: cc.cached, Total: c.n, Bytes: cc.bytes}
+	st := CondStats{Cached: cc.cached, Total: c.n, Bytes: cc.bytes}
+	for v, vp := range c.Plan().verts {
+		if vp.zeroOne && cc.at(v) == nil {
+			st.ZeroOne++
+		}
+	}
+	return st
 }
 
 // at returns vertex v's table, nil when v is not cached.

@@ -12,7 +12,7 @@
 // are the reference semantics. The compiled engine (Compile / Spec.Compiled)
 // precomputes dense weight tables per factor and a flat CSR factor index,
 // exposing zero-allocation kernels (CondWeights, WeightRatioOnBall with
-// reusable scratch, PartialWeightAt) used by every hot consumer: the
+// reusable scratch, PartialWeightAtCells1) used by every hot consumer: the
 // Glauber sampler, the brute-force referee, the JVV/boost/SSM reductions,
 // and the correlation-decay ball estimator. See compile.go.
 //

@@ -64,7 +64,7 @@ func PartialWeightCells1[T state.Cells](c *Compiled, cells []T) float64 {
 
 // PartialWeightAtCells1 returns the product of the factors containing v
 // whose scopes are fully assigned in the cell array — the incremental
-// enumeration delta of PartialWeightAt.
+// enumeration delta of partialWeightAt.
 func PartialWeightAtCells1[T state.Cells](c *Compiled, cells []T, v int) float64 {
 	w := 1.0
 	for _, i := range c.FactorsAt(v) {

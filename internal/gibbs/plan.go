@@ -21,9 +21,18 @@ package gibbs
 // subsetWeightRow is the one plan walk. The heat-bath kernel bound by
 // BindVertexSubset (subset.go) draws from its rows, the cond-cache build
 // (cond.go) enumerates them once per neighborhood code, and
-// CondWeightsBatchPlan hands them to the bit-identity tests. Validity is
-// the caller's contract: every cell the walk reads must hold an in-range
-// symbol. The batched engines establish it with one
+// CondWeightsBatchPlan hands them to the bit-identity tests.
+//
+// A vertex takes one of three draws, decided by its plan and the cache
+// alone: the cached draw when the cond cache covers it; else the mask draw
+// when its plan is zero-one (4 ≤ q ≤ 64, only pair and unary ops, every
+// weight they read exactly 0 or 1 — proper and list colourings), which
+// ANDs bitmasks from the plan's shared pool instead of building a weight
+// row; else the plan walk. All three draw the same symbol for the same
+// uniform.
+//
+// Validity is the caller's contract: every cell the walk reads must hold
+// an in-range symbol. The batched engines establish it with one
 // state.Lattice.CheckAssigned preflight per Reset (sampled symbols are
 // always in range, so it covers every subsequent stage); the LOCAL
 // harnesses of internal/psample, whose per-node views are partial, by
@@ -69,9 +78,13 @@ type planOp struct {
 	su int32
 	// sv is the accumulated stride of v's occurrences (opPair, opGeneric).
 	sv int32
-	// row is the per-symbol factor row (opUnary).
-	row []float64
-	// table is the dense factor table (opPair, opGeneric).
+	// mo is the offset of the op's mask in the plan's pool (zero-one plans
+	// only): q words for opPair, word y holding the symbols the table
+	// allows at v while u holds y, and one word for opUnary, the row's
+	// support.
+	mo int32
+	// table is the dense factor table (opPair, opGeneric) or the
+	// per-symbol factor row (opUnary).
 	table []float64
 	// scope/strides are the non-v scope occurrences (opGeneric), in scope
 	// order so the base accumulates in the interpreted kernel's order.
@@ -86,11 +99,16 @@ type planOp struct {
 // index order. pairOnly marks plans whose every op is a pair gather or a
 // unary row — the all-pairwise case (hardcore, Ising, colorings) — which
 // the sampling kernel draws at q = 2 and q = 3 without the generic weight
-// walk (subset.go).
+// walk (subset.go). zeroOne marks the pair-only plans at
+// minMaskQ ≤ q ≤ maxMaskQ whose prior, rows and read table entries are all
+// exactly 0 or 1: their conditional is a set, drawn from bitmasks, with pm
+// the offset of the prior's support word in the plan's pool.
 type vertexPlan struct {
 	prior    []float64
 	ops      []planOp
 	pairOnly bool
+	zeroOne  bool
+	pm       int32
 }
 
 // SweepPlan holds one vertexPlan per vertex of a Compiled engine. It is
@@ -98,7 +116,16 @@ type vertexPlan struct {
 type SweepPlan struct {
 	q     int
 	verts []vertexPlan
+	// masks is the one pool every zero-one plan's words live in.
+	masks []uint64
 }
+
+// The alphabet range of zero-one plans: a uint64 word holds a mask up to
+// q = 64, and at q = 2 and q = 3 the pair-only draws are faster.
+const (
+	minMaskQ = 4
+	maxMaskQ = 64
+)
 
 // Plan returns the engine's sweep plan, building it on first call.
 func (c *Compiled) Plan() *SweepPlan {
@@ -109,6 +136,10 @@ func (c *Compiled) Plan() *SweepPlan {
 // buildPlan lowers every vertex's factor list into a vertexPlan.
 func buildPlan(c *Compiled) *SweepPlan {
 	p := &SweepPlan{q: c.q, verts: make([]vertexPlan, c.n)}
+	var mp *maskPool
+	if c.q >= minMaskQ && c.q <= maxMaskQ {
+		mp = &maskPool{q: c.q, rows: map[maskKey]int32{}, words: map[uint64]int32{}}
+	}
 	for v := 0; v < c.n; v++ {
 		vp := &p.verts[v]
 		for _, fi := range c.FactorsAt(v) {
@@ -155,7 +186,7 @@ func buildPlan(c *Compiled) *SweepPlan {
 					}
 					continue
 				}
-				vp.ops = append(vp.ops, planOp{kind: opUnary, row: row})
+				vp.ops = append(vp.ops, planOp{kind: opUnary, table: row})
 				continue
 			}
 			if f.table == nil {
@@ -177,8 +208,115 @@ func buildPlan(c *Compiled) *SweepPlan {
 				break
 			}
 		}
+		if vp.pairOnly && mp != nil {
+			vp.zeroOne = mp.lower(vp)
+		}
+	}
+	if mp != nil {
+		p.masks = mp.pool
 	}
 	return p
+}
+
+// maskPool builds the bitmasks of the zero-one plans into one slice. Each
+// distinct (table, su, sv) gets one mask row and each distinct word one
+// slot, so all edges of a colouring share the rows of its one disequality
+// table.
+type maskPool struct {
+	q     int
+	pool  []uint64
+	rows  map[maskKey]int32 // offset of a pair row, −1 when not zero-one
+	words map[uint64]int32  // offset of a support word
+}
+
+// maskKey identifies the entries an opPair reads: table[y·su + x·sv].
+type maskKey struct {
+	table  *float64
+	su, sv int32
+}
+
+// lower assigns the pool offsets of a pair-only plan and reports whether
+// it is zero-one. A plan that is not leaves offsets nobody reads.
+func (mp *maskPool) lower(vp *vertexPlan) bool {
+	prior := ^uint64(0) >> (64 - mp.q)
+	if vp.prior != nil {
+		var ok bool
+		if prior, ok = support(vp.prior); !ok {
+			return false
+		}
+	}
+	vp.pm = mp.word(prior)
+	for oi := range vp.ops {
+		op := &vp.ops[oi]
+		if op.kind == opUnary {
+			m, ok := support(op.table)
+			if !ok {
+				return false
+			}
+			op.mo = mp.word(m)
+			continue
+		}
+		key := maskKey{&op.table[0], op.su, op.sv}
+		off, seen := mp.rows[key]
+		if !seen {
+			off = mp.pairRow(op.table, op.su, op.sv)
+			mp.rows[key] = off
+		}
+		if off < 0 {
+			return false
+		}
+		op.mo = off
+	}
+	return true
+}
+
+// pairRow appends the q mask words of a pair table — word y holds the x
+// with table[y·su + x·sv] = 1 — and returns their offset, or −1 (appending
+// nothing) when a read entry is neither 0 nor 1.
+func (mp *maskPool) pairRow(table []float64, su, sv int32) int32 {
+	off := len(mp.pool)
+	for y := int32(0); y < int32(mp.q); y++ {
+		var m uint64
+		for x := int32(0); x < int32(mp.q); x++ {
+			switch table[y*su+x*sv] {
+			case 1:
+				m |= 1 << x
+			case 0:
+			default:
+				mp.pool = mp.pool[:off]
+				return -1
+			}
+		}
+		mp.pool = append(mp.pool, m)
+	}
+	return int32(off)
+}
+
+// word returns the offset of the support word m, adding it on first use.
+func (mp *maskPool) word(m uint64) int32 {
+	off, ok := mp.words[m]
+	if !ok {
+		off = int32(len(mp.pool))
+		mp.pool = append(mp.pool, m)
+		mp.words[m] = off
+	}
+	return off
+}
+
+// support returns the set of symbols whose row entry is 1, and false when
+// an entry is neither 0 nor 1.
+func support(row []float64) (uint64, bool) {
+	var m uint64
+	for x, w := range row {
+		switch w {
+		case 1:
+			m |= 1 << x
+		case 0:
+		default:
+			return 0, false
+		}
+	}
+	return m, true
 }
 
 // unaryRow materializes the per-symbol row of a factor unary in its vertex
@@ -224,7 +362,7 @@ func subsetWeightRow[T state.Cells](q int, vp *vertexPlan, cells []T, B int, cha
 		op := &vp.ops[oi]
 		switch op.kind {
 		case opUnary:
-			urow := op.row
+			urow := op.table
 			for i := 0; i < nb; i++ {
 				row := w[i*q : (i+1)*q]
 				for x := range row {

@@ -7,9 +7,12 @@ package gibbs
 // LubyGlauber engine over the chains whose Luby phase the vertex won, the
 // ChromaticGlauber engine over slices of one engine-owned list
 // {0, …, B−1}, and the sequential Glauber chain and the LOCAL harnesses
-// of internal/psample over the one-chain list {0}. The weights are the
-// plan walk's (plan.go, bit-identical to CondWeights) or the cond cache's
-// cumulative rows (cond.go), and each listed chain draws exactly the
+// of internal/psample over the one-chain list {0}. A vertex takes one of
+// three draws: the cond cache's cumulative rows (cond.go) when the cache
+// covers it; else, when its plan is zero-one (plan.go), the mask draw
+// (subsetZeroOne), which intersects bitmasks and picks a set bit without
+// building a weight row; else the plan walk's weight rows (plan.go,
+// bit-identical to CondWeights). Each listed chain draws exactly the
 // symbol dist.SampleWeights draws for the same uniform. Every cell the
 // kernel reads must hold an in-range symbol, the kernel writes only
 // in-range symbols, and all diagnostics for bad weight rows are built off
@@ -26,6 +29,7 @@ package gibbs
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/dist"
 	"repro/internal/state"
@@ -53,16 +57,16 @@ func (c *Compiled) BindVertexSubset(l *state.Lattice) (VertexSubsetFn, error) {
 	if l.N() < c.n {
 		return nil, fmt.Errorf("gibbs: batch lattice has %d vertices, need %d", l.N(), c.n)
 	}
-	verts, cc := c.Plan().verts, c.Cond()
+	p, cc := c.Plan(), c.Cond()
 	if u8 := l.Raw8(); u8 != nil {
-		return bindSubset(c.q, verts, cc, u8, l.Chains()), nil
+		return bindSubset(c.q, p, cc, u8, l.Chains()), nil
 	}
-	return bindSubset(c.q, verts, cc, l.RawWide(), l.Chains()), nil
+	return bindSubset(c.q, p, cc, l.RawWide(), l.Chains()), nil
 }
 
 // bindSubset is BindVertexSubset's kernel over one cell width: the cached
-// draw for vertices the cond cache covers, the plan walk otherwise.
-func bindSubset[T state.Cells](q int, verts []vertexPlan, cc *CondCache, cells []T, B int) VertexSubsetFn {
+// draw for vertices the cond cache covers, the plan's own draw otherwise.
+func bindSubset[T state.Cells](q int, p *SweepPlan, cc *CondCache, cells []T, B int) VertexSubsetFn {
 	return func(v int, chains []int32, buf []float64, sc *BatchScratch, rng *dist.Xoshiro) error {
 		if len(chains) == 0 {
 			return nil
@@ -70,13 +74,14 @@ func bindSubset[T state.Cells](q int, verts []vertexPlan, cc *CondCache, cells [
 		if cv := cc.at(v); cv != nil {
 			return condSampleSubset(q, cv, cells, B, v, chains, sc, rng)
 		}
-		return sampleSubsetCells(q, &verts[v], cells, B, v, chains, buf, sc, rng)
+		return sampleSubsetCells(q, &p.verts[v], p.masks, cells, B, v, chains, buf, sc, rng)
 	}
 }
 
-// sampleSubsetCells is the width-specialized fused body: dedicated draws
-// for the pair-only plans at q = 2 and q = 3, the buffered plan walk plus
-// a per-chain threshold draw otherwise. The draw reproduces
+// sampleSubsetCells is the width-specialized fused body: the mask draw
+// for zero-one plans, dedicated draws for the pair-only plans at q = 2 and
+// q = 3, the buffered plan walk plus a per-chain threshold draw otherwise.
+// masks is the plan's mask pool. The draw reproduces
 // dist.SampleWeights semantics — nonpositive entries carry no mass,
 // rounding slack falls to the last positive symbol, and bad rows
 // (negative, NaN, infinite, or zero-mass) surface as errors built in the
@@ -85,7 +90,10 @@ func bindSubset[T state.Cells](q int, verts []vertexPlan, cc *CondCache, cells [
 // routing them through the walk slowed BenchmarkBatchSweep/cond=off/B=32
 // by ×1.5 and BenchmarkCondLookup/plan by ×1.3 (medians of 10 interleaved
 // pairs at -cpu 1, 2-vCPU Xeon VM, Go 1.24).
-func sampleSubsetCells[T state.Cells](q int, vp *vertexPlan, cells []T, B, v int, chains []int32, w []float64, sc *BatchScratch, rng *dist.Xoshiro) error {
+func sampleSubsetCells[T state.Cells](q int, vp *vertexPlan, masks []uint64, cells []T, B, v int, chains []int32, w []float64, sc *BatchScratch, rng *dist.Xoshiro) error {
+	if vp.zeroOne {
+		return subsetZeroOne(q, vp, masks, cells, B, v, chains, w, sc, rng)
+	}
 	if vp.pairOnly {
 		switch q {
 		case 2:
@@ -151,6 +159,45 @@ func sampleSubsetCells[T state.Cells](q int, vp *vertexPlan, cells []T, B, v int
 	return nil
 }
 
+// subsetZeroOne is the mask draw of a zero-one plan. Per chain it ANDs the
+// prior's support with each op's mask — for a pair op the word of u's
+// symbol — and takes the j-th of the k surviving symbols,
+// j = ⌊Float64()·k⌋. That is the symbol the plan walk's cumulative scan
+// picks: every weight is exactly 0 or 1, so the total is exactly k and
+// the running sum after the i-th allowed symbol is exactly i, and the scan
+// stops at the first one whose sum exceeds u = Float64()·k, the ⌊u⌋-th.
+// Float64()·k < k for every k ≤ 64 (the product of 1 − 2⁻⁵³ and k rounds
+// below k), so the clamp to k − 1 never binds. A chain left with no
+// symbol gets the plan walk's row rebuilt into w and its exact rowError,
+// before its uniform is drawn.
+func subsetZeroOne[T state.Cells](q int, vp *vertexPlan, masks []uint64, cells []T, B, v int, chains []int32, w []float64, sc *BatchScratch, rng *dist.Xoshiro) error {
+	prior := masks[vp.pm]
+	ops := vp.ops
+	vbase := v * B
+	for i, ch := range chains {
+		c := int(ch)
+		m := prior
+		for oi := range ops {
+			op := &ops[oi]
+			if op.kind == opPair {
+				m &= masks[int(op.mo)+int(cells[int(op.u)*B+c])]
+			} else {
+				m &= masks[op.mo]
+			}
+		}
+		k := bits.OnesCount64(m)
+		if k == 0 {
+			subsetWeightRow(q, vp, cells, B, chains[i:i+1], w, sc)
+			return rowError(w[:q], v, c)
+		}
+		for j := min(int(rng.Float64()*float64(k)), k-1); j > 0; j-- {
+			m &= m - 1
+		}
+		cells[vbase+c] = T(bits.TrailingZeros64(m))
+	}
+	return nil
+}
+
 // subsetPairOnlyQ2 is the pair-only draw at q = 2. The walk runs
 // ops-outer over the list — op fields decoded once, the per-chain
 // dependent multiply chains pipelined across chains in two buffer columns
@@ -193,7 +240,7 @@ func subsetPairOnlyQ2[T state.Cells](vp *vertexPlan, cells []T, B, v int, chains
 				w1[j] *= table[bi+sv]
 			}
 		} else {
-			r0, r1 := op.row[0], op.row[1]
+			r0, r1 := op.table[0], op.table[1]
 			for j := range w0 {
 				w0[j] *= r0
 				w1[j] *= r1
@@ -245,9 +292,9 @@ func subsetPairOnlyQ3[T state.Cells](vp *vertexPlan, cells []T, B, v int, chains
 				w1 *= op.table[bi+op.sv]
 				w2 *= op.table[bi+2*op.sv]
 			} else {
-				w0 *= op.row[0]
-				w1 *= op.row[1]
-				w2 *= op.row[2]
+				w0 *= op.table[0]
+				w1 *= op.table[1]
+				w2 *= op.table[2]
 			}
 		}
 		total := w0 + w1 + w2

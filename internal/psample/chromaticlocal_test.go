@@ -30,7 +30,7 @@ func TestChromaticLOCALRoundAccounting(t *testing.T) {
 		if rounds != chi*R+1 {
 			t.Errorf("R=%d consumed %d LOCAL rounds, want χ·R+1 = %d", R, rounds, chi*R+1)
 		}
-		if w, err := r.Instance().Spec.Weight(cfg); err != nil || w <= 0 {
+		if w, err := r.in.Spec.Weight(cfg); err != nil || w <= 0 {
 			t.Errorf("R=%d: infeasible output %v", R, cfg)
 		}
 	}
@@ -82,7 +82,7 @@ func TestChromaticLOCALDeterministic(t *testing.T) {
 func TestChromaticLOCALMatchesExact(t *testing.T) {
 	g := graph.Cycle(5)
 	r := hardcoreRules(t, g, 1.2, nil)
-	truth, err := exact.JointDistribution(r.Instance())
+	truth, err := exact.JointDistribution(r.in)
 	if err != nil {
 		t.Fatal(err)
 	}

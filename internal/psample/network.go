@@ -231,14 +231,14 @@ type lmNodeState struct {
 	err error
 }
 
-// LocalMetropolisLOCAL runs R rounds of LocalMetropolis by message passing
+// localMetropolisLOCAL runs R rounds of LocalMetropolis by message passing
 // on the network (which must be the instance's interaction graph) and
 // returns the final configuration together with the LOCAL rounds consumed
 // (R+1). Each acceptance factor's shared coin is flipped by its smallest
 // toggled vertex and broadcast with that vertex's proposal; every scope
 // vertex then evaluates the same deterministic filter predicate, so the
 // factor's verdict is consistent across its clique without extra rounds.
-func LocalMetropolisLOCAL(net *local.Network, r *Rules, R int, seed int64) (dist.Config, int, error) {
+func localMetropolisLOCAL(net *local.Network, r *Rules, R int, seed int64) (dist.Config, int, error) {
 	if err := r.MetropolisReady(); err != nil {
 		return nil, 0, err
 	}

@@ -48,17 +48,17 @@ func TestLOCALRoundAccounting(t *testing.T) {
 		if rounds != R+1 {
 			t.Errorf("LubyGlauber R=%d consumed %d LOCAL rounds, want %d", R, rounds, R+1)
 		}
-		if w, err := r.Instance().Spec.Weight(cfg); err != nil || w <= 0 {
+		if w, err := r.in.Spec.Weight(cfg); err != nil || w <= 0 {
 			t.Errorf("LubyGlauber R=%d: infeasible output %v", R, cfg)
 		}
-		cfg, rounds, err = LocalMetropolisLOCAL(net, r, R, 42)
+		cfg, rounds, err = localMetropolisLOCAL(net, r, R, 42)
 		if err != nil {
 			t.Fatalf("LocalMetropolis R=%d: %v", R, err)
 		}
 		if rounds != R+1 {
 			t.Errorf("LocalMetropolis R=%d consumed %d LOCAL rounds, want %d", R, rounds, R+1)
 		}
-		if w, err := r.Instance().Spec.Weight(cfg); err != nil || w <= 0 {
+		if w, err := r.in.Spec.Weight(cfg); err != nil || w <= 0 {
 			t.Errorf("LocalMetropolis R=%d: infeasible output %v", R, cfg)
 		}
 	}
@@ -76,7 +76,7 @@ func TestLOCALRespectsPinning(t *testing.T) {
 	net := local.NewNetwork(g)
 	for name, run := range map[string]func() (dist.Config, int, error){
 		"luby":       func() (dist.Config, int, error) { return LubyGlauberLOCAL(net, r, 20, 9) },
-		"metropolis": func() (dist.Config, int, error) { return LocalMetropolisLOCAL(net, r, 20, 9) },
+		"metropolis": func() (dist.Config, int, error) { return localMetropolisLOCAL(net, r, 20, 9) },
 	} {
 		cfg, _, err := run()
 		if err != nil {
@@ -94,14 +94,14 @@ func TestLOCALRespectsPinning(t *testing.T) {
 func TestLOCALMatchesExact(t *testing.T) {
 	g := graph.Cycle(5)
 	r := hardcoreRules(t, g, 1.2, nil)
-	truth, err := exact.JointDistribution(r.Instance())
+	truth, err := exact.JointDistribution(r.in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const trials = 2500
 	for name, run := range map[string]func(seed int64) (dist.Config, int, error){
 		"luby":       func(seed int64) (dist.Config, int, error) { return LubyGlauberLOCAL(net(g), r, 25, seed) },
-		"metropolis": func(seed int64) (dist.Config, int, error) { return LocalMetropolisLOCAL(net(g), r, 40, seed) },
+		"metropolis": func(seed int64) (dist.Config, int, error) { return localMetropolisLOCAL(net(g), r, 40, seed) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			emp := dist.NewEmpirical(g.N())
@@ -163,7 +163,7 @@ func TestLOCALWrongNetwork(t *testing.T) {
 		if _, _, err := LubyGlauberLOCAL(wnet, r, 3, 1); err == nil {
 			t.Errorf("network %v accepted by LubyGlauber", wrong)
 		}
-		if _, _, err := LocalMetropolisLOCAL(wnet, r, 3, 1); err == nil {
+		if _, _, err := localMetropolisLOCAL(wnet, r, 3, 1); err == nil {
 			t.Errorf("network %v accepted by LocalMetropolis", wrong)
 		}
 		if _, _, err := ChromaticGlauberLOCAL(wnet, r, 3, 1); err == nil {
@@ -231,7 +231,7 @@ func TestLOCALGolden(t *testing.T) {
 	}{
 		{"luby", 12, LubyGlauberLOCAL},
 		{"chromatic", 4, ChromaticGlauberLOCAL},
-		{"metropolis", 12, LocalMetropolisLOCAL},
+		{"metropolis", 12, localMetropolisLOCAL},
 	}
 	for _, cache := range []bool{true, false} {
 		for _, h := range harnesses {

@@ -194,13 +194,13 @@ func TestProposalMatchesConditional(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for x := 0; x < r.Q(); x++ {
+	for x := 0; x < r.q; x++ {
 		if diff := r.proposal[0][x] - want[x]; diff > 1e-12 || diff < -1e-12 {
 			t.Fatalf("proposal %v != marginal %v", r.proposal[0], want)
 		}
 	}
 	rng := dist.NewXoshiro(1, 0)
-	if x := r.Propose(0, &rng); x < 0 || x >= r.Q() {
+	if x := r.Propose(0, &rng); x < 0 || x >= r.q {
 		t.Fatalf("proposal symbol %d out of range", x)
 	}
 }

@@ -5,7 +5,7 @@
 //
 //   - a message-passing harness on local.Network, where only synchronous
 //     rounds are charged, validating the O(Δ log n)-style round behavior
-//     experimentally (LubyGlauberLOCAL, LocalMetropolisLOCAL,
+//     experimentally (LubyGlauberLOCAL, localMetropolisLOCAL,
 //     ChromaticGlauberLOCAL), and
 //   - three in-process engines, one per dynamic (BatchLubyGlauber,
 //     BatchLocalMetropolis, BatchChromaticGlauber), over one lockstep
@@ -314,17 +314,8 @@ func foldUnary(w []float64, f gibbs.Factor, pinned dist.Config, v int) error {
 	return nil
 }
 
-// Instance returns the instance the rules were compiled from.
-func (r *Rules) Instance() *gibbs.Instance { return r.in }
-
 // Engine returns the compiled evaluation engine shared by the samplers.
 func (r *Rules) Engine() *gibbs.Compiled { return r.eng }
-
-// N returns the number of vertices.
-func (r *Rules) N() int { return r.n }
-
-// Q returns the alphabet size.
-func (r *Rules) Q() int { return r.q }
 
 // Free reports whether v is unpinned.
 func (r *Rules) Free(v int) bool { return r.free[v] }
@@ -383,10 +374,10 @@ func (r *Rules) AccAt(v int) []int32 {
 	return r.accIdx[r.accOff[v]:r.accOff[v+1]]
 }
 
-// FilterProb returns the probability with which acceptance factor j passes
+// filterProb returns the probability with which acceptance factor j passes
 // the round's filter, given the current configuration old and the proposal
 // prop (both total).
-func (r *Rules) FilterProb(j int, old, prop dist.Config) (float64, error) {
+func (r *Rules) filterProb(j int, old, prop dist.Config) (float64, error) {
 	af := &r.acc[j]
 	w, err := r.eng.FilterWeight(af.fi, old, prop, af.verts)
 	if err != nil {

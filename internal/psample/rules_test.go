@@ -49,7 +49,7 @@ func TestClassScheduleCachedAndProper(t *testing.T) {
 			seen[v]++
 		}
 	}
-	for v := 0; v < r.N(); v++ {
+	for v := 0; v < r.n; v++ {
 		want := 0
 		if r.Free(v) {
 			want = 1

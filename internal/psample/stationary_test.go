@@ -108,7 +108,7 @@ func pushMetropolisRow(t *testing.T, r *Rules, sigma dist.Config, weight float64
 		}
 		// All proposals fixed: coin probabilities per acceptance factor.
 		for j := range r.acc {
-			pj, err := r.FilterProb(j, sigma, prop)
+			pj, err := r.filterProb(j, sigma, prop)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -56,7 +56,7 @@ func TestESSIIDChains(t *testing.T) {
 		t.Fatal("SplitReady false after 200 observations")
 	}
 	for v := 0; v < 2; v++ {
-		ess, err := acc.ESSAt(v)
+		ess, err := acc.essAt(v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +64,7 @@ func TestESSIIDChains(t *testing.T) {
 		if ratio < 0.5 || ratio > 1.05 {
 			t.Errorf("iid ESS(%d)/(B·T) = %v, want ≈ 1", v, ratio)
 		}
-		rh, err := acc.SplitAt(v)
+		rh, err := acc.splitAt(v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func TestESSCorrelatedChains(t *testing.T) {
 		}
 		acc.Observe()
 	}
-	ess, err := acc.ESSAt(0)
+	ess, err := acc.essAt(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,17 +120,17 @@ func TestESSFrozenApart(t *testing.T) {
 		lat.Set(1, 1, 3)
 		acc.Observe()
 	}
-	if ess, err := acc.ESSAt(0); err != nil || ess != 0 {
+	if ess, err := acc.essAt(0); err != nil || ess != 0 {
 		t.Errorf("frozen-apart ESS = %v, %v; want 0", ess, err)
 	}
-	if rh, err := acc.SplitAt(0); err != nil || !math.IsInf(rh, 1) {
+	if rh, err := acc.splitAt(0); err != nil || !math.IsInf(rh, 1) {
 		t.Errorf("frozen-apart split R̂ = %v, %v; want +Inf", rh, err)
 	}
 	// Vertex 1 is constant and identical everywhere: perfectly estimated.
-	if ess, err := acc.ESSAt(1); err != nil || ess != float64(B*T) {
+	if ess, err := acc.essAt(1); err != nil || ess != float64(B*T) {
 		t.Errorf("identical-constant ESS = %v, %v; want %d", ess, err, B*T)
 	}
-	if rh, err := acc.SplitAt(1); err != nil || rh != 1 {
+	if rh, err := acc.splitAt(1); err != nil || rh != 1 {
 		t.Errorf("identical-constant split R̂ = %v, %v; want 1", rh, err)
 	}
 	if v, ess, err := acc.MinESS(); err != nil || v != 0 || ess != 0 {
@@ -156,11 +156,11 @@ func TestESSThinningKeepsScale(t *testing.T) {
 		}
 		acc.Observe()
 	}
-	rlen, stride := acc.Retained()
+	rlen, stride := acc.rlen, acc.stride
 	if stride < 2 || rlen >= DefaultRetain {
-		t.Fatalf("Retained() = %d, %d; expected a thinned buffer", rlen, stride)
+		t.Fatalf("retained %d at stride %d; expected a thinned buffer", rlen, stride)
 	}
-	ess, err := acc.ESSAt(0)
+	ess, err := acc.essAt(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,14 +207,14 @@ func TestESSPinnedVertexBatchedEngines(t *testing.T) {
 				}
 				acc.Observe()
 			}
-			if rh, err := acc.SplitAt(3); err != nil || rh != 1 {
+			if rh, err := acc.splitAt(3); err != nil || rh != 1 {
 				t.Errorf("split R̂(pinned) = %v, %v; want exactly 1", rh, err)
 			}
-			if ess, err := acc.ESSAt(3); err != nil || ess != float64(4*obs) {
+			if ess, err := acc.essAt(3); err != nil || ess != float64(4*obs) {
 				t.Errorf("ESS(pinned) = %v, %v; want %d", ess, err, 4*obs)
 			}
 			for _, v := range []int{0, 1} {
-				ess, err := acc.ESSAt(v)
+				ess, err := acc.essAt(v)
 				if err != nil {
 					t.Fatal(err)
 				}

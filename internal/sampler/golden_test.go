@@ -17,6 +17,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/dist"
 	"repro/internal/gibbs"
 	"repro/internal/graph"
 	"repro/internal/model"
@@ -110,55 +111,67 @@ var batchGolden = map[string][5]goldenChunk{
 	"metropolis/wcsp-explicit-pinned/B=300/w=3": {{0x6a3465ccbad7f63e, 1524}, {0x523b078eab9ae59e, 3010}, {0xc625f285e92bd785, 4490}, {0xf6cee3889a36b67e, 5934}, {0xb1a4f72552546892, 7342}},
 }
 
-// goldenInstances builds the four instances of TestBatchGolden fresh on
-// every call, so each case compiles (and caches) its own engine.
-func goldenInstances(t *testing.T) map[string]*gibbs.Instance {
+// goldenInstance builds the named instance of TestBatchGolden or
+// TestUncachedGolden fresh on every call, so each case compiles (and
+// caches) its own engine.
+func goldenInstance(t *testing.T, name string) *gibbs.Instance {
 	t.Helper()
-	out := map[string]*gibbs.Instance{}
-	hc, err := model.Hardcore(graph.Torus(4, 4), 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	col, err := model.Coloring(graph.Grid(3, 3), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	col3, err := model.Coloring(graph.Cycle(6), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, s := range map[string]*gibbs.Spec{"hardcore-torus4": hc, "coloring5-grid3": col, "coloring3-cycle6": col3} {
-		in, err := gibbs.NewInstance(s, nil)
+	var s *gibbs.Spec
+	var err error
+	switch name {
+	case "hardcore-torus4":
+		s, err = model.Hardcore(graph.Torus(4, 4), 1.0)
+	case "coloring5-grid3":
+		s, err = model.Coloring(graph.Grid(3, 3), 5)
+	case "coloring3-cycle6":
+		s, err = model.Coloring(graph.Cycle(6), 3)
+	case "coloring10-torus8":
+		s, err = model.Coloring(graph.Torus(8, 8), 10)
+	case "wcsp-explicit-pinned", "listcoloring-path5":
+		data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "corpus", name+".json"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[name] = in
+		f, err := spec.Parse(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := f.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b.Instance
+	default:
+		t.Fatalf("no golden instance %q", name)
 	}
-	data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "corpus", "wcsp-explicit-pinned.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := spec.Parse(data)
+	in, err := gibbs.NewInstance(s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := f.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["wcsp-explicit-pinned"] = b.Instance
-	return out
+	return in
 }
 
 // digest hashes every chain's configuration of the engine.
 func digest(t *testing.T, m MultiChain) uint64 {
 	t.Helper()
 	lat := m.Lattice()
+	cfgs := make([]dist.Config, lat.Chains())
+	for c := range cfgs {
+		cfgs[c] = lat.Chain(c)
+	}
+	return digestConfigs(t, cfgs...)
+}
+
+// digestConfigs hashes the configurations in order, one byte per cell.
+func digestConfigs(t *testing.T, cfgs ...dist.Config) uint64 {
+	t.Helper()
 	h := fnv.New64a()
 	cell := make([]byte, 1)
-	for c := 0; c < lat.Chains(); c++ {
-		for v := 0; v < lat.N(); v++ {
-			x := lat.Get(v, c)
+	for c, cfg := range cfgs {
+		for v, x := range cfg {
 			if x < 0 || x > 255 {
 				t.Fatalf("cell (%d, %d) = %d", v, c, x)
 			}
@@ -217,7 +230,7 @@ func TestBatchGolden(t *testing.T) {
 // chunk digests.
 func runGolden(t *testing.T, dyn, name string, B, workers int, wide, cache bool) [5]goldenChunk {
 	t.Helper()
-	in := goldenInstances(t)[name]
+	in := goldenInstance(t, name)
 	if !cache {
 		restore := gibbs.SetCondCapForTest(0, 0)
 		defer restore()
@@ -270,4 +283,112 @@ func fmtChunks(c [5]goldenChunk) string {
 		s += fmt.Sprintf("{%#x, %d}", x.hash, x.count)
 	}
 	return s
+}
+
+// uncachedGolden holds five Run chunks per (dynamic, instance, B, workers)
+// case of TestUncachedGolden. The digests were recorded on the plan walk,
+// before the zero-one mask draw existed, so they pin the mask draw to it.
+var uncachedGolden = map[string][5]goldenChunk{
+	"chromatic/coloring10-torus8/B=1/w=1":   {{0x1f2d965305346970, 128}, {0xdb434fedd845e3bd, 256}, {0x1d9309af7b34c3af, 384}, {0xc2ddc4b1bf47354c, 512}, {0xf600415688c48a82, 640}},
+	"chromatic/coloring10-torus8/B=1/w=3":   {{0x75039e4f0c1b3557, 128}, {0x9dd6d75019a06a16, 256}, {0x612240ae716ac633, 384}, {0x880d720384ec1672, 512}, {0x7008455c2a8cd6bd, 640}},
+	"chromatic/coloring10-torus8/B=16/w=1":  {{0x6e60d1fc6401cd9c, 2048}, {0x2fde98c2872faf24, 4096}, {0xe011d8bdef4f27f2, 6144}, {0x5dc99cb9b3dc6fe2, 8192}, {0x10029a95f78a71a, 10240}},
+	"chromatic/coloring10-torus8/B=16/w=3":  {{0x8326249c6a6b35d1, 2048}, {0xd72514b4f85a6351, 4096}, {0xa8833460edaff65a, 6144}, {0x9c9d7b0df26d7cb3, 8192}, {0x7cabd82cc859b492, 10240}},
+	"chromatic/listcoloring-path5/B=1/w=1":  {{0x4d67fc02293607d, 10}, {0xa4ca5dc878c35356, 20}, {0xc953cac7b45091b8, 30}, {0xa4ca5ec878c35509, 40}, {0x17ff5cbf5445117f, 50}},
+	"chromatic/listcoloring-path5/B=1/w=3":  {{0x4d67dc022935d17, 10}, {0x4cfafc0228d935f, 20}, {0x44be3dd0cef34995, 30}, {0xa4ca5bc878c34ff0, 40}, {0xb7f33fc7aa750cd7, 50}},
+	"chromatic/listcoloring-path5/B=16/w=1": {{0x449eb0d4468063f3, 160}, {0x28c301991536c14, 320}, {0x608336f935280521, 480}, {0xffdd342da8ffb1ed, 640}, {0xbccec6d0ca2db0bf, 800}},
+	"chromatic/listcoloring-path5/B=16/w=3": {{0x1281eb916bc8e56b, 160}, {0x69c95a21d79502a0, 320}, {0x7a2c57ad94776dc8, 480}, {0x4b90376c33ccf79e, 640}, {0x723cfb2b293a6a1a, 800}},
+	"glauber/coloring10-torus8/B=1/w=1":     {{0xe41a15a4b70f468d, 128}, {0xe534a0368f0c3cb, 256}, {0x211b29e2650a8e0d, 384}, {0xb5c8ac8b50ae89e0, 512}, {0x779cc05fbac6dc20, 640}},
+	"glauber/listcoloring-path5/B=1/w=1":    {{0x44be3dd0cef34995, 10}, {0x44c50bd0cef9134d, 20}, {0xc94d02c7b44ad232, 30}, {0xc94d02c7b44ad232, 40}, {0x161bd9c02c57ca63, 50}},
+	"luby/coloring10-torus8/B=1/w=1":        {{0x999b8be2ef2e0d8b, 27}, {0xe69e944eaf109a59, 50}, {0x7a7df1ac202502c2, 70}, {0x3e95d77f189db103, 97}, {0x75af1794a3b737a8, 121}},
+	"luby/coloring10-torus8/B=1/w=3":        {{0x1518eca66dfd793c, 25}, {0xb0ab6e555a3008a1, 52}, {0x6346e3d7962643f9, 79}, {0x4be1b1939c430ea7, 105}, {0x110385b5d7130b4, 130}},
+	"luby/coloring10-torus8/B=16/w=1":       {{0x8a333b61f1815163, 426}, {0xcbd449ccd04ee584, 823}, {0x667145dc56b9c050, 1248}, {0xd898771e61ef126d, 1643}, {0x13cc1c4afcc73a74, 2058}},
+	"luby/coloring10-torus8/B=16/w=3":       {{0x72a0f69377546ea4, 420}, {0x8e9e33f11ab89e91, 844}, {0xcaae6bf0e3114997, 1285}, {0x35215deaf20e5edc, 1666}, {0xb8d6bb56a5e153e0, 2087}},
+	"luby/listcoloring-path5/B=1/w=1":       {{0xa4c394c878bd921d, 3}, {0x18062bbf544adcea, 8}, {0xa4c394c878bd921d, 11}, {0x18062bbf544adcea, 14}, {0x18062bbf544adcea, 18}},
+	"luby/listcoloring-path5/B=1/w=3":       {{0x44c509d0cef90fe7, 3}, {0x44c509d0cef90fe7, 8}, {0x44c50bd0cef9134d, 12}, {0xa4c391c878bd8d04, 17}, {0xa4c391c878bd8d04, 21}},
+	"luby/listcoloring-path5/B=16/w=1":      {{0x51c3bf4411a1e573, 67}, {0x4716d1f89c83160, 132}, {0x44bddbb39eb2b299, 202}, {0xf56b7d7e2afca63c, 267}, {0xf27a4e6a92e412a4, 331}},
+	"luby/listcoloring-path5/B=16/w=3":      {{0x99e3d961141e20c, 65}, {0x22699e29126a47d1, 133}, {0xd196bf2a4cf6e01a, 198}, {0x996d34fe3bae6e7d, 261}, {0xa6adbdc4dc81598d, 325}},
+}
+
+// TestUncachedGolden pins the heat-bath kernel on vertices the cond cache
+// does not cover, where every draw of a colouring takes the zero-one mask
+// path: the proper 10-colourings of Torus(8,8) (q^(deg+1) = 10⁵ entries,
+// over DefaultCondCap, so no vertex fits the cache and the instance has no
+// cache=true arm) and the corpus's listcoloring-path5 (q = 4, list priors)
+// with the cache built under a zero cap. LubyGlauber and ChromaticGlauber
+// run at B ∈ {1, 16} with 1 and 3 workers, and the sequential glauber
+// chain at B = 1, each on compact and wide cells. Each chunk is Run(2),
+// or 2n single-site updates for glauber.
+func TestUncachedGolden(t *testing.T) {
+	if st := goldenInstance(t, "coloring10-torus8").Spec.Compiled().CondStats(); st.Cached != 0 || st.ZeroOne != st.Total {
+		t.Fatalf("coloring10-torus8 under the default caps: %+v, want no vertex cached and every vertex zero-one", st)
+	}
+	type golden struct {
+		dyn     string
+		B       int
+		workers int
+	}
+	var cases []golden
+	for _, dyn := range []string{"chromatic", "luby"} {
+		for _, B := range []int{1, 16} {
+			for _, workers := range []int{1, 3} {
+				cases = append(cases, golden{dyn, B, workers})
+			}
+		}
+	}
+	cases = append(cases, golden{"glauber", 1, 1})
+	for _, name := range []string{"coloring10-torus8", "listcoloring-path5"} {
+		for _, c := range cases {
+			for _, wide := range []bool{false, true} {
+				key := fmt.Sprintf("%s/%s/B=%d/w=%d", c.dyn, name, c.B, c.workers)
+				t.Run(fmt.Sprintf("%s/wide=%v", key, wide), func(t *testing.T) {
+					var got [5]goldenChunk
+					if c.dyn == "glauber" {
+						got = runGlauberGolden(t, name, wide)
+					} else {
+						got = runGolden(t, c.dyn, name, c.B, c.workers, wide, false)
+					}
+					want, ok := uncachedGolden[key]
+					if !ok {
+						t.Fatalf("no golden; recorded run: %q: {%s},", key, fmtChunks(got))
+					}
+					for i := range got {
+						if got[i] != want[i] {
+							t.Fatalf("chunk %d: got {%#x, %d}, want {%#x, %d}",
+								i, got[i].hash, got[i].count, want[i].hash, want[i].count)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// runGlauberGolden runs the sequential chain on the named instance with the
+// cache off and returns its five chunk digests.
+func runGlauberGolden(t *testing.T, name string, wide bool) [5]goldenChunk {
+	t.Helper()
+	in := goldenInstance(t, name)
+	restore := gibbs.SetCondCapForTest(0, 0)
+	st := in.Spec.Compiled().CondStats()
+	restore()
+	if st.Cached != 0 {
+		t.Fatalf("cond cache covers %d of %d vertices, want none", st.Cached, st.Total)
+	}
+	restoreCells := func() {}
+	if wide {
+		restoreCells = state.SetCompactLimitForTest(0)
+	}
+	s, err := Create("glauber", in, Options{Seed: 17})
+	restoreCells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got [5]goldenChunk
+	for i := range got {
+		if err := s.Run(2 * in.N()); err != nil {
+			t.Fatal(err)
+		}
+		got[i] = goldenChunk{digestConfigs(t, s.State()), int64(s.Rounds())}
+	}
+	return got
 }

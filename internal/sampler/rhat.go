@@ -16,12 +16,12 @@ package sampler
 //
 //   - running Welford moments per (vertex, chain), numerically stable over
 //     any number of observations, behind the classic whole-chain statistic
-//     (At, Worst);
+//     (Worst);
 //   - a bounded, evenly thinned buffer of lattice snapshots, behind the
-//     split statistic (SplitAt, WorstSplit — each retained chain series is
+//     split statistic (WorstSplit — each retained chain series is
 //     split into halves, so a chain that wandered between two modes shows
 //     up even when the whole-chain means agree) and the per-vertex
-//     effective sample size (ESSAt, MinESS — Geyer initial-monotone
+//     effective sample size (MinESS — Geyer initial-monotone
 //     autocorrelation sums on the retained series).
 //
 // The buffer is time-major: retained snapshot i is one copy of the
@@ -37,7 +37,7 @@ package sampler
 // Reading the buffer is one kernel per vertex (vertexStats): it gathers
 // the vertex's series once into a chain-major float64 scratch, takes one
 // sum pass and one deviation pass per chain, and yields the split
-// statistic and the ESS together; SplitAt and ESSAt are views of it. A
+// statistic and the ESS together; splitAt and essAt are views of it. A
 // convergence check splits in two. The whole-chain R̂ (Worst) reads only
 // the running moments, a scan of n·B cells. The split-R̂/ESS pass runs the
 // kernel over every vertex: its workers — goroutines, each with its own
@@ -109,8 +109,8 @@ type Rhat struct {
 
 	// inline is the pass Check runs, bg the pass Launch runs in the
 	// background, reused once joined. Each pass keeps its workers and their
-	// scratch across checks, and own is the caller's scratch (SplitAt,
-	// ESSAt and the caller's share of a pass), so a check allocates nothing
+	// scratch across checks, and own is the caller's scratch (splitAt,
+	// essAt and the caller's share of a pass), so a check allocates nothing
 	// once they are sized.
 	inline Pass
 	bg     Pass
@@ -309,13 +309,6 @@ func (h *history) gather(v int, sc *vertexScratch) []float64 {
 	return y
 }
 
-// Count returns the number of observations folded in so far.
-func (r *Rhat) Count() int { return r.count }
-
-// Retained returns the number of thinned observations currently buffered
-// per (vertex, chain) series and their spacing in observations.
-func (r *Rhat) Retained() (length, stride int) { return r.rlen, r.stride }
-
 // SplitReady reports whether enough observations are buffered for the
 // split statistic and the effective sample size (≥ 4 retained).
 func (r *Rhat) SplitReady() bool { return r.rlen >= 4 }
@@ -329,12 +322,12 @@ func (r *Rhat) ready(what string) error {
 	return fmt.Errorf("sampler: %s needs ≥ 4 retained observations, have %d", what, r.rlen)
 }
 
-// At returns the classic whole-chain Gelman–Rubin statistic of vertex v
+// rhatAt returns the classic whole-chain Gelman–Rubin statistic of vertex v
 // over the observations so far. A vertex with zero variance everywhere
 // (pinned, or a frozen degree of freedom) reports exactly 1; zero
 // within-chain variance with disagreeing chains reports +Inf. At least two
 // observations are required.
-func (r *Rhat) At(v int) (float64, error) {
+func (r *Rhat) rhatAt(v int) (float64, error) {
 	if err := r.observed(); err != nil {
 		return 0, err
 	}
@@ -350,7 +343,7 @@ func (r *Rhat) observed() error {
 	return fmt.Errorf("sampler: Gelman–Rubin needs ≥ 2 observations, have %d", r.count)
 }
 
-// at is At without the observation-count check.
+// at is rhatAt without the observation-count check.
 func (r *Rhat) at(v int) float64 {
 	B := r.b
 	T := float64(r.count)
@@ -388,14 +381,14 @@ func psrf(within, between float64, k int, n float64) float64 {
 	return math.Sqrt(varPlus / within)
 }
 
-// SplitAt returns the split Gelman–Rubin statistic of vertex v: every
+// splitAt returns the split Gelman–Rubin statistic of vertex v: every
 // retained chain series is split into first and second halves, and the
 // classic statistic is computed over the resulting 2B sequences — so a
 // chain drifting within itself (e.g. wandering between modes) inflates
-// the statistic even when whole-chain means agree. Conventions match At:
+// the statistic even when whole-chain means agree. Conventions match rhatAt:
 // all-constant sequences report exactly 1, zero within-sequence variance
 // with disagreeing sequences reports +Inf. SplitReady must hold.
-func (r *Rhat) SplitAt(v int) (float64, error) {
+func (r *Rhat) splitAt(v int) (float64, error) {
 	if err := r.ready("split R̂"); err != nil {
 		return 0, err
 	}
@@ -403,7 +396,7 @@ func (r *Rhat) SplitAt(v int) (float64, error) {
 	return split, nil
 }
 
-// ESSAt returns the effective sample size of vertex v pooled across
+// essAt returns the effective sample size of vertex v pooled across
 // chains: B·T/τ, where τ is the integrated autocorrelation time estimated
 // on the retained series by Geyer's initial-monotone-sequence rule over
 // the multi-chain autocorrelations (the Stan estimator: within-chain
@@ -413,8 +406,8 @@ func (r *Rhat) SplitAt(v int) (float64, error) {
 // the retained series stands in for the evenly spaced history it samples.
 // A vertex with no variance anywhere (pinned, or frozen identically in
 // every chain) is perfectly estimated and reports the full pooled count
-// B·Count. SplitReady must hold.
-func (r *Rhat) ESSAt(v int) (float64, error) {
+// B times the observation count. SplitReady must hold.
+func (r *Rhat) essAt(v int) (float64, error) {
 	if err := r.ready("ESS"); err != nil {
 		return 0, err
 	}
@@ -422,7 +415,7 @@ func (r *Rhat) ESSAt(v int) (float64, error) {
 	return ess, nil
 }
 
-// vertexStats is the per-vertex kernel behind SplitAt, ESSAt and Check: it
+// vertexStats is the per-vertex kernel behind splitAt, essAt and Check: it
 // gathers vertex v's retained series once and returns its split R̂ and its
 // effective sample size. SplitReady must hold.
 //
@@ -758,7 +751,7 @@ func (p *Pass) Join() Diagnostics {
 }
 
 // callerScratch returns the kernel scratch of the accumulator's caller:
-// SplitAt, ESSAt and the caller's share of every pass use it.
+// splitAt, essAt and the caller's share of every pass use it.
 func (r *Rhat) callerScratch() *vertexScratch {
 	if r.own.chainMean == nil {
 		r.own = newVertexScratch(r.b)
@@ -782,7 +775,8 @@ func (r *Rhat) settle() {
 // result is the sequential scan's, bit for bit and vertex for vertex,
 // whatever GOMAXPROCS is; and the check uses every core even when the
 // engines run on one. An empty instance reports R̂ 1 and the full pooled
-// count B·Count at vertex 0. The one error is SplitReady not holding.
+// count, B times the observation count, at vertex 0. The one error is
+// SplitReady not holding.
 func (r *Rhat) Check() (Diagnostics, error) {
 	if r.n == 0 {
 		return Diagnostics{Rhat: 1, SplitRhat: 1, ESS: float64(r.b) * float64(r.count)}, nil
@@ -806,7 +800,7 @@ func (r *Rhat) Check() (Diagnostics, error) {
 // background pass: Launch returns nil and starts nothing while it is in
 // flight (not yet joined), when cores < 1, on an empty instance, or when
 // SplitReady does not hold — run Check then. Meanwhile the caller may go
-// on advancing the engine and calling Observe, Worst and At.
+// on advancing the engine and calling Observe and Worst.
 func (r *Rhat) Launch(cores int) *Pass {
 	p := &r.bg
 	if p.busy || cores < 1 || r.n == 0 || !r.SplitReady() {

@@ -3,7 +3,7 @@ package sampler
 // rhat_oracle_test.go: the bit-identity property of the time-major Rhat
 // accumulator. After every observation it must report exactly what the
 // series-major reference (rhatref_test.go) reports — the same
-// math.Float64bits for At, SplitAt and ESSAt on every vertex, and the same
+// math.Float64bits for rhatAt, splitAt and essAt on every vertex, and the same
 // vertex and bits for Worst, WorstSplit, MinESS and the three fields of
 // Check — on fabricated histories (compact and wide lattices, several
 // alphabets and buffer capacities driven through repeated thinning,
@@ -55,13 +55,13 @@ func sameBits(t *testing.T, what string, got float64, gerr error, want float64, 
 // for bit.
 func sameStats(t *testing.T, acc *Rhat, ref *rhatRef) {
 	t.Helper()
-	if acc.Count() != ref.Count() {
-		t.Fatalf("Count() = %d, reference %d", acc.Count(), ref.Count())
+	if acc.count != ref.Count() {
+		t.Fatalf("count = %d, reference %d", acc.count, ref.Count())
 	}
-	gl, gs := acc.Retained()
+	gl, gs := acc.rlen, acc.stride
 	wl, ws := ref.Retained()
 	if gl != wl || gs != ws {
-		t.Fatalf("obs %d: Retained() = %d, %d; reference %d, %d", ref.Count(), gl, gs, wl, ws)
+		t.Fatalf("obs %d: retained %d at stride %d; reference %d, %d", ref.Count(), gl, gs, wl, ws)
 	}
 	if acc.SplitReady() != ref.SplitReady() {
 		t.Fatalf("obs %d: SplitReady() = %v, reference %v", ref.Count(), acc.SplitReady(), ref.SplitReady())
@@ -70,9 +70,9 @@ func sameStats(t *testing.T, acc *Rhat, ref *rhatRef) {
 		name      string
 		got, want func(int) (float64, error)
 	}{
-		{"At", acc.At, ref.At},
-		{"SplitAt", acc.SplitAt, ref.SplitAt},
-		{"ESSAt", acc.ESSAt, ref.ESSAt},
+		{"At", acc.rhatAt, ref.At},
+		{"SplitAt", acc.splitAt, ref.SplitAt},
+		{"ESSAt", acc.essAt, ref.ESSAt},
 	}
 	for v := 0; v < ref.n; v++ {
 		for _, s := range stats {
@@ -229,8 +229,8 @@ func TestRhatMatchesReferenceFabricated(t *testing.T) {
 						ref.Observe()
 						sameStats(t, acc, ref)
 					}
-					if _, stride := acc.Retained(); stride < 8 {
-						t.Fatalf("stride %d after %d observations: fewer than three thinnings", stride, T)
+					if acc.stride < 8 {
+						t.Fatalf("stride %d after %d observations: fewer than three thinnings", acc.stride, T)
 					}
 				})
 			}
@@ -290,8 +290,8 @@ func TestRhatMatchesReferenceBlocks(t *testing.T) {
 							ref.Observe()
 							sameStats(t, acc, ref)
 						}
-						if _, stride := acc.Retained(); stride < 4 {
-							t.Fatalf("stride %d after %d observations: fewer than two thinnings", stride, T)
+						if acc.stride < 4 {
+							t.Fatalf("stride %d after %d observations: fewer than two thinnings", acc.stride, T)
 						}
 					})
 				}
@@ -448,10 +448,10 @@ func TestRhatLaunchMatchesReference(t *testing.T) {
 					launched, thinnedUnder := 0, 0
 					for i := 0; i < 6*retain+3; i++ {
 						fabricate(lat, q, i, &rng)
-						_, stride := acc.Retained()
+						stride := acc.stride
 						acc.Observe()
 						ref.Observe()
-						if _, s := acc.Retained(); s != stride && inFlight != nil {
+						if acc.stride != stride && inFlight != nil {
 							thinnedUnder++
 						}
 						if f := inFlight; f != nil && i-f.at >= 1+f.at%5 {

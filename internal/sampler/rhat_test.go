@@ -97,7 +97,7 @@ func TestRhatHandComputed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := acc.At(0); err == nil {
+	if _, err := acc.rhatAt(0); err == nil {
 		t.Error("At with <2 observations accepted")
 	}
 	// Vertex 0 history: chain 0 sees 0,2 (mean 1, var 2); chain 1 sees
@@ -113,7 +113,7 @@ func TestRhatHandComputed(t *testing.T) {
 	lat.Set(0, 0, 2)
 	lat.Set(0, 1, 2)
 	acc.Observe()
-	got, err := acc.At(0)
+	got, err := acc.rhatAt(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestRhatHandComputed(t *testing.T) {
 		t.Errorf("R̂(0) = %v, want %v", got, want)
 	}
 	// Vertex 1 never moved in any chain: exactly 1.
-	if got, err := acc.At(1); err != nil || got != 1 {
+	if got, err := acc.rhatAt(1); err != nil || got != 1 {
 		t.Errorf("R̂(frozen vertex) = %v, %v; want 1", got, err)
 	}
 	v, worst, err := acc.Worst()
@@ -133,7 +133,7 @@ func TestRhatHandComputed(t *testing.T) {
 
 func got0(t *testing.T, acc *Rhat) float64 {
 	t.Helper()
-	x, err := acc.At(0)
+	x, err := acc.rhatAt(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestRhatFrozenChainsDiverge(t *testing.T) {
 		lat.Set(0, 1, 2)
 		acc.Observe()
 	}
-	got, err := acc.At(0)
+	got, err := acc.rhatAt(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,11 +225,11 @@ func TestRhatPinnedVertexIsOne(t *testing.T) {
 		}
 		acc.Observe()
 	}
-	if got, err := acc.At(3); err != nil || got != 1 {
+	if got, err := acc.rhatAt(3); err != nil || got != 1 {
 		t.Errorf("R̂(pinned vertex) = %v, %v; want exactly 1", got, err)
 	}
-	if acc.Count() != 20 {
-		t.Errorf("Count() = %d, want 20", acc.Count())
+	if acc.count != 20 {
+		t.Errorf("count = %d, want 20", acc.count)
 	}
 }
 
@@ -345,14 +345,14 @@ func TestRhatAllocations(t *testing.T) {
 		}
 		runtime.GOMAXPROCS(prev)
 	}
-	for acc.Count() < DefaultRetain {
+	for acc.count < DefaultRetain {
 		observed += totalAlloc(acc.Observe)
 	}
-	if rlen, stride := acc.Retained(); stride != 2 || rlen != DefaultRetain/2 {
-		t.Fatalf("Retained() = %d, %d after %d observations; want the first thinning", rlen, stride, acc.Count())
+	if acc.stride != 2 || acc.rlen != DefaultRetain/2 {
+		t.Fatalf("retained %d at stride %d after %d observations; want the first thinning", acc.rlen, acc.stride, acc.count)
 	}
 	if limit := 2 * DefaultRetain * cells; observed >= limit {
-		t.Errorf("Observe allocated %d bytes over %d observations, want < %d (twice the full buffer)", observed, acc.Count(), limit)
+		t.Errorf("Observe allocated %d bytes over %d observations, want < %d (twice the full buffer)", observed, acc.count, limit)
 	}
 	if n := testing.AllocsPerRun(10, acc.Observe); n != 0 {
 		t.Errorf("Observe allocates %v times per call past the first thinning, want 0", n)

@@ -67,9 +67,9 @@ func (c *Ctx) recordErr(err error) {
 	}
 }
 
-// Read returns the state of node u, which must lie within the locality of
+// read returns the state of node u, which must lie within the locality of
 // the processed node.
-func (c *Ctx) Read(u int) any {
+func (c *Ctx) read(u int) any {
 	if !c.check(u) {
 		return nil
 	}

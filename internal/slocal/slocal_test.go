@@ -21,7 +21,7 @@ func (a *greedyColoring) Process(_ int, c *Ctx) error {
 	v := c.Node()
 	used := map[int]bool{}
 	for _, u := range a.g.Neighbors(v) {
-		if col, ok := c.Read(u).(int); ok && col >= 0 {
+		if col, ok := c.read(u).(int); ok && col >= 0 {
 			used[col] = true
 		}
 	}
@@ -75,7 +75,7 @@ func (a *localityViolator) Locality(_, _ int) int { return 1 }
 func (a *localityViolator) Init(_ int) any        { return nil }
 func (a *localityViolator) Process(_ int, c *Ctx) error {
 	if c.Node() == 0 {
-		c.Read(3) // distance 3 on a path
+		c.read(3) // distance 3 on a path
 	}
 	return nil
 }
@@ -110,7 +110,7 @@ func (a *multiPass) Process(p int, c *Ctx) error {
 	}
 	sum := 0
 	for _, u := range a.g.Ball(v, 2) {
-		if x, ok := c.Read(u).(int); ok {
+		if x, ok := c.read(u).(int); ok {
 			sum += x
 		}
 	}

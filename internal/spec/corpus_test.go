@@ -307,7 +307,7 @@ func TestCorpusEncodeRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			enc, err := Encode(f.Name, b.Instance)
+			enc, err := encode(f.Name, b.Instance)
 			if err != nil {
 				t.Fatal(err)
 			}

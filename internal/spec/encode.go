@@ -3,7 +3,7 @@ package spec
 // encode.go serializes instances back into the schema. Every factor the
 // internal/model builders emit is table-backed, so any built instance —
 // including the matching and hypergraph-matching models, whose instances
-// live on derived graphs — round-trips: Encode writes the instance's
+// live on derived graphs — round-trips: encode writes the instance's
 // interaction graph as an explicit edge list and its factors as explicit
 // tables, preserving factor order, and Build on the result reconstructs a
 // gibbs.Instance whose weights (and exact partition function) match the
@@ -17,18 +17,18 @@ import (
 	"repro/internal/graph"
 )
 
-// Encode serializes the instance as an explicit-factors document on the
+// encode serializes the instance as an explicit-factors document on the
 // instance's own interaction graph. Factors must be table-backed; a
 // closure-only factor is not serializable and is reported as *Error.
-func Encode(name string, in *gibbs.Instance) (*File, error) {
+func encode(name string, in *gibbs.Instance) (*File, error) {
 	g := GraphFrom(in.Spec.G)
 	return encodeOn(name, g, in)
 }
 
-// EncodeWithGraph is Encode with a caller-declared graph (typically a
+// encodeWithGraph is encode with a caller-declared graph (typically a
 // named generator) replacing the explicit edge list. The declaration is
 // verified: it must build to exactly the instance's interaction graph.
-func EncodeWithGraph(name string, g Graph, in *gibbs.Instance) (*File, error) {
+func encodeWithGraph(name string, g Graph, in *gibbs.Instance) (*File, error) {
 	if err := g.validate(); err != nil {
 		return nil, err
 	}

@@ -87,7 +87,7 @@ func TestBuilderRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			f, err := Encode(name, in)
+			f, err := encode(name, in)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,7 +118,7 @@ func TestBuilderRoundTrip(t *testing.T) {
 	}
 }
 
-// TestEncodeWithGraphVerifies pins EncodeWithGraph's declaration check: a
+// TestEncodeWithGraphVerifies pins encodeWithGraph's declaration check: a
 // generator kind matching the instance's interaction graph is accepted
 // and round-trips, a mismatched one is a typed error.
 func TestEncodeWithGraphVerifies(t *testing.T) {
@@ -130,7 +130,7 @@ func TestEncodeWithGraphVerifies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := EncodeWithGraph("hc", Graph{Kind: "cycle", N: 8}, in)
+	f, err := encodeWithGraph("hc", Graph{Kind: "cycle", N: 8}, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +143,11 @@ func TestEncodeWithGraphVerifies(t *testing.T) {
 	if math.Float64bits(got) != math.Float64bits(want) {
 		t.Errorf("named-generator round trip changed Z: %x vs %x", got, want)
 	}
-	if _, err := EncodeWithGraph("hc", Graph{Kind: "path", N: 8}, in); err == nil {
+	if _, err := encodeWithGraph("hc", Graph{Kind: "path", N: 8}, in); err == nil {
 		t.Error("mismatched generator declaration accepted")
 	}
 	var se *Error
-	if _, err := EncodeWithGraph("hc", Graph{Kind: "nosuch", N: 8}, in); !asSpecError(err, &se) {
+	if _, err := encodeWithGraph("hc", Graph{Kind: "nosuch", N: 8}, in); !asSpecError(err, &se) {
 		t.Errorf("unknown generator returned %v, want *Error", err)
 	}
 }

@@ -320,8 +320,8 @@ func (l *Lattice) CopyFrom(src *Lattice) error {
 	return nil
 }
 
-// Clone returns an independent copy of the lattice.
-func (l *Lattice) Clone() *Lattice {
+// clone returns an independent copy of the lattice.
+func (l *Lattice) clone() *Lattice {
 	out := *l
 	if l.u8 != nil {
 		out.u8 = append([]uint8(nil), l.u8...)

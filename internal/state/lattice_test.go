@@ -113,10 +113,10 @@ func TestBroadcastAndClone(t *testing.T) {
 				t.Fatalf("chain %d = %v after broadcast", c, got)
 			}
 		}
-		cl := l.Clone()
+		cl := l.clone()
 		cl.Set(0, 0, 1)
 		if l.Get(0, 0) != 4 {
-			t.Error("Clone aliases the original")
+			t.Error("clone aliases the original")
 		}
 	}
 }
