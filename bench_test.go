@@ -9,6 +9,8 @@ package repro_test
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strconv"
 	"testing"
 
@@ -26,6 +28,7 @@ import (
 	"repro/internal/psample"
 	"repro/internal/run"
 	"repro/internal/sampler"
+	"repro/internal/spec"
 	"repro/internal/state"
 )
 
@@ -649,6 +652,38 @@ func BenchmarkColoringSweep(b *testing.B) {
 	}
 }
 
+// BenchmarkPlan measures compiling the sweep plan, Compiled.Plan, once per
+// iteration on a fresh Compiled built with the timer stopped: the proper
+// 10-colourings of the 48×48 torus, where every op is a pair gather and
+// every plan is zero-one, and the 64×64 antiferromagnetic Ising torus,
+// where each vertex's unary factor folds into its prior. allocs/op counts
+// what the plan build allocates.
+func BenchmarkPlan(b *testing.B) {
+	cases := []struct {
+		name  string
+		build func() (*gibbs.Spec, error)
+	}{
+		{"coloring-torus48-q10", func() (*gibbs.Spec, error) { return model.Coloring(graph.Torus(48, 48), 10) }},
+		{"ising-torus64", func() (*gibbs.Spec, error) { return model.Ising(graph.Torus(64, 64), 0.8, 1) }},
+	}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			sp, err := tc.build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				c := gibbs.Compile(sp)
+				b.StartTimer()
+				c.Plan()
+			}
+		})
+	}
+}
+
 // BenchmarkLubyGlauberLOCAL measures the message-passing harness (4 rounds
 // of LubyGlauber on a 12×12 torus through the LOCAL simulator) — the
 // simulator overhead the in-process engine removes.
@@ -722,9 +757,9 @@ func BenchmarkDriverConverge(b *testing.B) {
 // (β = 0.8, λ = 1, chromatic, 16 chains) holds after 24 observed sweeps,
 // where such a drive stops. It is the driver-diagnostics layer of the
 // time-to-converged-chains benchmark. The check runs its vertex blocks on
-// every core the -cpu setting allows. The warm-up check sizes the blocks'
-// scratch, so the timed checks allocate nothing, which the allocs/op gate
-// holds.
+// every core the -cpu setting allows. Its Geyer loops average 1.5 lag
+// pairs per vertex, so it times the gather and the split statistic more
+// than the ESS search.
 func BenchmarkRhatCheck(b *testing.B) {
 	spec, err := model.Ising(graph.Torus(64, 64), 0.8, 1)
 	if err != nil {
@@ -738,8 +773,45 @@ func BenchmarkRhatCheck(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	benchCheck(b, s, "chromatic", in, 24)
+}
+
+// BenchmarkRhatCheckCorpus measures the same check where the pass's search
+// for the smallest ESS prunes: on hardcore-tree15-above (λ = 6, above the
+// uniqueness threshold) under LocalMetropolis with 16 chains, seed 11 and
+// two engine workers, after 128 observed sweeps — the metropolis stage cap
+// of perfbench's corpus-escalate workload. A few vertices are stuck and
+// most mix, so the Geyer loops run long and the pass stops most of them
+// early. The engine's worker count is pinned because its default follows
+// GOMAXPROCS, and the history would too.
+func BenchmarkRhatCheckCorpus(b *testing.B) {
+	data, err := os.ReadFile(filepath.Join("testdata", "corpus", "hardcore-tree15-above.json"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	f, err := spec.Parse(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	built, err := f.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := sampler.Create("metropolis", built.Instance, sampler.Options{Chains: 16, Seed: 11})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s.(interface{ SetWorkers(int) }).SetWorkers(2)
+	benchCheck(b, s, "metropolis", built.Instance, 128)
+}
+
+// benchCheck advances the multi-chain sampler s of the named dynamic by
+// the given number of sweeps, observing each, and times Rhat.Check on the
+// accumulator. The warm-up check sizes the pass's scratch, so the timed
+// checks allocate nothing, which the allocs/op gate holds.
+func benchCheck(b *testing.B, s sampler.Sampler, dyn string, in *gibbs.Instance, sweeps int) {
 	m := s.(sampler.MultiChain)
-	rounds, err := sampler.SweepRounds("chromatic", in)
+	rounds, err := sampler.SweepRounds(dyn, in)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -747,7 +819,7 @@ func BenchmarkRhatCheck(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for i := 0; i < 24; i++ {
+	for i := 0; i < sweeps; i++ {
 		if err := m.Run(rounds); err != nil {
 			b.Fatal(err)
 		}

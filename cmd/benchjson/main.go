@@ -7,6 +7,9 @@
 //
 // Every benchmark result line becomes one record carrying all reported
 // metrics (ns/op, B/op, allocs/op, and any b.ReportMetric custom units).
+// The report also records the machine it was measured on: the goos,
+// goarch and cpu header lines go test prints, the GOMAXPROCS of the -N
+// suffix stripped from the benchmark names, and the Go version.
 // Benchmark output lines are echoed to stderr so the CI log keeps the
 // human-readable smoke run, and the tool exits nonzero if any package
 // failed — the conversion never masks a broken benchmark.
@@ -14,7 +17,8 @@
 // With -baseline, the run is also compared against a committed report
 // (BENCH_main.json at the repo root, regenerated each time a PR lands):
 // a per-benchmark ns/op delta table goes to stderr, along with benchmarks
-// that appear only in one of the two reports. The deltas are informational
+// that appear only in one of the two reports and a line naming both
+// machines when the baseline was measured on another. The deltas are informational
 // — a short smoke run is noisy — but they make the perf trajectory
 // visible on every PR instead of only inside downloaded artifacts.
 //
@@ -61,6 +65,7 @@ import (
 	"os"
 	"os/exec"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -88,9 +93,30 @@ type Result struct {
 	Metrics    map[string]float64 `json:"metrics"`
 }
 
-// Report is the artifact schema.
+// Report is the artifact schema. Machine is nil in baselines written
+// before the record existed.
 type Report struct {
+	Machine    *machine `json:"machine,omitempty"`
 	Benchmarks []Result `json:"benchmarks"`
+}
+
+// machine is the host a report was measured on: the goos, goarch and cpu
+// header lines of go test's output, the GOMAXPROCS of the benchmark names'
+// -N suffix (go test omits the suffix at 1), and the Go version.
+type machine struct {
+	GOOS       string `json:"goos,omitempty"`
+	GOARCH     string `json:"goarch,omitempty"`
+	CPU        string `json:"cpu,omitempty"`
+	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
+	GoVersion  string `json:"go_version"`
+}
+
+// label describes the machine in one phrase, or says there is no record.
+func (m *machine) label() string {
+	if m == nil {
+		return "an unrecorded machine"
+	}
+	return fmt.Sprintf("%s/%s, cpu %q, GOMAXPROCS %d, %s", m.GOOS, m.GOARCH, m.CPU, m.GOMAXPROCS, m.GoVersion)
 }
 
 // benchLine matches the start of a benchmark result line; the tail is
@@ -226,6 +252,9 @@ func medianReport(runs []*Report) *Report {
 	}
 	sort.Strings(order)
 	merged := &Report{Benchmarks: make([]Result, 0, len(order))}
+	if len(runs) > 0 {
+		merged.Machine = runs[0].Machine
+	}
 	for _, k := range order {
 		a, p := byKey[k], protos[k]
 		res := Result{
@@ -313,6 +342,9 @@ func printDelta(w io.Writer, base, cur *Report, warnPct, failPct, failAllocPct f
 		return false
 	}
 	fmt.Fprintln(w, "benchjson: ns/op vs baseline (smoke run)")
+	if (base.Machine == nil) != (cur.Machine == nil) || base.Machine != nil && *base.Machine != *cur.Machine {
+		fmt.Fprintf(w, "benchjson: the baseline was measured on %s, this run on %s\n", base.Machine.label(), cur.Machine.label())
+	}
 	seen := make(map[string]bool, len(cur.Benchmarks))
 	var regressed, gated, gatedAllocs []string
 	for _, r := range cur.Benchmarks {
@@ -375,7 +407,9 @@ func printDelta(w io.Writer, base, cur *Report, warnPct, failPct, failAllocPct f
 }
 
 // parse consumes the event stream, echoing benchmark-relevant output lines
-// to echo, and reports whether any package failed.
+// to echo, and reports whether any package failed. The report's machine
+// takes the first goos, goarch and cpu header lines, the GOMAXPROCS of the
+// first benchmark line, and this binary's Go version.
 //
 // Output events are reassembled into lines per package before matching:
 // `go test` prints a benchmark's name first and appends the numbers only
@@ -385,13 +419,25 @@ func printDelta(w io.Writer, base, cur *Report, warnPct, failPct, failAllocPct f
 func parse(r io.Reader, echo io.Writer) (*Report, bool, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	report := &Report{Benchmarks: []Result{}}
+	m := &machine{GoVersion: runtime.Version()}
+	report := &Report{Machine: m, Benchmarks: []Result{}}
 	failed := false
 	carry := make(map[string]string)
+	header := map[string]*string{"goos": &m.GOOS, "goarch": &m.GOARCH, "cpu": &m.CPU}
 	handleLine := func(pkg, line string) {
-		res, ok := parseBenchLine(pkg, strings.TrimSpace(line))
+		trimmed := strings.TrimSpace(line)
+		if key, val, ok := strings.Cut(trimmed, ": "); ok && header[key] != nil {
+			if *header[key] == "" {
+				*header[key] = val
+			}
+			return
+		}
+		res, ok := parseBenchLine(pkg, trimmed)
 		if !ok {
 			return
+		}
+		if m.GOMAXPROCS == 0 {
+			m.GOMAXPROCS = procsOf(trimmed)
 		}
 		fmt.Fprintf(echo, "%s\t%s\n", pkg, line)
 		report.Benchmarks = append(report.Benchmarks, res)
@@ -469,4 +515,14 @@ func parseBenchLine(pkg, line string) (Result, bool) {
 		Iterations: iters,
 		Metrics:    metrics,
 	}, true
+}
+
+// procsOf returns the GOMAXPROCS of a benchmark result line: the -N suffix
+// of its name, or 1 when it has none, as go test omits -1.
+func procsOf(line string) int {
+	name := benchLine.FindStringSubmatch(line)[1]
+	if procs, err := strconv.Atoi(strings.TrimPrefix(gomaxprocsSuffix.FindString(name), "-")); err == nil {
+		return procs
+	}
+	return 1
 }

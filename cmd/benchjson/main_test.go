@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -360,5 +361,94 @@ func TestMedianReport(t *testing.T) {
 	// B appears in two runs: even count → midpoint.
 	if b.Metrics["ns/op"] != 400 || b.Iterations != 15 {
 		t.Errorf("B median = %v ns/op, %d iters; want 400, 15", b.Metrics["ns/op"], b.Iterations)
+	}
+}
+
+// TestMachineRecord pins the report's machine object: parse takes the
+// goos, goarch and cpu header lines and the GOMAXPROCS of the benchmark
+// names' -N suffix (1 when they carry none), the file round-trips it, a
+// baseline without it still loads, -regen's merge keeps it, and the delta
+// table names both machines in one line exactly when they differ.
+func TestMachineRecord(t *testing.T) {
+	stream := `{"Action":"start","Package":"p"}
+{"Action":"output","Package":"p","Output":"goos: linux\n"}
+{"Action":"output","Package":"p","Output":"goarch: amd64\n"}
+{"Action":"output","Package":"p","Output":"pkg: p\n"}
+{"Action":"output","Package":"p","Output":"cpu: Test CPU @ 1.00GHz\n"}
+{"Action":"output","Package":"p","Output":"BenchmarkA-4 \t 10\t 100 ns/op\n"}
+{"Action":"output","Package":"q","Output":"goos: plan9\n"}
+{"Action":"output","Package":"q","Output":"BenchmarkB/sub-4 \t 10\t 5 ns/op\n"}
+{"Action":"pass","Package":"p"}
+`
+	var echo bytes.Buffer
+	report, failed, err := parse(strings.NewReader(stream), &echo)
+	if err != nil || failed {
+		t.Fatal(err, failed)
+	}
+	want := machine{GOOS: "linux", GOARCH: "amd64", CPU: "Test CPU @ 1.00GHz", GOMAXPROCS: 4, GoVersion: runtime.Version()}
+	if report.Machine == nil || *report.Machine != want {
+		t.Fatalf("machine = %+v, want %+v", report.Machine, want)
+	}
+	if strings.Contains(echo.String(), "cpu:") {
+		t.Error("header line echoed as a benchmark")
+	}
+	one, _, err := parse(strings.NewReader(`{"Action":"output","Package":"p","Output":"BenchmarkA \t 10\t 100 ns/op\n"}`+"\n"), &echo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one.Machine.GOMAXPROCS != 1 || one.Benchmarks[0].Name != "BenchmarkA" {
+		t.Errorf("unsuffixed run: GOMAXPROCS %d, name %q; want 1, BenchmarkA", one.Machine.GOMAXPROCS, one.Benchmarks[0].Name)
+	}
+
+	dir := t.TempDir()
+	data, err := json.Marshal(report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir+"/m.json", data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	back, err := readReport(dir + "/m.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Machine == nil || *back.Machine != want {
+		t.Errorf("round trip machine = %+v, want %+v", back.Machine, want)
+	}
+	if err := os.WriteFile(dir+"/old.json", []byte(`{"benchmarks": [{"package": "p", "name": "BenchmarkA", "metrics": {"ns/op": 90}}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old, err := readReport(dir + "/old.json")
+	if err != nil || old.Machine != nil || len(old.Benchmarks) != 1 {
+		t.Fatalf("baseline without a machine: %+v, %v", old, err)
+	}
+	if m := medianReport([]*Report{report, report, report}).Machine; m == nil || *m != want {
+		t.Errorf("merged machine = %+v, want %+v", m, want)
+	}
+
+	line := "measured on"
+	other := *report
+	wider := want
+	wider.GOMAXPROCS = 8
+	other.Machine = &wider
+	for _, tc := range []struct {
+		name  string
+		base  *Report
+		lines int
+	}{
+		{"same machine", back, 0},
+		{"other GOMAXPROCS", &other, 1},
+		{"unrecorded baseline", old, 1},
+	} {
+		var out bytes.Buffer
+		printDelta(&out, tc.base, report, 0, 0, 0, nil)
+		if got := strings.Count(out.String(), line); got != tc.lines {
+			t.Errorf("%s: %d machine lines, want %d:\n%s", tc.name, got, tc.lines, out.String())
+		}
+	}
+	var out bytes.Buffer
+	printDelta(&out, &other, report, 0, 0, 0, nil)
+	if !strings.Contains(out.String(), "GOMAXPROCS 8") || !strings.Contains(out.String(), "GOMAXPROCS 4") {
+		t.Errorf("machine line does not name both machines:\n%s", out.String())
 	}
 }

@@ -451,3 +451,70 @@ func TestRunVerbose(t *testing.T) {
 		t.Errorf("-v coverage line on the q = 10 torus: %q", line)
 	}
 }
+
+// TestRunEdgeInstances drives degenerate instance documents through every
+// surface: a 4-cycle hardcore instance with every vertex pinned, five
+// isolated vertices, an explicit q = 1 factor on a 3-path and two disjoint
+// triangles, each under the batched engines with -rhat, the adaptive
+// driver (-converge, -min-ess, an escalation with -min-rate), the
+// sequential baseline and both exact/approximate samplers. Every run must
+// return nil without a panic, except that the jvv and seq samplers refuse
+// the explicit-factor document with their "need a named model" error.
+func TestRunEdgeInstances(t *testing.T) {
+	dir := t.TempDir()
+	specs := []struct {
+		name, doc string
+		explicit  bool
+	}{
+		{"pinned-cycle4", `{"version": 1, "graph": {"kind": "cycle", "n": 4},
+			"model": {"kind": "hardcore", "lambda": 1},
+			"pin": [{"v": 0, "x": 1}, {"v": 1, "x": 0}, {"v": 2, "x": 1}, {"v": 3, "x": 0}]}`, false},
+		{"isolated5", `{"version": 1, "graph": {"n": 5}, "model": {"kind": "hardcore", "lambda": 1}}`, false},
+		{"q1-path3", `{"version": 1, "graph": {"kind": "path", "n": 3}, "q": 1,
+			"factors": [{"scope": [0, 1], "table": [1]}, {"scope": [1, 2], "table": [1]}]}`, true},
+		{"triangles2", `{"version": 1, "graph": {"n": 6, "edges": [[0, 1], [1, 2], [2, 0], [3, 4], [4, 5], [5, 3]]},
+			"model": {"kind": "hardcore", "lambda": 1}}`, false},
+	}
+	runs := []struct {
+		args    []string
+		sampler bool
+	}{
+		{[]string{"-algo", "chromatic", "-chains", "4", "-rhat"}, false},
+		{[]string{"-algo", "luby", "-chains", "4", "-converge", "rhat<1.05"}, false},
+		{[]string{"-algo", "metropolis", "-chains", "4", "-converge", "rhat<1.05", "-min-ess", "10"}, false},
+		{[]string{"-algo", "glauber"}, false},
+		{[]string{"-algo", "chromatic,metropolis", "-chains", "4", "-converge", "rhat<1.05", "-min-rate", "0.5"}, false},
+		{[]string{"-sampler", "jvv"}, true},
+		{[]string{"-sampler", "seq"}, true},
+	}
+	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer devnull.Close()
+	for _, sp := range specs {
+		path := filepath.Join(dir, sp.name+".json")
+		if err := os.WriteFile(path, []byte(sp.doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range runs {
+			args := append([]string{"-spec", path}, r.args...)
+			err := func() (err error) {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Fatalf("run(%v) panicked: %v", args, p)
+					}
+				}()
+				return run(args, devnull)
+			}()
+			switch {
+			case sp.explicit && r.sampler:
+				if err == nil || !strings.Contains(err.Error(), "need a named model") {
+					t.Errorf("run(%v) = %v, want the named-model error", args, err)
+				}
+			case err != nil:
+				t.Errorf("run(%v) = %v", args, err)
+			}
+		}
+	}
+}

@@ -133,21 +133,34 @@ func (c *Compiled) Plan() *SweepPlan {
 	return c.plan
 }
 
-// buildPlan lowers every vertex's factor list into a vertexPlan.
+// buildPlan lowers every vertex's factor list into a vertexPlan. It counts
+// every plan's ops first (opCount), so the ops of all vertices fill one
+// exactly sized slab, each vertex's share capped at its length; the scope
+// scratch is reused across factors, and only generic ops keep copies of
+// it.
 func buildPlan(c *Compiled) *SweepPlan {
 	p := &SweepPlan{q: c.q, verts: make([]vertexPlan, c.n)}
 	var mp *maskPool
 	if c.q >= minMaskQ && c.q <= maxMaskQ {
 		mp = &maskPool{q: c.q, rows: map[maskKey]int32{}, words: map[uint64]int32{}}
 	}
+	nops := 0
+	for v := 0; v < c.n; v++ {
+		nops += c.opCount(v)
+	}
+	ops := make([]planOp, nops)
+	var others []int32  // distinct non-v scope vertices
+	var gScope []int32  // non-v occurrences, in scope order
+	var gStride []int32 // their strides
 	for v := 0; v < c.n; v++ {
 		vp := &p.verts[v]
+		if n := c.opCount(v); n > 0 {
+			vp.ops, ops = ops[:0:n], ops[n:]
+		}
 		for _, fi := range c.FactorsAt(v) {
 			f := &c.factors[fi]
 			sv := int32(0)
-			var others []int32  // distinct non-v scope vertices
-			var gScope []int32  // non-v occurrences, in scope order
-			var gStride []int32 // their strides
+			others, gScope, gStride = others[:0], gScope[:0], gStride[:0]
 			su := int32(0)
 			for j, u := range f.scope {
 				if int(u) == v {
@@ -199,7 +212,11 @@ func buildPlan(c *Compiled) *SweepPlan {
 				vp.ops = append(vp.ops, planOp{kind: opPair, u: others[0], su: su, sv: sv, table: f.table})
 				continue
 			}
-			vp.ops = append(vp.ops, planOp{kind: opGeneric, sv: sv, table: f.table, scope: gScope, strides: gStride})
+			scope := make([]int32, len(gScope))
+			strides := make([]int32, len(gStride))
+			copy(scope, gScope)
+			copy(strides, gStride)
+			vp.ops = append(vp.ops, planOp{kind: opGeneric, sv: sv, table: f.table, scope: scope, strides: strides})
 		}
 		vp.pairOnly = true
 		for _, op := range vp.ops {
@@ -216,6 +233,21 @@ func buildPlan(c *Compiled) *SweepPlan {
 		p.masks = mp.pool
 	}
 	return p
+}
+
+// opCount returns how many ops vertex v's plan holds: every factor from
+// the first one that is not unary in v on. The unary factors before it
+// fold into the prior.
+func (c *Compiled) opCount(v int) int {
+	fs := c.FactorsAt(v)
+	for i, fi := range fs {
+		for _, u := range c.factors[fi].scope {
+			if int(u) != v {
+				return len(fs) - i
+			}
+		}
+	}
+	return 0
 }
 
 // maskPool builds the bitmasks of the zero-one plans into one slice. Each

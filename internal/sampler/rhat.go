@@ -41,15 +41,26 @@ package sampler
 // convergence check splits in two. The whole-chain R̂ (Worst) reads only
 // the running moments, a scan of n·B cells. The split-R̂/ESS pass runs the
 // kernel over every vertex: its workers — goroutines, each with its own
-// scratch, and the caller — claim chunks of consecutive vertices until
-// none are left, and their results fold so that the lowest vertex wins
-// every tie, whoever scanned it. Check runs both on the caller, with a
+// scratch, and the caller — claim chunks of its scan order until none are
+// left, and their results fold so that the lowest vertex wins every tie,
+// whoever scanned it. Check runs both on the caller, with a
 // worker goroutine on every other core. Launch starts the pass in the
 // background instead, on the cores the caller says are free, and Join
 // finishes it on the caller: it scans what no worker has claimed and
 // waits only for the chunks in progress, never for a core to start. The
 // caller can decide on Worst at once and keep advancing its engine while
 // the pass runs.
+//
+// A check reports only the smallest ESS, so the pass searches for it by
+// branch and bound. It scans the vertex with the worst whole-chain R̂
+// first, the likeliest to mix worst, then the rest in index order. The
+// Geyer loop dominates the kernel, and each of its lag pairs bounds what
+// the pairs still to come can add, so a worker stops a vertex's loop as
+// soon as the vertex's ESS is certain to exceed (by a margin far above
+// rounding) the smallest ESS that worker has already found. A stopped
+// vertex can then neither win nor tie, and the check still reports the
+// full scan's fields, bit for bit and vertex for vertex (vertexStats says
+// why).
 //
 // A background pass reads a frozen view: its own copy of the buffer's
 // slice header and of the retained length, stride and count (history),
@@ -115,6 +126,10 @@ type Rhat struct {
 	inline Pass
 	bg     Pass
 	own    vertexScratch
+	// worstV is the vertex of the last whole-chain scan (worst) and
+	// worstAt the observation count it ran at: a pass scans that vertex
+	// first.
+	worstV, worstAt int
 }
 
 // history is the part of the accumulator the per-vertex kernel reads: the
@@ -273,12 +288,14 @@ func thin[T uint8 | int32](buf []T, cells, half int) []T {
 // vertexScratch is the reusable scratch of the per-vertex kernel: one
 // vertex's gathered history, chain-major (chain c's retained series at
 // series[c*rlen:(c+1)*rlen]), the 2B half-sequence means and variances of
-// the split statistic, and the B chain means of the ESS.
+// the split statistic, and the B chain means of the ESS. pairs counts the
+// Geyer lag pairs the kernel has computed with this scratch.
 type vertexScratch struct {
 	series    []float64
 	seqMean   []float64
 	seqVar    []float64
 	chainMean []float64
+	pairs     int
 }
 
 // gather copies vertex v's retained series into the scratch, chain c's
@@ -392,7 +409,7 @@ func (r *Rhat) splitAt(v int) (float64, error) {
 	if err := r.ready("split R̂"); err != nil {
 		return 0, err
 	}
-	split, _ := r.vertexStats(v, r.callerScratch())
+	split, _ := r.vertexStats(v, r.callerScratch(), math.Inf(1))
 	return split, nil
 }
 
@@ -411,13 +428,28 @@ func (r *Rhat) essAt(v int) (float64, error) {
 	if err := r.ready("ESS"); err != nil {
 		return 0, err
 	}
-	_, ess := r.vertexStats(v, r.callerScratch())
+	_, ess := r.vertexStats(v, r.callerScratch(), math.Inf(1))
 	return ess, nil
 }
 
 // vertexStats is the per-vertex kernel behind splitAt, essAt and Check: it
 // gathers vertex v's retained series once and returns its split R̂ and its
 // effective sample size. SplitReady must hold.
+//
+// The ESS is exact unless it provably exceeds bound: the Geyer loop then
+// stops early and returns a lower bound lb of the ESS with lb > bound.
+// splitAt and essAt pass +Inf and so always get the exact value. After lag
+// pair k is added, every pair still to come is, once clamped, between 0
+// and the current pair p (the monotone rule), and at most (L−2−k)/2 of
+// them remain, so the final sum is at most sum + p·(L−2−k)/2 and lb is
+// B·stride·L over 1 + 2·(that bound). A pass's worker bounds each vertex
+// by the smallest ESS it has found times 1 + essMargin. The full loop's
+// sum adds at most retain/2 non-negative terms and lb's denominator rounds
+// differently, which moves either by under 1e-13 relative; so an ESS that
+// returns lb is strictly above one the pass has attained, and it can
+// neither win nor tie the fold. The split statistic is always exact, and a
+// vertex whose ESS is 0 (chains frozen apart) or the full pooled count
+// (frozen everywhere) returns before the loop.
 //
 // Each chain takes one sum pass and one deviation pass. The sum pass adds
 // up the two halves; the whole-series sum is first half + odd middle cell
@@ -429,7 +461,7 @@ func (r *Rhat) essAt(v int) (float64, error) {
 // accumulators, each in time order: the two half variances about the half
 // means, and the whole-chain variance about the chain mean, which also
 // centres the series in place for the autocovariances.
-func (h *history) vertexStats(v int, sc *vertexScratch) (split, ess float64) {
+func (h *history) vertexStats(v int, sc *vertexScratch, bound float64) (split, ess float64) {
 	B, L := h.b, h.rlen
 	y := h.gather(v, sc)
 	m := L / 2
@@ -533,10 +565,13 @@ func (h *history) vertexStats(v int, sc *vertexScratch) (split, ess float64) {
 		return s0 / d, s1 / d
 	}
 	// Geyer: sum lag-pair autocorrelations while the pair sums stay
-	// non-negative, enforcing monotone non-increase.
+	// non-negative, enforcing monotone non-increase; stop once the ESS
+	// provably exceeds bound.
+	scale := float64(B) * float64(h.stride*L)
 	sum, prev := 0.0, math.Inf(1)
 	for k := 1; k+1 < L; k += 2 {
 		g0, g1 := gammaPair(k)
+		sc.pairs++
 		p := (1 - (W-g0)/varPlus) + (1 - (W-g1)/varPlus)
 		if p < 0 {
 			break
@@ -546,11 +581,18 @@ func (h *history) vertexStats(v int, sc *vertexScratch) (split, ess float64) {
 		}
 		prev = p
 		sum += p
+		if lb := scale / (1 + 2*(sum+p*float64((L-2-k)/2))); lb > bound {
+			return split, lb
+		}
 	}
 	tau := 1 + 2*sum
-	ess = float64(B) * float64(h.stride*L) / tau
+	ess = scale / tau
 	return split, math.Min(ess, total)
 }
+
+// essMargin is the relative margin by which a pass's bound clears the
+// smallest ESS found, far above the rounding vertexStats allows for.
+const essMargin = 1e-9
 
 // Diagnostics is one convergence check over every vertex: the worst
 // whole-chain R̂, the worst split R̂ and the smallest effective sample
@@ -589,16 +631,21 @@ var noPass = Diagnostics{
 // Pass is the split-R̂/ESS pass of one convergence check: the per-vertex
 // kernel over every vertex of a frozen view of the retained snapshots. Its
 // workers — goroutines, each with its own scratch, and the caller while it
-// waits for the pass — claim chunks of consecutive vertices until none are
-// left, so a pass ends as soon as the cores that did start have scanned
-// every vertex. Rhat.Launch starts one in the background and Join collects
-// it; Check runs one on the caller. An accumulator has one of each.
+// waits for the pass — claim chunks of consecutive scan positions until
+// none are left, so a pass ends as soon as the cores that did start have
+// scanned every vertex. The scan order puts the worst whole-chain-R̂
+// vertex first and the rest after it in index order; each worker bounds
+// the ESS kernel by the smallest ESS it has found so far. Rhat.Launch
+// starts one in the background and Join collects it; Check runs one on the
+// caller. An accumulator has one of each.
 type Pass struct {
 	r *Rhat
 	// view is the frozen history the workers read.
 	view history
-	// next is the first vertex no worker has claimed, a claim takes chunk
-	// consecutive vertices, and fin counts the vertices scanned.
+	// first is the vertex at scan position 0.
+	first int
+	// next is the first scan position no worker has claimed, a claim takes
+	// chunk consecutive positions, and fin counts the vertices scanned.
 	next, fin atomic.Int64
 	chunk     int64
 	// mine is the caller's share of the result.
@@ -644,11 +691,13 @@ func (p *Pass) init(r *Rhat) {
 	p.work = p.worker
 }
 
-// start freezes the view h and starts k worker goroutines on it; the
-// caller is one more worker once it finishes the pass. Chunks are small
-// enough that the workers can share the vertices evenly.
-func (p *Pass) start(h history, k int) {
+// start freezes the view h and starts k worker goroutines on it, scanning
+// vertex first first; the caller is one more worker once it finishes the
+// pass. Chunks are small enough that the workers can share the vertices
+// evenly.
+func (p *Pass) start(h history, k, first int) {
 	p.view = h
+	p.first = first
 	p.k = k
 	for len(p.workers) < k {
 		p.workers = append(p.workers, &passWorker{vertexScratch: newVertexScratch(h.b)})
@@ -689,8 +738,10 @@ func (p *Pass) worker() {
 	p.mu.Unlock()
 }
 
-// scan claims chunks of vertices until none are left and folds each
-// vertex's statistics into d, in increasing vertex order.
+// scan claims chunks of scan positions until none are left and folds each
+// vertex's statistics into d, in scan order. The ESS kernel is bounded by
+// d's smallest ESS so far: a vertex it stops early reports more than that,
+// so the fold never takes it.
 func (p *Pass) scan(sc *vertexScratch, d *Diagnostics) {
 	n, c := int64(p.view.n), p.chunk
 	for {
@@ -699,12 +750,25 @@ func (p *Pass) scan(sc *vertexScratch, d *Diagnostics) {
 			return
 		}
 		hi := min(lo+c, n)
-		for v := int(lo); v < int(hi); v++ {
-			split, ess := p.view.vertexStats(v, sc)
+		for i := int(lo); i < int(hi); i++ {
+			v := p.vertexAt(i)
+			split, ess := p.view.vertexStats(v, sc, d.ESS*(1+essMargin))
 			d.fold(Diagnostics{SplitRhat: split, SplitVertex: v, ESS: ess, ESSVertex: v})
 		}
 		p.fin.Add(hi - lo)
 	}
+}
+
+// vertexAt returns the vertex at scan position i: first at position 0,
+// then every other vertex in index order.
+func (p *Pass) vertexAt(i int) int {
+	switch {
+	case i == 0:
+		return p.first
+	case i <= p.first:
+		return i - 1
+	}
+	return i
 }
 
 // finish scans what no worker has claimed on the caller, then closes the
@@ -768,8 +832,9 @@ func (r *Rhat) settle() {
 }
 
 // Check runs one convergence check on the caller: the worst whole-chain
-// R̂ (Worst) and the split-R̂/ESS pass, the worst split R̂ and the smallest
-// effective sample size. The caller and psample.DefaultWorkers(n) − 1
+// R̂ (Worst) and then the split-R̂/ESS pass, the worst split R̂ and the
+// smallest effective sample size, which scans the worst whole-chain-R̂
+// vertex first. The caller and psample.DefaultWorkers(n) − 1
 // goroutines share the pass's vertices, each with its own scratch, and
 // fold their results. The diagnostics draw no random numbers, so the
 // result is the sequential scan's, bit for bit and vertex for vertex,
@@ -784,11 +849,12 @@ func (r *Rhat) Check() (Diagnostics, error) {
 	if err := r.ready("a convergence check"); err != nil {
 		return Diagnostics{}, err
 	}
+	wv, rhat := r.worst()
 	p := &r.inline
-	p.start(r.history, psample.DefaultWorkers(r.n)-1)
+	p.start(r.history, psample.DefaultWorkers(r.n)-1, wv)
 	p.finish()
 	d := p.result()
-	d.WorstVertex, d.Rhat = r.worst()
+	d.WorstVertex, d.Rhat = wv, rhat
 	return d, nil
 }
 
@@ -800,14 +866,20 @@ func (r *Rhat) Check() (Diagnostics, error) {
 // background pass: Launch returns nil and starts nothing while it is in
 // flight (not yet joined), when cores < 1, on an empty instance, or when
 // SplitReady does not hold — run Check then. Meanwhile the caller may go
-// on advancing the engine and calling Observe and Worst.
+// on advancing the engine and calling Observe and Worst. The pass scans
+// first the vertex of a Worst call at the current observation count,
+// running that scan on the caller if there was none: the pass itself
+// never reads the running moments, which Observe goes on changing.
 func (r *Rhat) Launch(cores int) *Pass {
 	p := &r.bg
 	if p.busy || cores < 1 || r.n == 0 || !r.SplitReady() {
 		return nil
 	}
+	if r.worstAt != r.count {
+		r.worst()
+	}
 	p.busy = true
-	p.start(r.history, min(cores, psample.DefaultWorkers(r.n)))
+	p.start(r.history, min(cores, psample.DefaultWorkers(r.n)), r.worstV)
 	return p
 }
 
@@ -824,7 +896,9 @@ func (r *Rhat) Worst() (v int, rhat float64, err error) {
 	return v, rhat, nil
 }
 
-// worst is Worst's scan, in vertex order with strict comparisons.
+// worst is Worst's scan, in vertex order with strict comparisons. It
+// records the vertex, and the observation count it scanned at, for the
+// pass's scan order.
 func (r *Rhat) worst() (v int, rhat float64) {
 	v, rhat = -1, math.Inf(-1)
 	for u := 0; u < r.n; u++ {
@@ -832,6 +906,7 @@ func (r *Rhat) worst() (v int, rhat float64) {
 			v, rhat = u, x
 		}
 	}
+	r.worstV, r.worstAt = v, r.count
 	return v, rhat
 }
 
