@@ -610,9 +610,12 @@ func BenchmarkBatchMetropolisSweep(b *testing.B) {
 // BenchmarkColoringSweep measures the heat-bath kernel at q > 2 on the
 // proper 10-colourings of a 48×48 torus, where the cond cache covers no
 // vertex (q^(deg+1) = 10⁵ entries) and every draw is the zero-one mask
-// draw: one sweep-equivalent of B = 16 chains per iteration on one worker
-// — Δ+1 = 5 LubyGlauber rounds, or one ChromaticGlauber sweep — reported
-// as ns/chain-sweep.
+// draw: one sweep-equivalent of B = 16 chains per iteration — Δ+1 = 5
+// LubyGlauber rounds, or one ChromaticGlauber sweep — reported as
+// ns/chain-sweep. The luby and chromatic cases run on one worker, inline;
+// luby/workers=2 runs the same rounds on a two-worker pool, which crosses
+// the RunRounds barrier twice per round, polling at -cpu 2 and above on a
+// machine with two CPUs or more and parking at -cpu 1.
 func BenchmarkColoringSweep(b *testing.B) {
 	spec, err := model.Coloring(graph.Torus(48, 48), 10)
 	if err != nil {
@@ -623,14 +626,21 @@ func BenchmarkColoringSweep(b *testing.B) {
 		b.Fatal(err)
 	}
 	const B = 16
-	for _, name := range []string{"luby", "chromatic"} {
-		b.Run(name, func(b *testing.B) {
-			s, err := sampler.Create(name, in, sampler.Options{Chains: B, Seed: 11})
+	for _, tc := range []struct {
+		name, dynamic string
+		workers       int
+	}{
+		{"luby", "luby", 1},
+		{"chromatic", "chromatic", 1},
+		{"luby/workers=2", "luby", 2},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			s, err := sampler.Create(tc.dynamic, in, sampler.Options{Chains: B, Seed: 11})
 			if err != nil {
 				b.Fatal(err)
 			}
-			s.(interface{ SetWorkers(int) }).SetWorkers(1)
-			sweep, err := sampler.SweepRounds(name, in)
+			s.(interface{ SetWorkers(int) }).SetWorkers(tc.workers)
+			sweep, err := sampler.SweepRounds(tc.dynamic, in)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -751,15 +761,17 @@ func BenchmarkDriverConverge(b *testing.B) {
 }
 
 // BenchmarkRhatCheck measures one synchronous convergence check —
-// Rhat.Check, the whole-chain R̂ plus the split-R̂/ESS pass, which run.Drive
-// runs inline when no core is spare for the pass, the previous check's
-// pass is still running, or the policy sets MinESS — on the accumulator a drive of the 64×64 antiferromagnetic Ising torus
-// (β = 0.8, λ = 1, chromatic, 16 chains) holds after 24 observed sweeps,
-// where such a drive stops. It is the driver-diagnostics layer of the
-// time-to-converged-chains benchmark. The check runs its vertex blocks on
-// every core the -cpu setting allows. Its Geyer loops average 1.5 lag
-// pairs per vertex, so it times the gather and the split statistic more
-// than the ESS search.
+// Rhat.Check, the whole-chain R̂ plus the split-R̂/ESS pass, which
+// run.Drive runs inline when no core is spare for the pass, the previous
+// check's pass is still running, or the policy sets MinESS — on the
+// accumulator a drive of the 64×64 antiferromagnetic Ising torus (β = 0.8,
+// λ = 1, chromatic, 16 chains) holds after 24 observed sweeps, where such
+// a drive stops. It is the driver-diagnostics layer of the
+// time-to-converged-chains benchmark. The engine runs on one worker, the
+// Ising workload's setting, so the history is the same at every -cpu
+// setting; the check runs its vertex blocks on every core it allows. Its
+// Geyer loops average 1.5 lag pairs per vertex, so it times the gather
+// and the split statistic more than the ESS search.
 func BenchmarkRhatCheck(b *testing.B) {
 	spec, err := model.Ising(graph.Torus(64, 64), 0.8, 1)
 	if err != nil {
@@ -773,6 +785,7 @@ func BenchmarkRhatCheck(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	s.(interface{ SetWorkers(int) }).SetWorkers(1)
 	benchCheck(b, s, "chromatic", in, 24)
 }
 

@@ -6,21 +6,26 @@
 //	    | benchjson -baseline BENCH_main.json > BENCH_pr.json
 //
 // Every benchmark result line becomes one record carrying all reported
-// metrics (ns/op, B/op, allocs/op, and any b.ReportMetric custom units).
-// The report also records the machine it was measured on: the goos,
-// goarch and cpu header lines go test prints, the GOMAXPROCS of the -N
-// suffix stripped from the benchmark names, and the Go version.
-// Benchmark output lines are echoed to stderr so the CI log keeps the
-// human-readable smoke run, and the tool exits nonzero if any package
-// failed — the conversion never masks a broken benchmark.
+// metrics (ns/op, B/op, allocs/op, and any b.ReportMetric custom units)
+// and the GOMAXPROCS of the -N suffix stripped from its name, so the
+// results of a -cpu list stay apart: records are keyed by package, name
+// and GOMAXPROCS. The report also records the machine it was measured on:
+// the goos, goarch and cpu header lines go test prints, the first
+// record's GOMAXPROCS, and the Go version. Benchmark output lines are
+// echoed to stderr so the CI log keeps the human-readable smoke run, and
+// the tool exits nonzero if any package failed — the conversion never
+// masks a broken benchmark.
 //
 // With -baseline, the run is also compared against a committed report
 // (BENCH_main.json at the repo root, regenerated each time a PR lands):
 // a per-benchmark ns/op delta table goes to stderr, along with benchmarks
 // that appear only in one of the two reports and a line naming both
-// machines when the baseline was measured on another. The deltas are informational
-// — a short smoke run is noisy — but they make the perf trajectory
-// visible on every PR instead of only inside downloaded artifacts.
+// machines when the baseline was measured on another. A baseline record
+// without a GOMAXPROCS, written before records carried one, matches the
+// run's records of its package and name at any GOMAXPROCS. The deltas are
+// informational — a short smoke run is noisy — but they make the perf
+// trajectory visible on every PR instead of only inside downloaded
+// artifacts.
 //
 // With -warn P (requires -baseline), benchmarks whose ns/op regressed by
 // more than P percent are flagged with a REGRESSION marker and a summary
@@ -85,12 +90,42 @@ type event struct {
 	Output  string `json:"Output"`
 }
 
-// Result is one benchmark measurement.
+// Result is one benchmark measurement. GOMAXPROCS is zero in baselines
+// written before records carried it.
 type Result struct {
 	Package    string             `json:"package"`
 	Name       string             `json:"name"`
+	GOMAXPROCS int                `json:"gomaxprocs,omitempty"`
 	Iterations int64              `json:"iterations"`
 	Metrics    map[string]float64 `json:"metrics"`
+}
+
+// key identifies a result within a report: package, name and GOMAXPROCS.
+func (r Result) key() string {
+	return fmt.Sprintf("%s %s %d", r.Package, r.Name, r.GOMAXPROCS)
+}
+
+// label names a result as go test does, with the -N suffix of a
+// GOMAXPROCS above 1.
+func (r Result) label() string {
+	if r.GOMAXPROCS > 1 {
+		return fmt.Sprintf("%s-%d", r.Name, r.GOMAXPROCS)
+	}
+	return r.Name
+}
+
+// sortResults orders results by package, name and GOMAXPROCS.
+func sortResults(rs []Result) {
+	sort.Slice(rs, func(i, j int) bool {
+		a, b := rs[i], rs[j]
+		if a.Package != b.Package {
+			return a.Package < b.Package
+		}
+		if a.Name != b.Name {
+			return a.Name < b.Name
+		}
+		return a.GOMAXPROCS < b.GOMAXPROCS
+	})
 }
 
 // Report is the artifact schema. Machine is nil in baselines written
@@ -101,8 +136,8 @@ type Report struct {
 }
 
 // machine is the host a report was measured on: the goos, goarch and cpu
-// header lines of go test's output, the GOMAXPROCS of the benchmark names'
-// -N suffix (go test omits the suffix at 1), and the Go version.
+// header lines of go test's output, the first record's GOMAXPROCS, and
+// the Go version.
 type machine struct {
 	GOOS       string `json:"goos,omitempty"`
 	GOARCH     string `json:"goarch,omitempty"`
@@ -123,8 +158,8 @@ func (m *machine) label() string {
 // parsed as alternating value/unit pairs.
 var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+(.*)$`)
 
-// gomaxprocsSuffix strips the "-8" style procs suffix testing appends to
-// benchmark names, so the artifact is comparable across runner shapes.
+// gomaxprocsSuffix matches the "-8" style procs suffix testing appends to
+// benchmark names; parseBenchLine moves it into the record's GOMAXPROCS.
 var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
 
 func main() {
@@ -220,23 +255,22 @@ func regenerate(path string) error {
 	return enc.Encode(merged)
 }
 
-// medianReport merges the runs per benchmark: each metric becomes the
-// median of the values the runs reported for it, and the iteration count
-// likewise. A benchmark missing from some runs keeps the median of the
-// runs that did report it, so a flaky sub-benchmark cannot silently drop
-// a metric from the baseline.
+// medianReport merges the runs per benchmark (package, name and
+// GOMAXPROCS): each metric becomes the median of the values the runs
+// reported for it, and the iteration count likewise. A benchmark missing
+// from some runs keeps the median of the runs that did report it, so a
+// flaky sub-benchmark cannot silently drop a metric from the baseline.
 func medianReport(runs []*Report) *Report {
 	type acc struct {
 		iters   []int64
 		metrics map[string][]float64
 	}
-	key := func(r Result) string { return r.Package + " " + r.Name }
 	byKey := make(map[string]*acc)
 	protos := make(map[string]Result)
 	var order []string
 	for _, run := range runs {
 		for _, r := range run.Benchmarks {
-			k := key(r)
+			k := r.key()
 			a, ok := byKey[k]
 			if !ok {
 				a = &acc{metrics: make(map[string][]float64)}
@@ -250,7 +284,6 @@ func medianReport(runs []*Report) *Report {
 			}
 		}
 	}
-	sort.Strings(order)
 	merged := &Report{Benchmarks: make([]Result, 0, len(order))}
 	if len(runs) > 0 {
 		merged.Machine = runs[0].Machine
@@ -260,6 +293,7 @@ func medianReport(runs []*Report) *Report {
 		res := Result{
 			Package:    p.Package,
 			Name:       p.Name,
+			GOMAXPROCS: p.GOMAXPROCS,
 			Iterations: medianInt64(a.iters),
 			Metrics:    make(map[string]float64, len(a.metrics)),
 		}
@@ -268,6 +302,7 @@ func medianReport(runs []*Report) *Report {
 		}
 		merged.Benchmarks = append(merged.Benchmarks, res)
 	}
+	sortResults(merged.Benchmarks)
 	return merged
 }
 
@@ -318,20 +353,29 @@ func readReport(path string) (*Report, error) {
 
 // printDelta writes the per-benchmark ns/op comparison of cur against
 // base: one line per benchmark present in both, plus the names only one
-// report has. Benchmarks are keyed by package + name (including sub-
-// benchmark paths). With warnPct > 0, deltas above that percentage get a
-// REGRESSION marker and a trailing WARNING summary (informational only —
-// the exit code is unchanged). With failPct > 0, benchmarks whose name
+// report has. Benchmarks are keyed by package, name (including sub-
+// benchmark paths) and GOMAXPROCS, and a base record without a GOMAXPROCS
+// stands for its package and name at every GOMAXPROCS. With warnPct > 0,
+// deltas above that percentage get a REGRESSION marker and a trailing
+// WARNING summary (informational only — the exit code is unchanged).
+// With failPct > 0, benchmarks whose name
 // contains any of the allow substrings are instead gated at that
 // threshold: they get a FAIL marker, a trailing FAIL summary, and are
 // returned so the caller can turn them into a nonzero exit. With
 // failAllocPct > 0 the allowlisted benchmarks are also gated on
 // allocs/op (any growth from a zero-alloc baseline gates).
 func printDelta(w io.Writer, base, cur *Report, warnPct, failPct, failAllocPct float64, allow []string) []string {
-	key := func(r Result) string { return r.Package + " " + r.Name }
 	baseBy := make(map[string]Result, len(base.Benchmarks))
 	for _, r := range base.Benchmarks {
-		baseBy[key(r)] = r
+		baseBy[r.key()] = r
+	}
+	match := func(r Result) (Result, bool) {
+		if b, ok := baseBy[r.key()]; ok {
+			return b, true
+		}
+		r.GOMAXPROCS = 0
+		b, ok := baseBy[r.key()]
+		return b, ok
 	}
 	allowed := func(name string) bool {
 		for _, sub := range allow {
@@ -348,13 +392,12 @@ func printDelta(w io.Writer, base, cur *Report, warnPct, failPct, failAllocPct f
 	seen := make(map[string]bool, len(cur.Benchmarks))
 	var regressed, gated, gatedAllocs []string
 	for _, r := range cur.Benchmarks {
-		k := key(r)
-		seen[k] = true
-		b, ok := baseBy[k]
+		b, ok := match(r)
 		if !ok {
-			fmt.Fprintf(w, "  new      %-60s %12.0f ns/op\n", r.Name, r.Metrics["ns/op"])
+			fmt.Fprintf(w, "  new      %-60s %12.0f ns/op\n", r.label(), r.Metrics["ns/op"])
 			continue
 		}
+		seen[b.key()] = true
 		old, oldOK := b.Metrics["ns/op"]
 		now, nowOK := r.Metrics["ns/op"]
 		if !oldOK || !nowOK || old == 0 {
@@ -365,10 +408,10 @@ func printDelta(w io.Writer, base, cur *Report, warnPct, failPct, failAllocPct f
 		switch {
 		case failPct > 0 && pct > failPct && allowed(r.Name):
 			mark = "  FAIL"
-			gated = append(gated, r.Name)
+			gated = append(gated, r.label())
 		case warnPct > 0 && pct > warnPct:
 			mark = "  REGRESSION"
-			regressed = append(regressed, r.Name)
+			regressed = append(regressed, r.label())
 		}
 		if failAllocPct > 0 && allowed(r.Name) {
 			oldA, okA := b.Metrics["allocs/op"]
@@ -380,15 +423,15 @@ func printDelta(w io.Writer, base, cur *Report, warnPct, failPct, failAllocPct f
 				}
 				if bad {
 					mark += fmt.Sprintf("  FAIL %.0f -> %.0f allocs/op", oldA, nowA)
-					gatedAllocs = append(gatedAllocs, r.Name)
+					gatedAllocs = append(gatedAllocs, r.label())
 				}
 			}
 		}
-		fmt.Fprintf(w, "  %+7.1f%% %-60s %12.0f -> %.0f ns/op%s\n", pct, r.Name, old, now, mark)
+		fmt.Fprintf(w, "  %+7.1f%% %-60s %12.0f -> %.0f ns/op%s\n", pct, r.label(), old, now, mark)
 	}
 	for _, b := range base.Benchmarks {
-		if !seen[key(b)] {
-			fmt.Fprintf(w, "  missing  %-60s (was %.0f ns/op)\n", b.Name, b.Metrics["ns/op"])
+		if !seen[b.key()] {
+			fmt.Fprintf(w, "  missing  %-60s (was %.0f ns/op)\n", b.label(), b.Metrics["ns/op"])
 		}
 	}
 	if len(regressed) > 0 {
@@ -407,9 +450,10 @@ func printDelta(w io.Writer, base, cur *Report, warnPct, failPct, failAllocPct f
 }
 
 // parse consumes the event stream, echoing benchmark-relevant output lines
-// to echo, and reports whether any package failed. The report's machine
-// takes the first goos, goarch and cpu header lines, the GOMAXPROCS of the
-// first benchmark line, and this binary's Go version.
+// to echo, and reports whether any package failed. Each record carries the
+// GOMAXPROCS of its line. The report's machine takes the first goos,
+// goarch and cpu header lines, the GOMAXPROCS of the first benchmark line,
+// and this binary's Go version.
 //
 // Output events are reassembled into lines per package before matching:
 // `go test` prints a benchmark's name first and appends the numbers only
@@ -437,7 +481,7 @@ func parse(r io.Reader, echo io.Writer) (*Report, bool, error) {
 			return
 		}
 		if m.GOMAXPROCS == 0 {
-			m.GOMAXPROCS = procsOf(trimmed)
+			m.GOMAXPROCS = res.GOMAXPROCS
 		}
 		fmt.Fprintf(echo, "%s\t%s\n", pkg, line)
 		report.Benchmarks = append(report.Benchmarks, res)
@@ -476,18 +520,13 @@ func parse(r io.Reader, echo io.Writer) (*Report, bool, error) {
 	if err := sc.Err(); err != nil {
 		return nil, failed, err
 	}
-	sort.Slice(report.Benchmarks, func(i, j int) bool {
-		a, b := report.Benchmarks[i], report.Benchmarks[j]
-		if a.Package != b.Package {
-			return a.Package < b.Package
-		}
-		return a.Name < b.Name
-	})
+	sortResults(report.Benchmarks)
 	return report, failed, nil
 }
 
 // parseBenchLine decodes one "BenchmarkX-8  20  123 ns/op  4 B/op ..."
-// result line.
+// result line: the name without its -N suffix, and N as the GOMAXPROCS
+// (1 when the name has none, as go test omits -1).
 func parseBenchLine(pkg, line string) (Result, bool) {
 	m := benchLine.FindStringSubmatch(line)
 	if m == nil {
@@ -509,20 +548,15 @@ func parseBenchLine(pkg, line string) (Result, bool) {
 		}
 		metrics[fields[i+1]] = v
 	}
+	procs := 1
+	if n, err := strconv.Atoi(strings.TrimPrefix(gomaxprocsSuffix.FindString(m[1]), "-")); err == nil {
+		procs = n
+	}
 	return Result{
 		Package:    pkg,
 		Name:       gomaxprocsSuffix.ReplaceAllString(m[1], ""),
+		GOMAXPROCS: procs,
 		Iterations: iters,
 		Metrics:    metrics,
 	}, true
-}
-
-// procsOf returns the GOMAXPROCS of a benchmark result line: the -N suffix
-// of its name, or 1 when it has none, as go test omits -1.
-func procsOf(line string) int {
-	name := benchLine.FindStringSubmatch(line)[1]
-	if procs, err := strconv.Atoi(strings.TrimPrefix(gomaxprocsSuffix.FindString(name), "-")); err == nil {
-		return procs
-	}
-	return 1
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"runtime"
 	"strings"
@@ -450,5 +451,101 @@ func TestMachineRecord(t *testing.T) {
 	printDelta(&out, &other, report, 0, 0, 0, nil)
 	if !strings.Contains(out.String(), "GOMAXPROCS 8") || !strings.Contains(out.String(), "GOMAXPROCS 4") {
 		t.Errorf("machine line does not name both machines:\n%s", out.String())
+	}
+}
+
+// TestCPUListKeepsApart pins the keying of a -cpu 1,2 run: parse keeps
+// one record per GOMAXPROCS, -regen's merge takes medians per GOMAXPROCS,
+// the delta table compares each record with the baseline record of its
+// GOMAXPROCS, and a baseline record without one matches both.
+func TestCPUListKeepsApart(t *testing.T) {
+	stream := func(ns1, ns2 int) string {
+		return fmt.Sprintf(`{"Action":"output","Package":"p","Output":"BenchmarkA \t 10\t %d ns/op\n"}
+{"Action":"output","Package":"p","Output":"BenchmarkA/sub \t 10\t 7 ns/op\n"}
+{"Action":"output","Package":"p","Output":"BenchmarkA-2 \t 10\t %d ns/op\n"}
+{"Action":"output","Package":"p","Output":"BenchmarkA/sub-2 \t 10\t 5 ns/op\n"}
+{"Action":"pass","Package":"p"}
+`, ns1, ns2)
+	}
+	var runs []*Report
+	for _, ns := range [][2]int{{100, 60}, {120, 50}, {90, 70}} {
+		var echo bytes.Buffer
+		r, failed, err := parse(strings.NewReader(stream(ns[0], ns[1])), &echo)
+		if err != nil || failed {
+			t.Fatal(err, failed)
+		}
+		runs = append(runs, r)
+	}
+	type rec struct {
+		name  string
+		procs int
+		ns    float64
+	}
+	got := func(r *Report) []rec {
+		var out []rec
+		for _, b := range r.Benchmarks {
+			out = append(out, rec{b.Name, b.GOMAXPROCS, b.Metrics["ns/op"]})
+		}
+		return out
+	}
+	want := []rec{{"BenchmarkA", 1, 100}, {"BenchmarkA", 2, 60}, {"BenchmarkA/sub", 1, 7}, {"BenchmarkA/sub", 2, 5}}
+	if g := got(runs[0]); fmt.Sprint(g) != fmt.Sprint(want) {
+		t.Errorf("parse = %v, want %v", g, want)
+	}
+	// The medians of 100, 120, 90 and of 60, 50, 70 are run 0's values; one
+	// record per name would hold the median 80 of all six.
+	merged := medianReport(runs)
+	if g := got(merged); fmt.Sprint(g) != fmt.Sprint(want) {
+		t.Errorf("medianReport = %v, want %v", g, want)
+	}
+	data, err := json.Marshal(merged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Report
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if g := got(&back); fmt.Sprint(g) != fmt.Sprint(want) {
+		t.Errorf("round trip = %v, want %v", g, want)
+	}
+
+	// Against the merged baseline, run 2 reads +20.0% at GOMAXPROCS 1 and
+	// -16.7% at 2; merging the two records would compare both with one.
+	var out bytes.Buffer
+	printDelta(&out, merged, runs[1], 0, 0, 0, nil)
+	s := out.String()
+	for _, line := range []string{"+20.0% BenchmarkA ", "-16.7% BenchmarkA-2 ", "+0.0% BenchmarkA/sub ", "+0.0% BenchmarkA/sub-2 "} {
+		if !strings.Contains(s, line) {
+			t.Errorf("delta table lacks %q:\n%s", line, s)
+		}
+	}
+	if strings.Contains(s, "new") || strings.Contains(s, "missing") {
+		t.Errorf("records left unmatched:\n%s", s)
+	}
+
+	// A baseline without GOMAXPROCS matches the run at every GOMAXPROCS.
+	legacy := &Report{Benchmarks: []Result{
+		{Package: "p", Name: "BenchmarkA", Metrics: map[string]float64{"ns/op": 100}},
+		{Package: "p", Name: "BenchmarkA/sub", Metrics: map[string]float64{"ns/op": 7}},
+	}}
+	out.Reset()
+	printDelta(&out, legacy, runs[1], 0, 0, 0, nil)
+	s = out.String()
+	for _, line := range []string{"+20.0% BenchmarkA ", "-50.0% BenchmarkA-2 ", "+0.0% BenchmarkA/sub ", "-28.6% BenchmarkA/sub-2 "} {
+		if !strings.Contains(s, line) {
+			t.Errorf("legacy delta table lacks %q:\n%s", line, s)
+		}
+	}
+	if strings.Contains(s, "new") || strings.Contains(s, "missing") {
+		t.Errorf("legacy records left unmatched:\n%s", s)
+	}
+
+	// A baseline at one GOMAXPROCS leaves the run's other one unmatched.
+	two := &Report{Benchmarks: []Result{merged.Benchmarks[1], merged.Benchmarks[3]}}
+	out.Reset()
+	printDelta(&out, two, runs[1], 0, 0, 0, nil)
+	if s := out.String(); strings.Count(s, "  new ") != 2 || strings.Contains(s, "missing") {
+		t.Errorf("GOMAXPROCS 1 records not reported new against a GOMAXPROCS 2 baseline:\n%s", s)
 	}
 }

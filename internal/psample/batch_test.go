@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/dist"
 	"repro/internal/exact"
@@ -491,6 +492,64 @@ func TestRunAllocatesNothing(t *testing.T) {
 			}
 			if err != nil {
 				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestSlotsOwnWholeLines: each worker's slot spans whole 64-byte cache
+// lines and starts on a line boundary, so no two workers of a 2- or
+// 3-worker pool write the same line, on each engine over the lockstep
+// core.
+func TestSlotsOwnWholeLines(t *testing.T) {
+	const line = 64
+	if size := unsafe.Sizeof(slot{}); size%line != 0 {
+		t.Errorf("slot is %d bytes, not a whole number of %d-byte lines", size, line)
+	}
+	spec, err := model.Coloring(graph.Torus(8, 8), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := gibbs.NewInstance(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRules(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{2, 3} {
+		chromatic, err := NewBatchChromaticGlauber(r, 16, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		luby, err := NewBatchLubyGlauber(r, 16, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		metropolis, err := NewBatchLocalMetropolis(r, 16, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, e := range map[string]struct {
+			run  func(int) error
+			core *lockstep
+		}{
+			"chromatic":  {chromatic.Run, &chromatic.lockstep},
+			"luby":       {luby.Run, &luby.lockstep},
+			"metropolis": {metropolis.Run, &metropolis.lockstep},
+		} {
+			e.core.SetWorkers(workers)
+			if err := e.run(1); err != nil {
+				t.Fatal(err)
+			}
+			if len(e.core.slots) != workers {
+				t.Fatalf("%s: %d slots at %d workers", name, len(e.core.slots), workers)
+			}
+			for i := range e.core.slots {
+				if a := uintptr(unsafe.Pointer(&e.core.slots[i])); a%line != 0 {
+					t.Errorf("%s, %d workers: slot %d starts %d bytes into a %d-byte line", name, workers, i, a%line, line)
+				}
 			}
 		}
 	}

@@ -58,7 +58,14 @@ type lockstep struct {
 	staged int
 }
 
-// slot is one worker's mutable state, sized for chain groups of cb.
+// slot is one worker's mutable state, sized for chain groups of cb. The
+// trailing pad takes it from 120 to 128 bytes, two whole 64-byte lines in
+// the same allocation size class. Slot arrays of up to four workers (512
+// bytes) start on a 128-byte boundary, so no two workers' slots share a
+// line and one worker's per-draw writes to its rng and count never
+// invalidate a neighbour's. Larger arrays start 8 bytes in, behind the
+// allocator's header; the line two slots share there holds only the first
+// one's pad.
 type slot struct {
 	rng dist.Xoshiro
 	// buf is a weight buffer of cb·q entries.
@@ -72,6 +79,7 @@ type slot struct {
 	// count is the worker's share of the progress counter in the running
 	// Run; it is zero between Runs.
 	count int64
+	_     [8]byte
 }
 
 // reset restarts every chain from the canonical start and drops the
