@@ -760,10 +760,53 @@ func BenchmarkDriverConverge(b *testing.B) {
 	b.ReportMetric(float64(sweeps), "sweeps-to-converge")
 }
 
+// BenchmarkDriveCorpus measures one run.Drive per iteration under the
+// corpus-escalate policy of perfbench (LocalMetropolis capped at 128
+// sweeps with a 0.1 rate floor, then chromatic; 16 chains, worst-vertex
+// R̂ ≤ 1.05, one engine worker) on hardcore-tree15-above, whose
+// metropolis stage runs to its cap and escalates. With one engine worker,
+// GOMAXPROCS 2 leaves a core to the drive's backlog of split-R̂/ESS passes
+// and GOMAXPROCS 1 runs every pass inline, so -cpu 1,2 times both paths.
+// The instance is built once; the drive, engine construction included, is
+// timed. The seed is fixed, so every iteration runs the same drive.
+func BenchmarkDriveCorpus(b *testing.B) {
+	data, err := os.ReadFile(filepath.Join("testdata", "corpus", "hardcore-tree15-above.json"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	f, err := spec.Parse(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	built, err := f.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := run.Policy{
+		Stages: []run.Stage{
+			{Dynamic: "metropolis", MaxSweeps: 128, MinRate: 0.1},
+			{Dynamic: "chromatic"},
+		},
+		Chains:  16,
+		Rhat:    1.05,
+		Workers: 1,
+	}
+	b.ReportAllocs()
+	sweeps := 0
+	for b.Loop() {
+		rep, _, err := run.Drive(built.Instance, 11, p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sweeps = rep.Sweeps
+	}
+	b.ReportMetric(float64(sweeps), "sweeps")
+}
+
 // BenchmarkRhatCheck measures one synchronous convergence check —
 // Rhat.Check, the whole-chain R̂ plus the split-R̂/ESS pass, which
-// run.Drive runs inline when no core is spare for the pass, the previous
-// check's pass is still running, or the policy sets MinESS — on the
+// run.Drive runs inline when no core is spare for the pass, the check ends
+// its stage, or the policy sets MinESS — on the
 // accumulator a drive of the 64×64 antiferromagnetic Ising torus (β = 0.8,
 // λ = 1, chromatic, 16 chains) holds after 24 observed sweeps, where such
 // a drive stops. It is the driver-diagnostics layer of the

@@ -16,16 +16,17 @@
 // A decision reads the worst whole-chain R̂ (sampler.Rhat.Worst, from the
 // running moments) and the rate, and, only when the Policy sets MinESS,
 // the ESS. So unless MinESS is set, the driver decides first and, if the
-// stage goes on, hands the check's split-R̂/ESS pass to the accumulator
-// to run in the background (sampler.Rhat.Launch) on the cores the pinned
-// engines leave free, GOMAXPROCS − Policy.Workers, while it keeps
-// sweeping. The check's split-R̂ and ESS fields are filled in when the
-// pass joins: at the first later check that finds it finished, or at the
-// end of the stage, where the driver finishes on its own core whatever
-// the pass has left. At most one pass is in flight. A check runs its pass
-// inline (sampler.Rhat.Check, on every core) when MinESS is set, when no
-// core is spare, when it ends the stage, or while the previous check's
-// pass still runs: the driver never waits for a core to start.
+// stage goes on, queues the check's split-R̂/ESS pass (sampler.Rhat.Queue)
+// on the drive's one backlog (sampler.Backlog) while it keeps sweeping.
+// Up to GOMAXPROCS − Policy.Workers background workers, on the cores the
+// pinned engines leave free, drain the backlog oldest pass first, each
+// taking a whole pass; the passes of an escalated stage go on draining
+// while the next stage runs. A check that ends its stage runs its pass
+// inline (sampler.Rhat.Check, on every core), as every check does when
+// MinESS is set or no core is spare. No pass outlives the drive: every
+// return, error paths included, drains the backlog — the driver takes the
+// passes no worker has taken while the workers finish theirs — and the
+// queued checks' split-R̂ and ESS fields are filled in then.
 //
 // Determinism is part of the contract: given (instance, seed, policy) the
 // stop decision, the full Report, and the final lattice are
@@ -132,10 +133,11 @@ type Policy struct {
 	// Workers pins the engines' worker count (default DefaultWorkers;
 	// negative requests the engines' own machine-dependent default, which
 	// forfeits cross-machine reproducibility). It also decides how many
-	// cores a check may borrow: unless MinESS is set, each check's
-	// split-R̂/ESS pass runs beside the engines on up to GOMAXPROCS −
-	// Workers cores (none for a negative Workers, whose engines fill every
-	// core). The check draws no random numbers and reports the same
+	// cores the checks may borrow: unless MinESS is set, every check that
+	// does not end its stage queues its split-R̂/ESS pass, and up to
+	// GOMAXPROCS − Workers background workers (none for a negative
+	// Workers, whose engines fill every core) run the queued passes beside
+	// the engines. The check draws no random numbers and reports the same
 	// whatever the core count and wherever it ran.
 	Workers int
 }
@@ -325,6 +327,54 @@ func Drive(in *gibbs.Instance, seed int64, p Policy) (*Report, sampler.MultiChai
 	if err != nil {
 		return nil, nil, err
 	}
+	// A check's split-R̂/ESS pass may borrow the cores the pinned engines
+	// leave free, unless the decision needs the ESS.
+	spare := 0
+	if p.Workers > 0 && p.MinESS == 0 {
+		spare = max(runtime.GOMAXPROCS(0)-p.Workers, 0)
+	}
+	dr := driver{p: p, spare: spare, q: sampler.NewBacklog(spare)}
+	rep, m, err := dr.stages(in, seed)
+	// No pass or goroutine outlives the drive: every return drains the
+	// backlog, error paths included.
+	res := dr.q.Drain()
+	if err != nil {
+		return nil, nil, err
+	}
+	for i, at := range dr.queued {
+		rep.Stages[at.stage].Checks[at.check].set(res[i])
+	}
+	// The report carries the last check's diagnostics, from the last
+	// stage that ran one.
+	for i := len(rep.Stages) - 1; i >= 0; i-- {
+		if cks := rep.Stages[i].Checks; len(cks) > 0 {
+			ck := cks[len(cks)-1]
+			rep.Rhat, rep.WorstVertex = ck.Rhat, ck.WorstVertex
+			rep.SplitRhat, rep.SplitVertex = ck.SplitRhat, ck.SplitVertex
+			rep.ESS, rep.ESSVertex = ck.ESS, ck.ESSVertex
+			break
+		}
+	}
+	return rep, m, nil
+}
+
+// driver is one drive's state: the policy, the cores spare for passes,
+// the backlog of deferred passes and, in queue order, the checks whose
+// split-R̂/ESS fields wait for them.
+type driver struct {
+	p      Policy
+	spare  int
+	q      *sampler.Backlog
+	queued []checkAt
+}
+
+// checkAt locates a check in the report: stage index, then check index.
+type checkAt struct{ stage, check int }
+
+// stages runs the escalation list. It leaves the split-R̂/ESS fields of
+// the checks in dr.queued, and the report's final diagnostics, to Drive.
+func (dr *driver) stages(in *gibbs.Instance, seed int64) (*Report, sampler.MultiChain, error) {
+	p := dr.p
 	nfree := freeCount(in)
 	rep := &Report{
 		Rhat:        math.NaN(),
@@ -333,12 +383,6 @@ func Drive(in *gibbs.Instance, seed int64, p Policy) (*Report, sampler.MultiChai
 		SplitVertex: -1,
 		ESS:         math.NaN(),
 		ESSVertex:   -1,
-	}
-	// A check's split-R̂/ESS pass may borrow the cores the pinned engines
-	// leave free, unless the decision needs the ESS.
-	spare := 0
-	if p.Workers > 0 && p.MinESS == 0 {
-		spare = max(runtime.GOMAXPROCS(0)-p.Workers, 0)
 	}
 	var prev sampler.MultiChain
 	remaining := p.MaxSweeps
@@ -385,11 +429,10 @@ func Drive(in *gibbs.Instance, seed int64, p Policy) (*Report, sampler.MultiChai
 			}
 			stageSweeps += burn
 		}
-		acc, err := sampler.NewRhat(m)
+		acc, err := dr.q.NewRhat(m)
 		if err != nil {
 			return nil, nil, fmt.Errorf("run: stage %d: %w", si, err)
 		}
-		var bg inflight
 		lastCounter, _ := counterOf(m)
 		lastCounterSweep := stageSweeps
 		sinceCheck := 0
@@ -405,11 +448,8 @@ func Drive(in *gibbs.Instance, seed int64, p Policy) (*Report, sampler.MultiChai
 				continue
 			}
 			sinceCheck = 0
-			if bg.pass != nil && bg.pass.Done() {
-				bg.join(sr.Checks)
-			}
 			ck := Check{Sweep: rep.Sweeps + stageSweeps, Rounds: m.Rounds(), Rate: math.NaN()}
-			if spare > 0 {
+			if dr.spare > 0 {
 				// The decision reads only the whole-chain R̂ and the rate.
 				ck.WorstVertex, ck.Rhat, err = acc.Worst()
 			} else {
@@ -434,16 +474,15 @@ func Drive(in *gibbs.Instance, seed int64, p Policy) (*Report, sampler.MultiChai
 			case !last && st.MinRate > 0 && !math.IsNaN(ck.Rate) && ck.Rate < st.MinRate:
 				sr.Reason = RateCollapse
 			}
-			if spare > 0 {
-				// The split-R̂/ESS pass runs beside the next sweeps, if
-				// there are any and no pass is in flight, and on the
-				// driver otherwise.
-				var ps *sampler.Pass
+			if dr.spare > 0 {
+				// A check that ends its stage runs its pass on the driver;
+				// every other check's pass joins the backlog, beside the
+				// next sweeps.
 				if sr.Reason == Budget && stageSweeps < budget {
-					ps = acc.Launch(spare)
-				}
-				if ps != nil {
-					bg = inflight{at: len(sr.Checks), pass: ps}
+					if err = acc.Queue(); err != nil {
+						break
+					}
+					dr.queued = append(dr.queued, checkAt{stage: si, check: len(sr.Checks)})
 				} else {
 					var d sampler.Diagnostics
 					if d, err = acc.Check(); err != nil {
@@ -457,17 +496,8 @@ func Drive(in *gibbs.Instance, seed int64, p Policy) (*Report, sampler.MultiChai
 				break
 			}
 		}
-		// No pass outlives its stage: every check is complete before
-		// the driver returns or moves on.
-		bg.join(sr.Checks)
 		if err != nil {
 			return nil, nil, fmt.Errorf("run: stage %d: %w", si, err)
-		}
-		if n := len(sr.Checks); n > 0 {
-			ck := sr.Checks[n-1]
-			rep.Rhat, rep.WorstVertex = ck.Rhat, ck.WorstVertex
-			rep.SplitRhat, rep.SplitVertex = ck.SplitRhat, ck.SplitVertex
-			rep.ESS, rep.ESSVertex = ck.ESS, ck.ESSVertex
 		}
 		if sr.Reason == Budget && !last && stageSweeps >= budget && remaining > budget {
 			// The stage cap (not the total budget) ran out: escalate.
@@ -491,22 +521,6 @@ func Drive(in *gibbs.Instance, seed int64, p Policy) (*Report, sampler.MultiChai
 	}
 	// Unreachable: the last stage always returns above.
 	return rep, prev, nil
-}
-
-// inflight is a check whose split-R̂/ESS pass runs in the background:
-// the index of the check in its stage's Checks and the pass, nil when no
-// pass is in flight.
-type inflight struct {
-	at   int
-	pass *sampler.Pass
-}
-
-// join finishes the pass in flight, if any, and fills in its check.
-func (f *inflight) join(checks []Check) {
-	if f.pass != nil {
-		checks[f.at].set(f.pass.Join())
-		f.pass = nil
-	}
 }
 
 // set records the split-R̂/ESS fields of a pass in the check.

@@ -3,8 +3,8 @@ package sampler
 // ess_prune_test.go: the branch-and-bound search for the smallest ESS. A
 // pass stops a vertex's Geyer loop once the vertex's ESS provably exceeds
 // the smallest ESS its worker has found, yet the check must report the
-// unbounded scan's fields bit for bit and vertex for vertex — inline and in
-// the background, at one to four workers — and on the corpus history that
+// unbounded scan's fields bit for bit and vertex for vertex — inline and
+// queued on a backlog, at one to four workers — and on the corpus history that
 // BenchmarkRhatCheckCorpus times it must skip most of the lag work.
 
 import (
@@ -25,7 +25,7 @@ import (
 // attaining it, and the Geyer lag pairs the scan computed.
 func fullScan(acc *Rhat) (d Diagnostics, pairs int) {
 	d = noPass
-	sc := newVertexScratch(acc.b)
+	var sc vertexScratch
 	for v := 0; v < acc.n; v++ {
 		split, ess := acc.vertexStats(v, &sc, math.Inf(1))
 		if split > d.SplitRhat {
@@ -38,16 +38,21 @@ func fullScan(acc *Rhat) (d Diagnostics, pairs int) {
 	return d, sc.pairs
 }
 
-// takePairs returns the Geyer lag pairs the accumulator's passes and its
-// caller scratch have computed since the last call, and resets the counts.
+// takePairs returns the Geyer lag pairs the passes of the accumulator's
+// backlog have computed since the last call — on the caller's scratch, on
+// Check's goroutines and on the background workers, all of them exited
+// once the backlog has drained — and resets the counts.
 func takePairs(acc *Rhat) int {
-	n := acc.own.pairs
-	acc.own.pairs = 0
-	for _, p := range []*Pass{&acc.inline, &acc.bg} {
-		for _, w := range p.workers {
-			n += w.pairs
-			w.pairs = 0
-		}
+	q := acc.q
+	scratch := []*vertexScratch{&q.own}
+	for _, w := range q.inline.workers {
+		scratch = append(scratch, &w.vertexScratch)
+	}
+	scratch = append(scratch, q.free...)
+	n := 0
+	for _, sc := range scratch {
+		n += sc.pairs
+		sc.pairs = 0
 	}
 	return n
 }
@@ -150,10 +155,13 @@ var pruneHistories = []struct {
 // TestESSPruneMatchesFullScan holds the bounded pass to the unbounded scan
 // after every observation of each pruneHistories history — compact and
 // wide cells, odd and even retained lengths, strides 1 to 4 — through
-// Check and through Launch and Join, at GOMAXPROCS 1 to 4. 260 vertices
-// give the pass one to four workers, each with its own bound. The one-core
-// checks must compute fewer lag pairs than the unbounded scans wherever
-// the history prunes.
+// Check and through a backlog, at GOMAXPROCS 1 to 4. 260 vertices give
+// Check's pass one to four workers, each with its own bound; the backlog
+// gets as many cores and as many copies of the pass at once, each worker
+// scanning a whole pass. The one-core checks must compute fewer lag pairs
+// than the unbounded scans wherever the history prunes, and a queued pass,
+// whose worker keeps its bound across every vertex, exactly as many as
+// the one-core check.
 func TestESSPruneMatchesFullScan(t *testing.T) {
 	const (
 		n = 260
@@ -173,7 +181,7 @@ func TestESSPruneMatchesFullScan(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					acc, err := newRhat(latticeOnly{lat}, retain)
+					acc, err := newRhat(latticeOnly{lat}, retain, NewBacklog(0))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -201,17 +209,29 @@ func TestESSPruneMatchesFullScan(t *testing.T) {
 								t.Fatal(err)
 							}
 							samePass(t, what+": Check", d, want)
+							checkPairs := takePairs(acc)
 							if procs == 1 {
-								pairs += takePairs(acc)
+								pairs += checkPairs
 							}
 							if d.WorstVertex == twinHi && want.ESSVertex == twinLo {
 								twinFirst = true
 							}
-							p := acc.Launch(procs)
-							if p == nil {
-								t.Fatalf("%s: Launch started no pass", what)
+							acc.q.cores = procs
+							for range procs {
+								if err := acc.Queue(); err != nil {
+									t.Fatal(err)
+								}
 							}
-							samePass(t, what+": Launch", p.Join(), want)
+							res := acc.q.Drain()
+							if len(res) != procs {
+								t.Fatalf("%s: Drain returned %d results for %d queued passes", what, len(res), procs)
+							}
+							for k, d := range res {
+								samePass(t, fmt.Sprintf("%s: queued pass %d", what, k), d, want)
+							}
+							if queued := takePairs(acc); procs == 1 && queued != checkPairs {
+								t.Fatalf("%s: the queued pass computed %d Geyer lag pairs, the one-core check %d", what, queued, checkPairs)
+							}
 						}
 					}
 					if len(strides) < 2 || len(parity) < 2 {

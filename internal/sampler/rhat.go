@@ -40,16 +40,20 @@ package sampler
 // statistic and the ESS together; splitAt and essAt are views of it. A
 // convergence check splits in two. The whole-chain R̂ (Worst) reads only
 // the running moments, a scan of n·B cells. The split-R̂/ESS pass runs the
-// kernel over every vertex: its workers — goroutines, each with its own
-// scratch, and the caller — claim chunks of its scan order until none are
-// left, and their results fold so that the lowest vertex wins every tie,
-// whoever scanned it. Check runs both on the caller, with a
-// worker goroutine on every other core. Launch starts the pass in the
-// background instead, on the cores the caller says are free, and Join
-// finishes it on the caller: it scans what no worker has claimed and
-// waits only for the chunks in progress, never for a core to start. The
-// caller can decide on Worst at once and keep advancing its engine while
-// the pass runs.
+// kernel over every vertex, and there are two ways to run it. Check runs
+// it on the caller: its workers — goroutines on every other core, each
+// with its own scratch, and the caller — claim chunks of its scan order
+// until none are left, and their results fold so that the lowest vertex
+// wins every tie, whoever scanned it. Queue defers it instead, to the
+// accumulator's Backlog: one FIFO queue of passes per drive, shared by
+// every accumulator made on it. Up to the backlog's core count of
+// background workers take whole queued passes, oldest first, while the
+// caller goes on advancing its engine; Drain takes on the caller whatever
+// no worker has taken and waits for the workers to finish theirs and
+// exit. Every worker, the caller and Check's goroutines each keep one
+// gather scratch for every accumulator and pass of the backlog, so the
+// stages and passes of a drive share their scratch instead of each
+// growing its own.
 //
 // A check reports only the smallest ESS, so the pass searches for it by
 // branch and bound. It scans the vertex with the worst whole-chain R̂
@@ -57,18 +61,18 @@ package sampler
 // Geyer loop dominates the kernel, and each of its lag pairs bounds what
 // the pairs still to come can add, so a worker stops a vertex's loop as
 // soon as the vertex's ESS is certain to exceed (by a margin far above
-// rounding) the smallest ESS that worker has already found. A stopped
-// vertex can then neither win nor tie, and the check still reports the
-// full scan's fields, bit for bit and vertex for vertex (vertexStats says
-// why).
+// rounding) the smallest ESS that worker has already found in the pass. A
+// stopped vertex can then neither win nor tie, and the check still reports
+// the full scan's fields, bit for bit and vertex for vertex (vertexStats
+// says why).
 //
-// A background pass reads a frozen view: its own copy of the buffer's
-// slice header and of the retained length, stride and count (history),
-// never the moments or the live fields. That view stays valid while
-// Observe goes on: an observation writes past the frozen length, or into
-// a freshly grown buffer while the pass keeps the old array; only
-// thinning moves retained snapshots in place, and Observe finishes the
-// pass in flight, as Join does, before it thins. The diagnostics draw no
+// A queued pass reads a frozen view: its own copy of the buffer's slice
+// header and of the retained length, stride and count (history), never
+// the moments or the live fields. That view stays valid while Observe goes
+// on: an observation writes past the frozen length, or into a freshly
+// grown buffer while the pass keeps the old array; only thinning moves
+// retained snapshots in place, and Observe finishes the accumulator's
+// passes still queued or running before it thins. The diagnostics draw no
 // random numbers, so a pass's result is the same whether it ran inline or
 // in the background, on one worker or on several: it does not depend on
 // GOMAXPROCS, on the engines' worker count, or on when it ran.
@@ -104,10 +108,9 @@ const DefaultRetain = 256
 // works with any MultiChain — the three batched engines of
 // internal/psample alike. Memory is the 16·n·B
 // bytes of running moments plus the snapshot buffer, which holds one byte
-// per cell per retained observation (four on wide lattices), plus at most
-// 8·B·DefaultRetain bytes of kernel scratch for the caller and for each
-// worker goroutine of its two passes. An Rhat is not safe for concurrent
-// use; the background pass it launches is its only other reader.
+// per cell per retained observation (four on wide lattices); the kernel
+// scratch belongs to the accumulator's backlog. An Rhat is not safe for
+// concurrent use; the passes of its backlog are its only other readers.
 type Rhat struct {
 	m MultiChain
 	// history is everything the per-vertex kernel reads.
@@ -117,15 +120,9 @@ type Rhat struct {
 	mean []float64
 	m2   []float64
 	skip int
-
-	// inline is the pass Check runs, bg the pass Launch runs in the
-	// background, reused once joined. Each pass keeps its workers and their
-	// scratch across checks, and own is the caller's scratch (splitAt,
-	// essAt and the caller's share of a pass), so a check allocates nothing
-	// once they are sized.
-	inline Pass
-	bg     Pass
-	own    vertexScratch
+	// q queues the accumulator's deferred passes and holds the scratch of
+	// every pass and of splitAt and essAt.
+	q *Backlog
 	// worstV is the vertex of the last whole-chain scan (worst) and
 	// worstAt the observation count it ran at: a pass scans that vertex
 	// first.
@@ -154,14 +151,21 @@ type history struct {
 }
 
 // NewRhat returns an empty accumulator for the multi-chain engine with the
-// default observation-buffer capacity. The diagnostics need at least two
-// chains.
-func NewRhat(m MultiChain) (*Rhat, error) { return newRhat(m, DefaultRetain) }
+// default observation-buffer capacity, on a backlog of its own with no
+// background workers: its checks run with Check. The diagnostics need at
+// least two chains.
+func NewRhat(m MultiChain) (*Rhat, error) { return newRhat(m, DefaultRetain, NewBacklog(0)) }
 
-// newRhat returns an empty accumulator retaining at most `retain` thinned
-// snapshots. retain must be an even number ≥ 8 (thinning halves the
-// buffer in place).
-func newRhat(m MultiChain, retain int) (*Rhat, error) {
+// NewRhat returns an empty accumulator for the multi-chain engine with the
+// default observation-buffer capacity, whose Queue defers passes to q and
+// whose passes share q's scratch. The diagnostics need at least two
+// chains.
+func (q *Backlog) NewRhat(m MultiChain) (*Rhat, error) { return newRhat(m, DefaultRetain, q) }
+
+// newRhat returns an empty accumulator on q retaining at most `retain`
+// thinned snapshots. retain must be an even number ≥ 8 (thinning halves
+// the buffer in place).
+func newRhat(m MultiChain, retain int, q *Backlog) (*Rhat, error) {
 	B := m.Chains()
 	if B < 2 {
 		return nil, fmt.Errorf("sampler: Gelman–Rubin needs ≥ 2 chains, engine has %d", B)
@@ -171,7 +175,7 @@ func newRhat(m MultiChain, retain int) (*Rhat, error) {
 	}
 	lat := m.Lattice()
 	n := lat.N()
-	r := &Rhat{
+	return &Rhat{
 		m: m,
 		history: history{
 			n:       n,
@@ -183,10 +187,8 @@ func newRhat(m MultiChain, retain int) (*Rhat, error) {
 		},
 		mean: make([]float64, n*B),
 		m2:   make([]float64, n*B),
-	}
-	r.inline.init(r)
-	r.bg.init(r)
-	return r, nil
+		q:    q,
+	}, nil
 }
 
 // cell8 decodes a compact cell: symbols are themselves and the 0xFF
@@ -202,7 +204,7 @@ var cell8 = func() (t [256]float64) {
 // Observe folds the engine's current state into the running moments and,
 // on retention strides, appends it to the snapshot buffer. Call it between
 // Run chunks (e.g. once per sweep-equivalent). When the buffer fills, it
-// finishes the background pass, if one is running, before thinning it.
+// finishes the accumulator's queued passes before thinning it.
 func (r *Rhat) Observe() {
 	r.count++
 	cnt := float64(r.count)
@@ -246,9 +248,9 @@ func (r *Rhat) Observe() {
 		// Thin: keep every other retained snapshot (the most recent one
 		// stays retained), double the stride. The retained set remains the
 		// multiples of the stride, so the series stays evenly spaced.
-		// Thinning moves retained snapshots in place, under the view of
-		// the background pass if it is still reading them: finish it.
-		r.settle()
+		// Thinning moves retained snapshots in place, under the views of
+		// the passes still queued or running: finish them.
+		r.q.settle(r)
 		half := r.retain / 2
 		if r.compact {
 			r.snaps8 = thin(r.snaps8, r.cells, half)
@@ -288,8 +290,9 @@ func thin[T uint8 | int32](buf []T, cells, half int) []T {
 // vertexScratch is the reusable scratch of the per-vertex kernel: one
 // vertex's gathered history, chain-major (chain c's retained series at
 // series[c*rlen:(c+1)*rlen]), the 2B half-sequence means and variances of
-// the split statistic, and the B chain means of the ESS. pairs counts the
-// Geyer lag pairs the kernel has computed with this scratch.
+// the split statistic, and the B chain means of the ESS. gather sizes it
+// for the history it reads, so the zero value is ready to use. pairs
+// counts the Geyer lag pairs the kernel has computed with this scratch.
 type vertexScratch struct {
 	series    []float64
 	seqMean   []float64
@@ -305,6 +308,11 @@ func (h *history) gather(v int, sc *vertexScratch) []float64 {
 	if cap(sc.series) < B*L {
 		// Sized ahead like the snapshot buffer, so growth is as rare.
 		sc.series = make([]float64, B*min(2*L, h.retain))
+	}
+	if len(sc.chainMean) != B {
+		sc.seqMean = make([]float64, 2*B)
+		sc.seqVar = make([]float64, 2*B)
+		sc.chainMean = make([]float64, B)
 	}
 	y := sc.series[:B*L]
 	off := v * B
@@ -409,7 +417,7 @@ func (r *Rhat) splitAt(v int) (float64, error) {
 	if err := r.ready("split R̂"); err != nil {
 		return 0, err
 	}
-	split, _ := r.vertexStats(v, r.callerScratch(), math.Inf(1))
+	split, _ := r.vertexStats(v, &r.q.own, math.Inf(1))
 	return split, nil
 }
 
@@ -428,7 +436,7 @@ func (r *Rhat) essAt(v int) (float64, error) {
 	if err := r.ready("ESS"); err != nil {
 		return 0, err
 	}
-	_, ess := r.vertexStats(v, r.callerScratch(), math.Inf(1))
+	_, ess := r.vertexStats(v, &r.q.own, math.Inf(1))
 	return ess, nil
 }
 
@@ -628,26 +636,50 @@ var noPass = Diagnostics{
 	ESS: math.Inf(1), ESSVertex: -1,
 }
 
-// Pass is the split-R̂/ESS pass of one convergence check: the per-vertex
-// kernel over every vertex of a frozen view of the retained snapshots. Its
-// workers — goroutines, each with its own scratch, and the caller while it
-// waits for the pass — claim chunks of consecutive scan positions until
-// none are left, so a pass ends as soon as the cores that did start have
-// scanned every vertex. The scan order puts the worst whole-chain-R̂
-// vertex first and the rest after it in index order; each worker bounds
-// the ESS kernel by the smallest ESS it has found so far. Rhat.Launch
-// starts one in the background and Join collects it; Check runs one on the
-// caller. An accumulator has one of each.
-type Pass struct {
-	r *Rhat
-	// view is the frozen history the workers read.
-	view history
-	// first is the vertex at scan position 0.
+// frozen is the input of one split-R̂/ESS pass: a frozen view of the
+// history and the vertex its scan puts first, the worst whole-chain-R̂
+// vertex, the likeliest to mix worst; the rest follow in index order.
+type frozen struct {
+	view  history
 	first int
-	// next is the first scan position no worker has claimed, a claim takes
-	// chunk consecutive positions, and fin counts the vertices scanned.
-	next, fin atomic.Int64
-	chunk     int64
+}
+
+// vertexAt returns the vertex at scan position i: first at position 0,
+// then every other vertex in index order.
+func (f *frozen) vertexAt(i int) int {
+	switch {
+	case i == 0:
+		return f.first
+	case i <= f.first:
+		return i - 1
+	}
+	return i
+}
+
+// scanRange folds the statistics of scan positions [lo, hi) into d, in
+// scan order. The ESS kernel is bounded by d's smallest ESS so far: a
+// vertex it stops early reports more than that, so the fold never takes
+// it.
+func (f *frozen) scanRange(lo, hi int, sc *vertexScratch, d *Diagnostics) {
+	for i := lo; i < hi; i++ {
+		v := f.vertexAt(i)
+		split, ess := f.view.vertexStats(v, sc, d.ESS*(1+essMargin))
+		d.fold(Diagnostics{SplitRhat: split, SplitVertex: v, ESS: ess, ESSVertex: v})
+	}
+}
+
+// inlinePass is the split-R̂/ESS pass Check runs on the caller. Its
+// workers — goroutines, each with its own scratch, and the caller — claim
+// chunks of consecutive scan positions until none are left, so a pass
+// ends as soon as the cores that did start have scanned every vertex; each
+// worker bounds the ESS kernel by the smallest ESS it has found so far.
+// A backlog has one, which every Check of its accumulators reuses.
+type inlinePass struct {
+	frozen
+	// next is the first scan position no worker has claimed, and a claim
+	// takes chunk consecutive positions.
+	next  atomic.Int64
+	chunk int64
 	// mine is the caller's share of the result.
 	mine Diagnostics
 	// workers are the goroutines' slots, k of them open to this pass; the
@@ -663,47 +695,26 @@ type Pass struct {
 	idle          sync.Cond
 	open          bool
 	used, running int
-	// busy marks a background pass launched and not yet joined.
-	busy bool
 }
 
-// passWorker is one goroutine's slot in a pass: its kernel scratch and
-// its share of the result.
+// passWorker is one goroutine's slot in an inline pass: its kernel scratch
+// and its share of the result.
 type passWorker struct {
 	vertexScratch
 	d Diagnostics
-}
-
-// newVertexScratch returns kernel scratch for B chains; gather sizes the
-// series on first use.
-func newVertexScratch(b int) vertexScratch {
-	return vertexScratch{
-		seqMean:   make([]float64, 2*b),
-		seqVar:    make([]float64, 2*b),
-		chainMean: make([]float64, b),
-	}
-}
-
-// init ties the pass to its accumulator and binds its entry point.
-func (p *Pass) init(r *Rhat) {
-	p.r = r
-	p.idle.L = &p.mu
-	p.work = p.worker
 }
 
 // start freezes the view h and starts k worker goroutines on it, scanning
 // vertex first first; the caller is one more worker once it finishes the
 // pass. Chunks are small enough that the workers can share the vertices
 // evenly.
-func (p *Pass) start(h history, k, first int) {
-	p.view = h
-	p.first = first
+func (p *inlinePass) start(h history, k, first int) {
+	p.frozen = frozen{view: h, first: first}
 	p.k = k
 	for len(p.workers) < k {
-		p.workers = append(p.workers, &passWorker{vertexScratch: newVertexScratch(h.b)})
+		p.workers = append(p.workers, &passWorker{})
 	}
 	p.next.Store(0)
-	p.fin.Store(0)
 	p.chunk = int64(max(h.n/(8*(k+1)), 1))
 	p.mine = noPass
 	p.mu.Lock()
@@ -717,8 +728,8 @@ func (p *Pass) start(h history, k, first int) {
 // worker is a goroutine's turn at the pass: it takes a free slot, if the
 // pass is still open and has one, and scans chunks until none are left. A
 // goroutine that starts after its pass has finished finds it closed, or
-// finds a later pass of the same accumulator and works on that one.
-func (p *Pass) worker() {
+// finds a later pass and works on that one.
+func (p *inlinePass) worker() {
 	p.mu.Lock()
 	if !p.open || p.used == p.k {
 		p.mu.Unlock()
@@ -739,44 +750,25 @@ func (p *Pass) worker() {
 }
 
 // scan claims chunks of scan positions until none are left and folds each
-// vertex's statistics into d, in scan order. The ESS kernel is bounded by
-// d's smallest ESS so far: a vertex it stops early reports more than that,
-// so the fold never takes it.
-func (p *Pass) scan(sc *vertexScratch, d *Diagnostics) {
+// vertex's statistics into d, in scan order.
+func (p *inlinePass) scan(sc *vertexScratch, d *Diagnostics) {
 	n, c := int64(p.view.n), p.chunk
 	for {
 		lo := p.next.Add(c) - c
 		if lo >= n {
 			return
 		}
-		hi := min(lo+c, n)
-		for i := int(lo); i < int(hi); i++ {
-			v := p.vertexAt(i)
-			split, ess := p.view.vertexStats(v, sc, d.ESS*(1+essMargin))
-			d.fold(Diagnostics{SplitRhat: split, SplitVertex: v, ESS: ess, ESSVertex: v})
-		}
-		p.fin.Add(hi - lo)
+		p.scanRange(int(lo), int(min(lo+c, n)), sc, d)
 	}
 }
 
-// vertexAt returns the vertex at scan position i: first at position 0,
-// then every other vertex in index order.
-func (p *Pass) vertexAt(i int) int {
-	switch {
-	case i == 0:
-		return p.first
-	case i <= p.first:
-		return i - 1
-	}
-	return i
-}
-
-// finish scans what no worker has claimed on the caller, then closes the
-// pass to goroutines that have not started and waits for the workers still
-// scanning, each at most one chunk from done. So it never waits for a core
-// to start, and it costs at most what the whole pass costs on the caller.
-func (p *Pass) finish() {
-	p.scan(p.r.callerScratch(), &p.mine)
+// finish scans what no worker has claimed on the caller, with the
+// caller's scratch sc, then closes the pass to goroutines that have not
+// started and waits for the workers still scanning, each at most one chunk
+// from done. So it never waits for a core to start, and it costs at most
+// what the whole pass costs on the caller.
+func (p *inlinePass) finish(sc *vertexScratch) {
+	p.scan(sc, &p.mine)
 	p.mu.Lock()
 	p.open = false
 	for p.running > 0 {
@@ -787,48 +779,12 @@ func (p *Pass) finish() {
 
 // result folds the caller's and the workers' shares: the split R̂ and ESS
 // fields of the check, the whole-chain fields left zero.
-func (p *Pass) result() Diagnostics {
+func (p *inlinePass) result() Diagnostics {
 	d := p.mine
 	for _, w := range p.workers[:p.used] {
 		d.fold(w.d)
 	}
 	return d
-}
-
-// Done reports whether every vertex of the pass has been scanned, so that
-// Join returns at once.
-func (p *Pass) Done() bool { return p.fin.Load() == int64(p.view.n) }
-
-// Join finishes the background pass on the caller — it scans the vertices
-// no worker has claimed and waits for the chunks in progress — and returns
-// the split R̂ and ESS fields of its check; the whole-chain fields are zero
-// (read them from Worst when the pass is launched). Join hands the pass
-// back to the accumulator, whose next Launch reuses it: do not use it
-// after Join.
-func (p *Pass) Join() Diagnostics {
-	if !p.busy {
-		panic("sampler: Join of a pass that is not in flight")
-	}
-	p.finish()
-	p.busy = false
-	return p.result()
-}
-
-// callerScratch returns the kernel scratch of the accumulator's caller:
-// splitAt, essAt and the caller's share of every pass use it.
-func (r *Rhat) callerScratch() *vertexScratch {
-	if r.own.chainMean == nil {
-		r.own = newVertexScratch(r.b)
-	}
-	return &r.own
-}
-
-// settle finishes the background pass if it is in flight. Its result stays
-// with it until Join.
-func (r *Rhat) settle() {
-	if r.bg.busy {
-		r.bg.finish()
-	}
 }
 
 // Check runs one convergence check on the caller: the worst whole-chain
@@ -844,43 +800,230 @@ func (r *Rhat) settle() {
 // SplitReady not holding.
 func (r *Rhat) Check() (Diagnostics, error) {
 	if r.n == 0 {
-		return Diagnostics{Rhat: 1, SplitRhat: 1, ESS: float64(r.b) * float64(r.count)}, nil
+		return r.emptyCheck(), nil
 	}
 	if err := r.ready("a convergence check"); err != nil {
 		return Diagnostics{}, err
 	}
 	wv, rhat := r.worst()
-	p := &r.inline
+	p := &r.q.inline
 	p.start(r.history, psample.DefaultWorkers(r.n)-1, wv)
-	p.finish()
+	p.finish(&r.q.own)
 	d := p.result()
 	d.WorstVertex, d.Rhat = wv, rhat
 	return d, nil
 }
 
-// Launch starts the split-R̂/ESS pass of a convergence check in the
-// background and returns it; Join collects its result, which is Check's
-// split R̂ and ESS fields at the moment of the launch, bit for bit. The
-// pass runs on min(cores, psample.DefaultWorkers(n)) goroutines, and Join
-// finishes on the caller what they have not. The accumulator has one
-// background pass: Launch returns nil and starts nothing while it is in
-// flight (not yet joined), when cores < 1, on an empty instance, or when
-// SplitReady does not hold — run Check then. Meanwhile the caller may go
-// on advancing the engine and calling Observe and Worst. The pass scans
-// first the vertex of a Worst call at the current observation count,
-// running that scan on the caller if there was none: the pass itself
-// never reads the running moments, which Observe goes on changing.
-func (r *Rhat) Launch(cores int) *Pass {
-	p := &r.bg
-	if p.busy || cores < 1 || r.n == 0 || !r.SplitReady() {
-		return nil
+// emptyCheck is the check of an instance with no vertices: R̂ 1 and the
+// full pooled count, at vertex 0.
+func (r *Rhat) emptyCheck() Diagnostics {
+	return Diagnostics{Rhat: 1, SplitRhat: 1, ESS: float64(r.b) * float64(r.count)}
+}
+
+// Backlog is one drive's queue of deferred split-R̂/ESS passes, first in,
+// first out, and the kernel scratch of every accumulator made on it
+// (Backlog.NewRhat). Rhat.Queue appends an accumulator's pass. Up to the
+// backlog's core count of background workers — goroutines started as
+// passes arrive, which exit once none is left — each take a whole pass,
+// oldest first, and scan it with their own scratch, bounding the ESS
+// search across all of the pass's vertices. Drain finishes the backlog on
+// the caller: it takes the passes no worker has taken, oldest first,
+// waits for the workers to finish theirs and exit, and returns every
+// result in queue order. A caller that drains before it returns leaves no
+// pass or goroutine behind.
+//
+// A backlog and its accumulators belong to one goroutine, the caller; the
+// workers are their only other users. The passes of an accumulator the
+// caller has stopped observing (an escalated stage's) stay valid and drain
+// with the rest.
+type Backlog struct {
+	cores int
+	// mu guards the passes' states, head, active and free; done is
+	// broadcast whenever a pass is done or a worker exits.
+	mu   sync.Mutex
+	done sync.Cond
+	// passes[:n] are the passes queued since the last Drain, in queue
+	// order, and none before head is still queued; the records past n are
+	// kept for reuse.
+	passes  []*queuedPass
+	n, head int
+	// active counts the running workers and free holds the scratch of the
+	// workers not running; work is their entry point, bound once so a
+	// start allocates nothing.
+	active int
+	free   []*vertexScratch
+	work   func()
+	// own is the caller's scratch, inline the pass Check runs and results
+	// Drain's return value.
+	own     vertexScratch
+	inline  inlinePass
+	results []Diagnostics
+}
+
+// queuedPass is one pass of a backlog: the accumulator whose buffer it
+// reads, its frozen input, how far it has got and, once done, its result.
+type queuedPass struct {
+	frozen
+	r     *Rhat
+	state passState
+	d     Diagnostics
+}
+
+// passState is where a queued pass stands: queued, taken by a worker or
+// the caller, or done.
+type passState uint8
+
+const (
+	passQueued passState = iota
+	passTaken
+	passDone
+)
+
+// NewBacklog returns an empty backlog whose passes run on up to cores
+// background workers; with none (cores ≤ 0) Drain runs every pass on the
+// caller.
+func NewBacklog(cores int) *Backlog {
+	cores = max(cores, 0)
+	q := &Backlog{cores: cores, free: make([]*vertexScratch, 0, cores)}
+	q.done.L = &q.mu
+	q.work = q.worker
+	q.inline.idle.L = &q.inline.mu
+	q.inline.work = q.inline.worker
+	return q
+}
+
+// Queue defers the split-R̂/ESS pass of a convergence check at the current
+// observation to the accumulator's backlog, whose Drain returns its
+// result in queue order: Check's split R̂ and ESS fields at this moment,
+// bit for bit (the whole-chain fields are zero: read them from Worst).
+// The pass scans first the vertex of a Worst call at the current
+// observation count, running that scan now if there was none: the pass
+// itself never reads the running moments, which Observe goes on changing.
+// Meanwhile the caller may go on advancing the engine and calling Observe,
+// Worst, Check and Queue. An empty instance's pass is done at once, with
+// Check's result. The one error is SplitReady not holding.
+func (r *Rhat) Queue() error {
+	if r.n > 0 {
+		if err := r.ready("a convergence check"); err != nil {
+			return err
+		}
+		if r.worstAt != r.count {
+			r.worst()
+		}
 	}
-	if r.worstAt != r.count {
-		r.worst()
+	q := r.q
+	q.mu.Lock()
+	if q.n == len(q.passes) {
+		q.passes = append(q.passes, new(queuedPass))
 	}
-	p.busy = true
-	p.start(r.history, min(cores, psample.DefaultWorkers(r.n)), r.worstV)
-	return p
+	p := q.passes[q.n]
+	q.n++
+	p.r = r
+	start := false
+	if r.n == 0 {
+		p.state, p.d = passDone, r.emptyCheck()
+	} else {
+		p.frozen = frozen{view: r.history, first: r.worstV}
+		p.state = passQueued
+		if start = q.active < q.cores; start {
+			q.active++
+		}
+	}
+	q.mu.Unlock()
+	if start {
+		go q.work()
+	}
+	return nil
+}
+
+// Drain finishes every pass queued since the last Drain and returns their
+// results in queue order, in a slice the backlog reuses at the next
+// Drain. The caller takes the passes no worker has taken, oldest first,
+// while the workers finish theirs, and Drain returns once every worker
+// has exited: no pass or worker outlives it.
+func (q *Backlog) Drain() []Diagnostics {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for p := q.next(); p != nil; p = q.next() {
+		q.run(p, &q.own)
+	}
+	for q.active > 0 {
+		q.done.Wait()
+	}
+	if cap(q.results) < q.n {
+		q.results = make([]Diagnostics, 0, q.n)
+	}
+	q.results = q.results[:0]
+	for _, p := range q.passes[:q.n] {
+		q.results = append(q.results, p.d)
+		*p = queuedPass{}
+	}
+	q.n, q.head = 0, 0
+	return q.results
+}
+
+// settle finishes r's passes before r thins its buffer under their views.
+// It first runs on the caller every pass of r still queued, oldest first,
+// while the workers go on with theirs, and only then waits for those a
+// worker has taken. Waiting first would let a worker take r's next pass
+// each time it finished one, before the caller woke to take it.
+func (q *Backlog) settle(r *Rhat) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for _, p := range q.passes[:q.n] {
+		if p.r == r && p.state == passQueued {
+			p.state = passTaken
+			q.run(p, &q.own)
+		}
+	}
+	for _, p := range q.passes[:q.n] {
+		for p.r == r && p.state != passDone {
+			q.done.Wait()
+		}
+	}
+}
+
+// worker is a background worker: it takes queued passes, oldest first,
+// and runs each whole with one scratch until none is left, then exits.
+func (q *Backlog) worker() {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	var sc *vertexScratch
+	if k := len(q.free); k > 0 {
+		sc, q.free = q.free[k-1], q.free[:k-1]
+	} else {
+		sc = new(vertexScratch)
+	}
+	for p := q.next(); p != nil; p = q.next() {
+		q.run(p, sc)
+	}
+	q.free = append(q.free, sc)
+	q.active--
+	q.done.Broadcast()
+}
+
+// next marks the oldest queued pass taken and returns it, or nil when
+// none is queued. mu must be held.
+func (q *Backlog) next() *queuedPass {
+	for ; q.head < q.n; q.head++ {
+		if p := q.passes[q.head]; p.state == passQueued {
+			p.state = passTaken
+			q.head++
+			return p
+		}
+	}
+	return nil
+}
+
+// run scans the taken pass p whole with the scratch sc, with mu released,
+// and marks it done. mu must be held.
+func (q *Backlog) run(p *queuedPass, sc *vertexScratch) {
+	q.mu.Unlock()
+	p.d = noPass
+	p.scanRange(0, p.view.n, sc, &p.d)
+	q.mu.Lock()
+	p.state = passDone
+	q.done.Broadcast()
 }
 
 // Worst returns the vertex with the largest whole-chain R̂ and its value.

@@ -211,7 +211,7 @@ func TestRhatMatchesReferenceFabricated(t *testing.T) {
 						t.Fatalf("lattice compact=%v, want %v", lat.Compact(), !layout.wide)
 					}
 					m := latticeOnly{lat}
-					acc, err := newRhat(m, retain)
+					acc, err := newRhat(m, retain, NewBacklog(0))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -273,7 +273,7 @@ func TestRhatMatchesReferenceBlocks(t *testing.T) {
 							t.Fatal(err)
 						}
 						m := latticeOnly{lat}
-						acc, err := newRhat(m, retain)
+						acc, err := newRhat(m, retain, NewBacklog(0))
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -361,7 +361,7 @@ func TestRhatMatchesReferenceCorpus(t *testing.T) {
 					var accs []*Rhat
 					var refs []*rhatRef
 					for _, retain := range []int{8, DefaultRetain} {
-						acc, err := newRhat(m, retain)
+						acc, err := newRhat(m, retain, NewBacklog(0))
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -387,105 +387,140 @@ func TestRhatMatchesReferenceCorpus(t *testing.T) {
 	}
 }
 
-// TestRhatLaunchMatchesReference launches background passes while the
-// fabricated history goes on, through thinning after thinning of an
-// 8-snapshot buffer, and holds each pass, when joined, to the reference's
-// worst split R̂ and smallest ESS at its launch, bit for bit and vertex for
-// vertex. A pass stays in flight for one to five observations, so Observe
-// appends, regrows and thins the buffer under it (finishing the pass
-// first); the race detector checks that the pass reads nothing Observe
-// writes. The pass takes min(cores, DefaultWorkers(n)) worker goroutines,
-// and Launch starts nothing while it is in flight.
+// TestRhatLaunchMatchesReference launches passes onto a backlog (Queue)
+// while the fabricated history goes on, through thinning after thinning of
+// an 8-snapshot buffer, and holds each pass, when drained, to the reference's
+// worst split R̂ and smallest ESS at the moment it was queued, bit for bit
+// and vertex for vertex. Passes are queued at every observation and drained
+// every sixth, so up to six wait at once while Observe appends, regrows and
+// thins the buffer under them (finishing its own first); the race detector
+// checks that no pass reads what Observe writes. With two accumulators the
+// backlog is a drive's escalation: the first stops observing with its
+// passes still queued and a second, on the same backlog and scratch, takes
+// over (the escalation subtests). The backlog runs at most its core count
+// of workers, and Drain returns only once every worker has exited.
 func TestRhatLaunchMatchesReference(t *testing.T) {
 	const (
 		B      = 4
 		q      = 3
 		retain = 8
+		// An accumulator observes for long enough to thin three times; the
+		// second of two takes over while the first's passes wait.
+		span     = 6*retain + 3
+		handover = 22
 	)
-	type flight struct {
-		p         *Pass
+	type queued struct {
 		at        int
 		sv, ev    int
 		split, es float64
 	}
-	for _, n := range []int{numRoles, 259} {
-		for _, cores := range []int{1, 3, 8} {
-			for _, wide := range []bool{false, true} {
-				t.Run(fmt.Sprintf("n=%d/cores=%d/wide=%v", n, cores, wide), func(t *testing.T) {
-					restore := func() {}
-					if wide {
-						restore = state.SetCompactLimitForTest(0)
+	for _, nacc := range []int{1, 2} {
+		for _, n := range []int{numRoles, 259} {
+			for _, cores := range []int{1, 3, 8} {
+				for _, wide := range []bool{false, true} {
+					name := fmt.Sprintf("n=%d/cores=%d/wide=%v", n, cores, wide)
+					if nacc == 2 {
+						name = "escalation/" + name
 					}
-					lat, err := state.New(n, B, q)
-					restore()
-					if err != nil {
-						t.Fatal(err)
-					}
-					m := latticeOnly{lat}
-					acc, err := newRhat(m, retain)
-					if err != nil {
-						t.Fatal(err)
-					}
-					ref, err := newRhatRef(m, retain)
-					if err != nil {
-						t.Fatal(err)
-					}
-					join := func(f *flight) {
-						t.Helper()
-						d := f.p.Join()
-						what := fmt.Sprintf("pass launched at obs %d", f.at)
-						if !f.p.Done() {
-							t.Fatalf("%s: Done false after Join", what)
-						}
-						sameBits(t, what+": split R̂", d.SplitRhat, nil, f.split, nil)
-						sameBits(t, what+": ESS", d.ESS, nil, f.es, nil)
-						if d.SplitVertex != f.sv || d.ESSVertex != f.ev {
-							t.Fatalf("%s: vertices %d, %d; reference %d, %d", what, d.SplitVertex, d.ESSVertex, f.sv, f.ev)
-						}
-					}
-					rng := dist.NewXoshiro(int64(n+cores), 2)
-					var inFlight *flight
-					launched, thinnedUnder := 0, 0
-					for i := 0; i < 6*retain+3; i++ {
-						fabricate(lat, q, i, &rng)
-						stride := acc.stride
-						acc.Observe()
-						ref.Observe()
-						if acc.stride != stride && inFlight != nil {
-							thinnedUnder++
-						}
-						if f := inFlight; f != nil && i-f.at >= 1+f.at%5 {
-							join(f)
-							inFlight = nil
-						}
-						if !acc.SplitReady() {
-							continue
-						}
-						p := acc.Launch(cores)
-						if inFlight != nil {
-							if p != nil {
-								t.Fatalf("obs %d: Launch started a pass while the one launched at obs %d is in flight", i, inFlight.at)
+					t.Run(name, func(t *testing.T) {
+						backlog := NewBacklog(cores)
+						var (
+							lats []*state.Lattice
+							accs []*Rhat
+							refs []*rhatRef
+						)
+						for range nacc {
+							restore := func() {}
+							if wide {
+								restore = state.SetCompactLimitForTest(0)
 							}
-							continue
+							lat, err := state.New(n, B, q)
+							restore()
+							if err != nil {
+								t.Fatal(err)
+							}
+							m := latticeOnly{lat}
+							acc, err := newRhat(m, retain, backlog)
+							if err != nil {
+								t.Fatal(err)
+							}
+							ref, err := newRhatRef(m, retain)
+							if err != nil {
+								t.Fatal(err)
+							}
+							lats, accs, refs = append(lats, lat), append(accs, acc), append(refs, ref)
 						}
-						if p == nil {
-							t.Fatalf("obs %d: Launch(%d) started nothing with no pass in flight", i, cores)
+						workers := func() int {
+							backlog.mu.Lock()
+							defer backlog.mu.Unlock()
+							return backlog.active
 						}
-						if want := min(cores, psample.DefaultWorkers(n)); p.k != want {
-							t.Fatalf("obs %d: pass has %d workers, want %d", i, p.k, want)
+						var pending []queued
+						drain := func() {
+							t.Helper()
+							res := backlog.Drain()
+							if len(res) != len(pending) {
+								t.Fatalf("Drain returned %d results for %d queued passes", len(res), len(pending))
+							}
+							if k := workers(); k != 0 {
+								t.Fatalf("%d workers still running after Drain", k)
+							}
+							for i, d := range res {
+								f := pending[i]
+								what := fmt.Sprintf("pass queued at obs %d", f.at)
+								sameBits(t, what+": split R̂", d.SplitRhat, nil, f.split, nil)
+								sameBits(t, what+": ESS", d.ESS, nil, f.es, nil)
+								if d.SplitVertex != f.sv || d.ESSVertex != f.ev {
+									t.Fatalf("%s: vertices %d, %d; reference %d, %d", what, d.SplitVertex, d.ESSVertex, f.sv, f.ev)
+								}
+							}
+							pending = pending[:0]
 						}
-						launched++
-						inFlight = &flight{p: p, at: i}
-						inFlight.sv, inFlight.split, _ = ref.WorstSplit()
-						inFlight.ev, inFlight.es, _ = ref.MinESS()
-					}
-					if inFlight != nil {
-						join(inFlight)
-					}
-					if launched == 0 || thinnedUnder < 3 {
-						t.Fatalf("%d passes launched, %d thinnings under a pass in flight; want passes across at least three", launched, thinnedUnder)
-					}
-				})
+						rng := dist.NewXoshiro(int64(n+cores), 2)
+						total := span + (nacc-1)*handover
+						queuedN, thinnedUnder, handedOver := 0, 0, false
+						for i := 0; i < total; i++ {
+							k := 0
+							if nacc == 2 && i >= handover {
+								k = 1
+								if i == handover && len(pending) > 0 {
+									handedOver = true
+								}
+							}
+							acc, ref := accs[k], refs[k]
+							fabricate(lats[k], q, i, &rng)
+							stride := acc.stride
+							acc.Observe()
+							ref.Observe()
+							if acc.stride != stride && len(pending) > 0 {
+								thinnedUnder++
+							}
+							if acc.SplitReady() {
+								if err := acc.Queue(); err != nil {
+									t.Fatalf("obs %d: Queue: %v", i, err)
+								}
+								if k := workers(); k > cores {
+									t.Fatalf("obs %d: %d workers on a backlog of %d cores", i, k, cores)
+								}
+								f := queued{at: i}
+								f.sv, f.split, _ = ref.WorstSplit()
+								f.ev, f.es, _ = ref.MinESS()
+								pending = append(pending, f)
+								queuedN++
+							}
+							if i%6 == 5 {
+								drain()
+							}
+						}
+						drain()
+						if queuedN == 0 || thinnedUnder < 3 {
+							t.Fatalf("%d passes queued, %d thinnings with passes queued; want passes across at least three", queuedN, thinnedUnder)
+						}
+						if nacc == 2 && !handedOver {
+							t.Fatal("the second accumulator took over with no pass of the first queued")
+						}
+					})
+				}
 			}
 		}
 	}

@@ -288,8 +288,10 @@ func stockGoroutines(n int) {
 // cell each, doubling, so its allocations stay under twice the full
 // buffer), a check nothing once its workers' scratch is sized — at
 // GOMAXPROCS 1 (the caller alone) and 4 (the caller and three goroutines)
-// — nor a background pass's launch and join once its workers exist, and
-// Observe nothing once the buffer has filled and thinned.
+// — nor three passes queued at once and drained, on a backlog of as many
+// cores as GOMAXPROCS (as a background pass took before), once its records
+// and workers' scratch exist, and Observe nothing once the buffer has
+// filled and thinned.
 func TestRhatAllocations(t *testing.T) {
 	spec, err := model.Ising(graph.Torus(64, 64), 0.8, 1)
 	if err != nil {
@@ -299,7 +301,8 @@ func TestRhatAllocations(t *testing.T) {
 	b := rhatBatch(t, spec, nil, B, 1)
 	cells := uint64(b.Lattice().N() * B)
 	var acc *Rhat
-	if got := totalAlloc(func() { acc, err = NewRhat(b) }); got >= 2_000_000 {
+	backlog := NewBacklog(4)
+	if got := totalAlloc(func() { acc, err = backlog.NewRhat(b) }); got >= 2_000_000 {
 		t.Errorf("NewRhat allocated %d bytes, want < 2 MB", got)
 	}
 	if err != nil {
@@ -314,23 +317,25 @@ func TestRhatAllocations(t *testing.T) {
 	}
 	// One warm-up check sizes the workers' scratch; the next allocate
 	// nothing, on one worker or on four.
-	var procs int
 	checks := map[string]func(){
 		"Check":      func() { _, err = acc.Check() },
 		"Worst":      func() { _, _, err = acc.Worst() },
 		"WorstSplit": func() { _, _, err = acc.WorstSplit() },
 		"MinESS":     func() { _, _, err = acc.MinESS() },
-		"Launch+Join": func() {
-			p := acc.Launch(procs)
-			if p == nil {
-				err = fmt.Errorf("Launch(%d) started no pass", procs)
-				return
+		"Queue+Drain": func() {
+			for range 3 {
+				if err = acc.Queue(); err != nil {
+					return
+				}
 			}
-			p.Join()
+			if res := backlog.Drain(); len(res) != 3 {
+				err = fmt.Errorf("Drain returned %d results for 3 queued passes", len(res))
+			}
 		},
 	}
-	for _, procs = range []int{1, 4} {
+	for _, procs := range []int{1, 4} {
 		prev := runtime.GOMAXPROCS(procs)
+		backlog.cores = procs
 		stockGoroutines(1024)
 		for name, check := range checks {
 			check()
