@@ -450,7 +450,7 @@ func benchSamplerSetup(b *testing.B) (*gibbs.Instance, *psample.Rules) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rules, err := psample.NewRules(in)
+	rules, err := psample.RulesOf(in)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -707,7 +707,7 @@ func BenchmarkLubyGlauberLOCAL(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rules, err := psample.NewRules(in)
+	rules, err := psample.RulesOf(in)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -790,6 +790,46 @@ func BenchmarkDriveCorpus(b *testing.B) {
 		Chains:  16,
 		Rhat:    1.05,
 		Workers: 1,
+	}
+	b.ReportAllocs()
+	sweeps := 0
+	for b.Loop() {
+		rep, _, err := run.Drive(built.Instance, 11, p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sweeps = rep.Sweeps
+	}
+	b.ReportMetric(float64(sweeps), "sweeps")
+}
+
+// BenchmarkDriveIsing measures one run.Drive per iteration under the
+// policy of perfbench's ising-torus64-chromatic workload: the 64×64
+// antiferromagnetic Ising torus (β = 0.8, λ = 1), chromatic, 16 chains,
+// worst-vertex R̂ ≤ 1.05, one engine worker, the run package's budget and
+// cadence. The instance is built once and warmed by one drive, which
+// compiles its sampler rules; each timed drive builds its engine on the
+// warm instance, as every request of the workload after the first does.
+// The seed is fixed, so every iteration runs the same drive.
+func BenchmarkDriveIsing(b *testing.B) {
+	f, err := spec.Parse([]byte(`{"version":1,"name":"ising-torus64","graph":{"kind":"torus","n":64},"model":{"kind":"ising","lambda":1,"beta":0.8}}`))
+	if err != nil {
+		b.Fatal(err)
+	}
+	built, err := f.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := run.Policy{
+		Stages:     []run.Stage{{Dynamic: "chromatic"}},
+		Chains:     16,
+		MaxSweeps:  run.DefaultMaxSweeps,
+		CheckEvery: run.DefaultCheckEvery,
+		Rhat:       1.05,
+		Workers:    1,
+	}
+	if _, _, err := run.Drive(built.Instance, 11, p); err != nil {
+		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	sweeps := 0

@@ -2,6 +2,7 @@ package gibbs
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/dist"
 )
@@ -12,11 +13,26 @@ import (
 // distribution conditioned on agreeing with τ. Pinning realizes the paper's
 // self-reducibility: pinning more vertices of an instance yields another
 // instance of the same class (Remark 2.2).
+//
+// The samplers' update rules depend only on the instance, so the instance
+// caches them (Rules): every engine, stage and drive on one instance shares
+// one compiled value. Hence the contract: Spec must not change once it has
+// been compiled (Spec.Compiled), and Pinned must not change once an engine
+// has been built on the instance. Pin and PinAll return a new instance
+// instead. Under that contract any number of goroutines may build engines
+// and drive on one instance at once: the caches are filled once, behind
+// sync.Once, and only read after.
 type Instance struct {
 	Spec *Spec
 	// Pinned is τ: Pinned[v] = Unset for free vertices, otherwise the pinned
 	// symbol.
 	Pinned dist.Config
+
+	// rules is the value Rules builds on its first call, and rulesErr the
+	// error it built instead.
+	rulesOnce sync.Once
+	rules     any
+	rulesErr  error
 }
 
 // NewInstance returns an instance with the given pinning; a nil pinning
@@ -54,6 +70,17 @@ func (in *Instance) Start() (dist.Config, error) {
 		return nil, fmt.Errorf("%w: the greedy completion of the pinning has weight %v", ErrInfeasible, w)
 	}
 	return start, nil
+}
+
+// Rules returns the samplers' compiled update rules of the instance,
+// calling build on the first call only: every later call, from any
+// goroutine, returns the first call's value and error. The value is
+// untyped because this package cannot name its type (psample.Rules, whose
+// package imports this one); psample.RulesOf is the one caller, so every
+// call passes the same build.
+func (in *Instance) Rules(build func(*Instance) (any, error)) (any, error) {
+	in.rulesOnce.Do(func() { in.rules, in.rulesErr = build(in) })
+	return in.rules, in.rulesErr
 }
 
 // N returns the number of variables.

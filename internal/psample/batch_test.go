@@ -7,8 +7,10 @@ package psample
 // stay feasible under the race detector.
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -135,7 +137,7 @@ func TestBatchLubyGlauberMatchesSingleChain(t *testing.T) {
 			if !ok {
 				t.Fatalf("no golden trajectory for %q", c.name)
 			}
-			r, err := NewRules(c.in)
+			r, err := RulesOf(c.in)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -160,7 +162,7 @@ func TestBatchLocalMetropolisMatchesSingleChain(t *testing.T) {
 			if !ok {
 				t.Fatalf("no golden trajectory for %q", c.name)
 			}
-			r, err := NewRules(c.in)
+			r, err := RulesOf(c.in)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -219,7 +221,7 @@ func TestBatchLubyGlauberMatchesExact(t *testing.T) {
 	const chains = 16
 	for _, c := range buildTVCases(t) {
 		t.Run(c.name, func(t *testing.T) {
-			r, err := NewRules(c.in)
+			r, err := RulesOf(c.in)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -243,7 +245,7 @@ func TestBatchLocalMetropolisMatchesExact(t *testing.T) {
 	const chains = 16
 	for _, c := range buildTVCases(t) {
 		t.Run(c.name, func(t *testing.T) {
-			r, err := NewRules(c.in)
+			r, err := RulesOf(c.in)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -273,7 +275,7 @@ func TestBatchRespectsPinning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRules(in)
+	r, err := RulesOf(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +319,7 @@ func TestBatchMultiWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRules(in)
+	r, err := RulesOf(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +366,7 @@ func TestBatchForcedWorkersSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRules(in)
+	r, err := RulesOf(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +416,7 @@ func TestBatchEnginesFullyPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRules(in)
+	r, err := RulesOf(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +458,7 @@ func TestRunAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRules(in)
+	r, err := RulesOf(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,7 +516,7 @@ func TestSlotsOwnWholeLines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRules(in)
+	r, err := RulesOf(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,6 +552,120 @@ func TestSlotsOwnWholeLines(t *testing.T) {
 				if a := uintptr(unsafe.Pointer(&e.core.slots[i])); a%line != 0 {
 					t.Errorf("%s, %d workers: slot %d starts %d bytes into a %d-byte line", name, workers, i, a%line, line)
 				}
+			}
+		}
+	}
+}
+
+// TestBatchEnginesShareInstanceRules: every engine built on one instance —
+// of each dynamic, from eight goroutines at once on a fresh instance —
+// holds the instance's one Rules value (RulesOf), and with it one
+// canonical start and one class schedule. Sharing changes no trajectory:
+// each engine's chains after a few rounds match those of the same engine
+// built alone on a second instance of the same spec and pinning, whose
+// Rules value is its own.
+func TestBatchEnginesShareInstanceRules(t *testing.T) {
+	spec, err := model.Hardcore(graph.Torus(6, 6), 1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pin := dist.NewConfig(spec.N())
+	pin[0], pin[7] = model.In, model.Out
+	fresh := func() *gibbs.Instance {
+		in, err := gibbs.NewInstance(spec, pin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return in
+	}
+	type engine interface {
+		multiChain
+		SetWorkers(int)
+	}
+	// build returns the three engines on the instance at the given seed,
+	// each advanced by three rounds on two workers, with the Rules each
+	// holds.
+	build := func(in *gibbs.Instance, seed int64) ([]engine, []*Rules, error) {
+		r, err := RulesOf(in)
+		if err != nil {
+			return nil, nil, err
+		}
+		lg, err := NewBatchLubyGlauber(r, 5, seed)
+		if err != nil {
+			return nil, nil, err
+		}
+		lm, err := NewBatchLocalMetropolis(r, 5, seed)
+		if err != nil {
+			return nil, nil, err
+		}
+		cg, err := NewBatchChromaticGlauber(r, 5, seed)
+		if err != nil {
+			return nil, nil, err
+		}
+		engines := []engine{lg, lm, cg}
+		for _, e := range engines {
+			e.SetWorkers(2)
+			if err := e.Run(3); err != nil {
+				return nil, nil, err
+			}
+		}
+		return engines, []*Rules{lg.rules, lm.rules, cg.rules}, nil
+	}
+	chains := func(e engine) string {
+		var sb strings.Builder
+		for c := 0; c < e.Chains(); c++ {
+			fmt.Fprint(&sb, e.Chain(c))
+		}
+		return sb.String()
+	}
+	shared := fresh()
+	const goroutines = 8
+	engines := make([][]engine, goroutines)
+	held := make([][]*Rules, goroutines)
+	errs := make([]error, goroutines)
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			engines[g], held[g], errs[g] = build(shared, int64(g))
+		}()
+	}
+	wg.Wait()
+	want, err := RulesOf(shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start, err := want.canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g := range goroutines {
+		if errs[g] != nil {
+			t.Fatal(errs[g])
+		}
+		for i, r := range held[g] {
+			if r != want {
+				t.Errorf("goroutine %d, engine %d holds its own Rules, not the instance's", g, i)
+			}
+		}
+		if s, err := held[g][0].canonical(); s != start || err != nil {
+			t.Errorf("goroutine %d: the canonical start is not the instance's one lattice", g)
+		}
+		if cl := engines[g][2].(*BatchChromaticGlauber).Classes(); &cl[0][0] != &want.ClassSchedule()[0][0] {
+			t.Errorf("goroutine %d: the chromatic engine does not hold the instance's class schedule", g)
+		}
+		alone := fresh()
+		solo, soloRules, err := build(alone, int64(g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if soloRules[0] == want {
+			t.Fatal("a second instance of the same spec shares the first one's Rules")
+		}
+		for i := range solo {
+			if got, want := chains(engines[g][i]), chains(solo[i]); got != want {
+				t.Errorf("goroutine %d, engine %d: chains on the shared instance %s, alone %s", g, i, got, want)
 			}
 		}
 	}

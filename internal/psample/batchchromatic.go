@@ -34,7 +34,7 @@ package psample
 //
 // Correctness: a stage updates one color class simultaneously in every
 // chain. Within a chain the class is an independent set of the interaction
-// graph, and factor scopes are cliques (enforced by NewRules), so no two
+// graph, and factor scopes are cliques (enforced by RulesOf), so no two
 // simultaneous updates share a factor and the stage is a product of
 // ordinary heat-bath kernels — exactly the LubyGlauber argument with the
 // random independent set replaced by a deterministic one. Across chains

@@ -16,7 +16,7 @@ package psample
 // message a node sends in LOCAL round t carries its state after t dynamics
 // rounds plus the randomness for round t+1, so R dynamics rounds cost
 // exactly R+1 LOCAL rounds. Factor scopes are cliques of G (enforced by
-// NewRules), so every quantity a node needs — neighbor spins, neighbor
+// RulesOf), so every quantity a node needs — neighbor spins, neighbor
 // proposals, and the shared per-factor filter coin flipped by the
 // factor's smallest scope vertex — arrives from direct neighbors.
 //

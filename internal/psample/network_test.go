@@ -29,7 +29,7 @@ func hardcoreRules(t *testing.T, g *graph.Graph, lambda float64, pinned dist.Con
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRules(in)
+	r, err := RulesOf(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestLOCALGolden(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					r, err := NewRules(in)
+					r, err := RulesOf(in)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -83,7 +83,7 @@ func buildTVCases(t *testing.T) []tvCase {
 func TestLubyGlauberMatchesExact(t *testing.T) {
 	for _, c := range buildTVCases(t) {
 		t.Run(c.name, func(t *testing.T) {
-			r, err := NewRules(c.in)
+			r, err := RulesOf(c.in)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,7 +105,7 @@ func TestLubyGlauberMatchesExact(t *testing.T) {
 func TestLocalMetropolisMatchesExact(t *testing.T) {
 	for _, c := range buildTVCases(t) {
 		t.Run(c.name, func(t *testing.T) {
-			r, err := NewRules(c.in)
+			r, err := RulesOf(c.in)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,7 +124,7 @@ func TestLocalMetropolisMatchesExact(t *testing.T) {
 }
 
 // TestRulesRejectsWideFilterFactor pins the 1<<k overflow fix: a factor
-// with ≥ 63 free scope vertices must be rejected by NewRules with a
+// with ≥ 63 free scope vertices must be rejected by RulesOf with a
 // descriptive error instead of silently computing a garbage filter scale.
 func TestRulesRejectsWideFilterFactor(t *testing.T) {
 	const k = 63
@@ -146,7 +146,7 @@ func TestRulesRejectsWideFilterFactor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = NewRules(in)
+	_, err = RulesOf(in)
 	if err == nil {
 		t.Fatal("63-free-vertex filter factor accepted")
 	}
@@ -168,7 +168,7 @@ func TestRulesRejectsNonCliqueScope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewRules(in); err == nil {
+	if _, err := RulesOf(in); err == nil {
 		t.Fatal("non-clique scope accepted")
 	}
 }
@@ -186,7 +186,7 @@ func TestProposalMatchesConditional(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRules(in)
+	r, err := RulesOf(in)
 	if err != nil {
 		t.Fatal(err)
 	}

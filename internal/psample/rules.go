@@ -54,13 +54,16 @@ import (
 	"repro/internal/state"
 )
 
-// Rules is the shared compiled form of an instance's update rules: the
-// per-vertex proposal distributions and the acceptance-filtered factors of
-// LocalMetropolis, the free-vertex structure used by LubyGlauber's phase
-// selection, and the compiled evaluation engine behind both. One Rules
-// value is immutable after construction (the lazily built class schedule
-// sits behind a sync.Once) and safe for concurrent use by any number of
-// samplers.
+// Rules is an instance's compiled update rules: the free set, the Luby
+// rival table, the LocalMetropolis proposals and filter factors, the
+// chromatic class schedule and the canonical start, over the compiled
+// evaluation engine behind them all. The rules depend only on the instance
+// (G, x, τ), never on a run's randomness, so an instance has one Rules
+// value (RulesOf), built on first use and shared by every engine, stage and
+// drive on it. A Rules value is immutable after construction: the class
+// schedule and the start are built lazily, each behind a sync.Once, and
+// every engine only reads it, so any number of samplers may use one Rules
+// concurrently.
 type Rules struct {
 	in  *gibbs.Instance
 	eng *gibbs.Compiled
@@ -109,11 +112,16 @@ type Rules struct {
 	accErr error
 
 	// sched is the chromatic stage schedule over free vertices, colored
-	// lazily once (ClassSchedule) so repeated batch construction over one
-	// Rules — pooled chains, restarted diagnostics — does not recolor the
-	// graph.
+	// lazily once (ClassSchedule), so the engines built on one instance
+	// color its graph once.
 	schedOnce sync.Once
 	sched     [][]int
+	// start is the canonical start as a one-chain lattice (one byte per
+	// vertex on compact alphabets), built lazily once (canonical), and
+	// startErr the failure to build it, which every engine reset reports.
+	startOnce sync.Once
+	start     *state.Lattice
+	startErr  error
 }
 
 // accFactor is one acceptance-filtered factor of LocalMetropolis.
@@ -132,12 +140,24 @@ type accFactor struct {
 // be constructed from the instance pinning.
 var ErrNoFeasibleStart = errors.New("psample: no feasible initial state")
 
-// NewRules compiles the shared update rules of both samplers for the
-// instance. It fails if some factor scope is not a clique of the
-// interaction graph (both samplers rely on factor locality: a vertex's
-// factors must be computable from its graph neighborhood) or if some free
-// vertex has no feasible proposal.
-func NewRules(in *gibbs.Instance) (*Rules, error) {
+// RulesOf returns the instance's update rules, compiling them on the
+// first call (gibbs.Instance.Rules caches them on the instance): every
+// engine built on one instance shares one Rules value, and later calls
+// return it, or the first call's error, at once. Compiling fails if some
+// factor scope is not a clique of the interaction graph (the samplers rely
+// on factor locality: a vertex's factors must be computable from its graph
+// neighborhood) or if some free vertex has no feasible proposal. The
+// instance's pinning must not change afterwards (see gibbs.Instance).
+func RulesOf(in *gibbs.Instance) (*Rules, error) {
+	r, err := in.Rules(func(in *gibbs.Instance) (any, error) { return newRules(in) })
+	if err != nil {
+		return nil, err
+	}
+	return r.(*Rules), nil
+}
+
+// newRules compiles the update rules of the instance.
+func newRules(in *gibbs.Instance) (*Rules, error) {
 	s := in.Spec
 	r := &Rules{
 		in:  in,
@@ -320,16 +340,30 @@ func (r *Rules) Engine() *gibbs.Compiled { return r.eng }
 // Free reports whether v is unpinned.
 func (r *Rules) Free(v int) bool { return r.free[v] }
 
-// Start returns the canonical start every dynamic shares
+// Start returns a copy of the canonical start every dynamic shares
 // (gibbs.Instance.Start: the greedy completion of the pinning), so that
 // mixing comparisons share an initial state; a failure wraps
 // ErrNoFeasibleStart.
 func (r *Rules) Start() (dist.Config, error) {
-	start, err := r.in.Start()
+	start, err := r.canonical()
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrNoFeasibleStart, err)
+		return nil, err
 	}
-	return start, nil
+	return start.Chain(0), nil
+}
+
+// canonical returns the canonical start as a one-chain lattice, building
+// it on the first call. The lattice is shared: callers only read it.
+func (r *Rules) canonical() (*state.Lattice, error) {
+	r.startOnce.Do(func() {
+		start, err := r.in.Start()
+		if err != nil {
+			r.startErr = fmt.Errorf("%w: %v", ErrNoFeasibleStart, err)
+			return
+		}
+		r.start, r.startErr = state.Pack(r.n, r.q, []dist.Config{start})
+	})
+	return r.start, r.startErr
 }
 
 // ResetLattice refills l with every chain at the canonical start — the
@@ -337,7 +371,7 @@ func (r *Rules) Start() (dist.Config, error) {
 // allocates a fresh `chains`-chain lattice, which picks compact (uint8)
 // cells for q ≤ 255 and whose constructor validates the chain count and q.
 func (r *Rules) ResetLattice(l *state.Lattice, chains int) (*state.Lattice, error) {
-	start, err := r.Start()
+	start, err := r.canonical()
 	if err != nil {
 		return nil, err
 	}
@@ -392,8 +426,8 @@ func (r *Rules) filterProb(j int, old, prop dist.Config) (float64, error) {
 // (smallest-last) order, whichever leaves fewer classes after the pinned
 // vertices are dropped (a coloring that needs more colors on the full
 // graph may still have fewer surviving classes). The schedule is computed
-// once per Rules and cached; the returned slices alias that cache and
-// must not be modified.
+// once per Rules, so once per instance, and cached; the returned slices
+// alias that cache and must not be modified.
 func (r *Rules) ClassSchedule() [][]int {
 	r.schedOnce.Do(func() {
 		g := r.in.Spec.G

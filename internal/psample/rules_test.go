@@ -25,7 +25,7 @@ func TestClassScheduleCachedAndProper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRules(in)
+	r, err := RulesOf(in)
 	if err != nil {
 		t.Fatal(err)
 	}

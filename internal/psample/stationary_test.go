@@ -237,7 +237,7 @@ type rowPusher func(t *testing.T, r *Rules, sigma dist.Config, weight float64, o
 // checkStationary verifies µP = µ for the given row-pusher.
 func checkStationary(t *testing.T, in *gibbs.Instance, push rowPusher) {
 	t.Helper()
-	r, err := NewRules(in)
+	r, err := RulesOf(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func checkStationary(t *testing.T, in *gibbs.Instance, push rowPusher) {
 func TestLocalMetropolisStationaryExact(t *testing.T) {
 	for name, in := range tinyInstances(t) {
 		t.Run(name, func(t *testing.T) {
-			r, err := NewRules(in)
+			r, err := RulesOf(in)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -334,7 +334,7 @@ const oneRoundSamples = 4096
 // B = 1 engine, so every draw comes from the one-chain paths.
 func checkOneRoundLaw(t *testing.T, in *gibbs.Instance, push rowPusher, build func(r *Rules, chains int) (roundEngine, error)) {
 	t.Helper()
-	r, err := NewRules(in)
+	r, err := RulesOf(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,11 @@ func checkOneRoundLaw(t *testing.T, in *gibbs.Instance, push rowPusher, build fu
 		row := dist.NewJoint(in.N())
 		push(t, r, sigma, 1, row)
 
-		if err := wide.Lattice().Broadcast(sigma); err != nil {
+		src, err := state.Pack(in.N(), in.Q(), []dist.Config{sigma})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wide.Lattice().Broadcast(src); err != nil {
 			t.Fatal(err)
 		}
 		if err := wide.Run(1); err != nil {
@@ -384,7 +388,7 @@ func checkOneRoundLaw(t *testing.T, in *gibbs.Instance, push rowPusher, build fu
 
 		emp = dist.NewEmpirical(in.N())
 		for i := 0; i < oneRoundSamples; i++ {
-			if err := one.Lattice().Broadcast(sigma); err != nil {
+			if err := one.Lattice().Broadcast(src); err != nil {
 				t.Fatal(err)
 			}
 			if err := one.Run(1); err != nil {
@@ -433,7 +437,7 @@ func TestBatchLubyGlauberStationaryExact(t *testing.T) {
 	for name, in := range tinyInstances(t) {
 		t.Run(name, func(t *testing.T) {
 			checkStationary(t, in, pushLubyRow)
-			r, err := NewRules(in)
+			r, err := RulesOf(in)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -454,7 +458,7 @@ func TestBatchLubyGlauberStationaryExact(t *testing.T) {
 func TestBatchLocalMetropolisStationaryExact(t *testing.T) {
 	for name, in := range tinyInstances(t) {
 		t.Run(name, func(t *testing.T) {
-			r, err := NewRules(in)
+			r, err := RulesOf(in)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -530,7 +530,13 @@ func (c *Check) set(d sampler.Diagnostics) {
 }
 
 // freeCount returns the number of unpinned vertices of the instance — the
-// cell denominator of the rate signal.
+// cell denominator of the rate signal — counted in place.
 func freeCount(in *gibbs.Instance) int {
-	return len(in.FreeVertices())
+	n := 0
+	for _, x := range in.Pinned {
+		if x == dist.Unset {
+			n++
+		}
+	}
+	return n
 }

@@ -3,7 +3,11 @@ package sampler
 // adapters.go registers the four built-in dynamics. The three batched
 // engines satisfy MultiChain natively, and the sequential chain
 // (glauber.Chain) satisfies Sampler natively: each owns its xoshiro
-// streams and runs the fused kernels of internal/gibbs.
+// streams and runs the fused kernels of internal/gibbs. The batched
+// constructors take the instance's one compiled Rules value
+// (psample.RulesOf), so only the first engine built on an instance
+// compiles the rules, the start and the class schedule; every later
+// engine, stage and drive on it builds only its own lattice and streams.
 
 import (
 	"repro/internal/gibbs"
@@ -38,7 +42,7 @@ func init() {
 			return in.Spec.G.MaxDegree() + 1
 		},
 		NewBatch: func(in *gibbs.Instance, chains int, seed int64) (MultiChain, error) {
-			r, err := psample.NewRules(in)
+			r, err := psample.RulesOf(in)
 			if err != nil {
 				return nil, err
 			}
@@ -50,7 +54,7 @@ func init() {
 		Synopsis:    "LocalMetropolis: every vertex proposes every round, per-factor filter acceptance; one round = one proposal round",
 		SweepRounds: func(in *gibbs.Instance) int { return 1 },
 		NewBatch: func(in *gibbs.Instance, chains int, seed int64) (MultiChain, error) {
-			r, err := psample.NewRules(in)
+			r, err := psample.RulesOf(in)
 			if err != nil {
 				return nil, err
 			}
@@ -62,7 +66,7 @@ func init() {
 		Synopsis:    "ChromaticGlauber: deterministic greedy-coloring schedule, one color class heat-bathed per stage; one round = one full χ-stage sweep",
 		SweepRounds: func(in *gibbs.Instance) int { return 1 },
 		NewBatch: func(in *gibbs.Instance, chains int, seed int64) (MultiChain, error) {
-			r, err := psample.NewRules(in)
+			r, err := psample.RulesOf(in)
 			if err != nil {
 				return nil, err
 			}

@@ -26,13 +26,16 @@ package sampler
 //
 // The buffer is time-major: retained snapshot i is one copy of the
 // lattice's raw cell block, laid out like the lattice (cell v*B+c), one
-// byte per cell on compact lattices and an int32 per cell on wide ones.
-// Observe therefore costs one pass over the lattice. The buffer grows by
-// doubling as observations arrive, up to a fixed number of snapshots; when
-// it fills, every other snapshot is dropped (snapshot 2i+1 moves to i) and
-// the retention stride doubles, so the retained series stays evenly
-// spaced across the whole history and memory stays bounded no matter how
-// long the run.
+// byte per cell on compact lattices and an int32 per cell on wide ones,
+// in a slice of its own. Observe therefore costs one pass over the
+// lattice. Each retained observation allocates its snapshot, up to a fixed
+// number of snapshots; when the buffer fills, every other snapshot is
+// dropped (snapshot 2i+1 moves to i, which moves a slice header, not the
+// cells) and the retention stride doubles, so the retained series stays
+// evenly spaced across the whole history and memory stays bounded no
+// matter how long the run. The dropped snapshots' slices take the
+// observations that follow, so nothing is allocated after the buffer
+// first fills.
 //
 // Reading the buffer is one kernel per vertex (vertexStats): it gathers
 // the vertex's series once into a chain-major float64 scratch, takes one
@@ -69,13 +72,13 @@ package sampler
 // A queued pass reads a frozen view: its own copy of the buffer's slice
 // header and of the retained length, stride and count (history), never
 // the moments or the live fields. That view stays valid while Observe goes
-// on: an observation writes past the frozen length, or into a freshly
-// grown buffer while the pass keeps the old array; only thinning moves
-// retained snapshots in place, and Observe finishes the accumulator's
-// passes still queued or running before it thins. The diagnostics draw no
-// random numbers, so a pass's result is the same whether it ran inline or
-// in the background, on one worker or on several: it does not depend on
-// GOMAXPROCS, on the engines' worker count, or on when it ran.
+// on: an observation writes only a snapshot past the frozen length, a
+// fresh one or one that thinning dropped; only thinning moves retained
+// snapshots, and Observe finishes the accumulator's passes still queued or
+// running before it thins. The diagnostics draw no random numbers, so a
+// pass's result is the same whether it ran inline or in the background, on
+// one worker or on several: it does not depend on GOMAXPROCS, on the
+// engines' worker count, or on when it ran.
 //
 // Every statistic is bit-identical (same vertex, same math.Float64bits) to
 // the earlier series-major layout, which stored each (vertex, chain)
@@ -99,7 +102,7 @@ import (
 // costs one byte per cell on compact lattices, so the buffer holds at most
 // DefaultRetain·n·B bytes and reaches that only after DefaultRetain
 // observations: a drive that stops after T ≤ DefaultRetain sweeps retains
-// T·n·B bytes, in a buffer of less than twice that.
+// T·n·B bytes and allocates no more for its snapshots, one slice each.
 const DefaultRetain = 256
 
 // Rhat accumulates per-(vertex, chain) observation statistics of a
@@ -131,20 +134,21 @@ type Rhat struct {
 
 // history is the part of the accumulator the per-vertex kernel reads: the
 // shape, the thinned snapshot buffer and the observation count. Snapshot i
-// occupies snaps[i*cells:(i+1)*cells] of snaps8 (compact lattices) or
-// snapsW (wide lattices; the other stays nil), and the buffer's length is
-// exactly rlen snapshots. Snapshots are evenly spaced every `stride`
-// observations across the history, most recent last. A copy is a frozen
-// view: Observe changes the accumulator's copy, never the retained cells a
-// copy covers, except when it thins (see Observe).
+// is the cells-long slice snaps8[i] (compact lattices) or snapsW[i] (wide
+// lattices; the other stays nil) for i < rlen; the slices past rlen are
+// snapshots that thinning dropped, kept for the next observations.
+// Snapshots are evenly spaced every `stride` observations across the
+// history, most recent last. A copy is a frozen view: Observe changes the
+// accumulator's copy, never the retained cells a copy covers, except when
+// it thins (see Observe).
 type history struct {
 	// n and b are the vertex and chain counts, read once; cells = n·b is
 	// one snapshot's length.
 	n, b, cells int
 	compact     bool
 	retain      int
-	snaps8      []uint8
-	snapsW      []int32
+	snaps8      [][]uint8
+	snapsW      [][]int32
 	rlen        int
 	stride      int
 	count       int
@@ -175,7 +179,7 @@ func newRhat(m MultiChain, retain int, q *Backlog) (*Rhat, error) {
 	}
 	lat := m.Lattice()
 	n := lat.N()
-	return &Rhat{
+	r := &Rhat{
 		m: m,
 		history: history{
 			n:       n,
@@ -188,7 +192,15 @@ func newRhat(m MultiChain, retain int, q *Backlog) (*Rhat, error) {
 		mean: make([]float64, n*B),
 		m2:   make([]float64, n*B),
 		q:    q,
-	}, nil
+	}
+	// The snapshot headers never move, so a frozen view's header stays
+	// valid while Observe appends.
+	if r.compact {
+		r.snaps8 = make([][]uint8, 0, retain)
+	} else {
+		r.snapsW = make([][]int32, 0, retain)
+	}
+	return r, nil
 }
 
 // cell8 decodes a compact cell: symbols are themselves and the 0xFF
@@ -202,9 +214,10 @@ var cell8 = func() (t [256]float64) {
 }()
 
 // Observe folds the engine's current state into the running moments and,
-// on retention strides, appends it to the snapshot buffer. Call it between
-// Run chunks (e.g. once per sweep-equivalent). When the buffer fills, it
-// finishes the accumulator's queued passes before thinning it.
+// on retention strides, appends it to the snapshot buffer, in a snapshot
+// that thinning dropped or, before the first thinning, a new one. Call it
+// between Run chunks (e.g. once per sweep-equivalent). When the buffer
+// fills, it finishes the accumulator's queued passes before thinning it.
 func (r *Rhat) Observe() {
 	r.count++
 	cnt := float64(r.count)
@@ -220,8 +233,8 @@ func (r *Rhat) Observe() {
 			m2[i] += d * (xf - mean[i])
 		}
 		if keep {
-			r.snaps8 = grow(r.snaps8, r.cells, r.retain)
-			copy(r.snaps8[r.rlen*r.cells:], raw)
+			r.snaps8 = next(r.snaps8, r.rlen, r.cells)
+			copy(r.snaps8[r.rlen], raw)
 		}
 	} else {
 		raw := lat.RawWide()[:r.cells]
@@ -232,8 +245,8 @@ func (r *Rhat) Observe() {
 			m2[i] += d * (xf - mean[i])
 		}
 		if keep {
-			r.snapsW = grow(r.snapsW, r.cells, r.retain)
-			snap := r.snapsW[r.rlen*r.cells:]
+			r.snapsW = next(r.snapsW, r.rlen, r.cells)
+			snap := r.snapsW[r.rlen]
 			for i, x := range raw {
 				snap[i] = int32(x)
 			}
@@ -253,9 +266,9 @@ func (r *Rhat) Observe() {
 		r.q.settle(r)
 		half := r.retain / 2
 		if r.compact {
-			r.snaps8 = thin(r.snaps8, r.cells, half)
+			thin(r.snaps8, half)
 		} else {
-			r.snapsW = thin(r.snapsW, r.cells, half)
+			thin(r.snapsW, half)
 		}
 		r.rlen = half
 		r.stride *= 2
@@ -263,28 +276,26 @@ func (r *Rhat) Observe() {
 	r.skip = r.stride - 1
 }
 
-// grow extends buf, which holds whole snapshots of `cells` cells, by one
-// snapshot. A full buffer moves to one of twice the snapshots (at most
-// retain): with a power-of-two retain such as DefaultRetain, a run's
-// buffer allocations total less than twice the full buffer, and none
-// happen once it holds retain snapshots.
-func grow[T uint8 | int32](buf []T, cells, retain int) []T {
-	n := len(buf) + cells
-	if n <= cap(buf) {
-		return buf[:n]
+// next makes sure snaps holds a snapshot at slot rlen, the next to
+// retain: one that thinning dropped, or a new one of `cells` cells, which
+// only the first `retain` observations kept need. snaps was made with
+// capacity retain, so appending never moves the headers.
+func next[T uint8 | int32](snaps [][]T, rlen, cells int) [][]T {
+	if rlen < len(snaps) {
+		return snaps
 	}
-	snaps := min(max(1, 2*(cap(buf)/cells)), retain)
-	grown := make([]T, n, snaps*cells)
-	copy(grown, buf)
-	return grown
+	return append(snaps, make([]T, cells))
 }
 
-// thin moves snapshot 2i+1 to slot i for every i < half and drops the rest.
-func thin[T uint8 | int32](buf []T, cells, half int) []T {
+// thin moves snapshot 2i+1 to slot i for every i < half by swapping slice
+// headers, so the snapshots it drops land in slots half to 2·half−1 for
+// reuse: slot 2i+1 still holds its own snapshot when step i reads it,
+// since the earlier steps wrote only slots below i and odd slots below
+// 2i+1.
+func thin[T uint8 | int32](snaps [][]T, half int) {
 	for i := 0; i < half; i++ {
-		copy(buf[i*cells:(i+1)*cells], buf[(2*i+1)*cells:(2*i+2)*cells])
+		snaps[i], snaps[2*i+1] = snaps[2*i+1], snaps[i]
 	}
-	return buf[:half*cells]
 }
 
 // vertexScratch is the reusable scratch of the per-vertex kernel: one
@@ -306,7 +317,8 @@ type vertexScratch struct {
 func (h *history) gather(v int, sc *vertexScratch) []float64 {
 	B, L := h.b, h.rlen
 	if cap(sc.series) < B*L {
-		// Sized ahead like the snapshot buffer, so growth is as rare.
+		// Sized ahead, to twice the retained length up to the buffer
+		// capacity, so growth is rare.
 		sc.series = make([]float64, B*min(2*L, h.retain))
 	}
 	if len(sc.chainMean) != B {
@@ -317,17 +329,15 @@ func (h *history) gather(v int, sc *vertexScratch) []float64 {
 	y := sc.series[:B*L]
 	off := v * B
 	if h.compact {
-		for t := 0; t < L; t++ {
-			at := t*h.cells + off
-			for c, x := range h.snaps8[at : at+B] {
+		for t, snap := range h.snaps8[:L] {
+			for c, x := range snap[off : off+B] {
 				y[c*L+t] = cell8[x]
 			}
 		}
 		return y
 	}
-	for t := 0; t < L; t++ {
-		at := t*h.cells + off
-		for c, x := range h.snapsW[at : at+B] {
+	for t, snap := range h.snapsW[:L] {
+		for c, x := range snap[off : off+B] {
 			y[c*L+t] = float64(x)
 		}
 	}

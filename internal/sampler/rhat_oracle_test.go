@@ -392,8 +392,9 @@ func TestRhatMatchesReferenceCorpus(t *testing.T) {
 // an 8-snapshot buffer, and holds each pass, when drained, to the reference's
 // worst split R̂ and smallest ESS at the moment it was queued, bit for bit
 // and vertex for vertex. Passes are queued at every observation and drained
-// every sixth, so up to six wait at once while Observe appends, regrows and
-// thins the buffer under them (finishing its own first); the race detector
+// every sixth, so up to six wait at once while Observe appends to the
+// buffer, refills the snapshots thinning dropped and thins it under them
+// (finishing its own first); the race detector
 // checks that no pass reads what Observe writes. With two accumulators the
 // backlog is a drive's escalation: the first stops observing with its
 // passes still queued and a second, on the same backlog and scratch, takes

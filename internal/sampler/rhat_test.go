@@ -16,6 +16,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/model"
 	"repro/internal/psample"
+	"repro/internal/state"
 )
 
 func rhatBatch(t *testing.T, spec *gibbs.Spec, pin dist.Config, B int, seed int64) *psample.BatchChromaticGlauber {
@@ -24,7 +25,7 @@ func rhatBatch(t *testing.T, spec *gibbs.Spec, pin dist.Config, B int, seed int6
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := psample.NewRules(in)
+	r, err := psample.RulesOf(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +286,7 @@ func stockGoroutines(n int) {
 // TestRhatAllocations pins what the accumulator allocates on the 64×64
 // antiferromagnetic Ising torus with 16 chains: NewRhat only the running
 // moments (the snapshot buffer grows with the observations, one byte per
-// cell each, doubling, so its allocations stay under twice the full
+// cell each, so its allocations stay under twice the full
 // buffer), a check nothing once its workers' scratch is sized — at
 // GOMAXPROCS 1 (the caller alone) and 4 (the caller and three goroutines)
 // — nor three passes queued at once and drained, on a backlog of as many
@@ -361,5 +362,79 @@ func TestRhatAllocations(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(10, acc.Observe); n != 0 {
 		t.Errorf("Observe allocates %v times per call past the first thinning, want 0", n)
+	}
+}
+
+// TestRhatSnapshotAllocations: over T ≤ DefaultRetain observations, an
+// accumulator allocates its running moments (16 bytes per cell) and T
+// snapshots of one lattice's cells, one per retained observation, and
+// nothing more beyond a slack far below one snapshot (the snapshot headers
+// and the accumulator itself). A buffer that grew by doubling would
+// allocate up to 2T − 1 snapshots. From the first thinning through the
+// second, Observe refills the snapshots that thinning dropped, allocates
+// nothing, and keeps DefaultRetain distinct snapshots. The cells' values
+// do not matter here, so the lattice stays as built.
+func TestRhatSnapshotAllocations(t *testing.T) {
+	const n, B = 4096, 16
+	for _, wide := range []bool{false, true} {
+		t.Run(fmt.Sprintf("wide=%v", wide), func(t *testing.T) {
+			restore := func() {}
+			if wide {
+				restore = state.SetCompactLimitForTest(0)
+			}
+			lat, err := state.New(n, B, 2)
+			restore()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cells := uint64(n * B)
+			snapshot := cells
+			if wide {
+				snapshot *= 4
+			}
+			slack := cells / 4
+			var acc *Rhat
+			for _, T := range []int{1, 2, 3, 5, 24, 100, DefaultRetain} {
+				got := totalAlloc(func() {
+					if acc, err = newRhat(latticeOnly{lat}, DefaultRetain, NewBacklog(0)); err != nil {
+						return
+					}
+					for range T {
+						acc.Observe()
+					}
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := 16*cells + uint64(T)*snapshot
+				if got < want || got >= want+slack {
+					t.Errorf("T = %d: allocated %d bytes, want the moments and %d snapshots, %d bytes, plus under %d",
+						T, got, T, want, slack)
+				}
+			}
+			if acc.stride != 2 || acc.rlen != DefaultRetain/2 {
+				t.Fatalf("retained %d at stride %d after %d observations; want the first thinning", acc.rlen, acc.stride, acc.count)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for acc.stride < 4 {
+				acc.Observe()
+			}
+			runtime.ReadMemStats(&after)
+			if n := after.Mallocs - before.Mallocs; n != 0 {
+				t.Errorf("Observe allocated %d times from the first thinning through the second, want 0", n)
+			}
+			distinct := map[any]bool{}
+			for i := range DefaultRetain {
+				if wide {
+					distinct[&acc.snapsW[i][0]] = true
+				} else {
+					distinct[&acc.snaps8[i][0]] = true
+				}
+			}
+			if len(distinct) != DefaultRetain {
+				t.Errorf("the buffer holds %d distinct snapshots after two thinnings, want %d", len(distinct), DefaultRetain)
+			}
+		})
 	}
 }

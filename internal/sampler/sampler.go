@@ -89,7 +89,9 @@ type Info struct {
 	SweepRounds func(in *gibbs.Instance) int
 	// NewBatch constructs a batched dynamic with the given number of
 	// chains, every chain started from the greedy completion of the
-	// pinning, with RNG streams derived from seed.
+	// pinning, with RNG streams derived from seed. The built-in engines
+	// share the instance's compiled rules (psample.RulesOf), which the
+	// first engine on the instance builds.
 	NewBatch func(in *gibbs.Instance, chains int, seed int64) (MultiChain, error)
 }
 
@@ -148,7 +150,13 @@ type Options struct {
 
 // Create constructs the named dynamic on the instance. It is the one
 // creation path consumers (cmd/lsample, the experiments, the adaptive run
-// driver, the sampling service) call.
+// driver, the sampling service) call. What depends only on the instance —
+// a batched dynamic's update rules, canonical start and class schedule —
+// is compiled by the first Create on the instance and shared by every
+// engine created on it after, concurrently too; each call builds only
+// the engine's own state (its lattice, RNG streams and worker slots). The
+// instance's pinning must therefore not change once an engine has been
+// created on it (gibbs.Instance).
 func Create(name string, in *gibbs.Instance, o Options) (Sampler, error) {
 	info, ok := Lookup(name)
 	if !ok {

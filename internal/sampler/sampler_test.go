@@ -174,6 +174,40 @@ func TestCreateSelectsEngine(t *testing.T) {
 	}
 }
 
+// TestCreateSharesInstanceRules: Create compiles an instance's rules once
+// and every engine created on the instance after shares them, so two
+// chromatic engines hold the one class schedule, while an engine on a
+// second instance of the same spec holds its own.
+func TestCreateSharesInstanceRules(t *testing.T) {
+	spec, err := model.Hardcore(graph.Torus(4, 4), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	classes := func(in *gibbs.Instance) [][]int {
+		t.Helper()
+		s, err := Create("chromatic", in, Options{Chains: 2, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.(*psample.BatchChromaticGlauber).Classes()
+	}
+	in, err := gibbs.NewInstance(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := gibbs.NewInstance(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := classes(in)
+	if &classes(in)[0][0] != &first[0][0] {
+		t.Error("two engines on one instance hold separate class schedules")
+	}
+	if &classes(other)[0][0] == &first[0][0] {
+		t.Error("engines on two instances share a class schedule")
+	}
+}
+
 func TestSweepRoundsPerDynamic(t *testing.T) {
 	spec, err := model.Hardcore(graph.Cycle(8), 1)
 	if err != nil {
@@ -279,7 +313,7 @@ func TestBatchMatchesExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := psample.NewRules(in)
+			r, err := psample.RulesOf(in)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -331,7 +365,7 @@ func TestBatchForcedWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := psample.NewRules(in)
+	r, err := psample.RulesOf(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +411,7 @@ func TestBatchChainsDecorrelated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := psample.NewRules(in)
+	r, err := psample.RulesOf(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +444,7 @@ func TestBatchRejectsBadChainCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := psample.NewRules(in)
+	r, err := psample.RulesOf(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +464,7 @@ func TestBatchFullyPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := psample.NewRules(in)
+	r, err := psample.RulesOf(in)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,7 +132,7 @@ func applyClassKernel(t *testing.T, eng *gibbs.Compiled, q int, class []int, mu 
 func TestChromaticGlauberStationaryExact(t *testing.T) {
 	for name, in := range tinyInstances(t) {
 		t.Run(name, func(t *testing.T) {
-			r, err := psample.NewRules(in)
+			r, err := psample.RulesOf(in)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -167,7 +167,7 @@ func TestChromaticGlauberStationaryExact(t *testing.T) {
 func TestChromaticScheduleCoversFreeVertices(t *testing.T) {
 	for name, in := range tinyInstances(t) {
 		t.Run(name, func(t *testing.T) {
-			r, err := psample.NewRules(in)
+			r, err := psample.RulesOf(in)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -235,24 +235,26 @@ func (l *Lattice) SetChain(c int, cfg dist.Config) error {
 	return nil
 }
 
-// Broadcast copies cfg into every chain.
-func (l *Lattice) Broadcast(cfg dist.Config) error {
-	if err := l.SetChain(0, cfg); err != nil {
-		return err
+// Broadcast copies chain 0 of src into every chain. The lattices must
+// agree on vertices and alphabet; the chain counts and cell
+// representations may differ, so a one-chain lattice can hold a
+// configuration compactly and refill the chains of many engines.
+func (l *Lattice) Broadcast(src *Lattice) error {
+	if l.n != src.n || l.q != src.q {
+		return fmt.Errorf("state: Broadcast shape mismatch: dst n=%d q=%d, src n=%d q=%d", l.n, l.q, src.n, src.q)
 	}
-	if l.u8 != nil {
-		for v := range cfg {
-			row := l.Row8(v)
-			for c := 1; c < l.chains; c++ {
-				row[c] = row[0]
+	for v := 0; v < l.n; v++ {
+		x := src.Get(v, 0)
+		if l.u8 != nil {
+			row, c8 := l.Row8(v), uint8(x)
+			for c := range row {
+				row[c] = c8
 			}
+			continue
 		}
-		return nil
-	}
-	for v := range cfg {
 		row := l.RowWide(v)
-		for c := 1; c < l.chains; c++ {
-			row[c] = row[0]
+		for c := range row {
+			row[c] = x
 		}
 	}
 	return nil

@@ -104,14 +104,27 @@ func TestBroadcastAndClone(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := dist.Config{4, 0, 2}
-		if err := l.Broadcast(cfg); err != nil {
-			t.Fatal(err)
-		}
-		for c := 0; c < 4; c++ {
-			if got := l.Chain(c); !got.Equal(cfg) {
-				t.Fatalf("chain %d = %v after broadcast", c, got)
+		// The source's cells may be compact or wide, whatever l's are.
+		for i, smk := range []func(n, chains, q int) (*Lattice, error){NewCompact, NewWide} {
+			cfg := dist.Config{4, i, 2}
+			src, err := smk(3, 1, 5)
+			if err != nil {
+				t.Fatal(err)
 			}
+			if err := src.SetChain(0, cfg); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Broadcast(src); err != nil {
+				t.Fatal(err)
+			}
+			for c := 0; c < 4; c++ {
+				if got := l.Chain(c); !got.Equal(cfg) {
+					t.Fatalf("chain %d = %v after broadcast of %v", c, got, cfg)
+				}
+			}
+		}
+		if err := l.Broadcast(&Lattice{n: 3, chains: 1, q: 4, u8: make([]uint8, 3)}); err == nil {
+			t.Error("Broadcast accepted a source over another alphabet")
 		}
 		cl := l.clone()
 		cl.Set(0, 0, 1)

@@ -84,7 +84,7 @@ func runEngines(t *testing.T, in *gibbs.Instance, seed int64) map[string]dist.Co
 		if name == "metropolis" {
 			// LocalMetropolis needs table-backed acceptance factors; skip
 			// uniformly (representation cannot change MetropolisReady).
-			r, err := psample.NewRules(in)
+			r, err := psample.RulesOf(in)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,7 +105,7 @@ func runEngines(t *testing.T, in *gibbs.Instance, seed int64) map[string]dist.Co
 		}
 		out[name] = s.State()
 	}
-	r, err := psample.NewRules(in)
+	r, err := psample.RulesOf(in)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func TestSweepPlanBitIdenticalToBatchKernel(t *testing.T) {
 						restore = state.SetCompactLimitForTest(0)
 					}
 					defer restore()
-					r, err := psample.NewRules(in)
+					r, err := psample.RulesOf(in)
 					if err != nil {
 						t.Fatal(err)
 					}

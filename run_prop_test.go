@@ -11,13 +11,16 @@ package repro_test
 // or the observation buffer surfaces here too.
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/dist"
 	"repro/internal/gibbs"
 	"repro/internal/graph"
 	"repro/internal/local"
@@ -209,6 +212,121 @@ func TestDriveIndependentOfGOMAXPROCS(t *testing.T) {
 	}
 }
 
+// TestDriveSharedInstance: an instance compiles its samplers' rules and
+// start once (psample.RulesOf) and shares them with every engine, stage
+// and drive on it, so a drive must not depend on what else ran, or runs,
+// on its instance. For every corpus document, every batched dynamic and
+// the corpus benchmark's escalation, at seeds 1–3: each drive on a reused
+// instance — once after the drives before it in the list, then again, in
+// reverse order, after all of them — gives the Report and final lattice
+// (driveDigest), or the error, of the same drive on a freshly built
+// instance; and eight goroutines that start driving one fresh instance at
+// once, each through every drive of the list from its own starting point,
+// each get those sequential results. Beside the corpus, a hardcore path
+// whose pinning has no feasible completion makes every drive fail, so the
+// start's failure, cached with the rules, must come back the same too.
+func TestDriveSharedInstance(t *testing.T) {
+	infeasible, err := model.Hardcore(graph.Path(3), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	instances := func() map[string]*gibbs.Instance {
+		ins := corpusInstances(t)
+		in, err := gibbs.NewInstance(infeasible, dist.Config{model.In, model.In, dist.Unset})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ins["hardcore-path3-infeasible"] = in
+		return ins
+	}
+	base := run.Policy{Chains: 8, MaxSweeps: 48, CheckEvery: 4, Rhat: 1.05, Workers: 1}
+	type drive struct {
+		name string
+		p    run.Policy
+		seed int64
+	}
+	var drives []drive
+	for _, dyn := range sampler.MultiNames() {
+		for seed := int64(1); seed <= 3; seed++ {
+			p := base
+			p.Stages = []run.Stage{{Dynamic: dyn}}
+			drives = append(drives, drive{fmt.Sprintf("%s/%d", dyn, seed), p, seed})
+		}
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		p := base
+		p.Stages = []run.Stage{
+			{Dynamic: "metropolis", MaxSweeps: 16, MinRate: 0.1},
+			{Dynamic: "chromatic"},
+		}
+		drives = append(drives, drive{fmt.Sprintf("escalate/%d", seed), p, seed})
+	}
+	outcome := func(in *gibbs.Instance, d drive) string {
+		rep, m, err := run.Drive(in, d.seed, d.p)
+		if err != nil {
+			return "error: " + err.Error()
+		}
+		return driveDigest(rep, m)
+	}
+	// want[doc][i] is drive i on an instance built for it alone.
+	want := map[string][]string{}
+	for _, d := range drives {
+		for doc, in := range instances() {
+			want[doc] = append(want[doc], outcome(in, d))
+		}
+	}
+	// Every corpus drive succeeds, and every drive on the infeasible
+	// instance fails for want of a start.
+	for doc, w := range want {
+		noStart := doc == "hardcore-path3-infeasible"
+		for i, o := range w {
+			failed := strings.HasPrefix(o, "error: ")
+			if failed != noStart || failed && !strings.Contains(o, psample.ErrNoFeasibleStart.Error()) {
+				t.Fatalf("%s %s on a fresh instance: %s", doc, drives[i].name, o)
+			}
+		}
+	}
+	shared := instances()
+	concurrent := instances()
+	for doc, w := range want {
+		t.Run(doc, func(t *testing.T) {
+			in := shared[doc]
+			for i, d := range drives {
+				if got := outcome(in, d); got != w[i] {
+					t.Errorf("%s after %d drives on the instance: %s, on a fresh instance: %s", d.name, i, got, w[i])
+				}
+			}
+			for i := len(drives) - 1; i >= 0; i-- {
+				if got := outcome(in, drives[i]); got != w[i] {
+					t.Errorf("%s after every drive on the instance: %s, on a fresh instance: %s", drives[i].name, got, w[i])
+				}
+			}
+			const goroutines = 8
+			got := make([][]string, goroutines)
+			var wg sync.WaitGroup
+			for g := range goroutines {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got[g] = make([]string, len(drives))
+					for k := range drives {
+						i := (g + k) % len(drives)
+						got[g][i] = outcome(concurrent[doc], drives[i])
+					}
+				}()
+			}
+			wg.Wait()
+			for g := range goroutines {
+				for i, d := range drives {
+					if got[g][i] != w[i] {
+						t.Errorf("goroutine %d, %s on an instance driven concurrently: %s, on a fresh instance: %s", g, d.name, got[g][i], w[i])
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestChromaticLOCALDeterministicAcrossCorpus: the message-passing harness
 // under the same contract — (instance, seed) fixes the output configuration
 // and the LOCAL round count on every corpus instance.
@@ -219,7 +337,7 @@ func TestChromaticLOCALDeterministicAcrossCorpus(t *testing.T) {
 	)
 	for name, in := range corpusInstances(t) {
 		t.Run(name, func(t *testing.T) {
-			r, err := psample.NewRules(in)
+			r, err := psample.RulesOf(in)
 			if err != nil {
 				t.Fatal(err)
 			}
