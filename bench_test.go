@@ -694,6 +694,31 @@ func BenchmarkPlan(b *testing.B) {
 	}
 }
 
+// BenchmarkCondBuild times the conditional-CDF cache build of the 64² Ising
+// torus: each iteration compiles a fresh engine and builds its sweep plan
+// untimed, then times Cond(). It reports the cache's bytes and its
+// distinct tables.
+func BenchmarkCondBuild(b *testing.B) {
+	sp, err := model.Ising(graph.Torus(64, 64), 0.8, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var c *gibbs.Compiled
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c = gibbs.Compile(sp)
+		c.Plan()
+		b.StartTimer()
+		c.Cond()
+	}
+	b.StopTimer()
+	st := c.CondStats()
+	b.ReportMetric(float64(st.Bytes), "cond-bytes")
+	b.ReportMetric(float64(st.Tables), "tables")
+}
+
 // BenchmarkLubyGlauberLOCAL measures the message-passing harness (4 rounds
 // of LubyGlauber on a 12×12 torus through the LOCAL simulator) — the
 // simulator overhead the in-process engine removes.

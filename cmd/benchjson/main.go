@@ -52,9 +52,11 @@
 // With -regen, the tool stops reading stdin and instead regenerates the
 // committed baseline itself, encoding the protocol every BENCH_main.json
 // refresh has followed: run the full suite three times at 100ms per
-// benchmark and keep the per-benchmark, per-metric median (a median of
-// three beats one lucky run on a noisy runner; the odd count means the
-// median is always a really-measured value):
+// benchmark and -cpu 2, and keep the per-benchmark, per-metric median (a
+// median of three beats one lucky run on a noisy runner; the odd count
+// means the median is always a really-measured value). The one core count
+// is the CI smoke run's, so every baseline record carries GOMAXPROCS 2
+// and matches the gate's runs:
 //
 //	go build ./cmd/benchjson && ./benchjson -regen -o BENCH_main.json
 //
@@ -77,10 +79,12 @@ import (
 )
 
 // The baseline regeneration protocol: three full suite runs at 100ms per
-// benchmark, merged per benchmark and per metric by median.
+// benchmark and GOMAXPROCS 2 (the core count the CI bench-json step
+// passes with -cpu), merged per benchmark and per metric by median.
 const (
 	regenRuns      = 3
 	regenBenchtime = "100ms"
+	regenCPU       = "2"
 )
 
 // event is the subset of the test2json stream the tool consumes.
@@ -169,7 +173,7 @@ func main() {
 	failAllocPct := flag.Float64("failallocs", 0, "exit nonzero when an allowlisted benchmark regresses allocs/op above this percentage vs the baseline (any growth from a zero-alloc baseline gates; 0 = off)")
 	faillist := flag.String("faillist", "GlauberStep,CondWeights,CondLookup,BatchSweep,BatchLuby,BatchMetropolis,DriverConverge,RhatCheck",
 		"comma-separated benchmark-name substrings gated by -fail and -failallocs; others stay warn-only")
-	regen := flag.Bool("regen", false, "regenerate the baseline: run the suite "+strconv.Itoa(regenRuns)+"× at -benchtime="+regenBenchtime+" and write the per-metric median report (ignores stdin)")
+	regen := flag.Bool("regen", false, "regenerate the baseline: run the suite "+strconv.Itoa(regenRuns)+"× at -benchtime="+regenBenchtime+" -cpu "+regenCPU+" and write the per-metric median report (ignores stdin)")
 	outPath := flag.String("o", "", "with -regen: write the merged report to this file instead of stdout")
 	flag.Parse()
 	if *regen {
@@ -212,16 +216,17 @@ func main() {
 }
 
 // regenerate runs the baseline protocol: regenRuns full suite runs at
-// regenBenchtime each, merged by medianReport and written to path (stdout
-// when path is empty). Each run's result lines are echoed to stderr so the
-// regeneration stays observable; a failing package aborts the whole
-// regeneration — a baseline must never be built from a partial run.
+// regenBenchtime each and -cpu regenCPU, merged by medianReport and
+// written to path (stdout when path is empty). Each run's result lines
+// are echoed to stderr so the regeneration stays observable; a failing
+// package aborts the whole regeneration — a baseline must never be built
+// from a partial run.
 func regenerate(path string) error {
 	reports := make([]*Report, 0, regenRuns)
 	for i := 1; i <= regenRuns; i++ {
-		fmt.Fprintf(os.Stderr, "benchjson: regen run %d/%d (go test -bench=. -benchtime=%s)\n", i, regenRuns, regenBenchtime)
+		fmt.Fprintf(os.Stderr, "benchjson: regen run %d/%d (go test -bench=. -benchtime=%s -cpu %s)\n", i, regenRuns, regenBenchtime, regenCPU)
 		cmd := exec.Command("go", "test", "-json", "-run=NONE", "-bench=.",
-			"-benchtime="+regenBenchtime, "-benchmem", "./...")
+			"-benchtime="+regenBenchtime, "-cpu", regenCPU, "-benchmem", "./...")
 		cmd.Stderr = os.Stderr
 		stdout, err := cmd.StdoutPipe()
 		if err != nil {

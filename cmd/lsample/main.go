@@ -292,9 +292,10 @@ func sample(out *os.File, o options) error {
 	if o.verbose {
 		// CondStats forces the lazy cache build, so the coverage line is
 		// accurate before any sampling starts. zero-one counts the
-		// uncached vertices that take the mask draw.
+		// uncached vertices that take the mask draw, and tables the
+		// distinct tables the cached vertices share.
 		st := in.Spec.Compiled().CondStats()
-		fmt.Fprintf(out, "cond-cache: cached=%d/%d vertices bytes=%d zero-one=%d\n", st.Cached, st.Total, st.Bytes, st.ZeroOne)
+		fmt.Fprintf(out, "cond-cache: cached=%d/%d vertices bytes=%d zero-one=%d tables=%d\n", st.Cached, st.Total, st.Bytes, st.ZeroOne, st.Tables)
 	}
 	rng := rand.New(rand.NewSource(o.seed))
 

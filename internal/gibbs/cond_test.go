@@ -229,62 +229,96 @@ func TestCondLookupLatticeMatchesSampleWeights(t *testing.T) {
 	}
 }
 
+// uniformCycleQ3 is a q=3 cycle of n vertices with one shared pair table
+// and no unary factor, so vertices 1 … n−2 have equal keys and share one
+// cond-cache table (vertices 0 and n−1 read their neighbors in another
+// order).
+func uniformCycleQ3(t *testing.T, n int) *Spec {
+	t.Helper()
+	g := graph.Cycle(n)
+	pair := []float64{1, 0.5, 0.8, 0.5, 1, 0.3, 0.8, 0.3, 1}
+	var factors []Factor
+	for _, e := range g.Edges() {
+		factors = append(factors, PairTable(e.U, e.V, pair, "pair"))
+	}
+	s, err := NewSpec(g, 3, factors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // TestCondPartialCoverage shrinks the budgets so only part of the graph is
 // cached and checks the mixed cached/uncached sweep stays bit-identical —
-// the greedy byte budget must not change semantics, only speed.
+// the byte budget must not change semantics, only speed. On a q=3 cycle a
+// table takes 3²·3 = 27 row entries and 9 code bytes (225 bytes) and a
+// vertex's neighbor list 8 bytes, so 500 bytes admit two tables and four
+// more lists. On pairSpecQ3 every vertex builds a table of its own (unary
+// priors on 0 and 2; 1 and 3 read their neighbors in opposite orders), so
+// two of its four vertices are covered; on a uniform 12-cycle vertices
+// 0–5 are covered with two tables between them.
 func TestCondPartialCoverage(t *testing.T) {
-	s := pairSpecQ3(t)
-	// Each vertex of the q=3 cycle needs 3²·3 = 27 row entries ≈ 240 bytes;
-	// a 500-byte budget caches the first two vertices only.
 	restore := SetCondCapForTest(DefaultCondCap, 500)
 	defer restore()
-	engOff, engOn := condEngines(s, DefaultTableCap)
-	n, q := engOn.N(), engOn.Q()
-	st := engOn.CondStats()
-	if st.Cached == 0 || st.Cached == n {
-		t.Fatalf("want partial coverage, got %d of %d cached (%d bytes)", st.Cached, n, st.Bytes)
-	}
-	const B = 5
-	latOff, err := state.Pack(n, q, randomChains(n, q, B, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	latOn, err := state.Pack(n, q, randomChains(n, q, B, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bindOff, err := engOff.BindVertexSubset(latOff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bindOn, err := engOn.BindVertexSubset(latOn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := chainList(B)
-	sc := NewBatchScratch(B)
-	buf := make([]float64, B*q)
-	rngOff := dist.NewXoshiro(41, 2)
-	rngOn := rngOff
-	for sweep := 0; sweep < 10; sweep++ {
-		for v := 0; v < n; v++ {
-			if err := bindOff(v, all, buf, sc, &rngOff); err != nil {
+	for _, tc := range []struct {
+		name           string
+		s              *Spec
+		cached, tables int
+	}{
+		{"distinct-tables", pairSpecQ3(t), 2, 2},
+		{"shared-tables", uniformCycleQ3(t, 12), 6, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			engOff, engOn := condEngines(tc.s, DefaultTableCap)
+			n, q := engOn.N(), engOn.Q()
+			st := engOn.CondStats()
+			if st.Cached != tc.cached || st.Tables != tc.tables {
+				t.Fatalf("cache covers %d of %d vertices with %d tables (%d bytes), want %d with %d",
+					st.Cached, n, st.Tables, st.Bytes, tc.cached, tc.tables)
+			}
+			const B = 5
+			latOff, err := state.Pack(n, q, randomChains(n, q, B, 7))
+			if err != nil {
 				t.Fatal(err)
 			}
-			if err := bindOn(v, all, buf, sc, &rngOn); err != nil {
+			latOn, err := state.Pack(n, q, randomChains(n, q, B, 7))
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-	}
-	if rngOff != rngOn {
-		t.Fatal("generators diverged under partial coverage")
-	}
-	for v := 0; v < n; v++ {
-		for c := 0; c < B; c++ {
-			if a, b := latOff.Get(v, c), latOn.Get(v, c); a != b {
-				t.Fatalf("cell (%d,%d): plan=%d mixed=%d", v, c, a, b)
+			bindOff, err := engOff.BindVertexSubset(latOff)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			bindOn, err := engOn.BindVertexSubset(latOn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all := chainList(B)
+			sc := NewBatchScratch(B)
+			buf := make([]float64, B*q)
+			rngOff := dist.NewXoshiro(41, 2)
+			rngOn := rngOff
+			for sweep := 0; sweep < 10; sweep++ {
+				for v := 0; v < n; v++ {
+					if err := bindOff(v, all, buf, sc, &rngOff); err != nil {
+						t.Fatal(err)
+					}
+					if err := bindOn(v, all, buf, sc, &rngOn); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if rngOff != rngOn {
+				t.Fatal("generators diverged under partial coverage")
+			}
+			for v := 0; v < n; v++ {
+				for c := 0; c < B; c++ {
+					if a, b := latOff.Get(v, c), latOn.Get(v, c); a != b {
+						t.Fatalf("cell (%d,%d): plan=%d mixed=%d", v, c, a, b)
+					}
+				}
+			}
+		})
 	}
 }
 

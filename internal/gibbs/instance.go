@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/dist"
+	"repro/internal/state"
 )
 
 // Instance is a sampling/counting instance (G, x, τ) per Definition 2.2: a
@@ -14,13 +15,14 @@ import (
 // self-reducibility: pinning more vertices of an instance yields another
 // instance of the same class (Remark 2.2).
 //
-// The samplers' update rules depend only on the instance, so the instance
-// caches them (Rules): every engine, stage and drive on one instance shares
-// one compiled value. Hence the contract: Spec must not change once it has
-// been compiled (Spec.Compiled), and Pinned must not change once an engine
-// has been built on the instance. Pin and PinAll return a new instance
-// instead. Under that contract any number of goroutines may build engines
-// and drive on one instance at once: the caches are filled once, behind
+// The samplers' update rules and their canonical start depend only on the
+// instance, so the instance caches them (Rules, Start): every engine,
+// stage and drive on one instance shares one compiled value. Hence the
+// contract: Spec must not change once it has been compiled
+// (Spec.Compiled), and Pinned must not change once an engine has been
+// built on the instance. Pin and PinAll return a new instance instead.
+// Under that contract any number of goroutines may build engines and
+// drive on one instance at once: the caches are filled once, behind
 // sync.Once, and only read after.
 type Instance struct {
 	Spec *Spec
@@ -29,10 +31,15 @@ type Instance struct {
 	Pinned dist.Config
 
 	// rules is the value Rules builds on its first call, and rulesErr the
-	// error it built instead.
-	rulesOnce sync.Once
-	rules     any
-	rulesErr  error
+	// error it built instead; start is the canonical start as a one-chain
+	// lattice (one byte per vertex on compact alphabets), built by Start's
+	// first call, and startErr the failure to build it. The two Onces sit
+	// side by side, so the struct packs without padding.
+	rulesOnce, startOnce sync.Once
+	rules                any
+	rulesErr             error
+	start                *state.Lattice
+	startErr             error
 }
 
 // NewInstance returns an instance with the given pinning; a nil pinning
@@ -52,11 +59,20 @@ func NewInstance(s *Spec, pinned dist.Config) (*Instance, error) {
 	return &Instance{Spec: s, Pinned: pinned.Clone()}, nil
 }
 
-// Start returns the canonical start every dynamic runs from: the greedy
-// feasible completion of the pinning (Compiled.GreedyCompletion), checked
-// to have positive weight. A pinning with no such completion gives an
-// error wrapping ErrInfeasible.
-func (in *Instance) Start() (dist.Config, error) {
+// Start returns the canonical start every dynamic runs from, as a
+// one-chain lattice: the greedy feasible completion of the pinning
+// (Compiled.GreedyCompletion), checked to have positive weight. It is
+// built on the first call, and every later call, from any goroutine,
+// returns the same lattice and error, so callers only read the lattice
+// (Lattice.Broadcast copies it into an engine's chains). A pinning with no
+// such completion gives an error wrapping ErrInfeasible.
+func (in *Instance) Start() (*state.Lattice, error) {
+	in.startOnce.Do(func() { in.start, in.startErr = in.buildStart() })
+	return in.start, in.startErr
+}
+
+// buildStart computes the start Start caches.
+func (in *Instance) buildStart() (*state.Lattice, error) {
 	eng := in.Spec.Compiled()
 	start, err := eng.GreedyCompletion(in.Pinned)
 	if err != nil {
@@ -69,7 +85,7 @@ func (in *Instance) Start() (dist.Config, error) {
 	if w <= 0 {
 		return nil, fmt.Errorf("%w: the greedy completion of the pinning has weight %v", ErrInfeasible, w)
 	}
-	return start, nil
+	return state.Pack(in.N(), in.Q(), []dist.Config{start})
 }
 
 // Rules returns the samplers' compiled update rules of the instance,

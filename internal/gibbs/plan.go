@@ -14,7 +14,9 @@ package gibbs
 // accumulated strides, table), factors of three or more distinct vertices
 // keep a generic entry, and closure-backed factors keep a fallback entry —
 // so the hot loop is a straight run over a flat instruction stream with no
-// dispatch and no per-cell checks. Every multiplication happens in the
+// dispatch and no per-cell checks. The stream's ops hold only what the
+// draws read (48 bytes each); the scope lists of generic entries and the
+// factors of fallback entries sit off the stream in one side slab. Every multiplication happens in the
 // same order as CondWeights, so planned weights are bit-identical to it
 // (pinned by the root-level property test across all model builders).
 //
@@ -65,8 +67,12 @@ const (
 	opClosure
 )
 
-// planOp is one instruction of a vertex's sweep plan. Fields are populated
-// by kind; slices alias the Compiled engine and are never written.
+// planOp is one instruction of a vertex's sweep plan: the fields the draw
+// paths read, in 48 bytes. Fields are populated by kind; table aliases the
+// Compiled engine and is never written. What only the plan walk reads of
+// a generic or closure op (its scope lists, its factor) lives in the
+// plan's side slab, which ext indexes, so the pair and unary ops that the
+// q = 2/3 draws and the mask draw scan stay small.
 type planOp struct {
 	kind planOpKind
 	// u is the neighbor vertex (opPair) or the plan's own vertex
@@ -83,9 +89,17 @@ type planOp struct {
 	// allows at v while u holds y, and one word for opUnary, the row's
 	// support.
 	mo int32
+	// ext is the index of the op's opSide in the plan's side slab
+	// (opGeneric, opClosure).
+	ext int32
 	// table is the dense factor table (opPair, opGeneric) or the
 	// per-symbol factor row (opUnary).
 	table []float64
+}
+
+// opSide is the part of a generic or closure op that no draw path but the
+// plan walk reads (the cond-cache build reads it too).
+type opSide struct {
 	// scope/strides are the non-v scope occurrences (opGeneric), in scope
 	// order so the base accumulates in the interpreted kernel's order.
 	scope   []int32
@@ -102,10 +116,13 @@ type planOp struct {
 // walk (subset.go). zeroOne marks the pair-only plans at
 // minMaskQ ≤ q ≤ maxMaskQ whose prior, rows and read table entries are all
 // exactly 0 or 1: their conditional is a set, drawn from bitmasks, with pm
-// the offset of the prior's support word in the plan's pool.
+// the offset of the prior's support word in the plan's pool. plan is the
+// SweepPlan the vertex plan belongs to, whose side slab the generic and
+// closure ops index.
 type vertexPlan struct {
 	prior    []float64
 	ops      []planOp
+	plan     *SweepPlan
 	pairOnly bool
 	zeroOne  bool
 	pm       int32
@@ -118,6 +135,9 @@ type SweepPlan struct {
 	verts []vertexPlan
 	// masks is the one pool every zero-one plan's words live in.
 	masks []uint64
+	// side is the side slab: one opSide per generic or closure op, in
+	// plan order (nil on pairwise instances).
+	side []opSide
 }
 
 // The alphabet range of zero-one plans: a uint64 word holds a mask up to
@@ -137,7 +157,7 @@ func (c *Compiled) Plan() *SweepPlan {
 // every plan's ops first (opCount), so the ops of all vertices fill one
 // exactly sized slab, each vertex's share capped at its length; the scope
 // scratch is reused across factors, and only generic ops keep copies of
-// it.
+// it, in the side slab.
 func buildPlan(c *Compiled) *SweepPlan {
 	p := &SweepPlan{q: c.q, verts: make([]vertexPlan, c.n)}
 	var mp *maskPool
@@ -154,6 +174,7 @@ func buildPlan(c *Compiled) *SweepPlan {
 	var gStride []int32 // their strides
 	for v := 0; v < c.n; v++ {
 		vp := &p.verts[v]
+		vp.plan = p
 		if n := c.opCount(v); n > 0 {
 			vp.ops, ops = ops[:0:n], ops[n:]
 		}
@@ -205,7 +226,8 @@ func buildPlan(c *Compiled) *SweepPlan {
 			if f.table == nil {
 				// Closure ops keep the whole scope; u records v itself so
 				// the evaluation loop can substitute the candidate symbol.
-				vp.ops = append(vp.ops, planOp{kind: opClosure, f: f, u: int32(v)})
+				vp.ops = append(vp.ops, planOp{kind: opClosure, u: int32(v), ext: int32(len(p.side))})
+				p.side = append(p.side, opSide{f: f})
 				continue
 			}
 			if len(others) == 1 {
@@ -216,7 +238,8 @@ func buildPlan(c *Compiled) *SweepPlan {
 			strides := make([]int32, len(gStride))
 			copy(scope, gScope)
 			copy(strides, gStride)
-			vp.ops = append(vp.ops, planOp{kind: opGeneric, sv: sv, table: f.table, scope: scope, strides: strides})
+			vp.ops = append(vp.ops, planOp{kind: opGeneric, sv: sv, table: f.table, ext: int32(len(p.side))})
+			p.side = append(p.side, opSide{scope: scope, strides: strides})
 		}
 		vp.pairOnly = true
 		for _, op := range vp.ops {
@@ -430,13 +453,14 @@ func subsetWeightRow[T state.Cells](q int, vp *vertexPlan, cells []T, B int, cha
 				}
 			}
 		case opGeneric:
+			side := &vp.plan.side[op.ext]
 			base := sc.base[:nb]
 			for i := range base {
 				base[i] = 0
 			}
-			for j, u := range op.scope {
+			for j, u := range side.scope {
 				ubase := int(u) * B
-				st := op.strides[j]
+				st := side.strides[j]
 				for i, ch := range chains {
 					base[i] += int32(cells[ubase+int(ch)]) * st
 				}
@@ -468,7 +492,7 @@ func subsetWeightRow[T state.Cells](q int, vp *vertexPlan, cells []T, B int, cha
 				}
 			}
 		case opClosure:
-			f := op.f
+			f := vp.plan.side[op.ext].f
 			if len(sc.assign) < len(f.scope) {
 				sc.assign = make([]int, len(f.scope))
 			}

@@ -12,6 +12,7 @@ package gibbs
 import (
 	"errors"
 	"testing"
+	"unsafe"
 
 	"repro/internal/dist"
 	"repro/internal/graph"
@@ -173,6 +174,16 @@ func TestPlanFoldsUnaryPrefix(t *testing.T) {
 	}
 	checkKinds(eng, []planOpKind{opPair, opUnary, opPair})
 	checkKinds(CompileCap(unaryFirstSpec(t), 0), []planOpKind{opPair, opUnary, opClosure})
+}
+
+// TestPlanOpSize guards the op layout: the draw paths scan a vertex's ops,
+// and what they read of an op — kind, u, su, sv, mo and table, plus the
+// side-slab index in their padding — fits 48 bytes. Anything more belongs
+// in the plan's side slab.
+func TestPlanOpSize(t *testing.T) {
+	if got := unsafe.Sizeof(planOp{}); got > 48 {
+		t.Fatalf("planOp is %d bytes, want at most 48", got)
+	}
 }
 
 // TestSampleVertexBatchMatchesSampleWeights pins the kernel's

@@ -37,3 +37,31 @@ func TestStepZeroAllocs(t *testing.T) {
 		t.Fatalf("Glauber Step allocates %.2f objects/op, want 0", avg)
 	}
 }
+
+// TestResetZeroAllocs checks that a warm Reset — the instance's canonical
+// start already built — allocates nothing: it broadcasts the start the
+// instance caches instead of recomputing the greedy completion.
+func TestResetZeroAllocs(t *testing.T) {
+	spec, err := model.Ising(graph.Torus(16, 16), 0.8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := gibbs.NewInstance(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain, err := New(in, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := int64(0)
+	avg := testing.AllocsPerRun(100, func() {
+		seed++
+		if err := chain.Reset(seed); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("warm Reset allocates %.2f objects/op, want 0", avg)
+	}
+}

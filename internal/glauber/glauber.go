@@ -70,15 +70,16 @@ func New(in *gibbs.Instance, seed int64) (*Chain, error) {
 }
 
 // Reset restarts the chain from the canonical start of the instance
-// (gibbs.Instance.Start, the greedy feasible completion of the pinning)
-// with a fresh stream derived from seed, and zeroes the round counter —
-// the restart every dynamic shares.
+// (gibbs.Instance.Start, the greedy feasible completion of the pinning,
+// which the instance builds once and every dynamic shares) with a fresh
+// stream derived from seed, and zeroes the round counter. It allocates
+// nothing once the instance's start is built.
 func (c *Chain) Reset(seed int64) error {
 	start, err := c.in.Start()
 	if err != nil {
 		return err
 	}
-	if err := c.state.SetChain(0, start); err != nil {
+	if err := c.state.Broadcast(start); err != nil {
 		return err
 	}
 	c.rng = dist.NewXoshiro(seed, 0)

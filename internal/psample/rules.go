@@ -55,15 +55,15 @@ import (
 )
 
 // Rules is an instance's compiled update rules: the free set, the Luby
-// rival table, the LocalMetropolis proposals and filter factors, the
-// chromatic class schedule and the canonical start, over the compiled
-// evaluation engine behind them all. The rules depend only on the instance
-// (G, x, τ), never on a run's randomness, so an instance has one Rules
-// value (RulesOf), built on first use and shared by every engine, stage and
-// drive on it. A Rules value is immutable after construction: the class
-// schedule and the start are built lazily, each behind a sync.Once, and
-// every engine only reads it, so any number of samplers may use one Rules
-// concurrently.
+// rival table, the LocalMetropolis proposals and filter factors and the
+// chromatic class schedule, over the compiled evaluation engine behind
+// them all. The rules depend only on the instance (G, x, τ), never on a
+// run's randomness, so an instance has one Rules value (RulesOf), built on
+// first use and shared by every engine, stage and drive on it, as is the
+// canonical start the engines reset to (gibbs.Instance.Start). A Rules
+// value is immutable after construction: the class schedule is built
+// lazily, behind a sync.Once, and every engine only reads it, so any
+// number of samplers may use one Rules concurrently.
 type Rules struct {
 	in  *gibbs.Instance
 	eng *gibbs.Compiled
@@ -116,12 +116,6 @@ type Rules struct {
 	// color its graph once.
 	schedOnce sync.Once
 	sched     [][]int
-	// start is the canonical start as a one-chain lattice (one byte per
-	// vertex on compact alphabets), built lazily once (canonical), and
-	// startErr the failure to build it, which every engine reset reports.
-	startOnce sync.Once
-	start     *state.Lattice
-	startErr  error
 }
 
 // accFactor is one acceptance-filtered factor of LocalMetropolis.
@@ -352,18 +346,15 @@ func (r *Rules) Start() (dist.Config, error) {
 	return start.Chain(0), nil
 }
 
-// canonical returns the canonical start as a one-chain lattice, building
-// it on the first call. The lattice is shared: callers only read it.
+// canonical returns the instance's canonical start as a one-chain
+// lattice (gibbs.Instance.Start, built once per instance). The lattice is
+// shared: callers only read it. A failure wraps ErrNoFeasibleStart.
 func (r *Rules) canonical() (*state.Lattice, error) {
-	r.startOnce.Do(func() {
-		start, err := r.in.Start()
-		if err != nil {
-			r.startErr = fmt.Errorf("%w: %v", ErrNoFeasibleStart, err)
-			return
-		}
-		r.start, r.startErr = state.Pack(r.n, r.q, []dist.Config{start})
-	})
-	return r.start, r.startErr
+	start, err := r.in.Start()
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrNoFeasibleStart, err)
+	}
+	return start, nil
 }
 
 // ResetLattice refills l with every chain at the canonical start — the
