@@ -877,9 +877,10 @@ func BenchmarkDriveIsing(b *testing.B) {
 // a drive stops. It is the driver-diagnostics layer of the
 // time-to-converged-chains benchmark. The engine runs on one worker, the
 // Ising workload's setting, so the history is the same at every -cpu
-// setting; the check runs its vertex blocks on every core it allows. Its
-// Geyer loops average 1.5 lag pairs per vertex, so it times the gather
-// and the split statistic more than the ESS search.
+// setting; the check runs its vertex blocks on every core it allows.
+// Every vertex takes the 0/1 kernel, and its Geyer loops average 1.5 lag
+// pairs per vertex, so it times the bit packing and the per-chain moments
+// more than the ESS search.
 func BenchmarkRhatCheck(b *testing.B) {
 	spec, err := model.Ising(graph.Torus(64, 64), 0.8, 1)
 	if err != nil {
@@ -924,6 +925,29 @@ func BenchmarkRhatCheckCorpus(b *testing.B) {
 	}
 	s.(interface{ SetWorkers(int) }).SetWorkers(2)
 	benchCheck(b, s, "metropolis", built.Instance, 128)
+}
+
+// BenchmarkRhatCheckColoring measures the same check where every vertex
+// takes the general kernel: the proper 10-colourings of the 48×48 torus
+// under LubyGlauber with 16 chains, seed 11 and two engine workers, after
+// 56 observed sweeps — where perfbench's coloring-torus48-luby-w2 drives
+// stop. The engine's worker count is pinned because its default follows
+// GOMAXPROCS, and the history would too.
+func BenchmarkRhatCheckColoring(b *testing.B) {
+	sp, err := model.Coloring(graph.Torus(48, 48), 10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	in, err := gibbs.NewInstance(sp, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := sampler.Create("luby", in, sampler.Options{Chains: 16, Seed: 11})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s.(interface{ SetWorkers(int) }).SetWorkers(2)
+	benchCheck(b, s, "luby", in, 56)
 }
 
 // benchCheck advances the multi-chain sampler s of the named dynamic by

@@ -76,42 +76,42 @@ func driveDigest(rep *run.Report, m sampler.MultiChain) string {
 // driveDigests are the digests of TestDriveDigestGolden's drives, keyed
 // document/policy/seed.
 var driveDigests = map[string]string{
-	"coloring-grid3-qeqdelta/chromatic/11": "752586924dc00f63",
-	"coloring-grid3-qeqdelta/chromatic/3":  "d422998574a1ff7f",
-	"coloring-grid3-qeqdelta/escalate/11":  "5c3a7582c823f93a",
-	"coloring-grid3-qeqdelta/escalate/3":   "b6fca20c52ad24f7",
-	"coloring-grid3-qeqdelta/luby-ess/11":  "33e76bdda4f1b1e1",
-	"coloring-grid3-qeqdelta/luby-ess/3":   "dc074a92ed7c0d15",
-	"hardcore-tree15-below/chromatic/11":   "e846af2ea208fdf1",
-	"hardcore-tree15-below/chromatic/3":    "c28bfdb4a0f8bac6",
-	"hardcore-tree15-below/escalate/11":    "45cd91ffd19b8be4",
-	"hardcore-tree15-below/escalate/3":     "d05391655e713191",
-	"hardcore-tree15-below/luby-ess/11":    "9648cfa25067f524",
-	"hardcore-tree15-below/luby-ess/3":     "eb7c6041039cd51a",
-	"hypermatching-arity3/chromatic/11":    "b89bf9ef5debb07a",
-	"hypermatching-arity3/chromatic/3":     "f44c1a1bccb66f8e",
-	"hypermatching-arity3/escalate/11":     "d5211d317043eafa",
-	"hypermatching-arity3/escalate/3":      "8a00649d68900f5e",
-	"hypermatching-arity3/luby-ess/11":     "cebc2a63af696cd4",
-	"hypermatching-arity3/luby-ess/3":      "283c416035688994",
-	"ising-torus3-low/chromatic/11":        "451234d70933bcde",
-	"ising-torus3-low/chromatic/3":         "978c5d5fe32fe5d8",
-	"ising-torus3-low/escalate/11":         "2783f1d347162138",
-	"ising-torus3-low/escalate/3":          "4d8a268e096ee42c",
-	"ising-torus3-low/luby-ess/11":         "5a586ec2ca4fdc3c",
-	"ising-torus3-low/luby-ess/3":          "bd0f6e490a496a80",
-	"listcoloring-path5/chromatic/11":      "0f51d0df4379c130",
-	"listcoloring-path5/chromatic/3":       "7c88ab658084d327",
-	"listcoloring-path5/escalate/11":       "6f32d3edee846be0",
-	"listcoloring-path5/escalate/3":        "54727cd1f759a92e",
-	"listcoloring-path5/luby-ess/11":       "121c1bc243a963ed",
-	"listcoloring-path5/luby-ess/3":        "67f99736a6326f29",
+	"coloring-grid3-qeqdelta/chromatic/11": "06d94c5eafe1a584",
+	"coloring-grid3-qeqdelta/chromatic/3":  "85485831e6eb0d41",
+	"coloring-grid3-qeqdelta/escalate/11":  "51975cdbb17dba1d",
+	"coloring-grid3-qeqdelta/escalate/3":   "b1322e274d1817bc",
+	"coloring-grid3-qeqdelta/luby-ess/11":  "494d0837eabdd9fe",
+	"coloring-grid3-qeqdelta/luby-ess/3":   "9edec65b3e1db440",
+	"hardcore-tree15-below/chromatic/11":   "a209cacc1b0bd84e",
+	"hardcore-tree15-below/chromatic/3":    "e7a3318a625afd06",
+	"hardcore-tree15-below/escalate/11":    "721aeeaa93f995c2",
+	"hardcore-tree15-below/escalate/3":     "fddd375c4d1d90cf",
+	"hardcore-tree15-below/luby-ess/11":    "0740627f3b5f1f25",
+	"hardcore-tree15-below/luby-ess/3":     "99f54530b7ff05f5",
+	"hypermatching-arity3/chromatic/11":    "b75f4c5a56c00bdf",
+	"hypermatching-arity3/chromatic/3":     "fdb2957cac9f8313",
+	"hypermatching-arity3/escalate/11":     "a3f3c6b3a1f7ea92",
+	"hypermatching-arity3/escalate/3":      "ec6e3bfecd84e48e",
+	"hypermatching-arity3/luby-ess/11":     "3ae9922021adf36c",
+	"hypermatching-arity3/luby-ess/3":      "a9a681efbd9a4850",
+	"ising-torus3-low/chromatic/11":        "896fd8691621a01d",
+	"ising-torus3-low/chromatic/3":         "2462e64b479d0556",
+	"ising-torus3-low/escalate/11":         "1284f92ba00b18ba",
+	"ising-torus3-low/escalate/3":          "1c91b3bb67412f15",
+	"ising-torus3-low/luby-ess/11":         "d53faba3039a2c92",
+	"ising-torus3-low/luby-ess/3":          "d991ffd6154293df",
+	"listcoloring-path5/chromatic/11":      "cd40be841d49285c",
+	"listcoloring-path5/chromatic/3":       "58b4bc822e394621",
+	"listcoloring-path5/escalate/11":       "b34392b6bca0b29a",
+	"listcoloring-path5/escalate/3":        "49e3361ee7949afc",
+	"listcoloring-path5/luby-ess/11":       "b69d6363115de79a",
+	"listcoloring-path5/luby-ess/3":        "8058bb1ffc5f2280",
 	"wcsp-explicit-pinned/chromatic/11":    "2ee3339de6b5969b",
 	"wcsp-explicit-pinned/chromatic/3":     "f9bddb3b2090a046",
 	"wcsp-explicit-pinned/escalate/11":     "f21211ef1b6b6e73",
-	"wcsp-explicit-pinned/escalate/3":      "8c6d4c83a699a7c4",
-	"wcsp-explicit-pinned/luby-ess/11":     "177c25fe91ace782",
-	"wcsp-explicit-pinned/luby-ess/3":      "9f53303277ad6f19",
+	"wcsp-explicit-pinned/escalate/3":      "00b661aa432b8842",
+	"wcsp-explicit-pinned/luby-ess/11":     "b75bcfdd12785b94",
+	"wcsp-explicit-pinned/luby-ess/3":      "d75552494f71c328",
 }
 
 func TestDriveDigestGolden(t *testing.T) {

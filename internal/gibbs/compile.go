@@ -54,8 +54,10 @@ type Compiled struct {
 // cfactor is one compiled factor: either a dense table (fast path) or the
 // original closure (fallback above the cap).
 type cfactor struct {
-	scope   []int32
-	strides []int32 // strides[j] = q^(s−1−j); index = Σ assign[j]·strides[j]
+	scope []int32
+	// strides[j] = q^(s−1−j); index = Σ assign[j]·strides[j]. Read-only:
+	// every factor of one arity shares its Compiled's one slice.
+	strides []int32
 	table   []float64
 	eval    func([]int) float64 // non-nil iff table is nil
 }
@@ -74,13 +76,20 @@ func Compile(s *Spec) *Compiled {
 func CompileCap(s *Spec, tableCap int) *Compiled {
 	c := &Compiled{q: s.Q, n: s.N()}
 	c.factors = make([]cfactor, len(s.Factors))
+	var byArity [][]int32 // the shared strides slice of each arity
 	for i, f := range s.Factors {
 		cf := &c.factors[i]
 		cf.scope = make([]int32, len(f.Scope))
 		for j, v := range f.Scope {
 			cf.scope[j] = int32(v)
 		}
-		cf.strides = strides(s.Q, len(f.Scope))
+		for len(byArity) <= len(f.Scope) {
+			byArity = append(byArity, nil)
+		}
+		if byArity[len(f.Scope)] == nil {
+			byArity[len(f.Scope)] = strides(s.Q, len(f.Scope))
+		}
+		cf.strides = byArity[len(f.Scope)]
 		size, sizeErr := tableSize(s.Q, len(f.Scope))
 		switch {
 		case f.Table != nil:

@@ -44,6 +44,7 @@ package gibbs
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/dist"
 	"repro/internal/state"
@@ -172,12 +173,18 @@ func buildPlan(c *Compiled) *SweepPlan {
 	var others []int32  // distinct non-v scope vertices
 	var gScope []int32  // non-v occurrences, in scope order
 	var gStride []int32 // their strides
+	var rows rowPool
+	// prior is the vertex at hand's folded prior, urow the factor at hand's
+	// unary row.
+	scratch := make([]float64, 2*c.q)
+	prior, urow := scratch[:c.q], scratch[c.q:]
 	for v := 0; v < c.n; v++ {
 		vp := &p.verts[v]
 		vp.plan = p
 		if n := c.opCount(v); n > 0 {
 			vp.ops, ops = ops[:0:n], ops[n:]
 		}
+		folded := false
 		for _, fi := range c.FactorsAt(v) {
 			f := &c.factors[fi]
 			sv := int32(0)
@@ -209,18 +216,19 @@ func buildPlan(c *Compiled) *SweepPlan {
 				// exactly, so prior[x] accumulates the same float sequence
 				// the interpreted kernel produces. A unary factor appearing
 				// after a non-unary one keeps its stream position as opUnary.
-				row := unaryRow(f, c.q, sv)
+				unaryRow(f, c.q, sv, urow)
 				if len(vp.ops) == 0 {
-					if vp.prior == nil {
-						vp.prior = row
+					if !folded {
+						copy(prior, urow)
+						folded = true
 					} else {
-						for x := range vp.prior {
-							vp.prior[x] *= row[x]
+						for x := range prior {
+							prior[x] *= urow[x]
 						}
 					}
 					continue
 				}
-				vp.ops = append(vp.ops, planOp{kind: opUnary, table: row})
+				vp.ops = append(vp.ops, planOp{kind: opUnary, table: rows.intern(urow)})
 				continue
 			}
 			if f.table == nil {
@@ -240,6 +248,9 @@ func buildPlan(c *Compiled) *SweepPlan {
 			copy(strides, gStride)
 			vp.ops = append(vp.ops, planOp{kind: opGeneric, sv: sv, table: f.table, ext: int32(len(p.side))})
 			p.side = append(p.side, opSide{scope: scope, strides: strides})
+		}
+		if folded {
+			vp.prior = rows.intern(prior)
 		}
 		vp.pairOnly = true
 		for _, op := range vp.ops {
@@ -374,15 +385,15 @@ func support(row []float64) (uint64, bool) {
 	return m, true
 }
 
-// unaryRow materializes the per-symbol row of a factor unary in its vertex
-// (sv is the accumulated stride of the vertex's occurrences).
-func unaryRow(f *cfactor, q int, sv int32) []float64 {
-	row := make([]float64, q)
+// unaryRow writes into row (length q) the per-symbol row of a factor unary
+// in its vertex (sv is the accumulated stride of the vertex's
+// occurrences).
+func unaryRow(f *cfactor, q int, sv int32, row []float64) {
 	if f.table != nil {
 		for x := int32(0); x < int32(q); x++ {
 			row[x] = f.table[x*sv]
 		}
-		return row
+		return
 	}
 	assign := make([]int, len(f.scope))
 	for x := 0; x < q; x++ {
@@ -391,7 +402,44 @@ func unaryRow(f *cfactor, q int, sv int32) []float64 {
 		}
 		row[x] = f.eval(assign)
 	}
-	return row
+}
+
+// rowPool interns a plan's unary rows — folded priors and opUnary tables —
+// by their bits, so vertices whose rows are equal bit for bit share one
+// immutable row: heads maps a hash of a row's bits to the newest kept row
+// with that hash, and next[i] links kept row i to the previous one (−1 at
+// the end of the chain). A hash only picks candidates; sameBits compares
+// them in full.
+type rowPool struct {
+	heads map[uint64]int32
+	kept  [][]float64
+	next  []int32
+}
+
+// intern returns the kept row equal to row bit for bit, keeping a copy of
+// row when there is none. row itself is scratch the caller reuses.
+func (rp *rowPool) intern(row []float64) []float64 {
+	h := uint64(len(row))
+	for _, x := range row {
+		h = mix(h, math.Float64bits(x))
+	}
+	if rp.heads == nil {
+		rp.heads = map[uint64]int32{}
+	}
+	head, ok := rp.heads[h]
+	if !ok {
+		head = -1
+	}
+	for i := head; i >= 0; i = rp.next[i] {
+		if sameBits(rp.kept[i], row) {
+			return rp.kept[i]
+		}
+	}
+	kept := slices.Clone(row)
+	rp.heads[h] = int32(len(rp.kept))
+	rp.kept = append(rp.kept, kept)
+	rp.next = append(rp.next, head)
+	return kept
 }
 
 // subsetWeightRow fills w (length len(chains)·q) with the conditional

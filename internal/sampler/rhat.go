@@ -37,11 +37,22 @@ package sampler
 // observations that follow, so nothing is allocated after the buffer
 // first fills.
 //
-// Reading the buffer is one kernel per vertex (vertexStats): it gathers
-// the vertex's series once into a chain-major float64 scratch, takes one
-// sum pass and one deviation pass per chain, and yields the split
-// statistic and the ESS together; splitAt and essAt are views of it. A
-// convergence check splits in two. The whole-chain R̂ (Worst) reads only
+// Reading the buffer is one kernel per vertex (vertexStats). Every
+// statistic it reports is a fixed float64 formula of exact int64 sums of
+// the retained cells (symbols, or Unset = −1): per chain and half Σx, per
+// part Σx², and per lag l the row products Σ_t ⟨row_t, row_{t+l}⟩ over the
+// chains plus boundary sums that centre them (lagSum). Integer sums are
+// exact in any order, so the kernel reads each vertex's retained rows in
+// time order from the snapshots, and two row products compute the same
+// integers. A vertex whose retained cells are all 0 or 1 — every q = 2
+// model — takes the 0/1 kernel: it packs each row into one bit per chain,
+// eight cells per multiply, and a lag costs one AND and one POPCNT per
+// eight packed bytes. Every other vertex takes the general kernel: it
+// copies its rows, decoded, into a time-major int32 block, and a lag is
+// one flat integer dot product of the block against itself shifted. The
+// test runs per vertex per pass, over every retained cell. newRhat refuses
+// a chain count and alphabet whose sums could leave int64. A convergence
+// check splits in two. The whole-chain R̂ (Worst) reads only
 // the running moments, a scan of n·B cells. The split-R̂/ESS pass runs the
 // kernel over every vertex, and there are two ways to run it. Check runs
 // it on the caller: its workers — goroutines on every other core, each
@@ -54,9 +65,9 @@ package sampler
 // caller goes on advancing its engine; Drain takes on the caller whatever
 // no worker has taken and waits for the workers to finish theirs and
 // exit. Every worker, the caller and Check's goroutines each keep one
-// gather scratch for every accumulator and pass of the backlog, so the
-// stages and passes of a drive share their scratch instead of each
-// growing its own.
+// kernel scratch for every accumulator and pass of the backlog, sized
+// once at the buffer capacity, so the stages and passes of a drive share
+// their scratch instead of each growing its own.
 //
 // A check reports only the smallest ESS, so the pass searches for it by
 // branch and bound. It scans the vertex with the worst whole-chain R̂
@@ -80,16 +91,15 @@ package sampler
 // one worker or on several: it does not depend on GOMAXPROCS, on the
 // engines' worker count, or on when it ran.
 //
-// Every statistic is bit-identical (same vertex, same math.Float64bits) to
-// the earlier series-major layout, which stored each (vertex, chain)
-// series in its own fixed-length row and ran each statistic on its own:
-// the same values meet the same floating-point operations in the same
-// order, or, where a sum of integer cells is regrouped, an order that is
-// exact either way. rhatref_test.go keeps that layout as the test oracle.
+// rhatref_test.go keeps the series-major layout as the test oracle: it
+// forms the same integer sums naively, series by series, and finishes
+// them with the same formulas, so every statistic matches it bit for bit.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	stdbits "math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -104,6 +114,10 @@ import (
 // observations: a drive that stops after T ≤ DefaultRetain sweeps retains
 // T·n·B bytes and allocates no more for its snapshots, one slice each.
 const DefaultRetain = 256
+
+// maxRetain caps the observation-buffer capacity: the 0/1 kernel counts a
+// half series' ones per chain in one byte.
+const maxRetain = 2 * 255
 
 // Rhat accumulates per-(vertex, chain) observation statistics of a
 // multi-chain engine's state and reports the Gelman–Rubin statistic
@@ -168,7 +182,8 @@ func (q *Backlog) NewRhat(m MultiChain) (*Rhat, error) { return newRhat(m, Defau
 
 // newRhat returns an empty accumulator on q retaining at most `retain`
 // thinned snapshots. retain must be an even number ≥ 8 (thinning halves
-// the buffer in place).
+// the buffer in place) and at most maxRetain. It refuses a chain count and
+// alphabet whose kernel sums could leave int64.
 func newRhat(m MultiChain, retain int, q *Backlog) (*Rhat, error) {
 	B := m.Chains()
 	if B < 2 {
@@ -177,7 +192,16 @@ func newRhat(m MultiChain, retain int, q *Backlog) (*Rhat, error) {
 	if retain < 8 || retain%2 != 0 {
 		return nil, fmt.Errorf("sampler: observation buffer capacity must be an even number ≥ 8, got %d", retain)
 	}
+	if retain > maxRetain {
+		return nil, fmt.Errorf("sampler: observation buffer capacity %d exceeds %d", retain, maxRetain)
+	}
 	lat := m.Lattice()
+	// Every kernel sum is below 4·B·L³·X² in magnitude (lagSum's terms), X
+	// the largest |cell|: a symbol below q, or Unset = −1.
+	x := float64(max(lat.Q()-1, 1))
+	if 4*float64(B)*math.Pow(float64(retain), 3)*x*x >= 1<<62 {
+		return nil, fmt.Errorf("sampler: %d chains over %d symbols overflow the diagnostics' integer sums", B, lat.Q())
+	}
 	n := lat.N()
 	r := &Rhat{
 		m: m,
@@ -299,49 +323,393 @@ func thin[T uint8 | int32](snaps [][]T, half int) {
 }
 
 // vertexScratch is the reusable scratch of the per-vertex kernel: one
-// vertex's gathered history, chain-major (chain c's retained series at
-// series[c*rlen:(c+1)*rlen]), the 2B half-sequence means and variances of
-// the split statistic, and the B chain means of the ESS. gather sizes it
-// for the history it reads, so the zero value is ready to use. pairs
-// counts the Geyer lag pairs the kernel has computed with this scratch.
+// vertex's retained rows as the kernel that loaded them reads them, the
+// per-chain integer sums, and the running boundary sums of the lag loop.
+// size shapes it for the history it reads, so the zero value is ready to
+// use, and each row block is allocated once, at the buffer capacity.
+// pairs counts the Geyer lag pairs the kernel has computed with this
+// scratch.
 type vertexScratch struct {
-	series    []float64
-	seqMean   []float64
-	seqVar    []float64
-	chainMean []float64
-	pairs     int
+	// zeroOne says which kernel loaded the vertex. b and rlen are the
+	// chain count and the retained length, rb = ⌈b/8⌉ the bytes per packed
+	// row.
+	zeroOne     bool
+	b, rlen, rb int
+	// bits holds the 0/1 kernel's rows, row t at bits[t*rb:(t+1)*rb] with
+	// chain c at bit c%8 of byte c/8, and eight bytes of padding; rows
+	// holds the general kernel's, row t at rows[t*b:(t+1)*b], cell (t, c)
+	// decoded to int32.
+	bits []uint8
+	rows []int32
+	// acc holds the 0/1 kernel's byte-lane counts, rb words for each of
+	// the three parts of a series — first half, middle cell (odd lengths),
+	// second half — with chain c's count in byte c%8 of word c/8.
+	acc []uint64
+	// sum holds each part's per-chain Σx, part p of chain c at p*b+c, and
+	// sq each part's Σx² over all chains; total holds each chain's Σx.
+	sum   []int64
+	sq    [3]int64
+	total []int64
+	// seqMean holds the 2b half means of the split statistic and
+	// chainMean the b chain means of the ESS.
+	seqMean, chainMean []float64
+	// ss is Σ_c total[c]²; after lag l of the lag loop, pre and suf are
+	// the sums of w_t = Σ_c total[c]·x_{c,t} over the first and the last l
+	// rows, t < l and t ≥ rlen − l.
+	ss, pre, suf int64
+	pairs        int
 }
 
-// gather copies vertex v's retained series into the scratch, chain c's
-// series at y[c*L:(c+1)*L], oldest first, and returns it.
-func (h *history) gather(v int, sc *vertexScratch) []float64 {
-	B, L := h.b, h.rlen
-	if cap(sc.series) < B*L {
-		// Sized ahead, to twice the retained length up to the buffer
-		// capacity, so growth is rare.
-		sc.series = make([]float64, B*min(2*L, h.retain))
+// size shapes sc for the history h: per-chain arrays for h's chain count,
+// and the row blocks, when a kernel first needs one, at h's buffer
+// capacity, so a scratch never regrows within a drive.
+func (sc *vertexScratch) size(h *history) {
+	B := h.b
+	if len(sc.total) != B {
+		*sc = vertexScratch{
+			rb:        (B + 7) / 8,
+			acc:       make([]uint64, 3*((B+7)/8)),
+			sum:       make([]int64, 3*B),
+			total:     make([]int64, B),
+			seqMean:   make([]float64, 2*B),
+			chainMean: make([]float64, B),
+			pairs:     sc.pairs,
+		}
 	}
-	if len(sc.chainMean) != B {
-		sc.seqMean = make([]float64, 2*B)
-		sc.seqVar = make([]float64, 2*B)
-		sc.chainMean = make([]float64, B)
+	sc.b, sc.rlen = B, h.rlen
+}
+
+// cell32 decodes a compact cell to the integer the kernel sums: symbols
+// are themselves and the 0xFF sentinel is dist.Unset.
+var cell32 = func() (t [256]int32) {
+	for x := range t {
+		t[x] = int32(x)
 	}
-	y := sc.series[:B*L]
-	off := v * B
+	t[0xFF] = dist.Unset
+	return t
+}()
+
+// load reads vertex v's retained rows into sc, by the 0/1 kernel when
+// every retained cell of v is 0 or 1 and by the general kernel otherwise,
+// and fills the part sums.
+func (h *history) load(v int, sc *vertexScratch) {
+	if !h.pack(v, sc) {
+		h.gather(v, sc)
+	}
+}
+
+// pack is the 0/1 kernel's load: it packs vertex v's retained rows into
+// one bit per chain and counts each part's ones per chain (for 0/1 cells
+// Σx² = Σx). It reports false, leaving sc for gather, at the first cell
+// that is neither 0 nor 1 (Unset included).
+func (h *history) pack(v int, sc *vertexScratch) bool {
+	sc.size(h)
+	B, L, rb := h.b, h.rlen, sc.rb
+	if len(sc.bits) < rb*h.retain+8 {
+		sc.bits = make([]uint8, rb*h.retain+8)
+	}
+	m, off := L/2, v*B
+	parts := [4]int{0, m, L - m, L}
 	if h.compact {
-		for t, snap := range h.snaps8[:L] {
-			for c, x := range snap[off : off+B] {
-				y[c*L+t] = cell8[x]
+		clear(sc.acc)
+		for p := range 3 {
+			t0, t1 := parts[p], parts[p+1]
+			if !pack8(h.snaps8[t0:t1], off, B, sc.bits[t0*rb:t1*rb], sc.acc[p*rb:(p+1)*rb]) {
+				return false
 			}
 		}
-		return y
-	}
-	for t, snap := range h.snapsW[:L] {
-		for c, x := range snap[off : off+B] {
-			y[c*L+t] = float64(x)
+		lanes(sc.sum, sc.acc, B)
+	} else {
+		clear(sc.sum)
+		for p := range 3 {
+			t0, t1 := parts[p], parts[p+1]
+			if !packWide(h.snapsW[t0:t1], off, sc.bits[t0*rb:t1*rb], sc.sum[p*B:(p+1)*B]) {
+				return false
+			}
 		}
 	}
-	return y
+	for p := range 3 {
+		var q int64
+		for _, x := range sc.sum[p*B : (p+1)*B] {
+			q += x
+		}
+		sc.sq[p] = q
+	}
+	sc.zeroOne = true
+	return true
+}
+
+// Byte-lane constants of pack8: ones has bit 0 of every byte set, and
+// packMul moves bit 0 of byte i to bit 56+i (the partial products of 0/1
+// bytes never collide, so no carry disturbs the top byte).
+const (
+	ones    = 0x0101010101010101
+	packMul = 0x0102040810204080
+)
+
+// pack8 packs compact rows — row t is snaps[t][off:off+B] — into bits,
+// ⌈B/8⌉ bytes per row, and adds each row's cells into the byte lanes of
+// acc (a part holds at most 255 rows, which maxRetain keeps). It takes
+// eight cells per step: one 64-bit load, one test, one add and one
+// multiply. It reports false at the first cell that is neither 0 nor 1.
+func pack8(snaps [][]uint8, off, B int, bits []uint8, acc []uint64) bool {
+	full, rb := B/8, len(acc)
+	for t, snap := range snaps {
+		row := snap[off : off+B]
+		dst := bits[t*rb : (t+1)*rb]
+		for k := range full {
+			w := binary.LittleEndian.Uint64(row[8*k:])
+			if w&^ones != 0 {
+				return false
+			}
+			acc[k] += w
+			dst[k] = uint8(w * packMul >> 56)
+		}
+		if full < rb {
+			var w uint64
+			for i, x := range row[8*full:] {
+				w |= uint64(x) << (8 * i)
+			}
+			if w&^ones != 0 {
+				return false
+			}
+			acc[full] += w
+			dst[full] = uint8(w * packMul >> 56)
+		}
+	}
+	return true
+}
+
+// lanes writes the three parts' lane counts of acc into sum, part p of
+// chain c at p*B+c.
+func lanes(sum []int64, acc []uint64, B int) {
+	rb := len(acc) / 3
+	var buf [8]byte
+	for i, w := range acc {
+		p, k := i/rb, i%rb
+		binary.LittleEndian.PutUint64(buf[:], w)
+		s := sum[p*B+8*k : (p+1)*B]
+		for j := range min(8, len(s)) {
+			s[j] = int64(buf[j])
+		}
+	}
+}
+
+// packWide is pack8 for wide rows, one cell per step, adding each cell
+// into s. The wide layout serves alphabets above 255 symbols, so its 0/1
+// vertices are rare.
+func packWide(snaps [][]int32, off int, bits []uint8, s []int64) bool {
+	B := len(s)
+	rb := (B + 7) / 8
+	for t, snap := range snaps {
+		row := snap[off : off+B]
+		dst := bits[t*rb : (t+1)*rb]
+		s := s[:len(row)]
+		var word uint8
+		for c, x := range row {
+			if uint32(x) > 1 {
+				return false
+			}
+			s[c] += int64(x)
+			word |= uint8(x) << (c & 7)
+			if c&7 == 7 || c == len(row)-1 {
+				dst[c/8] = word
+				word = 0
+			}
+		}
+	}
+	return true
+}
+
+// gather is the general kernel's load: it copies vertex v's retained rows,
+// decoded, into the time-major block rows and sums each part. The copy
+// decodes the Unset sentinel once per cell, and it makes a lag one flat
+// dot product of the block against itself.
+func (h *history) gather(v int, sc *vertexScratch) {
+	sc.size(h)
+	B, L := h.b, h.rlen
+	if len(sc.rows) < B*h.retain {
+		sc.rows = make([]int32, B*h.retain)
+	}
+	clear(sc.sum)
+	m, off := L/2, v*B
+	parts := [4]int{0, m, L - m, L}
+	for p := range 3 {
+		t0, t1 := parts[p], parts[p+1]
+		rows, s := sc.rows[t0*B:t1*B], sc.sum[p*B:(p+1)*B]
+		if h.compact {
+			sc.sq[p] = gather8(h.snaps8[t0:t1], off, rows, s)
+		} else {
+			sc.sq[p] = gatherWide(h.snapsW[t0:t1], off, rows, s)
+		}
+	}
+	sc.zeroOne = false
+}
+
+// gather8 copies compact rows — row t is snaps[t][off:off+len(s)] —
+// decoded into rows, adds each cell into s and returns Σx². It takes two
+// rows per step, so each chain's sum is read and written once per pair of
+// cells.
+func gather8(snaps [][]uint8, off int, rows []int32, s []int64) (q int64) {
+	B := len(s)
+	tab := &cell32
+	t := 0
+	for ; t+1 < len(snaps); t += 2 {
+		r0 := snaps[t][off : off+B]
+		r1 := snaps[t+1][off : off+B][:len(r0)]
+		d := rows[t*B : (t+2)*B]
+		d0, d1 := d[:len(r0)], d[len(r0):][:len(r0)]
+		s := s[:len(r0)]
+		for c, x := range r0 {
+			y0, y1 := tab[x], tab[r1[c]]
+			d0[c], d1[c] = y0, y1
+			s[c] += int64(y0) + int64(y1)
+			q += int64(y0)*int64(y0) + int64(y1)*int64(y1)
+		}
+	}
+	if t < len(snaps) {
+		row := snaps[t][off : off+B]
+		dst := rows[t*B : (t+1)*B][:len(row)]
+		s := s[:len(row)]
+		for c, x := range row {
+			y := tab[x]
+			dst[c] = y
+			s[c] += int64(y)
+			q += int64(y) * int64(y)
+		}
+	}
+	return q
+}
+
+// gatherWide is gather8 for wide rows.
+func gatherWide(snaps [][]int32, off int, rows []int32, s []int64) (q int64) {
+	B := len(s)
+	for t, snap := range snaps {
+		row := snap[off : off+B]
+		dst := rows[t*B : (t+1)*B]
+		dst, s := dst[:len(row)], s[:len(row)]
+		for c, y := range row {
+			dst[c] = y
+			s[c] += int64(y)
+			q += int64(y) * int64(y)
+		}
+	}
+	return q
+}
+
+// andPair is the 0/1 kernel's row product at lags l and l+1: Σ_t
+// popcount(row_t AND row_{t+l}) over t < L−l, the number of (chain, t)
+// with x_{c,t} = x_{c,t+l} = 1, and the same at l+1. The packed rows are
+// contiguous and a lag shifts them by l·rb bytes, so each lag is one flat
+// pass of 64-bit ANDs over the bytes; bits carries eight bytes of padding
+// for the loads past the last row.
+func andPair(bits []uint8, rb, l, L int) (d0, d1 int64) {
+	n := (L - l - 1) * rb
+	o0, o1 := l*rb, (l+1)*rb
+	s0, s1 := 0, 0
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		x := binary.LittleEndian.Uint64(bits[i:])
+		s0 += stdbits.OnesCount64(x & binary.LittleEndian.Uint64(bits[o0+i:]))
+		s1 += stdbits.OnesCount64(x & binary.LittleEndian.Uint64(bits[o1+i:]))
+	}
+	if i < n {
+		// The last n−i < 8 bytes: mask off what follows them.
+		mask := uint64(1)<<(8*(n-i)) - 1
+		x := binary.LittleEndian.Uint64(bits[i:]) & mask
+		s0 += stdbits.OnesCount64(x & binary.LittleEndian.Uint64(bits[o0+i:]))
+		s1 += stdbits.OnesCount64(x & binary.LittleEndian.Uint64(bits[o1+i:]))
+	}
+	// Lag l pairs one more row: row L−l−1 with row L−1.
+	last, end := bits[n:n+rb], bits[(L-1)*rb:L*rb]
+	for i, x := range last {
+		s0 += stdbits.OnesCount8(x & end[i])
+	}
+	return int64(s0), int64(s1)
+}
+
+// dotPair is the general kernel's row product at lags l and l+1: Σ_t
+// ⟨row_t, row_{t+l}⟩ over t < L−l, and the same at l+1, on the time-major
+// block of rows b cells wide — one flat dot product per lag.
+func dotPair(rows []int32, b, l, L int) (d0, d1 int64) {
+	n := (L - l - 1) * b
+	a := rows[:n]
+	b0 := rows[l*b:][:n]
+	b1 := rows[(l+1)*b:][:n]
+	for i, x := range a {
+		y := int64(x)
+		d0 += y * int64(b0[i])
+		d1 += y * int64(b1[i])
+	}
+	last, end := rows[n:n+b], rows[(L-1)*b:L*b]
+	for i, x := range last {
+		d0 += int64(x) * int64(end[i])
+	}
+	return d0, d1
+}
+
+// weighBits returns w = Σ_c s[c] over the chains whose bit is set in the
+// packed row.
+func weighBits(row []uint8, s []int64) int64 {
+	var w int64
+	for k, x := range row {
+		base := s[8*k:]
+		for ; x != 0; x &= x - 1 {
+			w += base[stdbits.TrailingZeros8(x)]
+		}
+	}
+	return w
+}
+
+// weighRow returns w = Σ_c s[c]·row[c].
+func weighRow(row []int32, s []int64) int64 {
+	var w int64
+	s = s[:len(row)]
+	for c, x := range row {
+		w += int64(x) * s[c]
+	}
+	return w
+}
+
+// weigh returns w_t = Σ_c total[c]·x_{c,t} of the loaded row t.
+func (sc *vertexScratch) weigh(t int) int64 {
+	if sc.zeroOne {
+		return weighBits(sc.bits[t*sc.rb:(t+1)*sc.rb], sc.total)
+	}
+	return weighRow(sc.rows[t*sc.b:(t+1)*sc.b], sc.total)
+}
+
+// lagSum extends the boundary sums pre and suf to lag l, which must be
+// one more than the last lag they cover, and returns N_l, the lag-l
+// autocovariance summed over chains scaled by L²:
+//
+//	N_l = Σ_c [L²·P_{c,l} − L·S_c·(F_{c,l} + G_{c,l}) + (L−l)·S_c²]
+//	    = L²·D_l + L·(pre + suf) − (L+l)·ss,
+//
+// where P_{c,l} = Σ_{t<L−l} x_t·x_{t+l}, F = Σ_{t<L−l} x_t, G = Σ_{t≥l}
+// x_t, S_c = total[c] and D_l = Σ_c P_{c,l} is the row product d: for F and
+// G, Σ_c S_c·F = ss − suf and Σ_c S_c·G = ss − pre.
+func (sc *vertexScratch) lagSum(l int, d int64) int64 {
+	sc.pre += sc.weigh(l - 1)
+	sc.suf += sc.weigh(sc.rlen - l)
+	L := int64(sc.rlen)
+	return L*L*d + L*(sc.pre+sc.suf) - (L+int64(l))*sc.ss
+}
+
+// gammaPair returns the within-chain autocovariances at lags l and l+1,
+// averaged over chains with the standard estimator's biased 1/L scaling:
+// N_l/(B·L³), each a correctly rounded quotient of two integers while
+// |N_l| ≤ 2⁵³. Lags come in the Geyer loop's order, l = 1, 3, 5, …
+func (sc *vertexScratch) gammaPair(l int) (g0, g1 float64) {
+	var d0, d1 int64
+	if sc.zeroOne {
+		d0, d1 = andPair(sc.bits, sc.rb, l, sc.rlen)
+	} else {
+		d0, d1 = dotPair(sc.rows, sc.b, l, sc.rlen)
+	}
+	L := int64(sc.rlen)
+	den := float64(int64(sc.b) * L * L * L)
+	return float64(sc.lagSum(l, d0)) / den, float64(sc.lagSum(l+1, d1)) / den
 }
 
 // SplitReady reports whether enough observations are buffered for the
@@ -451,8 +819,18 @@ func (r *Rhat) essAt(v int) (float64, error) {
 }
 
 // vertexStats is the per-vertex kernel behind splitAt, essAt and Check: it
-// gathers vertex v's retained series once and returns its split R̂ and its
+// loads vertex v's retained rows once and returns its split R̂ and its
 // effective sample size. SplitReady must hold.
+//
+// Every value is a fixed float64 formula of exact integer sums, with m =
+// ⌊L/2⌋ and S, Q a series' Σx and Σx²: the half means S_A/m and S_B/m and
+// the chain means S/L, bit for bit what float sums of the same integers
+// give; the sum of the 2B half variances, Σ_h (m·Q_h − S_h²)/(m(m−1)), and
+// the within-chain variance W = Σ_c (L·Q_c − S_c²)/(B·L(L−1)), each one
+// quotient of integer sums; and the lag autocovariances of gammaPair. Each
+// quotient is correctly rounded while its numerator stays below 2⁵³, and
+// integer sums may be formed in any order, so the 0/1 and the general
+// kernel agree bit for bit.
 //
 // The ESS is exact unless it provably exceeds bound: the Geyer loop then
 // stops early and returns a lower bound lb of the ESS with lb > bound.
@@ -468,88 +846,34 @@ func (r *Rhat) essAt(v int) (float64, error) {
 // neither win nor tie the fold. The split statistic is always exact, and a
 // vertex whose ESS is 0 (chains frozen apart) or the full pooled count
 // (frozen everywhere) returns before the loop.
-//
-// Each chain takes one sum pass and one deviation pass. The sum pass adds
-// up the two halves; the whole-series sum is first half + odd middle cell
-// + second half. Every cell is an int32 integer (a symbol, or Unset = −1)
-// and a series holds at most the buffer capacity of them (DefaultRetain,
-// far below the 2²² at which a sum could leave float64's exact integers),
-// so every partial sum is exact and this regrouping equals the sequential
-// sum bit for bit. The deviation pass feeds three independent
-// accumulators, each in time order: the two half variances about the half
-// means, and the whole-chain variance about the chain mean, which also
-// centres the series in place for the autocovariances.
 func (h *history) vertexStats(v int, sc *vertexScratch, bound float64) (split, ess float64) {
+	h.load(v, sc)
+	return h.stats(sc, bound)
+}
+
+// stats is vertexStats on the vertex either kernel has loaded into sc.
+func (h *history) stats(sc *vertexScratch, bound float64) (split, ess float64) {
 	B, L := h.b, h.rlen
-	y := h.gather(v, sc)
 	m := L / 2
 	mf, Lf := float64(m), float64(L)
-	seqMean, seqVar, means := sc.seqMean, sc.seqVar, sc.chainMean
-	splitGrand, grand, W := 0.0, 0.0, 0.0
-	for c := 0; c < B; c++ {
-		s := y[c*L : (c+1)*L]
-		first, second := s[:m], s[L-m:]
-		sumA, sumB := 0.0, 0.0
-		for _, x := range first {
-			sumA += x
-		}
-		for _, x := range second {
-			sumB += x
-		}
-		sum := sumA + sumB
-		if L%2 == 1 {
-			sum += s[m]
-		}
-		meanA, meanB, mean := sumA/mf, sumB/mf, sum/Lf
-		varA, varB, vsum := 0.0, 0.0, 0.0
-		for t, x := range first {
-			d := x - meanA
-			varA += d * d
-			d = x - mean
-			first[t] = d
-			vsum += d * d
-		}
-		if L%2 == 1 {
-			d := s[m] - mean
-			s[m] = d
-			vsum += d * d
-		}
-		for t, x := range second {
-			d := x - meanB
-			varB += d * d
-			d = x - mean
-			second[t] = d
-			vsum += d * d
-		}
-		seqMean[2*c], seqMean[2*c+1] = meanA, meanB
-		seqVar[2*c], seqVar[2*c+1] = varA/(mf-1), varB/(mf-1)
-		// Two adds, not one of meanA + meanB: the split statistic's grand
-		// mean sums the 2B half means one at a time.
-		splitGrand += meanA
-		splitGrand += meanB
-		means[c] = mean
-		grand += mean
-		W += vsum / (Lf - 1)
-	}
+	within, splitGrand, W, grand := sc.moments(m)
 
 	// Split R̂ over the 2B half sequences.
 	nseq := 2 * B
 	splitGrand /= float64(nseq)
-	within, between := 0.0, 0.0
-	for i := 0; i < nseq; i++ {
-		within += seqVar[i]
-		d := seqMean[i] - splitGrand
+	between := 0.0
+	for _, x := range sc.seqMean {
+		d := x - splitGrand
 		between += d * d
 	}
 	split = psrf(within, between, nseq, mf)
 
-	// ESS over the B centred whole-chain series.
+	// ESS over the B whole-chain series.
 	total := float64(B) * float64(h.count)
 	grand /= float64(B)
-	W /= float64(B)
 	between = 0.0
-	for c := 0; c < B; c++ {
-		d := means[c] - grand
+	for _, x := range sc.chainMean {
+		d := x - grand
 		between += d * d
 	}
 	between /= float64(B - 1)
@@ -562,33 +886,13 @@ func (h *history) vertexStats(v int, sc *vertexScratch, bound float64) (split, e
 		// Chains frozen apart: no amount of further observation helps.
 		return split, 0
 	}
-	// gammaPair(l) returns the within-chain autocovariances at lags l and
-	// l+1, averaged over chains (biased 1/L scaling, per the standard
-	// estimator). Each is one dot product of the centered series against
-	// itself shifted, summed chain by chain in time order; the two run in
-	// one pass as independent sums, and l+1 < L.
-	gammaPair := func(l int) (float64, float64) {
-		s0, s1 := 0.0, 0.0
-		n := L - l - 1 // terms at lag l+1; lag l has one more
-		for c := 0; c < B; c++ {
-			yc := y[c*L : (c+1)*L]
-			a, b0, b1 := yc[:n], yc[l:l+n], yc[l+1:l+1+n]
-			for t, x := range a {
-				s0 += x * b0[t]
-				s1 += x * b1[t]
-			}
-			s0 += yc[n] * yc[L-1]
-		}
-		d := float64(B) * Lf
-		return s0 / d, s1 / d
-	}
 	// Geyer: sum lag-pair autocorrelations while the pair sums stay
 	// non-negative, enforcing monotone non-increase; stop once the ESS
 	// provably exceeds bound.
 	scale := float64(B) * float64(h.stride*L)
 	sum, prev := 0.0, math.Inf(1)
 	for k := 1; k+1 < L; k += 2 {
-		g0, g1 := gammaPair(k)
+		g0, g1 := sc.gammaPair(k)
 		sc.pairs++
 		p := (1 - (W-g0)/varPlus) + (1 - (W-g1)/varPlus)
 		if p < 0 {
@@ -606,6 +910,41 @@ func (h *history) vertexStats(v int, sc *vertexScratch, bound float64) (split, e
 	tau := 1 + 2*sum
 	ess = scale / tau
 	return split, math.Min(ess, total)
+}
+
+// moments finishes the loaded vertex's part sums: the chain totals, the
+// half and chain means, and four statistics. within is the sum of the 2B
+// half variances and w the within-chain variance W, each one quotient of
+// exact integers, Σ_h (m·Q_h − S_h²) over m(m−1) and Σ_c (L·Q_c − S_c²)
+// over B·L(L−1); splitGrand and grand sum the half and the chain means,
+// chain by chain. It resets the lag loop's boundary sums.
+func (sc *vertexScratch) moments(m int) (within, splitGrand, w, grand float64) {
+	B, L := sc.b, sc.rlen
+	mf, Lf := float64(m), float64(L)
+	sumA, sumM, sumB := sc.sum[:B], sc.sum[B:2*B], sc.sum[2*B:3*B]
+	seqMean, means, total := sc.seqMean[:2*B], sc.chainMean[:B], sc.total[:B]
+	var halves, ss int64
+	for c := range total {
+		sa, sb := sumA[c], sumB[c]
+		s := sa + sumM[c] + sb
+		meanA, meanB, mean := float64(sa)/mf, float64(sb)/mf, float64(s)/Lf
+		seqMean[2*c], seqMean[2*c+1] = meanA, meanB
+		// Two adds, not one of meanA + meanB: the split statistic's grand
+		// mean sums the 2B half means one at a time.
+		splitGrand += meanA
+		splitGrand += meanB
+		means[c] = mean
+		grand += mean
+		total[c] = s
+		halves += sa*sa + sb*sb
+		ss += s * s
+	}
+	qA, qM, qB := sc.sq[0], sc.sq[1], sc.sq[2]
+	m64, L64 := int64(m), int64(L)
+	within = float64(m64*(qA+qB)-halves) / float64(m64*(m64-1))
+	w = float64(L64*(qA+qM+qB)-ss) / float64(int64(B)*L64*(L64-1))
+	sc.ss, sc.pre, sc.suf = ss, 0, 0
+	return within, splitGrand, w, grand
 }
 
 // essMargin is the relative margin by which a pass's bound clears the

@@ -305,33 +305,7 @@ func TestRhatMatchesReferenceBlocks(t *testing.T) {
 // accumulators after every observed sweep — both at the default capacity
 // and at a small one that thins repeatedly.
 func TestRhatMatchesReferenceCorpus(t *testing.T) {
-	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "corpus", "*.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ins := map[string]*gibbs.Instance{}
-	for _, p := range paths {
-		name := strings.TrimSuffix(filepath.Base(p), ".json")
-		if name == "golden_partition" {
-			continue
-		}
-		data, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := spec.Parse(data)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		b, err := f.Build()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		ins[name] = b.Instance
-	}
-	if len(ins) == 0 {
-		t.Fatal("empty corpus")
-	}
+	ins := corpusInstancesForTest(t)
 	const sweeps = 4*8 + 3
 	for name, in := range ins {
 		for _, wide := range []bool{false, true} {
@@ -385,6 +359,40 @@ func TestRhatMatchesReferenceCorpus(t *testing.T) {
 			}
 		}
 	}
+}
+
+// corpusInstancesForTest builds every corpus instance but the partition
+// golden, keyed by name.
+func corpusInstancesForTest(t *testing.T) map[string]*gibbs.Instance {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "corpus", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins := map[string]*gibbs.Instance{}
+	for _, p := range paths {
+		name := strings.TrimSuffix(filepath.Base(p), ".json")
+		if name == "golden_partition" {
+			continue
+		}
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := spec.Parse(data)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		b, err := f.Build()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		ins[name] = b.Instance
+	}
+	if len(ins) == 0 {
+		t.Fatal("empty corpus")
+	}
+	return ins
 }
 
 // TestRhatLaunchMatchesReference launches passes onto a backlog (Queue)

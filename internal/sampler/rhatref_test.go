@@ -1,11 +1,20 @@
 package sampler
 
-// rhatref_test.go: the previous Rhat accumulator, kept verbatim (renamed)
-// as the bit-identity oracle of rhat.go. It stores every retained
-// observation series-major — series (v, c) owns a fixed retain-long int32
-// row allocated up front — and reads the lattice cell by cell through
-// Lattice.Get. The time-major accumulator must report the same bits for
-// every statistic on every vertex; rhat_oracle_test.go checks that.
+// rhatref_test.go: the series-major Rhat accumulator, kept as the
+// bit-identity oracle of rhat.go. It stores every retained observation
+// series-major — series (v, c) owns a fixed retain-long int32 row
+// allocated up front — and reads the lattice cell by cell through
+// Lattice.Get. Its split R̂ and ESS form the integer sums of the kernel's
+// contract naively, series by series and lag by lag — per chain and half
+// Σx and Σx², and per lag N_l = Σ_c [L²·P_{c,l} − L·S_c·(F_{c,l} +
+// G_{c,l}) + (L−l)·S_c²] from its own P, F and G — and finish them with
+// the kernel's float64 formulas in the kernel's order. So the time-major
+// accumulator, whichever kernel loads a vertex, must report the same bits
+// for every statistic on every vertex; rhat_oracle_test.go checks that.
+// floatSplitAt and floatESSAt keep the float64 formulas the kernel had
+// before its sums became integers (deviations from float means, summed in
+// time order), against which rhat_oracle_test.go bounds the rounding the
+// change moved.
 
 import (
 	"fmt"
@@ -170,8 +179,149 @@ func (r *rhatRef) At(v int) (float64, error) {
 // chain drifting within itself (e.g. wandering between modes) inflates
 // the statistic even when whole-chain means agree. Conventions match At:
 // all-constant sequences report exactly 1, zero within-sequence variance
-// with disagreeing sequences reports +Inf. SplitReady must hold.
+// with disagreeing sequences reports +Inf. SplitReady must hold. Each half
+// contributes its mean S/m, and the half variances sum to Σ_h (m·Q_h −
+// S_h²)/(m(m−1)), one quotient of integer sums.
 func (r *rhatRef) SplitAt(v int) (float64, error) {
+	if !r.SplitReady() {
+		return 0, fmt.Errorf("sampler: split R̂ needs ≥ 4 retained observations, have %d", r.rlen)
+	}
+	B := r.m.Chains()
+	m := r.rlen / 2
+	mf := float64(m)
+	nseq := 2 * B
+	grand := 0.0
+	var num int64
+	for c := 0; c < B; c++ {
+		s := r.series(v, c)
+		halves := [2][]int32{s[:m], s[len(s)-m:]}
+		for h, seq := range halves {
+			var sum, sq int64
+			for _, x := range seq {
+				sum += int64(x)
+				sq += int64(x) * int64(x)
+			}
+			mean := float64(sum) / mf
+			r.seqMean[2*c+h] = mean
+			num += int64(m)*sq - sum*sum
+			grand += mean
+		}
+	}
+	grand /= float64(nseq)
+	within := float64(num) / float64(m*(m-1))
+	between := 0.0
+	for i := 0; i < nseq; i++ {
+		d := r.seqMean[i] - grand
+		between += d * d
+	}
+	within /= float64(nseq)
+	between = between * mf / float64(nseq-1)
+	if within == 0 {
+		if between == 0 {
+			return 1, nil
+		}
+		return math.Inf(1), nil
+	}
+	varPlus := (mf-1)/mf*within + between/mf
+	return math.Sqrt(varPlus / within), nil
+}
+
+// ESSAt returns the effective sample size of vertex v pooled across
+// chains: B·T/τ, where τ is the integrated autocorrelation time estimated
+// on the retained series by Geyer's initial-monotone-sequence rule over
+// the multi-chain autocorrelations (the Stan estimator: within-chain
+// autocovariances against the pooled var⁺, so chains frozen at different
+// values drive the ESS to 0 rather than hiding in per-chain terms). When
+// the buffer has thinned, the estimate is scaled by the retention stride —
+// the retained series stands in for the evenly spaced history it samples.
+// A vertex with no variance anywhere (pinned, or frozen identically in
+// every chain) is perfectly estimated and reports the full pooled count
+// B·Count. SplitReady must hold. Each chain contributes its mean S/L, W is
+// Σ_c (L·Q_c − S_c²)/(B·L(L−1)), one quotient of integer sums, and the
+// lag-l autocovariance is N_l/(B·L³).
+func (r *rhatRef) ESSAt(v int) (float64, error) {
+	if !r.SplitReady() {
+		return 0, fmt.Errorf("sampler: ESS needs ≥ 4 retained observations, have %d", r.rlen)
+	}
+	B := r.m.Chains()
+	L := r.rlen
+	Lf := float64(L)
+	total := float64(B) * float64(r.count)
+	means := r.seqMean[:B]
+	sums := make([]int64, B)
+	grand := 0.0
+	var num int64
+	for c := 0; c < B; c++ {
+		var sum, sq int64
+		for _, x := range r.series(v, c) {
+			sum += int64(x)
+			sq += int64(x) * int64(x)
+		}
+		sums[c] = sum
+		mean := float64(sum) / Lf
+		means[c] = mean
+		grand += mean
+		num += int64(L)*sq - sum*sum
+	}
+	grand /= float64(B)
+	W := float64(num) / float64(B*L*(L-1))
+	between := 0.0
+	for c := 0; c < B; c++ {
+		d := means[c] - grand
+		between += d * d
+	}
+	between /= float64(B - 1)
+	varPlus := (Lf-1)/Lf*W + between
+	if varPlus == 0 {
+		// Frozen everywhere: the constant is known exactly.
+		return total, nil
+	}
+	if W == 0 {
+		// Chains frozen apart: no amount of further observation helps.
+		return 0, nil
+	}
+	// gamma(l): within-chain autocovariance at lag l, averaged over chains
+	// (biased 1/L scaling, per the standard estimator), from N_l.
+	gamma := func(l int) float64 {
+		L64 := int64(L)
+		var n int64
+		for c := 0; c < B; c++ {
+			series := r.series(v, c)
+			var p, f, g int64
+			for t := 0; t+l < L; t++ {
+				p += int64(series[t]) * int64(series[t+l])
+				f += int64(series[t])
+				g += int64(series[t+l])
+			}
+			s := sums[c]
+			n += L64*L64*p - L64*s*(f+g) + (L64-int64(l))*s*s
+		}
+		return float64(n) / float64(int64(B)*L64*L64*L64)
+	}
+	rho := func(l int) float64 { return 1 - (W-gamma(l))/varPlus }
+	// Geyer: sum lag-pair autocorrelations while the pair sums stay
+	// non-negative, enforcing monotone non-increase.
+	sum, prev := 0.0, math.Inf(1)
+	for k := 1; k+1 < L; k += 2 {
+		p := rho(k) + rho(k+1)
+		if p < 0 {
+			break
+		}
+		if p > prev {
+			p = prev
+		}
+		prev = p
+		sum += p
+	}
+	tau := 1 + 2*sum
+	ess := float64(B) * float64(r.stride*L) / tau
+	return math.Min(ess, total), nil
+}
+
+// floatSplitAt is SplitAt in the float64 formulas the kernel used before
+// its sums became integers: each half's variance sums the squared
+// deviations from its float mean in time order.
+func (r *rhatRef) floatSplitAt(v int) (float64, error) {
 	if !r.SplitReady() {
 		return 0, fmt.Errorf("sampler: split R̂ needs ≥ 4 retained observations, have %d", r.rlen)
 	}
@@ -218,18 +368,11 @@ func (r *rhatRef) SplitAt(v int) (float64, error) {
 	return math.Sqrt(varPlus / within), nil
 }
 
-// ESSAt returns the effective sample size of vertex v pooled across
-// chains: B·T/τ, where τ is the integrated autocorrelation time estimated
-// on the retained series by Geyer's initial-monotone-sequence rule over
-// the multi-chain autocorrelations (the Stan estimator: within-chain
-// autocovariances against the pooled var⁺, so chains frozen at different
-// values drive the ESS to 0 rather than hiding in per-chain terms). When
-// the buffer has thinned, the estimate is scaled by the retention stride —
-// the retained series stands in for the evenly spaced history it samples.
-// A vertex with no variance anywhere (pinned, or frozen identically in
-// every chain) is perfectly estimated and reports the full pooled count
-// B·Count. SplitReady must hold.
-func (r *rhatRef) ESSAt(v int) (float64, error) {
+// floatESSAt is ESSAt in the float64 formulas the kernel used before its
+// sums became integers: W sums each chain's squared deviations from its
+// float mean, and each lag's autocovariance the products of deviations, in
+// time order.
+func (r *rhatRef) floatESSAt(v int) (float64, error) {
 	if !r.SplitReady() {
 		return 0, fmt.Errorf("sampler: ESS needs ≥ 4 retained observations, have %d", r.rlen)
 	}
