@@ -43,15 +43,19 @@ package sampler
 // part Σx², and per lag l the row products Σ_t ⟨row_t, row_{t+l}⟩ over the
 // chains plus boundary sums that centre them (lagSum). Integer sums are
 // exact in any order, so the kernel reads each vertex's retained rows in
-// time order from the snapshots, and two row products compute the same
+// time order from the snapshots, and three row products compute the same
 // integers. A vertex whose retained cells are all 0 or 1 — every q = 2
 // model — takes the 0/1 kernel: it packs each row into one bit per chain,
 // eight cells per multiply, and a lag costs one AND and one POPCNT per
-// eight packed bytes. Every other vertex takes the general kernel: it
-// copies its rows, decoded, into a time-major int32 block, and a lag is
-// one flat integer dot product of the block against itself shifted. The
-// test runs per vertex per pass, over every retained cell. newRhat refuses
-// a chain count and alphabet whose sums could leave int64. A convergence
+// eight packed bytes. A vertex whose cells are all symbols below 128
+// takes the lane kernel: it packs each row into 16-bit lanes, four cells
+// to a word, and a lag costs one multiply per four cells, a word times the
+// lane-reversed word of the row l later. Every other vertex (Unset cells,
+// symbols from 128, wide lattices) takes the general kernel: it copies its
+// rows, decoded, into a time-major int32 block, and a lag is one flat
+// integer dot product of the block against itself shifted. The tests run
+// per vertex per pass, over every retained cell. newRhat refuses a chain
+// count and alphabet whose sums could leave int64. A convergence
 // check splits in two. The whole-chain R̂ (Worst) reads only
 // the running moments, a scan of n·B cells. The split-R̂/ESS pass runs the
 // kernel over every vertex, and there are two ways to run it. Check runs
@@ -116,7 +120,8 @@ import (
 const DefaultRetain = 256
 
 // maxRetain caps the observation-buffer capacity: the 0/1 kernel counts a
-// half series' ones per chain in one byte.
+// half series' ones per chain in one byte, and the lane kernel sums its
+// cells below 128 in 16 bits.
 const maxRetain = 2 * 255
 
 // Rhat accumulates per-(vertex, chain) observation statistics of a
@@ -330,23 +335,29 @@ func thin[T uint8 | int32](snaps [][]T, half int) {
 // pairs counts the Geyer lag pairs the kernel has computed with this
 // scratch.
 type vertexScratch struct {
-	// zeroOne says which kernel loaded the vertex. b and rlen are the
+	// kernel is the kernel that loaded the vertex. b and rlen are the
 	// chain count and the retained length, rb = ⌈b/8⌉ the bytes per packed
-	// row.
-	zeroOne     bool
-	b, rlen, rb int
+	// row and rw = 2rb the words per lane row.
+	kernel          kernel
+	b, rlen, rb, rw int
 	// bits holds the 0/1 kernel's rows, row t at bits[t*rb:(t+1)*rb] with
-	// chain c at bit c%8 of byte c/8, and eight bytes of padding; rows
-	// holds the general kernel's, row t at rows[t*b:(t+1)*b], cell (t, c)
-	// decoded to int32.
-	bits []uint8
-	rows []int32
-	// acc holds the 0/1 kernel's byte-lane counts, rb words for each of
-	// the three parts of a series — first half, middle cell (odd lengths),
-	// second half — with chain c's count in byte c%8 of word c/8.
+	// chain c at bit c%8 of byte c/8, and eight bytes of padding; lanes
+	// holds the lane kernel's, row t at lanes[t*rw:(t+1)*rw] with chain c
+	// in 16-bit lane c%8/2 of word 2(c/8) + c%2, and rev the same rows with
+	// each word's lanes reversed; rows holds the general kernel's, row t at
+	// rows[t*b:(t+1)*b], cell (t, c) decoded to int32.
+	bits       []uint8
+	lanes, rev []uint64
+	rows       []int32
+	// acc holds a packing kernel's lane sums for each of the three parts
+	// of a series — first half, middle cell (odd lengths), second half:
+	// the 0/1 kernel's rb words per part, chain c's count in byte c%8 of
+	// word c/8, or the lane kernel's rw words per part, laid out as its
+	// rows.
 	acc []uint64
 	// sum holds each part's per-chain Σx, part p of chain c at p*b+c, and
-	// sq each part's Σx² over all chains; total holds each chain's Σx.
+	// sq each part's Σx² over all chains; total holds each chain's Σx, and
+	// zeros up to 8rb entries.
 	sum   []int64
 	sq    [3]int64
 	total []int64
@@ -365,12 +376,14 @@ type vertexScratch struct {
 // capacity, so a scratch never regrows within a drive.
 func (sc *vertexScratch) size(h *history) {
 	B := h.b
-	if len(sc.total) != B {
+	if len(sc.chainMean) != B {
+		rb := (B + 7) / 8
 		*sc = vertexScratch{
-			rb:        (B + 7) / 8,
-			acc:       make([]uint64, 3*((B+7)/8)),
+			rb:        rb,
+			rw:        2 * rb,
+			acc:       make([]uint64, 6*rb),
 			sum:       make([]int64, 3*B),
-			total:     make([]int64, B),
+			total:     make([]int64, 8*rb),
 			seqMean:   make([]float64, 2*B),
 			chainMean: make([]float64, B),
 			pairs:     sc.pairs,
@@ -389,20 +402,39 @@ var cell32 = func() (t [256]int32) {
 	return t
 }()
 
-// load reads vertex v's retained rows into sc, by the 0/1 kernel when
-// every retained cell of v is 0 or 1 and by the general kernel otherwise,
-// and fills the part sums.
+// kernel names the three ways of loading a vertex's rows and of forming
+// their row products; all three compute the same integers.
+type kernel uint8
+
+const (
+	// generalKernel decodes each cell to int32 (gather, dotPair).
+	generalKernel kernel = iota
+	// zeroOneKernel packs 0/1 cells one bit per chain (pack, andPair).
+	zeroOneKernel
+	// laneKernel packs cells below 128 four to a word (packLanes,
+	// lanePair).
+	laneKernel
+)
+
+// load reads vertex v's retained rows into sc and fills the part sums: by
+// the 0/1 kernel when every retained cell of v is 0 or 1, by the lane
+// kernel when every cell is a symbol below 128, and by the general kernel
+// otherwise.
 func (h *history) load(v int, sc *vertexScratch) {
-	if !h.pack(v, sc) {
+	if !h.pack(v, sc) && !h.packLanes(v, sc) {
 		h.gather(v, sc)
 	}
 }
 
-// pack is the 0/1 kernel's load: it packs vertex v's retained rows into
-// one bit per chain and counts each part's ones per chain (for 0/1 cells
-// Σx² = Σx). It reports false, leaving sc for gather, at the first cell
-// that is neither 0 nor 1 (Unset included).
+// pack is the 0/1 kernel's load, for compact lattices: it packs vertex
+// v's retained rows into one bit per chain and counts each part's ones
+// per chain (for 0/1 cells Σx² = Σx). It reports false, leaving sc for
+// the next kernel, on a wide lattice or at the first cell that is neither
+// 0 nor 1 (Unset included).
 func (h *history) pack(v int, sc *vertexScratch) bool {
+	if !h.compact {
+		return false
+	}
 	sc.size(h)
 	B, L, rb := h.b, h.rlen, sc.rb
 	if len(sc.bits) < rb*h.retain+8 {
@@ -410,24 +442,14 @@ func (h *history) pack(v int, sc *vertexScratch) bool {
 	}
 	m, off := L/2, v*B
 	parts := [4]int{0, m, L - m, L}
-	if h.compact {
-		clear(sc.acc)
-		for p := range 3 {
-			t0, t1 := parts[p], parts[p+1]
-			if !pack8(h.snaps8[t0:t1], off, B, sc.bits[t0*rb:t1*rb], sc.acc[p*rb:(p+1)*rb]) {
-				return false
-			}
-		}
-		lanes(sc.sum, sc.acc, B)
-	} else {
-		clear(sc.sum)
-		for p := range 3 {
-			t0, t1 := parts[p], parts[p+1]
-			if !packWide(h.snapsW[t0:t1], off, sc.bits[t0*rb:t1*rb], sc.sum[p*B:(p+1)*B]) {
-				return false
-			}
+	clear(sc.acc)
+	for p := range 3 {
+		t0, t1 := parts[p], parts[p+1]
+		if !pack8(h.snaps8[t0:t1], off, B, sc.bits[t0*rb:t1*rb], sc.acc[p*rb:(p+1)*rb]) {
+			return false
 		}
 	}
+	lanes(sc.sum, sc.acc[:3*rb], B)
 	for p := range 3 {
 		var q int64
 		for _, x := range sc.sum[p*B : (p+1)*B] {
@@ -435,16 +457,20 @@ func (h *history) pack(v int, sc *vertexScratch) bool {
 		}
 		sc.sq[p] = q
 	}
-	sc.zeroOne = true
+	sc.kernel = zeroOneKernel
 	return true
 }
 
 // Byte-lane constants of pack8: ones has bit 0 of every byte set, and
 // packMul moves bit 0 of byte i to bit 56+i (the partial products of 0/1
-// bytes never collide, so no carry disturbs the top byte).
+// bytes never collide, so no carry disturbs the top byte). pack16 tests
+// cells below 128 against high1, the top bit of every byte, and splits
+// eight cells into 16-bit lanes with evenBytes.
 const (
-	ones    = 0x0101010101010101
-	packMul = 0x0102040810204080
+	ones      = 0x0101010101010101
+	packMul   = 0x0102040810204080
+	high1     = 0x8080808080808080
+	evenBytes = 0x00FF00FF00FF00FF
 )
 
 // pack8 packs compact rows — row t is snaps[t][off:off+B] — into bits,
@@ -495,30 +521,92 @@ func lanes(sum []int64, acc []uint64, B int) {
 	}
 }
 
-// packWide is pack8 for wide rows, one cell per step, adding each cell
-// into s. The wide layout serves alphabets above 255 symbols, so its 0/1
-// vertices are rare.
-func packWide(snaps [][]int32, off int, bits []uint8, s []int64) bool {
-	B := len(s)
-	rb := (B + 7) / 8
+// packLanes is the lane kernel's load, for compact lattices: it packs
+// vertex v's retained rows four cells to a word, and lane-reversed, and
+// sums each part per chain and each part's Σx². It reports false, leaving
+// sc for gather, on a wide lattice or at the first cell of 128 or more
+// (Unset included).
+func (h *history) packLanes(v int, sc *vertexScratch) bool {
+	if !h.compact {
+		return false
+	}
+	sc.size(h)
+	B, L, rw := h.b, h.rlen, sc.rw
+	if len(sc.lanes) < rw*h.retain {
+		sc.lanes = make([]uint64, rw*h.retain)
+		sc.rev = make([]uint64, rw*h.retain)
+	}
+	m, off := L/2, v*B
+	parts := [4]int{0, m, L - m, L}
+	clear(sc.acc)
+	for p := range 3 {
+		t0, t1 := parts[p], parts[p+1]
+		q, ok := pack16(h.snaps8[t0:t1], off, B, sc.lanes[t0*rw:t1*rw], sc.rev[t0*rw:t1*rw], sc.acc[p*rw:(p+1)*rw])
+		if !ok {
+			return false
+		}
+		sc.sq[p] = q
+	}
+	lanes16(sc.sum, sc.acc, B)
+	sc.kernel = laneKernel
+	return true
+}
+
+// rev16 reverses the order of the four 16-bit lanes of x, each below 256:
+// a byte swap reverses the lanes and moves each value to its lane's high
+// byte, and the shift moves it back.
+func rev16(x uint64) uint64 { return stdbits.ReverseBytes64(x) >> 8 }
+
+// pack16 packs compact rows of cells below 128 — row t is
+// snaps[t][off:off+B] — into fwd, 2⌈B/8⌉ words per row: cells 8k, 8k+2,
+// 8k+4 and 8k+6 in the 16-bit lanes of word 2k, and the odd cells in word
+// 2k+1, each a mask (and a shift) of the row's eight bytes; and the same
+// words lane-reversed into rev. It adds each row's words into acc (a part
+// holds at most 255 rows of cells below 128, which maxRetain keeps below
+// 2¹⁶ per lane) and returns the part's Σx²: a word times its reversed
+// word is the dot product of its four cells in the top lane (lanePair),
+// so Σx² costs one multiply per word. It reports false at the first cell
+// of 128 or more.
+func pack16(snaps [][]uint8, off, B int, fwd, rev, acc []uint64) (q int64, ok bool) {
+	rw, full := len(acc), B/8
+	var sq uint64
 	for t, snap := range snaps {
 		row := snap[off : off+B]
-		dst := bits[t*rb : (t+1)*rb]
-		s := s[:len(row)]
-		var word uint8
-		for c, x := range row {
-			if uint32(x) > 1 {
-				return false
+		f, r := fwd[t*rw:(t+1)*rw], rev[t*rw:(t+1)*rw]
+		for k := range rw / 2 {
+			var w uint64
+			if k < full {
+				w = binary.LittleEndian.Uint64(row[8*k:])
+			} else {
+				for i, x := range row[8*full:] {
+					w |= uint64(x) << (8 * i)
+				}
 			}
-			s[c] += int64(x)
-			word |= uint8(x) << (c & 7)
-			if c&7 == 7 || c == len(row)-1 {
-				dst[c/8] = word
-				word = 0
+			if w&high1 != 0 {
+				return 0, false
 			}
+			e, o := w&evenBytes, w>>8&evenBytes
+			re, ro := rev16(e), rev16(o)
+			f[2*k], f[2*k+1] = e, o
+			r[2*k], r[2*k+1] = re, ro
+			acc[2*k] += e
+			acc[2*k+1] += o
+			sq += e*re>>48 + o*ro>>48
 		}
 	}
-	return true
+	return int64(sq), true
+}
+
+// lanes16 writes the three parts' lane sums of acc, rw words per part
+// laid out as pack16's rows, into sum, part p of chain c at p*B+c.
+func lanes16(sum []int64, acc []uint64, B int) {
+	rw := len(acc) / 3
+	for p := range 3 {
+		s, a := sum[p*B:(p+1)*B], acc[p*rw:(p+1)*rw]
+		for c := range s {
+			s[c] = int64(a[2*(c/8)+c%2] >> (16 * (c % 8 / 2)) & 0xFFFF)
+		}
+	}
 }
 
 // gather is the general kernel's load: it copies vertex v's retained rows,
@@ -543,36 +631,19 @@ func (h *history) gather(v int, sc *vertexScratch) {
 			sc.sq[p] = gatherWide(h.snapsW[t0:t1], off, rows, s)
 		}
 	}
-	sc.zeroOne = false
+	sc.kernel = generalKernel
 }
 
 // gather8 copies compact rows — row t is snaps[t][off:off+len(s)] —
-// decoded into rows, adds each cell into s and returns Σx². It takes two
-// rows per step, so each chain's sum is read and written once per pair of
-// cells.
+// decoded into rows, adds each cell into s and returns Σx².
 func gather8(snaps [][]uint8, off int, rows []int32, s []int64) (q int64) {
 	B := len(s)
-	tab := &cell32
-	t := 0
-	for ; t+1 < len(snaps); t += 2 {
-		r0 := snaps[t][off : off+B]
-		r1 := snaps[t+1][off : off+B][:len(r0)]
-		d := rows[t*B : (t+2)*B]
-		d0, d1 := d[:len(r0)], d[len(r0):][:len(r0)]
-		s := s[:len(r0)]
-		for c, x := range r0 {
-			y0, y1 := tab[x], tab[r1[c]]
-			d0[c], d1[c] = y0, y1
-			s[c] += int64(y0) + int64(y1)
-			q += int64(y0)*int64(y0) + int64(y1)*int64(y1)
-		}
-	}
-	if t < len(snaps) {
-		row := snaps[t][off : off+B]
+	for t, snap := range snaps {
+		row := snap[off : off+B]
 		dst := rows[t*B : (t+1)*B][:len(row)]
 		s := s[:len(row)]
 		for c, x := range row {
-			y := tab[x]
+			y := cell32[x]
 			dst[c] = y
 			s[c] += int64(y)
 			q += int64(y) * int64(y)
@@ -648,6 +719,30 @@ func dotPair(rows []int32, b, l, L int) (d0, d1 int64) {
 	return d0, d1
 }
 
+// lanePair is the lane kernel's row product at lags l and l+1: Σ_t
+// ⟨row_t, row_{t+l}⟩ over t < L−l, and the same at l+1. Four cells below
+// 128 in the 16-bit lanes of a word x, and four in the lanes of y taken
+// in reverse order, multiply to Σ_i x_i·y_i in the product's top lane: no
+// partial sum of the product reaches 4·127² < 2¹⁶, so none carries. The
+// rows are contiguous, so each lag is one flat pass of one multiply per
+// four cells.
+func lanePair(fwd, rev []uint64, rw, l, L int) (d0, d1 int64) {
+	n := (L - l - 1) * rw
+	a := fwd[:n]
+	b0 := rev[l*rw:][:n]
+	b1 := rev[(l+1)*rw:][:n]
+	var s0, s1 uint64
+	for i, x := range a {
+		s0 += x * b0[i] >> 48
+		s1 += x * b1[i] >> 48
+	}
+	last, end := fwd[n:n+rw], rev[(L-1)*rw:L*rw]
+	for i, x := range last {
+		s0 += x * end[i] >> 48
+	}
+	return int64(s0), int64(s1)
+}
+
 // weighBits returns w = Σ_c s[c] over the chains whose bit is set in the
 // packed row.
 func weighBits(row []uint8, s []int64) int64 {
@@ -671,10 +766,25 @@ func weighRow(row []int32, s []int64) int64 {
 	return w
 }
 
+// weighLanes returns w = Σ_c s[c]·x_c over the cells of the lane row; s
+// is zero past the row's chains, up to 4·len(row) entries.
+func weighLanes(row []uint64, s []int64) int64 {
+	var w int64
+	for k := 0; k+1 < len(row); k += 2 {
+		e, o, t := row[k], row[k+1], s[4*k:][:8]
+		w += t[0]*int64(e&0xFFFF) + t[2]*int64(e>>16&0xFFFF) + t[4]*int64(e>>32&0xFFFF) + t[6]*int64(e>>48) +
+			t[1]*int64(o&0xFFFF) + t[3]*int64(o>>16&0xFFFF) + t[5]*int64(o>>32&0xFFFF) + t[7]*int64(o>>48)
+	}
+	return w
+}
+
 // weigh returns w_t = Σ_c total[c]·x_{c,t} of the loaded row t.
 func (sc *vertexScratch) weigh(t int) int64 {
-	if sc.zeroOne {
+	switch sc.kernel {
+	case zeroOneKernel:
 		return weighBits(sc.bits[t*sc.rb:(t+1)*sc.rb], sc.total)
+	case laneKernel:
+		return weighLanes(sc.lanes[t*sc.rw:(t+1)*sc.rw], sc.total)
 	}
 	return weighRow(sc.rows[t*sc.b:(t+1)*sc.b], sc.total)
 }
@@ -702,9 +812,12 @@ func (sc *vertexScratch) lagSum(l int, d int64) int64 {
 // |N_l| ≤ 2⁵³. Lags come in the Geyer loop's order, l = 1, 3, 5, …
 func (sc *vertexScratch) gammaPair(l int) (g0, g1 float64) {
 	var d0, d1 int64
-	if sc.zeroOne {
+	switch sc.kernel {
+	case zeroOneKernel:
 		d0, d1 = andPair(sc.bits, sc.rb, l, sc.rlen)
-	} else {
+	case laneKernel:
+		d0, d1 = lanePair(sc.lanes, sc.rev, sc.rw, l, sc.rlen)
+	default:
 		d0, d1 = dotPair(sc.rows, sc.b, l, sc.rlen)
 	}
 	L := int64(sc.rlen)
@@ -829,8 +942,8 @@ func (r *Rhat) essAt(v int) (float64, error) {
 // the within-chain variance W = Σ_c (L·Q_c − S_c²)/(B·L(L−1)), each one
 // quotient of integer sums; and the lag autocovariances of gammaPair. Each
 // quotient is correctly rounded while its numerator stays below 2⁵³, and
-// integer sums may be formed in any order, so the 0/1 and the general
-// kernel agree bit for bit.
+// integer sums may be formed in any order, so the 0/1, the lane and the
+// general kernel agree bit for bit.
 //
 // The ESS is exact unless it provably exceeds bound: the Geyer loop then
 // stops early and returns a lower bound lb of the ESS with lb > bound.
@@ -1032,8 +1145,9 @@ type inlinePass struct {
 	// mine is the caller's share of the result.
 	mine Diagnostics
 	// workers are the goroutines' slots, k of them open to this pass; the
-	// scratch of each is sized on first use and kept. work is the
-	// goroutines' entry point, bound once so a start allocates nothing.
+	// scratch of each is shaped when its slot is first opened and kept.
+	// work is the goroutines' entry point, bound once so a start
+	// allocates nothing once the slots exist.
 	workers []*passWorker
 	k       int
 	work    func()
@@ -1062,6 +1176,12 @@ func (p *inlinePass) start(h history, k, first int) {
 	p.k = k
 	for len(p.workers) < k {
 		p.workers = append(p.workers, &passWorker{})
+	}
+	// Shape every open slot's scratch here, whether or not its goroutine
+	// starts before the pass ends, so a slot first taken in a later pass
+	// allocates at most its kernel's row block.
+	for _, w := range p.workers[:k] {
+		w.size(&p.view)
 	}
 	p.next.Store(0)
 	p.chunk = int64(max(h.n/(8*(k+1)), 1))

@@ -1,8 +1,8 @@
 package sampler
 
 // rhat_kernel_test.go: the integer kernels of rhat.go. FuzzRhatPass holds
-// the pass to the integer oracle on random histories and the 0/1 kernel to
-// the general kernel; TestRhatNearFloatFormula bounds how far the integer
+// the pass to the integer oracle on random histories and the three
+// kernels to each other; TestRhatNearFloatFormula bounds how far the integer
 // formulas moved the statistics from the float64 formulas they replaced;
 // TestRhatCorrectlyRounded checks the kernel's quotients against exact
 // rational arithmetic.
@@ -22,13 +22,15 @@ import (
 // {2, 3, 10, 255}, some vertices 0/1 only, some with Unset cells, up to 600
 // observations at retain 8 or 10 so the buffer thins several times — and
 // compares every vertex's split R̂ and ESS bit for bit whenever the buffer
-// is ready. On a vertex the 0/1 kernel loads, the general kernel must give
-// the same bits.
+// is ready. Every kernel that can load a vertex — the 0/1, the lane and
+// the general kernel — must give the same bits.
 func FuzzRhatPass(f *testing.F) {
 	f.Add(uint64(1), uint8(3), uint8(16), uint8(0), uint16(40), false)
 	f.Add(uint64(2), uint8(4), uint8(130), uint8(1), uint16(600), true)
 	f.Add(uint64(3), uint8(1), uint8(2), uint8(2), uint16(100), false)
 	f.Add(uint64(4), uint8(2), uint8(65), uint8(3), uint16(333), true)
+	f.Add(uint64(5), uint8(2), uint8(128), uint8(2), uint16(250), false)
+	f.Add(uint64(6), uint8(1), uint8(14), uint8(1), uint16(90), false)
 	f.Fuzz(func(t *testing.T, seed uint64, n, b, qi uint8, obs uint16, wide bool) {
 		qs := []int{2, 3, 10, 255}
 		nv := 1 + int(n)%4
@@ -55,7 +57,15 @@ func FuzzRhatPass(f *testing.F) {
 			t.Fatal(err)
 		}
 		rng := dist.NewXoshiro(int64(seed), 7)
-		var sc, gen vertexScratch
+		var sc, other vertexScratch
+		kernels := []struct {
+			name string
+			load func(int, *vertexScratch) bool
+		}{
+			{"0/1 kernel", acc.pack},
+			{"lane kernel", acc.packLanes},
+			{"general kernel", func(v int, sc *vertexScratch) bool { acc.gather(v, sc); return true }},
+		}
 		for i := 0; i < T; i++ {
 			for v := 0; v < nv; v++ {
 				for c := 0; c < B; c++ {
@@ -83,11 +93,13 @@ func FuzzRhatPass(f *testing.F) {
 				what := fmt.Sprintf("obs %d vertex %d", i, v)
 				sameBits(t, what+": split R̂", split, nil, wsplit, nil)
 				sameBits(t, what+": ESS", ess, nil, wess, nil)
-				if sc.zeroOne {
-					acc.gather(v, &gen)
-					gsplit, gess := acc.stats(&gen, math.Inf(1))
-					sameBits(t, what+": general kernel split R̂", gsplit, nil, split, nil)
-					sameBits(t, what+": general kernel ESS", gess, nil, ess, nil)
+				for _, k := range kernels {
+					if !k.load(v, &other) {
+						continue
+					}
+					ksplit, kess := acc.stats(&other, math.Inf(1))
+					sameBits(t, what+": "+k.name+" split R̂", ksplit, nil, split, nil)
+					sameBits(t, what+": "+k.name+" ESS", kess, nil, ess, nil)
 				}
 			}
 		}
@@ -147,7 +159,7 @@ func TestRhatNearFloatFormula(t *testing.T) {
 	}
 }
 
-// TestRhatCorrectlyRounded loads random histories by both kernels and
+// TestRhatCorrectlyRounded loads random histories by every kernel and
 // checks, against exact rational arithmetic, that the sum of the half
 // variances, the within-chain variance W and every lag autocovariance the
 // Geyer loop can ask for are the correctly rounded float64 values.
@@ -169,8 +181,11 @@ func TestRhatCorrectlyRounded(t *testing.T) {
 		for i := 0; i < L; i++ {
 			for c := 0; c < B; c++ {
 				s := int(rng.Uint64()%uint64(q+1)) - 1
-				if trial%8 < 4 {
+				switch trial / 4 % 3 {
+				case 0: // 0/1 cells: the 0/1 kernel
 					s = int(rng.Uint64() % uint64(min(q, 2)))
+				case 1: // symbols, no Unset: the lane kernel below 128
+					s = int(rng.Uint64() % uint64(q))
 				}
 				lat.Set(0, c, s)
 				x[c] = append(x[c], int64(s))
@@ -207,7 +222,7 @@ func TestRhatCorrectlyRounded(t *testing.T) {
 		check := func(what string, got float64, want *big.Rat) {
 			t.Helper()
 			if f, _ := want.Float64(); math.Float64bits(f) != math.Float64bits(got) {
-				t.Fatalf("trial %d (B=%d q=%d L=%d, 0/1 kernel %v): %s = %v, correctly rounded %v", trial, B, q, L, sc.zeroOne, what, got, f)
+				t.Fatalf("trial %d (B=%d q=%d L=%d, kernel %d): %s = %v, correctly rounded %v", trial, B, q, L, sc.kernel, what, got, f)
 			}
 		}
 		check("Σ half variances", within, wantWithin)
